@@ -32,6 +32,8 @@ from .regions import (
     RateCorner,
     RegionBoundary,
     Y_FAVOR,
+    _beta_grid,
+    _chain_laws,
     pareto_filter,
 )
 
@@ -97,8 +99,7 @@ def closed_form_region(params: BinaryModelParams, classifier_trials: int = 20_00
         warning = (f"classifier verdict {verdict.relation.value}: main channel not "
                    f"verified stronger; closed form may not be the capacity region")
 
-    betas = np.arange(0.0, 0.5, params.beta_step).tolist()
-    betas.append(0.5)
+    betas = _beta_grid(params.beta_step)
     corners = [closed_form_corner(params, b) for b in betas]
 
     # Golden-section refinement around the key-rate-maximising beta.
@@ -135,11 +136,6 @@ def convolution_bounds(lam: float, p: float, eps: float):
     return lower, mid, 0.5
 
 
-def _cond_entropy_bits(joint: np.ndarray) -> float:
-    """H(row | column) of a 2-D joint, bits."""
-    return (_entropy_nats(joint) - _entropy_nats(joint.sum(axis=0))) / LN2
-
-
 def entropy_convolution_check(model: AuthModel, test: Channel) -> bool:
     """Entropy-convolution consistency check for a binary model.
 
@@ -156,26 +152,18 @@ def entropy_convolution_check(model: AuthModel, test: Channel) -> bool:
     if test.num_inputs != 2:
         raise ValueError("test channel must act on the binary enrollment alphabet")
 
-    px = model.px.probs
-    p_xa = px[:, None] * model.ec.matrix          # joint (X, Xt)
-    p_a = p_xa.sum(axis=0)
-    t = test.matrix
-    p_xu = p_xa @ t                               # joint (X, U)
-    p_au = p_a[:, None] * t                       # joint (Xt, U)
-    p_zu = model.ac_z.matrix.T @ p_xu             # joint (Z, U)
+    laws = _chain_laws(model, test.matrix)
+    h_u = _entropy_nats(laws.p_u)
+    h_x_u, h_z_u, h_a_u = ((_entropy_nats(j) - h_u) / LN2
+                           for j in (laws.p_xu, laws.p_zu, laws.p_au))
 
-    h_x_u = _cond_entropy_bits(p_xu)
-    h_z_u = _cond_entropy_bits(p_zu)
-    h_a_u = _cond_entropy_bits(p_au)
-
-    bound = binary_entropy(convolve(binary_entropy_inverse(h_x_u), eps))
-    if h_z_u < bound - ENTROPY_BOUND_SLACK:
+    m = binary_entropy_inverse(min(1.0, max(0.0, h_x_u)))
+    if h_z_u < binary_entropy(convolve(m, eps)) - ENTROPY_BOUND_SLACK:
         return False
 
     if p >= 0.5 - 1e-12:
         lam = 0.5
     else:
-        m = binary_entropy_inverse(h_x_u)
         lam = min(0.5, max(0.0, (m - p) / (1.0 - 2.0 * p)))
     return h_a_u <= binary_entropy(lam) + ENTROPY_BOUND_SLACK
 

@@ -94,13 +94,9 @@ def _check_same_input(a: Channel, b: Channel):
 
 
 def _mi_batch(p: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """I(X;B) in nats for a batch of input distributions (rows of p)."""
-    out = p @ matrix
-    h_out = np.zeros(p.shape[0])
-    mask = out > 1e-15
-    h_out -= np.sum(np.where(mask, out * np.log(np.where(mask, out, 1.0)), 0.0), axis=1)
-    row_h = np.array([_entropy_nats(row) for row in matrix])
-    return h_out - p @ row_h
+    """I(X;B) = H(B) - H(B|X) in nats for a batch of input distributions
+    (rows of p)."""
+    return _entropy_nats(p @ matrix, axis=1) - p @ _entropy_nats(matrix, axis=1)
 
 
 def _simplex_grid(k: int, resolution: float) -> np.ndarray:

@@ -96,36 +96,23 @@ def _model_form(cfg: dict) -> str:
     return forms[0]
 
 
-def _stochastic_matrix(rows, name: str) -> Channel:
+def _stochastic(values, name: str, ndim: int) -> np.ndarray:
+    """A probability vector (ndim 1) or row-stochastic matrix (ndim 2) read
+    with tolerance ROW_SUM_TOL and renormalised along its last axis."""
     try:
-        m = np.array(rows, dtype=float)
+        a = np.array(values, dtype=float)
     except (TypeError, ValueError):
-        raise CliError(EXIT_SCHEMA, f"{name} must be a numeric matrix")
-    if m.ndim != 2 or m.size == 0:
-        raise CliError(EXIT_SCHEMA, f"{name} must be a nonempty 2-D matrix")
-    if np.any(m < -ROW_SUM_TOL):
-        raise CliError(EXIT_STOCHASTICITY, f"{name} has negative entries")
-    sums = m.sum(axis=1)
+        raise CliError(EXIT_SCHEMA, f"{name} must be numeric")
+    if a.ndim != ndim or a.size == 0:
+        raise CliError(EXIT_SCHEMA, f"{name} must be a nonempty {ndim}-D array")
+    if not np.all(np.isfinite(a)) or np.any(a < -ROW_SUM_TOL):
+        raise CliError(EXIT_STOCHASTICITY, f"{name} has negative or non-finite entries")
+    sums = a.sum(axis=-1, keepdims=True)
     if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
         raise CliError(EXIT_STOCHASTICITY,
-                       f"{name} rows must sum to 1 within {ROW_SUM_TOL}; got {sums.tolist()}")
-    m = np.clip(m, 0.0, None)
-    return Channel(m / m.sum(axis=1, keepdims=True))
-
-
-def _prob_vector(values, name: str) -> DiscreteDistribution:
-    try:
-        p = np.array(values, dtype=float)
-    except (TypeError, ValueError):
-        raise CliError(EXIT_SCHEMA, f"{name} must be a numeric vector")
-    if p.ndim != 1 or p.size == 0:
-        raise CliError(EXIT_SCHEMA, f"{name} must be a nonempty vector")
-    if np.any(p < -ROW_SUM_TOL):
-        raise CliError(EXIT_STOCHASTICITY, f"{name} has negative entries")
-    if abs(p.sum() - 1.0) > ROW_SUM_TOL:
-        raise CliError(EXIT_STOCHASTICITY, f"{name} must sum to 1 within {ROW_SUM_TOL}")
-    p = np.clip(p, 0.0, None)
-    return DiscreteDistribution(p / p.sum())
+                       f"{name} must sum to 1 within {ROW_SUM_TOL}; got {sums.ravel().tolist()}")
+    a = np.clip(a, 0.0, None)
+    return a / a.sum(axis=-1, keepdims=True)
 
 
 def _float_field(block: dict, key: str, context: str) -> float:
@@ -137,14 +124,33 @@ def _float_field(block: dict, key: str, context: str) -> float:
     return float(v)
 
 
+def _setting(override, block: dict, key: str, default, cast=int):
+    """The command-line override when one was given (0 included), else
+    block[key] or `default`, cast to a number; a value that does not cast is
+    a schema error."""
+    if override is not None:
+        return override
+    try:
+        return cast(block.get(key, default))
+    except (TypeError, ValueError):
+        raise CliError(EXIT_SCHEMA, f"{key} must be a number, got {block[key]!r}")
+
+
+def _seed(cfg: dict, args) -> int:
+    seed = _setting(args.seed, cfg, "seed", 0)
+    if seed < 0:
+        raise CliError(EXIT_SCHEMA, f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _build_discrete_model(cfg: dict, seed: int) -> AuthModel:
     for key in ("px", "ec", "ac_y", "ac_z"):
         if key not in cfg:
             raise CliError(EXIT_SCHEMA, f"discrete model requires field {key!r}")
-    px = _prob_vector(cfg["px"], "px")
-    ec = _stochastic_matrix(cfg["ec"], "ec")
-    ac_y = _stochastic_matrix(cfg["ac_y"], "ac_y")
-    ac_z = _stochastic_matrix(cfg["ac_z"], "ac_z")
+    px = DiscreteDistribution(_stochastic(cfg["px"], "px", 1))
+    ec = Channel(_stochastic(cfg["ec"], "ec", 2))
+    ac_y = Channel(_stochastic(cfg["ac_y"], "ac_y", 2))
+    ac_z = Channel(_stochastic(cfg["ac_z"], "ac_z", 2))
     try:
         return AuthModel(px, ec, ac_y, ac_z, classifier_seed=seed)
     except ValueError as e:
@@ -159,7 +165,23 @@ def _binary_params(cfg: dict, grid_step: float = None) -> BinaryModelParams:
         return BinaryModelParams(_float_field(blk, "p", "binary"),
                                  _float_field(blk, "q", "binary"),
                                  _float_field(blk, "eps", "binary"),
-                                 beta_step=grid_step or blk.get("beta_step", 1e-3))
+                                 beta_step=_setting(grid_step, blk, "beta_step", 1e-3, float))
+    except ValueError as e:
+        raise CliError(EXIT_SCHEMA, str(e))
+
+
+def _auth_model(cfg: dict, form: str, seed: int, command: str,
+                trials: int = 20_000) -> AuthModel:
+    """The binary or discrete model of a config; the classifier trial count
+    applies to the binary form.  Values the model rejects are schema errors."""
+    if form == "discrete":
+        return _build_discrete_model(cfg, seed)
+    if form != "binary":
+        raise CliError(EXIT_SCHEMA, f"{command} requires a binary or discrete model config")
+    p = _binary_params(cfg)
+    try:
+        return AuthModel.binary_hsm(p.p, p.q, p.eps,
+                                    classifier_trials=trials, classifier_seed=seed)
     except ValueError as e:
         raise CliError(EXIT_SCHEMA, str(e))
 
@@ -232,8 +254,7 @@ def _stamp(payload: dict, config_hash: str, seed) -> dict:
 def _cmd_classify(args) -> int:
     cfg, cfg_hash = _load_config(args.config)
     form = _model_form(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    trials = args.samples or int(cfg.get("classifier_trials", 20_000))
+    seed = _seed(cfg, args)
 
     if form == "gaussian":
         params = _gaussian_params(cfg)
@@ -242,14 +263,9 @@ def _cmd_classify(args) -> int:
         verdict = ChannelOrderVerdict(
             relation, Certainty.EXACT,
             note="jointly Gaussian observations are always ordered by squared correlation")
-    elif form == "binary":
-        p = _binary_params(cfg)
-        model = AuthModel.binary_hsm(p.p, p.q, p.eps,
-                                     classifier_trials=trials, classifier_seed=seed)
-        verdict = model.verdict
     else:
-        model = _build_discrete_model(cfg, seed)
-        verdict = model.verdict
+        trials = _setting(args.samples, cfg, "classifier_trials", 20_000)
+        verdict = _auth_model(cfg, form, seed, "classify", trials).verdict
 
     payload = _stamp({"verdict": verdict.to_json_dict()}, cfg_hash, seed)
     sys.stdout.write(_json_text(payload))
@@ -277,8 +293,8 @@ def _region_boundary(cfg: dict, form: str, args, seed: int):
                        f"for more-capable-only or unordered channel pairs")
     sampler_cfg = cfg.get("sampler", {})
     sampler = SamplerConfig(
-        random_samples=args.samples or int(sampler_cfg.get("random_samples", 100_000)),
-        beta_grid_step=grid_step or float(sampler_cfg.get("beta_grid_step", 1e-3)),
+        random_samples=_setting(args.samples, sampler_cfg, "random_samples", 100_000),
+        beta_grid_step=_setting(grid_step, sampler_cfg, "beta_grid_step", 1e-3, float),
         u_sizes=tuple(sampler_cfg["u_sizes"]) if "u_sizes" in sampler_cfg else None,
         seed=seed)
     return sweep_region(model, sampler), InfoUnit.BITS
@@ -287,11 +303,13 @@ def _region_boundary(cfg: dict, form: str, args, seed: int):
 def _cmd_region(args) -> int:
     cfg, cfg_hash = _load_config(args.config)
     form = _model_form(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(cfg, args)
     try:
         boundary, default_unit = _region_boundary(cfg, form, args, seed)
     except UnsupportedClassError as e:
         raise CliError(EXIT_UNSUPPORTED, str(e))
+    except ValueError as e:
+        raise CliError(EXIT_SCHEMA, str(e))
     unit = _resolve_unit(cfg, args, default_unit)
     boundary = _convert_boundary(boundary, unit)
     boundary.metadata.update({"version": __version__, "config_hash": cfg_hash,
@@ -311,7 +329,7 @@ def _cmd_figures(args) -> int:
     if params.rho2_sq <= params.rho3_sq:
         raise CliError(EXIT_UNSUPPORTED,
                        "figures requires the main channel to dominate (rho2_sq > rho3_sq)")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(cfg, args)
     curves = figure_curves(params)
 
     header = "# version=%s config_hash=%s seed=%s" % (__version__, cfg_hash, seed)
@@ -325,15 +343,6 @@ def _cmd_figures(args) -> int:
     return EXIT_OK
 
 
-def _simulator_model(cfg: dict, form: str, seed: int) -> AuthModel:
-    if form == "binary":
-        p = _binary_params(cfg)
-        return AuthModel.binary_hsm(p.p, p.q, p.eps, classifier_seed=seed)
-    if form == "discrete":
-        return _build_discrete_model(cfg, seed)
-    raise CliError(EXIT_SCHEMA, "simulate requires a binary or discrete model config")
-
-
 def _sim_config(cfg: dict, seed: int) -> SimConfig:
     blk = cfg.get("simulator")
     if not isinstance(blk, dict):
@@ -344,7 +353,7 @@ def _sim_config(cfg: dict, seed: int) -> SimConfig:
     if isinstance(tc, dict) and "bsc" in tc:
         test = Channel.bsc(float(tc["bsc"]))
     else:
-        test = _stochastic_matrix(tc, "simulator.test_channel")
+        test = Channel(_stochastic(tc, "simulator.test_channel", 2))
     overrides = None
     if "rate_overrides" in blk:
         ro = blk["rate_overrides"]
@@ -368,8 +377,8 @@ def _sim_config(cfg: dict, seed: int) -> SimConfig:
 def _cmd_simulate(args) -> int:
     cfg, cfg_hash = _load_config(args.config)
     form = _model_form(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    model = _simulator_model(cfg, form, seed)
+    seed = _seed(cfg, args)
+    model = _auth_model(cfg, form, seed, "simulate")
     sim_cfg = _sim_config(cfg, seed)
     try:
         report = run_simulation(model, sim_cfg, monte_carlo_only=args.monte_carlo_only)
@@ -388,14 +397,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     cfg, cfg_hash = _load_config(args.config)
     form = _model_form(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    if form == "binary":
-        p = _binary_params(cfg)
-        model = AuthModel.binary_hsm(p.p, p.q, p.eps, classifier_seed=seed)
-    elif form == "discrete":
-        model = _build_discrete_model(cfg, seed)
-    else:
-        raise CliError(EXIT_SCHEMA, "compare requires a binary or discrete model config")
+    seed = _seed(cfg, args)
+    model = _auth_model(cfg, form, seed, "compare")
     if model.verdict.relation not in Y_FAVOR:
         raise CliError(EXIT_UNSUPPORTED,
                        f"verdict {model.verdict.relation.value}: one-auxiliary vs "
@@ -404,13 +407,18 @@ def _cmd_compare(args) -> int:
     if model.n_xt > 4:
         raise CliError(EXIT_SCHEMA, "compare is restricted to tiny alphabets (|Xt| <= 4)")
 
-    n_pairs = args.samples or int(cfg.get("compare_pairs", 2000))
+    n_pairs = _setting(args.samples, cfg, "compare_pairs", 2000)
+    if n_pairs < 1:
+        raise CliError(EXIT_SCHEMA, f"compare needs at least one auxiliary pair, got {n_pairs}")
     sampler_cfg = cfg.get("sampler", {})
     sampler = SamplerConfig(
-        random_samples=int(sampler_cfg.get("random_samples", 20_000)),
-        beta_grid_step=args.grid_step or float(sampler_cfg.get("beta_grid_step", 1e-3)),
+        random_samples=_setting(None, sampler_cfg, "random_samples", 20_000),
+        beta_grid_step=_setting(args.grid_step, sampler_cfg, "beta_grid_step", 1e-3, float),
         seed=seed)
-    one_aux = sweep_region(model, sampler)
+    try:
+        one_aux = sweep_region(model, sampler)
+    except ValueError as e:
+        raise CliError(EXIT_SCHEMA, str(e))
     two_corners = two_aux_random_search(model, n_pairs, seed=seed + 1)
     two_boundary = RegionBoundary(pareto_filter(two_corners), one_aux.unit,
                                   metadata={"pairs": n_pairs})

@@ -1,15 +1,17 @@
 """Exact finite-alphabet information measures and the binary-entropy toolkit.
 
-Everything here is computed in nats internally; unit conversion happens at
-the API boundary.  Probabilities below ``ZERO_EPS`` are treated as exact
-zeros before any logarithm is taken (0 log 0 = 0 by continuity).
+This module owns every entropy and mutual-information kernel of the
+package; regions, binary, protocol and classifier call these, not copies.
+Everything is computed in nats internally; unit conversion happens at the
+API boundary.  Probabilities below ``ZERO_EPS`` are treated as exact zeros
+before any logarithm is taken (0 log 0 = 0 by continuity).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,12 +65,22 @@ def _as_readonly(a) -> np.ndarray:
     return out
 
 
-def _entropy_nats(p: np.ndarray) -> float:
-    """Shannon entropy of a flat nonnegative array summing to ~1, in nats."""
-    p = np.asarray(p, dtype=float).ravel()
-    mask = p > ZERO_EPS
-    q = p[mask]
-    return float(-(q * np.log(q)).sum())
+def _check_entries(p: np.ndarray, what: str):
+    """Reject non-finite entries and entries below -MASS_TOL."""
+    if not np.all(np.isfinite(p)):
+        raise InvalidDistributionError(f"non-finite {what} entry")
+    if np.any(p < -MASS_TOL):
+        raise InvalidDistributionError(f"negative {what} entry: min={p.min()}")
+
+
+def _entropy_nats(p: np.ndarray, axis: int = None):
+    """Shannon entropy in nats of the whole array (a float), or of each
+    slice along ``axis`` (an array: the batched form)."""
+    p = np.asarray(p, dtype=float)
+    if axis is None:
+        q = p[p > ZERO_EPS]
+        return float(-(q * np.log(q)).sum())
+    return -(p * np.log(np.where(p > ZERO_EPS, p, 1.0))).sum(axis=axis)
 
 
 @dataclass
@@ -81,8 +93,7 @@ class DiscreteDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise InvalidDistributionError("probs must be a nonempty 1-D vector")
-        if np.any(p < -MASS_TOL):
-            raise InvalidDistributionError(f"negative probability entry: min={p.min()}")
+        _check_entries(p, "probability")
         total = p.sum()
         if abs(total - 1.0) > MASS_TOL:
             raise InvalidDistributionError(f"mass {total} is not 1 within {MASS_TOL}")
@@ -106,8 +117,7 @@ class Channel:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise InvalidDistributionError("channel matrix must be 2-D and nonempty")
-        if np.any(m < -MASS_TOL):
-            raise InvalidDistributionError(f"negative channel entry: min={m.min()}")
+        _check_entries(m, "channel")
         rows = m.sum(axis=1)
         bad = np.abs(rows - 1.0) > MASS_TOL
         if np.any(bad):
@@ -155,17 +165,19 @@ class JointDistribution:
     """Dense joint law over several finite axes."""
 
     probs: np.ndarray
-    axes: tuple = field(default=None)
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
-        if np.any(p < -MASS_TOL):
-            raise InvalidDistributionError(f"negative joint entry: min={p.min()}")
+        _check_entries(p, "joint")
         total = p.sum()
         if abs(total - 1.0) > MASS_TOL:
             raise InvalidDistributionError(f"joint mass {total} is not 1 within {MASS_TOL}")
         self.probs = _as_readonly(np.clip(p, 0.0, None))
-        self.axes = tuple(p.shape)
+
+    @property
+    def axes(self) -> tuple:
+        """Alphabet size of each axis."""
+        return self.probs.shape
 
     @property
     def ndim(self) -> int:
@@ -207,6 +219,22 @@ def _clamp_mi(value_nats: float) -> float:
     return max(0.0, value_nats)
 
 
+def _mi2_nats(j: np.ndarray) -> float:
+    """Mutual information between the row and column variables of a 2-D
+    joint array, nats."""
+    return _clamp_mi(_entropy_nats(j.sum(axis=1)) + _entropy_nats(j.sum(axis=0))
+                     - _entropy_nats(j))
+
+
+def _cmi_nats(probs: np.ndarray, axes_a, axes_b, axes_c) -> float:
+    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) of a joint array, nats."""
+    v = (_marginal_entropy_nats(probs, axes_a + axes_c)
+         + _marginal_entropy_nats(probs, axes_b + axes_c)
+         - _marginal_entropy_nats(probs, axes_a + axes_b + axes_c)
+         - _marginal_entropy_nats(probs, axes_c))
+    return _clamp_mi(v)
+
+
 def mutual_information(j: JointDistribution, axes_a, axes_b,
                        unit: InfoUnit = InfoUnit.BITS) -> float:
     """I(A;B) = H(A) + H(B) - H(A,B) over disjoint axis sets of the joint."""
@@ -229,12 +257,7 @@ def conditional_mutual_information(j: JointDistribution, axes_a, axes_b, axes_c,
     sa, sb, sc = set(axes_a), set(axes_b), set(axes_c)
     if sa & sb or sa & sc or sb & sc:
         raise ValueError("axis sets must be pairwise disjoint")
-    p = j.probs
-    v = (_marginal_entropy_nats(p, axes_a + axes_c)
-         + _marginal_entropy_nats(p, axes_b + axes_c)
-         - _marginal_entropy_nats(p, axes_a + axes_b + axes_c)
-         - _marginal_entropy_nats(p, axes_c))
-    return unit.from_nats(_clamp_mi(v))
+    return unit.from_nats(_cmi_nats(j.probs, axes_a, axes_b, axes_c))
 
 
 def compose_channels(first: Channel, second: Channel) -> Channel:

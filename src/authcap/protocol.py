@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infotheory import Channel, LN2, _entropy_nats
-from .regions import AuthModel
+from .infotheory import Channel, LN2, _cmi_nats, _entropy_nats, _mi2_nats
+from .regions import AuthModel, _chain_laws, _one_aux_infos_nats
 
 WILSON_Z_95 = 1.959963984540054
 
@@ -66,21 +66,18 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_95):
     return (min(phat, max(0.0, center - half)), max(phat, min(1.0, center + half)))
 
 
-def _safe_log2(p: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log2(p)
+def _conditional(joint: np.ndarray, marg: np.ndarray) -> np.ndarray:
+    """joint / marg with cells of zero marginal set to 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(marg > 0, joint / marg, 0.0)
 
 
 def _log_ratio(cond: np.ndarray, marg: np.ndarray) -> np.ndarray:
     """log2 cond - log2 marg with zero-marginal cells zeroed (unreachable)."""
     marg = np.broadcast_to(marg, cond.shape)
-    with np.errstate(invalid="ignore"):
-        out = _safe_log2(cond) - _safe_log2(marg)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.log2(cond) - np.log2(marg)
     return np.where(marg <= 0.0, 0.0, out)
-
-
-def _h_bits(p: np.ndarray) -> float:
-    return _entropy_nats(p) / LN2
 
 
 class ProtocolTables:
@@ -97,58 +94,39 @@ class ProtocolTables:
         t = test.matrix
 
         self.nu = test.num_outputs
-        p_xa = px[:, None] * ec                    # joint (X, Xt)
-        self.p_xt = p_xa.sum(axis=0)
-        p_au = self.p_xt[:, None] * t              # joint (Xt, U)
-        self.p_u = p_au.sum(axis=0)
-        p_xu = p_xa @ t                            # joint (X, U)
+        laws = _chain_laws(model, t)
+        p_xa, p_au, p_xu = laws.p_xa, laws.p_au, laws.p_xu
+        self.p_xt = laws.p_xt
+        self.p_u = laws.p_u
 
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rev_test = np.where(self.p_u[:, None] > 0, p_au.T / self.p_u[:, None], 0.0)
-            rev_ec = np.where(self.p_xt[:, None] > 0, p_xa.T / self.p_xt[:, None], 0.0)
+        rev_test = _conditional(p_au.T, self.p_u[:, None])
+        rev_ec = _conditional(p_xa.T, self.p_xt[:, None])
 
         self.ch_y_u = rev_test @ rev_ec @ acy      # P(y|u)
         self.p_y = px @ acy
         self.p_z = px @ acz
         self.p_xtz = p_xa.T @ acz                  # joint (Xt, Z)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self.ch_z_xt = np.where(self.p_xt[:, None] > 0,
-                                    self.p_xtz / self.p_xt[:, None], 0.0)
+        self.ch_z_xt = _conditional(self.p_xtz, self.p_xt[:, None])
 
         self.tn_table = _log_ratio(t, self.p_u[None, :])          # [xt, u]
         self.an_table = _log_ratio(self.ch_y_u, self.p_y[None, :])  # [u, y]
 
-        self.i_xt_u = self._mi_bits(p_au)
-        self.i_y_u = self._mi_bits(acy.T @ p_xu)
-        self.i_z_u = self._mi_bits(acz.T @ p_xu)
-        self.i_xz = self._mi_bits(px[:, None] * acz)
+        i_xt_u, i_y_u, i_z_u, _ = _one_aux_infos_nats(laws)
+        self.i_xt_u, self.i_y_u, self.i_z_u, self.i_xz = (
+            v / LN2 for v in (i_xt_u, i_y_u, i_z_u, model.i_xz_nats()))
 
         # Diagnostic sets: source-vs-auxiliary densities given the
         # eavesdropper's symbol, and enrollment-noise densities.
         p_uxz = p_xu.T[:, :, None] * acz[None, :, :]     # (U, X, Z)
-        p_uz = p_uxz.sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond_x_uz = np.where(p_uz[:, None, :] > 0, p_uxz / p_uz[:, None, :], 0.0)
-            cond_x_z = np.where(self.p_z[None, :] > 0,
-                                (px[:, None] * acz) / self.p_z[None, :], 0.0)
+        cond_x_uz = _conditional(p_uxz, p_uxz.sum(axis=1)[:, None, :])
+        cond_x_z = _conditional(px[:, None] * acz, self.p_z[None, :])
         self.bn_table = _log_ratio(cond_x_uz, cond_x_z[None, :, :])
-        self.i_x_u_given_z = max(0.0, (_h_bits(p_uz) + _h_bits(p_uxz.sum(axis=0))
-                                       - _h_bits(p_uxz) - _h_bits(self.p_z)))
+        self.i_x_u_given_z = _cmi_nats(p_uxz, (0,), (1,), (2,)) / LN2
 
         p_uax = p_au.T[:, :, None] * rev_ec[None, :, :]  # (U, Xt, X)
-        p_ux = p_uax.sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond_a_ux = np.where(p_ux[:, None, :] > 0, p_uax / p_ux[:, None, :], 0.0)
+        cond_a_ux = _conditional(p_uax, p_uax.sum(axis=1)[:, None, :])
         self.kn_table = _log_ratio(cond_a_ux, ec.T[None, :, :])
-        px_h = _h_bits(px)
-        self.i_xt_u_given_x = max(0.0, (_h_bits(p_ux) + _h_bits(p_xa)
-                                        - _h_bits(p_uax) - px_h))
-
-    @staticmethod
-    def _mi_bits(joint2d: np.ndarray) -> float:
-        v = (_h_bits(joint2d.sum(axis=1)) + _h_bits(joint2d.sum(axis=0))
-             - _h_bits(joint2d))
-        return max(0.0, v)
+        self.i_xt_u_given_x = _cmi_nats(p_uax, (0,), (1,), (2,)) / LN2
 
 
 @dataclass
@@ -403,18 +381,16 @@ def exact_leakage(codebook: Codebook, model: AuthModel, config: SimConfig) -> di
     p_z_product = _sequence_probs(seqs, t.p_z)
     z_marginal_gap = float(np.max(np.abs(p_z - p_z_product)))
 
-    h_s = _h_bits(cube.sum(axis=(1, 2)))
-    secrecy = max(0.0, h_s + _h_bits(p_jz) - _h_bits(cube))
+    secrecy = _mi2_nats(cube.reshape(m_s, -1)) / LN2
     mu_n = float(np.abs(cube - p_jz[None, :, :] / m_s).sum())
 
     v = _pair_kernel(seqs, model.ec.matrix)     # P(xt^n | x^n) as [x, xt]
     enc_j = enc.reshape(len(seqs), m_s, m_j).sum(axis=1)
     p_j_given_x = v @ enc_j
     p_x_seq = _sequence_probs(seqs, model.px.probs)
-    h_j_given_x = float(np.sum(
-        p_x_seq * np.array([_h_bits(row) for row in p_j_given_x])))
-    h_j_given_z = _h_bits(p_jz) - _h_bits(p_z)
-    privacy_total = n * t.i_xz + h_j_given_z - h_j_given_x
+    h_j_given_x = float(np.sum(p_x_seq * _entropy_nats(p_j_given_x, axis=1)))
+    h_j_given_z = _entropy_nats(p_jz) - _entropy_nats(p_z)
+    privacy_total = n * t.i_xz + (h_j_given_z - h_j_given_x) / LN2
 
     return {
         "secrecy_leakage_bits": secrecy,

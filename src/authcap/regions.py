@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .infotheory import (
     InfoUnit,
     JointDistribution,
     _clamp_mi,
-    _entropy_nats,
+    _marginal_entropy_nats,
+    _mi2_nats,
 )
 
 DOMINANCE_TOL = 1e-9
@@ -47,7 +49,9 @@ class AuthModel:
 
     Only marginals enter: the region depends on the pair law solely through
     them, so no joint main/eavesdropper conditional is accepted.  The
-    channel-pair ordering is classified once at construction.
+    channel-pair ordering is classified once at construction, and the
+    source-side laws every corner reuses (joint of source and enrollment
+    observation, I(X;Z)) are computed once.
     """
 
     px: DiscreteDistribution
@@ -63,6 +67,9 @@ class AuthModel:
         for name, ch in (("ec", self.ec), ("ac_y", self.ac_y), ("ac_z", self.ac_z)):
             if ch.num_inputs != nx:
                 raise ValueError(f"{name} expects {ch.num_inputs} inputs, source has {nx}")
+        self._p_xa = self.px.probs[:, None] * self.ec.matrix
+        self._p_xa.setflags(write=False)
+        self._i_xz = _mi2_nats(self.px.probs[:, None] * self.ac_z.matrix)
         if self.verdict is None:
             self.verdict = classify_ac(self.ac_y, self.ac_z,
                                        trials=self.classifier_trials,
@@ -84,7 +91,7 @@ class AuthModel:
         return h.hexdigest()
 
     def i_xz_nats(self) -> float:
-        return _mi2_nats(self.px.probs[:, None] * self.ac_z.matrix)
+        return self._i_xz
 
     @staticmethod
     def binary_hsm(p: float, q: float, eps: float, **kwargs) -> "AuthModel":
@@ -98,6 +105,43 @@ class AuthModel:
         """Uniform binary source with symmetric channels everywhere."""
         return AuthModel(DiscreteDistribution.uniform(2), Channel.bsc(p),
                          Channel.bsc(eps_y), Channel.bsc(eps_z), **kwargs)
+
+
+class _ChainLaws(NamedTuple):
+    """Pairwise laws of the chain U - Xt - X - (Y, Z) for one test channel."""
+
+    p_xa: np.ndarray   # joint (X, Xt)
+    p_xt: np.ndarray   # marginal of Xt
+    p_au: np.ndarray   # joint (Xt, U)
+    p_u: np.ndarray    # marginal of U
+    p_xu: np.ndarray   # joint (X, U)
+    p_yu: np.ndarray   # joint (Y, U)
+    p_zu: np.ndarray   # joint (Z, U)
+
+
+def _chain_laws(model: AuthModel, test_matrix: np.ndarray) -> _ChainLaws:
+    """Close the chain over a test channel matrix on the enrollment alphabet."""
+    p_xa = model._p_xa
+    p_xt = p_xa.sum(axis=0)
+    p_au = p_xt[:, None] * test_matrix
+    p_xu = p_xa @ test_matrix
+    return _ChainLaws(p_xa, p_xt, p_au, p_au.sum(axis=0), p_xu,
+                      model.ac_y.matrix.T @ p_xu, model.ac_z.matrix.T @ p_xu)
+
+
+def _joint_array(model: AuthModel, test_matrix: np.ndarray,
+                 z_given_y: np.ndarray = None) -> np.ndarray:
+    """Five-axis joint array (U, Xt, X, Y, Z) of the auxiliary chain.
+
+    Z is drawn from the source through the eavesdropper's channel, or from
+    the main observation through `z_given_y` when that is given.
+    """
+    z = (model.ac_z.matrix[None, None, :, None, :] if z_given_y is None
+         else z_given_y[None, None, None, :, :])
+    return (test_matrix.T[:, :, None, None, None]
+            * model._p_xa.T[None, :, :, None, None]
+            * model.ac_y.matrix[None, None, :, :, None]
+            * z)
 
 
 @dataclass
@@ -179,35 +223,35 @@ def _jsonable(v):
 # Rate evaluation
 # ---------------------------------------------------------------------------
 
-def _mi2_nats(j: np.ndarray) -> float:
-    """Mutual information of a 2-D joint array, nats."""
-    return _clamp_mi(_entropy_nats(j.sum(axis=1)) + _entropy_nats(j.sum(axis=0))
-                     - _entropy_nats(j))
+def _one_aux_infos_nats(laws: _ChainLaws):
+    """(I(U;Xt), I(U;Y), I(U;Z), I(U;X)) in nats.
+
+    Every one-auxiliary quantity reduces to pairwise mutual informations
+    along the chain, so only small 2-D joints are formed.
+    """
+    return (_mi2_nats(laws.p_au), _mi2_nats(laws.p_yu),
+            _mi2_nats(laws.p_zu), _mi2_nats(laws.p_xu))
 
 
 def _one_aux_rates_nats(model: AuthModel, test_matrix: np.ndarray):
-    """(rs_raw, rj, rl, i_xz) in nats for a test channel matrix over the
-    enrollment-observation alphabet.
-
-    All four region quantities reduce to pairwise mutual informations along
-    the chain, so only small 2-D joints are formed.
-    """
-    px = model.px.probs
-    p_xa = px[:, None] * model.ec.matrix          # joint (X, Xt)
-    p_a = p_xa.sum(axis=0)
-    p_xu = p_xa @ test_matrix                     # joint (X, U)
-    p_au = p_a[:, None] * test_matrix             # joint (Xt, U)
-
-    i_u_xt = _mi2_nats(p_au)
-    i_u_y = _mi2_nats(model.ac_y.matrix.T @ p_xu)  # joint (Y, U)
-    i_u_z = _mi2_nats(model.ac_z.matrix.T @ p_xu)  # joint (Z, U)
-    i_u_x = _mi2_nats(p_xu)
-    i_xz = model.i_xz_nats()
-
-    rs_raw = i_u_y - i_u_z
+    """(rs_raw, rj, rl) in nats for a test channel matrix over the
+    enrollment-observation alphabet."""
+    i_u_xt, i_u_y, i_u_z, i_u_x = _one_aux_infos_nats(_chain_laws(model, test_matrix))
     rj = _clamp_mi(i_u_xt - i_u_y)
-    rl = i_u_x - i_u_y + i_xz
-    return rs_raw, rj, max(0.0, rl), i_xz
+    rl = i_u_x - i_u_y + model.i_xz_nats()
+    return i_u_y - i_u_z, rj, max(0.0, rl)
+
+
+def _rate_corner(rates_nats, unit: InfoUnit, test_channel: Channel,
+                 **extras) -> RateCorner:
+    """Corner from (rs_raw, rj, rl) in nats: rs clamped at 0, all converted
+    to `unit`; the unclamped key rate and |U| go into the extras."""
+    rs_raw, rj, rl = rates_nats
+    conv = unit.from_nats
+    return RateCorner(conv(max(0.0, rs_raw)), conv(rj), conv(rl), unit,
+                      test_channel=test_channel,
+                      extras={"rs_unclamped": conv(rs_raw),
+                              "u_size": test_channel.num_outputs, **extras})
 
 
 def eval_one_aux(model: AuthModel, test: Channel,
@@ -229,12 +273,7 @@ def eval_one_aux(model: AuthModel, test: Channel,
             f"one-auxiliary evaluation needs a degraded or less-noisy pair in the "
             f"main channel's favor; classifier found {model.verdict.relation.value}")
 
-    rs_raw, rj, rl, _ = _one_aux_rates_nats(model, test.matrix)
-    conv = unit.from_nats
-    return RateCorner(conv(max(0.0, rs_raw)), conv(rj), conv(rl), unit,
-                      test_channel=test,
-                      extras={"rs_unclamped": conv(rs_raw),
-                              "u_size": test.num_outputs})
+    return _rate_corner(_one_aux_rates_nats(model, test.matrix), unit, test)
 
 
 _AXIS_V, _AXIS_U, _AXIS_A, _AXIS_X, _AXIS_Y, _AXIS_Z = range(6)
@@ -242,22 +281,11 @@ _AXIS_V, _AXIS_U, _AXIS_A, _AXIS_X, _AXIS_Y, _AXIS_Z = range(6)
 
 def _two_aux_rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray):
     """(rs_raw, rj, rl) in nats from the explicit six-axis joint
-    (V, U, Xt, X, Y, Z)."""
-    px = model.px.probs
-    ec = model.ec.matrix
-    acy = model.ac_y.matrix
-    acz = model.ac_z.matrix
-
-    p_ax = ec.T * px[None, :]                     # joint (Xt, X)
-    arr = (tv.T[:, :, None, None, None, None]
-           * tu.T[None, :, :, None, None, None]
-           * p_ax[None, None, :, :, None, None]
-           * acy[None, None, None, :, :, None]
-           * acz[None, None, None, :, None, :])
+    (V, U, Xt, X, Y, Z): the chain's joint with a V axis added."""
+    arr = tv.T[:, :, None, None, None, None] * _joint_array(model, tu)[None]
 
     def h(*keep):
-        drop = tuple(i for i in range(6) if i not in keep)
-        return _entropy_nats(arr.sum(axis=drop))
+        return _marginal_entropy_nats(arr, keep)
 
     h_v = h(_AXIS_V)
     h_uv = h(_AXIS_V, _AXIS_U)
@@ -295,14 +323,9 @@ def eval_two_aux(model: AuthModel, test_u: Channel, test_v: Channel,
             f"auxiliary caps exceeded: |U|={test_u.num_outputs} (max {max_u}), "
             f"|V|={test_v.num_outputs} (max {max_v})")
 
-    rs_raw, rj, rl = _two_aux_rates_nats(model, test_u.matrix, test_v.matrix)
-    conv = unit.from_nats
-    return RateCorner(conv(max(0.0, rs_raw)), conv(rj), conv(rl), unit,
-                      test_channel=test_u,
-                      extras={"rs_unclamped": conv(rs_raw),
-                              "u_size": test_u.num_outputs,
-                              "v_size": test_v.num_outputs,
-                              "v_channel": test_v.matrix.tolist()})
+    return _rate_corner(_two_aux_rates_nats(model, test_u.matrix, test_v.matrix),
+                        unit, test_u, v_size=test_v.num_outputs,
+                        v_channel=test_v.matrix.tolist())
 
 
 def build_joint(model: AuthModel, test: Channel,
@@ -315,24 +338,8 @@ def build_joint(model: AuthModel, test: Channel,
     eavesdropper's observation through the main one instead, which realises
     the full Markov chain used by degraded-order properties.
     """
-    px = model.px.probs
-    ec = model.ec.matrix
-    acy = model.ac_y.matrix
-    t = test.matrix
-    p_ax = ec.T * px[None, :]
-    if degraded_witness is None:
-        acz = model.ac_z.matrix
-        arr = (t.T[:, :, None, None, None]
-               * p_ax[None, :, :, None, None]
-               * acy[None, None, :, :, None]
-               * acz[None, None, :, None, :])
-    else:
-        w = degraded_witness.matrix
-        arr = (t.T[:, :, None, None, None]
-               * p_ax[None, :, :, None, None]
-               * acy[None, None, :, :, None]
-               * w[None, None, None, :, :])
-    return JointDistribution(arr)
+    w = None if degraded_witness is None else degraded_witness.matrix
+    return JointDistribution(_joint_array(model, test.matrix, w))
 
 
 def zero_key_region(model: AuthModel, unit: InfoUnit = InfoUnit.BITS) -> RegionBoundary:
@@ -350,7 +357,7 @@ def zero_key_region(model: AuthModel, unit: InfoUnit = InfoUnit.BITS) -> RegionB
 # Pareto machinery
 # ---------------------------------------------------------------------------
 
-def pareto_filter(corners, tol: float = DOMINANCE_TOL):
+def pareto_filter(corners):
     """Remove corners dominated in (higher rs, lower rj, lower rl).
 
     Deterministic: corners are sorted by (-rs, rj, rl) first, so the result
@@ -422,6 +429,13 @@ def compare_regions(a: RegionBoundary, b: RegionBoundary) -> float:
 # Sweeps
 # ---------------------------------------------------------------------------
 
+def _beta_grid(step: float) -> list:
+    """Symmetric test-channel crossovers 0, step, 2 step, ... below 1/2, then 1/2."""
+    betas = np.arange(0.0, 0.5, step).tolist()
+    betas.append(0.5)
+    return betas
+
+
 @dataclass
 class SamplerConfig:
     """Test-channel sampling plan for sweep_region.
@@ -447,44 +461,38 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None,
     """Union over sampled test channels, Pareto-filtered.
 
     Deterministic given the sampler seed.  Raises UnsupportedClassError when
-    the classifier verdict does not favor the main channel.
+    the classifier verdict does not favor the main channel, and
+    CardinalityError or ValueError for auxiliary sizes outside
+    [1, |Xt| + 3] or a negative sample count, before anything is sampled.
     """
     if config is None:
         config = SamplerConfig()
     if model.verdict.relation not in Y_FAVOR:
         raise UnsupportedClassError(
             f"region sweep unsupported for verdict {model.verdict.relation.value}")
+    sizes = config.sizes_for(model.n_xt)
+    cap = model.n_xt + 3
+    if any(not 1 <= u <= cap for u in sizes):
+        raise CardinalityError(f"auxiliary sizes {list(sizes)} outside [1, {cap}]")
+    if config.random_samples < 0:
+        raise ValueError(f"random_samples={config.random_samples} is negative")
 
-    conv = unit.from_nats
+    def corner(matrix, param):
+        return _rate_corner(_one_aux_rates_nats(model, matrix), unit,
+                            Channel(matrix), param=param)
+
     corners = []
-
-    def add_corner(matrix, param, u_size):
-        rs_raw, rj, rl, _ = _one_aux_rates_nats(model, matrix)
-        corners.append(RateCorner(conv(max(0.0, rs_raw)), conv(rj), conv(rl), unit,
-                                  test_channel=Channel(matrix),
-                                  extras={"param": param,
-                                          "rs_unclamped": conv(rs_raw),
-                                          "u_size": u_size}))
-
     if model.n_xt == 2 and config.beta_grid_step:
-        step = config.beta_grid_step
-        betas = np.arange(0.0, 0.5, step).tolist()
-        betas.append(0.5)
-        for beta in betas:
-            add_corner(np.array([[1.0 - beta, beta], [beta, 1.0 - beta]]),
-                       float(beta), 2)
+        corners = [corner(np.array([[1.0 - b, b], [b, 1.0 - b]]), float(b))
+                   for b in _beta_grid(config.beta_grid_step)]
 
     rng = np.random.default_rng(config.seed)
-    sizes = config.sizes_for(model.n_xt)
     if config.random_samples and sizes:
-        per = config.random_samples // len(sizes)
-        rem = config.random_samples - per * len(sizes)
+        per, rem = divmod(config.random_samples, len(sizes))
         counter = 0
         for si, u in enumerate(sizes):
-            count = per + (1 if si < rem else 0)
-            for _ in range(count):
-                m = rng.dirichlet(np.ones(u), size=model.n_xt)
-                add_corner(m, counter, u)
+            for _ in range(per + (1 if si < rem else 0)):
+                corners.append(corner(rng.dirichlet(np.ones(u), size=model.n_xt), counter))
                 counter += 1
 
     filtered = pareto_filter(corners)
@@ -509,15 +517,12 @@ def two_aux_random_search(model: AuthModel, n_pairs: int, seed: int = 0,
         raise UnsupportedClassError(
             f"two-auxiliary search unsupported for verdict {model.verdict.relation.value}")
     rng = np.random.default_rng(seed)
-    conv = unit.from_nats
     corners = []
     for idx in range(n_pairs):
         u = int(rng.integers(1, max_u + 1))
         v = int(rng.integers(1, max_v + 1))
         tu = rng.dirichlet(np.ones(u), size=model.n_xt)
         tv = rng.dirichlet(np.ones(v), size=u)
-        rs_raw, rj, rl = _two_aux_rates_nats(model, tu, tv)
-        corners.append(RateCorner(conv(max(0.0, rs_raw)), conv(rj), conv(rl), unit,
-                                  test_channel=Channel(tu),
-                                  extras={"param": idx, "u_size": u, "v_size": v}))
+        corners.append(_rate_corner(_two_aux_rates_nats(model, tu, tv), unit,
+                                    Channel(tu), param=idx, v_size=v))
     return corners

@@ -6,13 +6,15 @@ import pytest
 from authcap import (
     Certainty,
     Channel,
+    InfoUnit,
     Relation,
     classify_ac,
     is_less_noisy,
     is_more_capable,
     is_stochastically_degraded,
 )
-from authcap.infotheory import AlphabetMismatchError
+from authcap.classifier import _mi_batch
+from authcap.infotheory import AlphabetMismatchError, JointDistribution, mutual_information
 
 
 def mi_input(p, matrix):
@@ -168,3 +170,21 @@ def test_alphabet_mismatch():
         is_less_noisy(Channel.bsc(0.1), three, trials=10, seed=0)
     with pytest.raises(AlphabetMismatchError):
         classify_ac(Channel.bsc(0.1), three)
+
+
+def test_mi_batch_matches_explicit_joint():
+    # the batched kernel against mutual_information on each input law's
+    # explicit (input, output) joint, including laws with zero entries
+    rng = np.random.default_rng(33)
+    for k, n_out in ((2, 2), (3, 4), (4, 3)):
+        matrix = rng.dirichlet(np.ones(n_out), size=k)
+        matrix[0, 0] = 0.0          # an exact zero and a tiny but real mass
+        matrix[-1, -1] = 1e-9
+        matrix /= matrix.sum(axis=1, keepdims=True)
+        p = rng.dirichlet(np.ones(k), size=50)
+        p[0] = np.eye(k)[0]
+        batch = _mi_batch(p, matrix)
+        for row, value in zip(p, batch):
+            joint = JointDistribution(row[:, None] * matrix)
+            assert value == pytest.approx(
+                mutual_information(joint, [0], [1], unit=InfoUnit.NATS), abs=1e-12)

@@ -250,3 +250,43 @@ def test_compare_unsupported(tmp_path):
         "ac_z": [[0.8, 0.2], [0.2, 0.8]],
         "seed": 0})
     assert run_cli("compare", "--config", cfg, "--out", str(tmp_path / "c")) == 5
+
+
+def test_bad_seed_exit_code(tmp_path, capsys):
+    for seed in ("x", None, -1):
+        cfg = write_config(tmp_path, {**BINARY_CFG, "seed": seed,
+                                      "simulator": {"n": 2, "trials": 5}})
+        for cmd in ("classify", "region", "simulate", "compare"):
+            argv = ["--config", cfg] + ([] if cmd == "classify" else ["--out", str(tmp_path / "o")])
+            assert run_cli(cmd, *argv) == 3
+        gauss = write_config(tmp_path, {**GAUSSIAN_CFG, "seed": seed}, "g.json")
+        assert run_cli("figures", "--config", gauss, "--out", str(tmp_path / "f")) == 3
+    assert "seed" in capsys.readouterr().err
+
+
+def test_explicit_zero_overrides_reach_validators(tmp_path):
+    # an explicit 0 is an override, not "unset": the validators reject it
+    cfg = write_config(tmp_path, BINARY_CFG)
+    out = str(tmp_path / "z")
+    assert run_cli("classify", "--config", cfg, "--samples", "0") == 3
+    assert run_cli("region", "--config", cfg, "--out", out, "--grid-step", "0") == 3
+    degraded = write_config(tmp_path, {
+        "px": [0.5, 0.5],
+        "ec": [[0.9, 0.1], [0.1, 0.9]],
+        "ac_y": [[0.9, 0.1], [0.1, 0.9]],
+        "ac_z": [[0.74, 0.26], [0.26, 0.74]],
+        "seed": 5, "sampler": {"random_samples": 10}}, "d.json")
+    assert run_cli("compare", "--config", degraded, "--out", out, "--samples", "0") == 3
+
+
+def test_region_sampler_sizes_exit_code(tmp_path):
+    base = {"px": [0.5, 0.5],
+            "ec": [[0.9, 0.1], [0.1, 0.9]],
+            "ac_y": [[0.9, 0.1], [0.1, 0.9]],
+            "ac_z": [[0.74, 0.26], [0.26, 0.74]],
+            "seed": 5}
+    out = str(tmp_path / "r")
+    oversized = write_config(tmp_path, {**base, "sampler": {"u_sizes": [9]}}, "u.json")
+    assert run_cli("region", "--config", oversized, "--out", out) == 3
+    plain = write_config(tmp_path, base, "p.json")
+    assert run_cli("region", "--config", plain, "--out", out, "--samples", "-5") == 3

@@ -58,6 +58,15 @@ def test_distribution_validation():
         DiscreteDistribution([-0.1, 1.1])
     with pytest.raises(InvalidDistributionError):
         Channel([[0.5, 0.4], [0.5, 0.5]])
+    # non-finite entries: a NaN mass check compares False, so it must be
+    # rejected on its own
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidDistributionError):
+            DiscreteDistribution([bad, 1.0])
+        with pytest.raises(InvalidDistributionError):
+            Channel([[bad, 1.0], [0.5, 0.5]])
+        with pytest.raises(InvalidDistributionError):
+            JointDistribution(np.array([[bad, 0.5], [0.25, 0.25]]))
 
 
 def test_mutual_information_examples():
@@ -214,3 +223,6 @@ def test_joint_marginal_idempotence():
     # dropping and re-attaching the independent axis reproduces the joint
     back = j.marginal([0, 1])[:, :, None] * j.marginal([2])[None, None, :]
     assert np.max(np.abs(back - j.probs)) <= 1e-14
+    assert j.axes == (2, 3, 2)
+    with pytest.raises(AttributeError):
+        j.axes = (12,)

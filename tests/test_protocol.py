@@ -148,6 +148,32 @@ def marg_encoder_j(dist):
 # Codebook generation
 # ---------------------------------------------------------------------------
 
+def test_tables_match_one_aux_inputs():
+    # the simulator's four information rates are the ones the one-auxiliary
+    # evaluator combines: cross-check them against an explicit five-axis
+    # joint and against the corner's rate differences
+    from authcap import DiscreteDistribution, InfoUnit, eval_one_aux, mutual_information
+    from authcap.regions import build_joint
+
+    rng = np.random.default_rng(29)
+    ternary = AuthModel(DiscreteDistribution(rng.dirichlet(np.ones(2))),
+                        Channel(rng.dirichlet(np.ones(3), size=2)),
+                        Channel.bsc(0.1), Channel.bsc(0.26))
+    for m in (hsm_model(), ternary) * 10:
+        u = int(rng.integers(1, m.n_xt + 4))
+        test = Channel(rng.dirichlet(np.ones(u), size=m.n_xt))
+        t = ProtocolTables(m, test)
+        j = build_joint(m, test)
+        # axes (U, Xt, X, Y, Z)
+        assert t.i_xt_u == pytest.approx(mutual_information(j, [1], [0]), abs=1e-12)
+        assert t.i_y_u == pytest.approx(mutual_information(j, [3], [0]), abs=1e-12)
+        assert t.i_z_u == pytest.approx(mutual_information(j, [4], [0]), abs=1e-12)
+        assert t.i_xz == pytest.approx(mutual_information(j, [2], [4]), abs=1e-12)
+        corner = eval_one_aux(m, test, unit=InfoUnit.BITS)
+        assert corner.extras["rs_unclamped"] == pytest.approx(t.i_y_u - t.i_z_u, abs=1e-12)
+        assert corner.rj == pytest.approx(max(0.0, t.i_xt_u - t.i_y_u), abs=1e-12)
+
+
 def test_codebook_size_formula():
     m = hsm_model()
     cfg = SimConfig(n=8, test_channel=Channel.bsc(0.1), gamma=0.05, seed=0,

@@ -209,6 +209,19 @@ def test_sweep_deterministic():
     assert [c.as_tuple() for c in a.corners] == [c.as_tuple() for c in b.corners]
 
 
+def test_sweep_rejects_oversized_auxiliary():
+    # |U| <= |Xt| + 3 = 5 on the binary model; checked before any sampling
+    m = hsm_model()
+    for sizes in ((9,), (2, 6), (0,)):
+        with pytest.raises(CardinalityError):
+            sweep_region(m, SamplerConfig(random_samples=10, u_sizes=sizes, seed=0))
+
+
+def test_sweep_rejects_negative_samples():
+    with pytest.raises(ValueError):
+        sweep_region(hsm_model(), SamplerConfig(random_samples=-5, seed=0))
+
+
 def test_sweep_unsupported_class():
     reversed_model = AuthModel.binary_symmetric(0.1, 0.26, 0.1,
                                                 classifier_trials=500)
