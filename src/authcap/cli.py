@@ -6,12 +6,16 @@ Configs are JSON files carrying exactly one model form:
   {"binary": {"p": 0.1, "q": 0.5, "eps": 0.2}}                     binary
   {"gaussian": {"rho1_sq": 0.875, "rho2_sq": 0.8, "rho3_sq": 0.667}}
 
-plus optional "unit", "seed", "sampler" and "simulator" blocks.  Every
-output file embeds the tool version, the sha256 of the config file, and the
-seed, and re-running with identical inputs reproduces identical bytes.
+plus optional "unit", "seed", "sampler" and "simulator" blocks.  `_field`
+reads each field once with its JSON type checked: strings, booleans and
+fractional values are never coerced into numbers, and size fields are capped
+at _MAX_SIZE.  Every output file embeds the tool version, the sha256 of the
+config file, and the seed, and re-running with identical inputs reproduces
+identical bytes.
 
-Exit codes: 0 ok, 2 I/O, 3 schema, 4 stochasticity, 5 unsupported channel
-class, 6 simulator limits.
+Exit codes: 0 ok, 2 I/O, 3 schema (missing field, wrong JSON type, value out
+of range or over its cap), 4 stochasticity, 5 unsupported channel class,
+6 simulator limits.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -60,6 +66,12 @@ EXIT_SIM_LIMIT = 6
 
 ROW_SUM_TOL = 1e-9
 
+# Peak RSS grows by under 1 KB per sweep sample, two-aux pair, alpha point or
+# simulator trial, so a run at this cap stays near 1 GB.
+_MAX_SIZE = 1_000_000
+
+_DISCRETE_FIELDS = (("px", 1), ("ec", 2), ("ac_y", 2), ("ac_z", 2))
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -75,7 +87,7 @@ def _load_config(path: str):
         raise CliError(EXIT_IO, f"cannot read config {path}: {e}")
     try:
         cfg = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:
         raise CliError(EXIT_SCHEMA, f"config {path} is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise CliError(EXIT_SCHEMA, "config root must be a JSON object")
@@ -88,7 +100,7 @@ def _model_form(cfg: dict) -> str:
         forms.append("gaussian")
     if "binary" in cfg:
         forms.append("binary")
-    if any(k in cfg for k in ("px", "ec", "ac_y", "ac_z")):
+    if any(k in cfg for k, _ in _DISCRETE_FIELDS):
         forms.append("discrete")
     if len(forms) != 1:
         raise CliError(EXIT_SCHEMA,
@@ -96,15 +108,73 @@ def _model_form(cfg: dict) -> str:
     return forms[0]
 
 
+def _finite_number(v) -> bool:
+    # the comparison also rejects NaN, infinities and integers beyond float range
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _numbers(v) -> bool:
+    """A JSON number or a nested array of them."""
+    return all(map(_numbers, v)) if type(v) is list else type(v) in (int, float)
+
+
+# kind -> (what the value must be, test on the JSON value).  A beta grid step
+# gives ceil(1/2 / step) + 1 points, a non-positive one none.
+_KINDS = {
+    "integer": ("an integer", lambda v: type(v) is int),
+    "size": (f"an integer <= {_MAX_SIZE}", lambda v: type(v) is int and v <= _MAX_SIZE),
+    "number": ("a finite number", _finite_number),
+    "step": (f"a number giving <= {_MAX_SIZE} grid points",
+             lambda v: _finite_number(v) and (v <= 0 or 0.5 / v <= _MAX_SIZE - 1)),
+    "flag": ("true or false", lambda v: type(v) is bool),
+    "string": ("a string", lambda v: type(v) is str),
+    "object": ("an object", lambda v: type(v) is dict),
+    "array": ("an array", lambda v: type(v) is list),
+    "integers": ("an array of integers",
+                 lambda v: type(v) is list and all(type(u) is int for u in v)),
+}
+_REQUIRED = object()
+
+
+def _field(block: dict, name: str, kind: str, default=_REQUIRED, override=None):
+    """The command-line override if given (0 included), else block[last part
+    of the dotted `name`], else `default`, checked against `kind`; numbers
+    come back as floats.  A missing required field or wrong kind exits 3."""
+    key = name.rpartition(".")[2]
+    if override is None and key not in block:
+        if default is _REQUIRED:
+            raise CliError(EXIT_SCHEMA, f"missing required field {name}")
+        return default
+    value = block[key] if override is None else override
+    what, ok = _KINDS[kind]
+    if not ok(value):
+        raise CliError(EXIT_SCHEMA, f"{name} must be {what}, got {value!r}")
+    return float(value) if kind in ("number", "step") else value
+
+
+@contextmanager
+def _validated(what: str):
+    """Map a library range check's ValueError to exit 3 naming `what`; its
+    simulator-limit and unsupported-class subclasses keep their own codes."""
+    try:
+        yield
+    except SimLimitError as e:
+        raise CliError(EXIT_SIM_LIMIT, str(e))
+    except UnsupportedClassError as e:
+        raise CliError(EXIT_UNSUPPORTED, str(e))
+    except ValueError as e:
+        raise CliError(EXIT_SCHEMA, f"{what}: {e}")
+
+
 def _stochastic(values, name: str, ndim: int) -> np.ndarray:
     """A probability vector (ndim 1) or row-stochastic matrix (ndim 2) read
     with tolerance ROW_SUM_TOL and renormalised along its last axis."""
     try:
-        a = np.array(values, dtype=float)
-    except (TypeError, ValueError):
-        raise CliError(EXIT_SCHEMA, f"{name} must be numeric")
-    if a.ndim != ndim or a.size == 0:
-        raise CliError(EXIT_SCHEMA, f"{name} must be a nonempty {ndim}-D array")
+        a = np.array(values, dtype=float) if _numbers(values) else None
+    except (ValueError, OverflowError):   # ragged, or an integer too large
+        a = None
+    if a is None or a.ndim != ndim or a.size == 0:
+        raise CliError(EXIT_SCHEMA, f"{name} must be a nonempty {ndim}-D array of numbers")
     if not np.all(np.isfinite(a)) or np.any(a < -ROW_SUM_TOL):
         raise CliError(EXIT_STOCHASTICITY, f"{name} has negative or non-finite entries")
     sums = a.sum(axis=-1, keepdims=True)
@@ -115,101 +185,55 @@ def _stochastic(values, name: str, ndim: int) -> np.ndarray:
     return a / a.sum(axis=-1, keepdims=True)
 
 
-def _float_field(block: dict, key: str, context: str) -> float:
-    if key not in block:
-        raise CliError(EXIT_SCHEMA, f"{context} requires field {key!r}")
-    v = block[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise CliError(EXIT_SCHEMA, f"{context}.{key} must be a number")
-    return float(v)
-
-
-def _setting(override, block: dict, key: str, default, cast=int):
-    """The command-line override when one was given (0 included), else
-    block[key] or `default`, cast to a number; a value that does not cast is
-    a schema error."""
-    if override is not None:
-        return override
-    try:
-        return cast(block.get(key, default))
-    except (TypeError, ValueError):
-        raise CliError(EXIT_SCHEMA, f"{key} must be a number, got {block[key]!r}")
-
-
 def _seed(cfg: dict, args) -> int:
-    seed = _setting(args.seed, cfg, "seed", 0)
+    seed = _field(cfg, "seed", "integer", 0, override=args.seed)
     if seed < 0:
         raise CliError(EXIT_SCHEMA, f"seed must be non-negative, got {seed}")
     return seed
 
 
-def _build_discrete_model(cfg: dict, seed: int) -> AuthModel:
-    for key in ("px", "ec", "ac_y", "ac_z"):
-        if key not in cfg:
-            raise CliError(EXIT_SCHEMA, f"discrete model requires field {key!r}")
-    px = DiscreteDistribution(_stochastic(cfg["px"], "px", 1))
-    ec = Channel(_stochastic(cfg["ec"], "ec", 2))
-    ac_y = Channel(_stochastic(cfg["ac_y"], "ac_y", 2))
-    ac_z = Channel(_stochastic(cfg["ac_z"], "ac_z", 2))
-    try:
-        return AuthModel(px, ec, ac_y, ac_z, classifier_seed=seed)
-    except ValueError as e:
-        raise CliError(EXIT_SCHEMA, str(e))
-
-
 def _binary_params(cfg: dict, grid_step: float = None) -> BinaryModelParams:
-    blk = cfg["binary"]
-    if not isinstance(blk, dict):
-        raise CliError(EXIT_SCHEMA, "binary block must be an object")
-    try:
-        return BinaryModelParams(_float_field(blk, "p", "binary"),
-                                 _float_field(blk, "q", "binary"),
-                                 _float_field(blk, "eps", "binary"),
-                                 beta_step=_setting(grid_step, blk, "beta_step", 1e-3, float))
-    except ValueError as e:
-        raise CliError(EXIT_SCHEMA, str(e))
+    blk = _field(cfg, "binary", "object")
+    p, q, eps = (_field(blk, f"binary.{k}", "number") for k in ("p", "q", "eps"))
+    beta_step = _field(blk, "binary.beta_step", "step", 1e-3, grid_step)
+    with _validated("binary"):
+        return BinaryModelParams(p, q, eps, beta_step=beta_step)
 
 
 def _auth_model(cfg: dict, form: str, seed: int, command: str,
                 trials: int = 20_000) -> AuthModel:
-    """The binary or discrete model of a config; the classifier trial count
-    applies to the binary form.  Values the model rejects are schema errors."""
-    if form == "discrete":
-        return _build_discrete_model(cfg, seed)
-    if form != "binary":
+    """The binary or discrete model of a config, classified with `trials`
+    classifier trials."""
+    if form == "binary":
+        build = _binary_params(cfg).model
+    elif form == "discrete":
+        px, ec, ac_y, ac_z = (_stochastic(_field(cfg, key, "array"), key, ndim)
+                              for key, ndim in _DISCRETE_FIELDS)
+        build = partial(AuthModel, DiscreteDistribution(px), Channel(ec),
+                        Channel(ac_y), Channel(ac_z))
+    else:
         raise CliError(EXIT_SCHEMA, f"{command} requires a binary or discrete model config")
-    p = _binary_params(cfg)
-    try:
-        return AuthModel.binary_hsm(p.p, p.q, p.eps,
-                                    classifier_trials=trials, classifier_seed=seed)
-    except ValueError as e:
-        raise CliError(EXIT_SCHEMA, str(e))
+    with _validated("model"):
+        return build(classifier_trials=trials, classifier_seed=seed)
 
 
 def _gaussian_params(cfg: dict) -> GaussianModelParams:
-    blk = cfg["gaussian"]
-    if not isinstance(blk, dict):
-        raise CliError(EXIT_SCHEMA, "gaussian block must be an object")
-    try:
-        return GaussianModelParams(
-            _float_field(blk, "rho1_sq", "gaussian"),
-            _float_field(blk, "rho2_sq", "gaussian"),
-            _float_field(blk, "rho3_sq", "gaussian"),
-            alpha_grid=int(blk.get("alpha_grid", 400)),
-            alpha_min=float(blk.get("alpha_min", 1e-6)),
-        )
-    except ValueError as e:
-        raise CliError(EXIT_SCHEMA, str(e))
+    blk = _field(cfg, "gaussian", "object")
+    rhos = [_field(blk, f"gaussian.{k}", "number") for k in ("rho1_sq", "rho2_sq", "rho3_sq")]
+    alpha_grid = _field(blk, "gaussian.alpha_grid", "size", 400)
+    alpha_min = _field(blk, "gaussian.alpha_min", "number", 1e-6)
+    with _validated("gaussian"):
+        return GaussianModelParams(*rhos, alpha_grid=alpha_grid, alpha_min=alpha_min)
 
 
-def _resolve_unit(cfg: dict, args, default: InfoUnit) -> InfoUnit:
-    name = args.unit or cfg.get("unit")
-    if name is None:
-        return default
-    try:
-        return InfoUnit.parse(name)
-    except ValueError as e:
-        raise CliError(EXIT_SCHEMA, str(e))
+def _sampler(cfg: dict, seed: int, samples, default_samples: int, grid_step) -> SamplerConfig:
+    """The discrete sweep plan; `samples` and `grid_step` override the config."""
+    blk = _field(cfg, "sampler", "object", {})
+    return SamplerConfig(
+        random_samples=_field(blk, "sampler.random_samples", "size", default_samples, samples),
+        beta_grid_step=_field(blk, "sampler.beta_grid_step", "step", 1e-3, grid_step),
+        u_sizes=_field(blk, "sampler.u_sizes", "integers", None),
+        seed=seed)
 
 
 def _convert_boundary(boundary: RegionBoundary, unit: InfoUnit) -> RegionBoundary:
@@ -264,7 +288,7 @@ def _cmd_classify(args) -> int:
             relation, Certainty.EXACT,
             note="jointly Gaussian observations are always ordered by squared correlation")
     else:
-        trials = _setting(args.samples, cfg, "classifier_trials", 20_000)
+        trials = _field(cfg, "classifier_trials", "size", 20_000, override=args.samples)
         verdict = _auth_model(cfg, form, seed, "classify", trials).verdict
 
     payload = _stamp({"verdict": verdict.to_json_dict()}, cfg_hash, seed)
@@ -273,9 +297,8 @@ def _cmd_classify(args) -> int:
 
 
 def _region_boundary(cfg: dict, form: str, args, seed: int):
-    grid_step = args.grid_step
     if form == "binary":
-        params = _binary_params(cfg, grid_step)
+        params = _binary_params(cfg, args.grid_step)
         return closed_form_region(params, classifier_seed=seed), InfoUnit.BITS
     if form == "gaussian":
         params = _gaussian_params(cfg)
@@ -283,7 +306,7 @@ def _region_boundary(cfg: dict, form: str, args, seed: int):
             return parametric_region(params), InfoUnit.NATS
         return zero_key_region_gaussian(params), InfoUnit.NATS
 
-    model = _build_discrete_model(cfg, seed)
+    model = _auth_model(cfg, form, seed, "region")
     relation = model.verdict.relation
     if relation in Z_FAVOR:
         return zero_key_region(model), InfoUnit.BITS
@@ -291,27 +314,19 @@ def _region_boundary(cfg: dict, form: str, args, seed: int):
         raise CliError(EXIT_UNSUPPORTED,
                        f"verdict {relation.value}: no capacity-region formula is known "
                        f"for more-capable-only or unordered channel pairs")
-    sampler_cfg = cfg.get("sampler", {})
-    sampler = SamplerConfig(
-        random_samples=_setting(args.samples, sampler_cfg, "random_samples", 100_000),
-        beta_grid_step=_setting(grid_step, sampler_cfg, "beta_grid_step", 1e-3, float),
-        u_sizes=tuple(sampler_cfg["u_sizes"]) if "u_sizes" in sampler_cfg else None,
-        seed=seed)
-    return sweep_region(model, sampler), InfoUnit.BITS
+    sampler = _sampler(cfg, seed, args.samples, 100_000, args.grid_step)
+    with _validated("sampler"):
+        return sweep_region(model, sampler), InfoUnit.BITS
 
 
 def _cmd_region(args) -> int:
     cfg, cfg_hash = _load_config(args.config)
     form = _model_form(cfg)
     seed = _seed(cfg, args)
-    try:
-        boundary, default_unit = _region_boundary(cfg, form, args, seed)
-    except UnsupportedClassError as e:
-        raise CliError(EXIT_UNSUPPORTED, str(e))
-    except ValueError as e:
-        raise CliError(EXIT_SCHEMA, str(e))
-    unit = _resolve_unit(cfg, args, default_unit)
-    boundary = _convert_boundary(boundary, unit)
+    boundary, default_unit = _region_boundary(cfg, form, args, seed)
+    unit = _field(cfg, "unit", "string", default_unit.value, override=args.unit)
+    with _validated("unit"):
+        boundary = _convert_boundary(boundary, InfoUnit.parse(unit))
     boundary.metadata.update({"version": __version__, "config_hash": cfg_hash,
                               "seed": seed})
 
@@ -344,34 +359,24 @@ def _cmd_figures(args) -> int:
 
 
 def _sim_config(cfg: dict, seed: int) -> SimConfig:
-    blk = cfg.get("simulator")
-    if not isinstance(blk, dict):
-        raise CliError(EXIT_SCHEMA, "simulate requires a 'simulator' block")
-    if "n" not in blk:
-        raise CliError(EXIT_SCHEMA, "simulator block requires blocklength 'n'")
+    blk = _field(cfg, "simulator", "object")
     tc = blk.get("test_channel", {"bsc": 0.1})
-    if isinstance(tc, dict) and "bsc" in tc:
-        test = Channel.bsc(float(tc["bsc"]))
-    else:
-        test = Channel(_stochastic(tc, "simulator.test_channel", 2))
-    overrides = None
-    if "rate_overrides" in blk:
-        ro = blk["rate_overrides"]
-        if not isinstance(ro, dict) or "r_j" not in ro or "r_s" not in ro:
-            raise CliError(EXIT_SCHEMA, "rate_overrides must carry 'r_j' and 'r_s'")
-        overrides = (float(ro["r_j"]), float(ro["r_s"]))
-    try:
+    with _validated("simulator.test_channel"):
+        test = (Channel.bsc(_field(tc, "simulator.test_channel.bsc", "number"))
+                if isinstance(tc, dict) else Channel(_stochastic(tc, "simulator.test_channel", 2)))
+    ro = _field(blk, "simulator.rate_overrides", "object", None)
+    overrides = None if ro is None else tuple(
+        _field(ro, f"simulator.rate_overrides.{k}", "number") for k in ("r_j", "r_s"))
+    with _validated("simulator"):
         return SimConfig(
-            n=int(blk["n"]), test_channel=test,
-            gamma=float(blk.get("gamma", 0.1)),
+            n=_field(blk, "simulator.n", "integer"), test_channel=test,
+            gamma=_field(blk, "simulator.gamma", "number", 0.1),
             rate_overrides=overrides, seed=seed,
-            exact_leakage_limit=int(blk.get("exact_leakage_limit", 10)),
-            trials=int(blk.get("trials", 10_000)),
-            max_codebook_size=int(blk.get("max_codebook_size", 1 << 20)),
-            bijective_bins=bool(blk.get("bijective_bins", False)),
-            collect_trace=bool(blk.get("trace", False)))
-    except ValueError as e:
-        raise CliError(EXIT_SCHEMA, str(e))
+            exact_leakage_limit=_field(blk, "simulator.exact_leakage_limit", "integer", 10),
+            trials=_field(blk, "simulator.trials", "size", 10_000),
+            max_codebook_size=_field(blk, "simulator.max_codebook_size", "integer", 1 << 20),
+            bijective_bins=_field(blk, "simulator.bijective_bins", "flag", False),
+            collect_trace=_field(blk, "simulator.trace", "flag", False))
 
 
 def _cmd_simulate(args) -> int:
@@ -380,12 +385,8 @@ def _cmd_simulate(args) -> int:
     seed = _seed(cfg, args)
     model = _auth_model(cfg, form, seed, "simulate")
     sim_cfg = _sim_config(cfg, seed)
-    try:
+    with _validated("simulator"):
         report = run_simulation(model, sim_cfg, monte_carlo_only=args.monte_carlo_only)
-    except SimLimitError as e:
-        raise CliError(EXIT_SIM_LIMIT, str(e))
-    except ValueError as e:
-        raise CliError(EXIT_SCHEMA, str(e))
     payload = _stamp({"report": report.to_json_dict()}, cfg_hash, seed)
     _write_text(os.path.join(args.out, "simulation.json"), _json_text(payload))
     if report.trace is not None:
@@ -407,18 +408,12 @@ def _cmd_compare(args) -> int:
     if model.n_xt > 4:
         raise CliError(EXIT_SCHEMA, "compare is restricted to tiny alphabets (|Xt| <= 4)")
 
-    n_pairs = _setting(args.samples, cfg, "compare_pairs", 2000)
+    n_pairs = _field(cfg, "compare_pairs", "size", 2000, override=args.samples)
     if n_pairs < 1:
         raise CliError(EXIT_SCHEMA, f"compare needs at least one auxiliary pair, got {n_pairs}")
-    sampler_cfg = cfg.get("sampler", {})
-    sampler = SamplerConfig(
-        random_samples=_setting(None, sampler_cfg, "random_samples", 20_000),
-        beta_grid_step=_setting(args.grid_step, sampler_cfg, "beta_grid_step", 1e-3, float),
-        seed=seed)
-    try:
+    sampler = _sampler(cfg, seed, None, 20_000, args.grid_step)
+    with _validated("sampler"):
         one_aux = sweep_region(model, sampler)
-    except ValueError as e:
-        raise CliError(EXIT_SCHEMA, str(e))
     two_corners = two_aux_random_search(model, n_pairs, seed=seed + 1)
     two_boundary = RegionBoundary(pareto_filter(two_corners), one_aux.unit,
                                   metadata={"pairs": n_pairs})

@@ -106,7 +106,6 @@ class ProtocolTables:
         self.p_y = px @ acy
         self.p_z = px @ acz
         self.p_xtz = p_xa.T @ acz                  # joint (Xt, Z)
-        self.ch_z_xt = _conditional(self.p_xtz, self.p_xt[:, None])
 
         self.tn_table = _log_ratio(t, self.p_u[None, :])          # [xt, u]
         self.an_table = _log_ratio(self.ch_y_u, self.p_y[None, :])  # [u, y]
@@ -309,20 +308,14 @@ def _all_sequences(n: int) -> np.ndarray:
     return np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64)
 
 
-def _sequence_probs(seqs: np.ndarray, per_symbol: np.ndarray) -> np.ndarray:
-    out = np.ones(len(seqs))
-    for t in range(seqs.shape[1]):
-        out *= per_symbol[seqs[:, t]]
+def _product_law(per_symbol: np.ndarray, n: int) -> np.ndarray:
+    """Product law over length-n binary sequences in `_all_sequences` order,
+    as the n-fold Kronecker power of `per_symbol`: a vector for a per-symbol
+    vector, a (row sequence, column sequence) matrix for a 2x2 law."""
+    out = np.ones((1,) * per_symbol.ndim)
+    for _ in range(n):
+        out = np.kron(out, per_symbol)
     return out
-
-
-def _pair_kernel(seqs: np.ndarray, per_symbol_2x2: np.ndarray) -> np.ndarray:
-    """Matrix over (row sequence, column sequence) of the product law
-    prod_t per_symbol[row_t, col_t]."""
-    m = np.ones((len(seqs), len(seqs)))
-    for t in range(seqs.shape[1]):
-        m *= per_symbol_2x2[seqs[:, t][:, None], seqs[None, :, t]]
-    return m
 
 
 def _encoder_kernel(codebook: Codebook, seqs: np.ndarray) -> np.ndarray:
@@ -338,13 +331,12 @@ def _encoder_kernel(codebook: Codebook, seqs: np.ndarray) -> np.ndarray:
     for lo in range(0, len(seqs), chunk):
         block = seqs[lo:lo + chunk]
         dens = t.tn_table[block[:, None, :], codebook.codewords[None, :, :]].sum(axis=2)
-        qualify = np.isfinite(dens) & (dens <= thr)
-        for i in range(len(block)):
-            q = np.flatnonzero(qualify[i])
-            if q.size == 0:
-                out[lo + i, 0] = 1.0   # fallback (s, j) = (0, 0)
-            else:
-                out[lo + i] = np.bincount(sj_code[q], minlength=ncols) / q.size
+        rows, cols = np.nonzero(np.isfinite(dens) & (dens <= thr))
+        counts = np.bincount(rows * ncols + sj_code[cols],
+                             minlength=len(block) * ncols).reshape(len(block), ncols)
+        hits = np.bincount(rows, minlength=len(block))
+        counts[hits == 0, 0] = 1   # fallback (s, j) = (0, 0)
+        out[lo:lo + len(block)] = counts / np.maximum(hits, 1)[:, None]
     return out
 
 
@@ -370,7 +362,7 @@ def exact_leakage(codebook: Codebook, model: AuthModel, config: SimConfig) -> di
     seqs = _all_sequences(n)
     enc = _encoder_kernel(codebook, seqs)
 
-    w = _pair_kernel(seqs, t.p_xtz)             # P(xt^n, z^n)
+    w = _product_law(t.p_xtz, n)                # P(xt^n, z^n)
     p_sjz = enc.T @ w                           # (m_s * m_j, 2^n)
     table_mass = float(p_sjz.sum())
 
@@ -378,16 +370,16 @@ def exact_leakage(codebook: Codebook, model: AuthModel, config: SimConfig) -> di
     cube = p_sjz.reshape(m_s, m_j, len(seqs))
     p_jz = cube.sum(axis=0)
     p_z = p_jz.sum(axis=0)
-    p_z_product = _sequence_probs(seqs, t.p_z)
+    p_z_product = _product_law(t.p_z, n)
     z_marginal_gap = float(np.max(np.abs(p_z - p_z_product)))
 
     secrecy = _mi2_nats(cube.reshape(m_s, -1)) / LN2
     mu_n = float(np.abs(cube - p_jz[None, :, :] / m_s).sum())
 
-    v = _pair_kernel(seqs, model.ec.matrix)     # P(xt^n | x^n) as [x, xt]
+    v = _product_law(model.ec.matrix, n)        # P(xt^n | x^n) as [x, xt]
     enc_j = enc.reshape(len(seqs), m_s, m_j).sum(axis=1)
     p_j_given_x = v @ enc_j
-    p_x_seq = _sequence_probs(seqs, model.px.probs)
+    p_x_seq = _product_law(model.px.probs, n)
     h_j_given_x = float(np.sum(p_x_seq * _entropy_nats(p_j_given_x, axis=1)))
     h_j_given_z = _entropy_nats(p_jz) - _entropy_nats(p_z)
     privacy_total = n * t.i_xz + (h_j_given_z - h_j_given_x) / LN2
@@ -526,7 +518,7 @@ def run_simulation(model: AuthModel, config: SimConfig,
         exact_computed=False, trace=trace,
     )
 
-    if not monte_carlo_only and n <= config.exact_leakage_limit:
+    if not monte_carlo_only:
         ex = exact_leakage(codebook, model, config)
         report.exact_computed = True
         report.exact_secrecy_leakage_bits = ex["secrecy_leakage_bits"]

@@ -71,6 +71,8 @@ class AuthModel:
         self._p_xa.setflags(write=False)
         self._i_xz = _mi2_nats(self.px.probs[:, None] * self.ac_z.matrix)
         if self.verdict is None:
+            if self.classifier_trials < 1:
+                raise ValueError(f"classifier_trials={self.classifier_trials} must be >= 1")
             self.verdict = classify_ac(self.ac_y, self.ac_z,
                                        trials=self.classifier_trials,
                                        seed=self.classifier_seed)
@@ -473,7 +475,7 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None,
     sizes = config.sizes_for(model.n_xt)
     cap = model.n_xt + 3
     if any(not 1 <= u <= cap for u in sizes):
-        raise CardinalityError(f"auxiliary sizes {list(sizes)} outside [1, {cap}]")
+        raise CardinalityError(f"auxiliary sizes u_sizes={list(sizes)} outside [1, {cap}]")
     if config.random_samples < 0:
         raise ValueError(f"random_samples={config.random_samples} is negative")
 

@@ -1,7 +1,11 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from authcap.cli import main
 
@@ -290,3 +294,150 @@ def test_region_sampler_sizes_exit_code(tmp_path):
     assert run_cli("region", "--config", oversized, "--out", out) == 3
     plain = write_config(tmp_path, base, "p.json")
     assert run_cli("region", "--config", plain, "--out", out, "--samples", "-5") == 3
+
+
+# ---------------------------------------------------------------------------
+# One config schema: JSON types, size caps, and exit codes for any config
+# ---------------------------------------------------------------------------
+
+DEGRADED_CFG = {"px": [0.5, 0.5],
+                "ec": [[0.9, 0.1], [0.1, 0.9]],
+                "ac_y": [[0.9, 0.1], [0.1, 0.9]],
+                "ac_z": [[0.74, 0.26], [0.26, 0.74]],
+                "seed": 5, "classifier_trials": 50, "compare_pairs": 5,
+                "sampler": {"random_samples": 10, "beta_grid_step": 0.05, "u_sizes": [1, 2]}}
+SIM_CFG = {**BINARY_CFG, "simulator": {"n": 4, "gamma": 0.1, "trials": 20,
+                                       "test_channel": {"bsc": 0.1}}}
+CAP = 1_000_000   # the documented cap on every size field
+
+
+def with_field(base, path, value):
+    """A deep copy of `base` with the dotted `path` set to `value`."""
+    cfg = json.loads(json.dumps(base))
+    if path is None:
+        return cfg
+    *blocks, key = path.split(".")
+    node = cfg
+    for b in blocks:
+        node = node[b]
+    node[key] = value
+    return cfg
+
+
+def run_config(tmp_path, command, cfg, *extra):
+    path = write_config(tmp_path, cfg)
+    out = [] if command == "classify" else ["--out", str(tmp_path / "out")]
+    return run_cli(command, "--config", path, *out, *extra)
+
+
+def case_id(case):
+    command, _, path, value, _, extra = case
+    return " ".join([command, f"{path}={value!r}"] if path else [command, *extra])
+
+
+# (command, base config, field path, value, name expected in stderr, extra argv);
+# each one exited 1 with a traceback, or 0 on a misread value, before the
+# config was read by one typed reader.
+MALFORMED = [
+    ("simulate", SIM_CFG, "simulator.test_channel", {"bsc": 2}, "test_channel", []),
+    ("simulate", SIM_CFG, "simulator.test_channel", {"bsc": "x"}, "test_channel", []),
+    ("simulate", SIM_CFG, "simulator.n", [4], "simulator.n", []),
+    ("simulate", SIM_CFG, "simulator.gamma", [1], "simulator.gamma", []),
+    ("simulate", SIM_CFG, "simulator.rate_overrides", {"r_j": "x", "r_s": 0.1}, "r_j", []),
+    ("region", GAUSSIAN_CFG, "gaussian.alpha_grid", [3], "alpha_grid", []),
+    ("region", DEGRADED_CFG, "sampler.u_sizes", 3, "u_sizes", []),
+    ("region", DEGRADED_CFG, "sampler.u_sizes", ["a"], "u_sizes", []),
+    ("region", DEGRADED_CFG, "sampler", [1], "sampler", []),
+    ("compare", DEGRADED_CFG, "sampler", "x", "sampler", []),
+    ("region", BINARY_CFG, "unit", 5, "unit", []),
+    ("simulate", SIM_CFG, "simulator.n", 4.7, "simulator.n", []),
+    ("classify", BINARY_CFG, "seed", 1.5, "seed", []),
+    ("classify", BINARY_CFG, "seed", True, "seed", []),
+    ("classify", BINARY_CFG, "seed", "7", "seed", []),
+    ("simulate", SIM_CFG, "simulator.bijective_bins", "no", "bijective_bins", []),
+    ("classify", DEGRADED_CFG, "classifier_trials", -4, "classifier_trials", []),
+    ("classify", DEGRADED_CFG, None, None, "classifier_trials", ["--samples", "0"]),
+    ("compare", DEGRADED_CFG, "sampler.u_sizes", [9], "u_sizes", []),
+]
+
+
+@pytest.mark.parametrize("command, base, path, value, name, extra", MALFORMED,
+                         ids=[case_id(c) for c in MALFORMED])
+def test_malformed_field_exits_3_naming_it(tmp_path, capsys, command, base, path, value,
+                                          name, extra):
+    assert run_config(tmp_path, command, with_field(base, path, value), *extra) == 3
+    assert name in capsys.readouterr().err
+
+
+# Values just above the cap, rejected before anything is allocated.
+OVER_CAP = [
+    ("classify", BINARY_CFG, "classifier_trials", CAP + 1, "classifier_trials", []),
+    ("classify", BINARY_CFG, None, None, "classifier_trials", ["--samples", str(CAP + 1)]),
+    ("compare", DEGRADED_CFG, "compare_pairs", CAP + 1, "compare_pairs", []),
+    ("compare", DEGRADED_CFG, None, None, "compare_pairs", ["--samples", str(CAP + 1)]),
+    ("region", DEGRADED_CFG, "sampler.random_samples", CAP + 1, "random_samples", []),
+    ("region", DEGRADED_CFG, None, None, "random_samples", ["--samples", str(CAP + 1)]),
+    ("region", GAUSSIAN_CFG, "gaussian.alpha_grid", CAP + 1, "alpha_grid", []),
+    ("simulate", SIM_CFG, "simulator.trials", CAP + 1, "simulator.trials", []),
+    # a beta step of 1/2 / CAP gives CAP + 1 grid points
+    ("region", BINARY_CFG, "binary.beta_step", 0.5 / CAP, "beta_step", []),
+    ("region", BINARY_CFG, None, None, "beta_step", ["--grid-step", str(0.5 / CAP)]),
+    ("region", DEGRADED_CFG, "sampler.beta_grid_step", 0.5 / CAP, "beta_grid_step", []),
+    ("compare", DEGRADED_CFG, None, None, "beta_grid_step", ["--grid-step", str(0.5 / CAP)]),
+]
+
+
+@pytest.mark.parametrize("command, base, path, value, name, extra", OVER_CAP,
+                         ids=[case_id(c) for c in OVER_CAP])
+def test_size_over_cap_exits_3(tmp_path, capsys, command, base, path, value, name, extra):
+    assert run_config(tmp_path, command, with_field(base, path, value), *extra) == 3
+    assert name in capsys.readouterr().err
+
+
+def field_paths(cfg, prefix=""):
+    """Dotted paths of every field of `cfg`, blocks and the fields inside them."""
+    for key, value in cfg.items():
+        path = prefix + key
+        yield path
+        if isinstance(value, dict):
+            yield from field_paths(value, path + ".")
+
+
+# Every field of the base configs under every command that reads them.  The
+# simulator base leaves out rate_overrides: their key and bin counts are not
+# capped, and exact leakage allocates 2^n x 2^(n (r_s + r_j)) floats.
+PROPERTY_BASES = [
+    (cmd, {**SIM_CFG, "unit": "nats", "sampler": DEGRADED_CFG["sampler"], "compare_pairs": 5,
+           "simulator": {**SIM_CFG["simulator"], "exact_leakage_limit": 10,
+                         "max_codebook_size": 256, "bijective_bins": False, "trace": True}})
+    for cmd in ("classify", "region", "simulate", "compare")
+] + [(cmd, {**DEGRADED_CFG, "unit": "bits"}) for cmd in ("classify", "region", "compare")] + [
+    (cmd, {**GAUSSIAN_CFG, "seed": 2, "gaussian": {**GAUSSIAN_CFG["gaussian"], "alpha_grid": 20,
+                                                   "alpha_min": 1e-6}})
+    for cmd in ("classify", "region", "figures")]
+PROPERTY_CASES = [(cmd, base, path) for cmd, base in PROPERTY_BASES
+                  for path in field_paths(base)]
+BLOCKS = {"binary", "gaussian", "sampler", "simulator", "simulator.test_channel"}
+
+# Small counts and steps of at least 0.05 keep every example cheap; the cap
+# test above covers large values.  Object keys never spell "r_j"/"r_s", for the
+# reason given above PROPERTY_BASES.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20)
+    | st.integers(-60, 60).map(lambda k: k / 20) | st.text(max_size=4)
+    | st.sampled_from(["bits", "nats"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["bsc", "p", "x", "n"]), inner, max_size=2),
+    max_leaves=6)
+
+
+@settings(deadline=None, max_examples=400)
+@given(case=st.sampled_from(PROPERTY_CASES), value=JSON_VALUES)
+def test_any_field_value_maps_to_documented_exit_code(case, value):
+    command, base, path = case
+    # an object in place of a block falls back to default sizes (100,000 sweep
+    # samples, 10,000 trials): valid, but too slow for an example
+    assume(path not in BLOCKS or not isinstance(value, dict))
+    with tempfile.TemporaryDirectory() as tmp:
+        code = run_config(Path(tmp), command, with_field(base, path, value))
+    assert code in {0, 2, 3, 4, 5, 6}

@@ -18,7 +18,8 @@ from authcap import (
     run_simulation,
     wilson_interval,
 )
-from authcap.protocol import ProtocolTables, hash_index
+from authcap.protocol import (ProtocolTables, _all_sequences, _encoder_kernel,
+                              _product_law, hash_index)
 
 
 def hb(x):
@@ -419,6 +420,38 @@ def test_exact_leakage_limit():
     book = generate_codebook(m, cfg)
     with pytest.raises(SimLimitError):
         exact_leakage(book, m, cfg)
+
+
+def test_product_law_and_encoder_kernel_match_loops():
+    # references: per-symbol products over the enumerated sequences, and the
+    # per-sequence encoder law; both fast forms must match them bit for bit
+    m = hsm_model()
+    for n in range(1, 11):
+        seqs = _all_sequences(n)
+        for law in (m.px.probs, m.ec.matrix, ProtocolTables(m, Channel.bsc(0.1)).p_xtz):
+            ref = np.ones((len(seqs),) * law.ndim)
+            for t in range(n):
+                ref *= (law[seqs[:, t]] if law.ndim == 1
+                        else law[seqs[:, t][:, None], seqs[None, :, t]])
+            assert np.array_equal(_product_law(law, n), ref)
+
+    generated = generate_codebook(m, SimConfig(n=8, test_channel=Channel.bsc(0.1), gamma=0.1,
+                                               seed=3, trials=1, rate_overrides=(0.5, 0.25)))
+    # identity test channel: only exact matches qualify, so most rows fall back
+    hand = hand_codebook(m, Channel.identity(2), [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 1, 1]],
+                         [0, 1, 1], m_s=2, m_j=2, gamma=0.1)
+    for book in (generated, hand):
+        seqs = _all_sequences(book.n)
+        dens = book.tables.tn_table[seqs[:, None, :], book.codewords[None, :, :]].sum(axis=2)
+        sj_code = book.key_of * book.m_j + book.bin_of
+        ref = np.zeros((len(seqs), book.m_s * book.m_j))
+        for i in range(len(seqs)):
+            q = np.flatnonzero(np.isfinite(dens[i]) & (dens[i] <= book.encoder_threshold()))
+            if q.size == 0:
+                ref[i, 0] = 1.0
+            else:
+                ref[i] = np.bincount(sj_code[q], minlength=ref.shape[1]) / q.size
+        assert np.array_equal(_encoder_kernel(book, seqs), ref)
 
 
 def test_injective_binning_leaks_key():
