@@ -200,19 +200,28 @@ def _binary_params(cfg: dict, grid_step: float = None) -> BinaryModelParams:
         return BinaryModelParams(p, q, eps, beta_step=beta_step)
 
 
-def _auth_model(cfg: dict, form: str, seed: int, command: str,
-                trials: int = 20_000) -> AuthModel:
-    """The binary or discrete model of a config, classified with `trials`
-    classifier trials."""
+def _classifier_trials(cfg: dict, samples=None) -> int:
+    """The classifier's trial count: `samples` (classify --samples) if given,
+    else the config's classifier_trials."""
+    trials = _field(cfg, "classifier_trials", "size", 20_000, override=samples)
+    if trials < 1:
+        raise CliError(EXIT_SCHEMA, f"classifier_trials must be >= 1, got {trials}")
+    return trials
+
+
+def _auth_model(cfg: dict, form: str, seed: int, command: str, samples=None) -> AuthModel:
+    """The binary or discrete model of a config, classified with
+    `_classifier_trials(cfg, samples)` trials."""
+    if form not in ("binary", "discrete"):
+        raise CliError(EXIT_SCHEMA, f"{command} requires a binary or discrete model config")
+    trials = _classifier_trials(cfg, samples)
     if form == "binary":
         build = _binary_params(cfg).model
-    elif form == "discrete":
+    else:
         px, ec, ac_y, ac_z = (_stochastic(_field(cfg, key, "array"), key, ndim)
                               for key, ndim in _DISCRETE_FIELDS)
         build = partial(AuthModel, DiscreteDistribution(px), Channel(ec),
                         Channel(ac_y), Channel(ac_z))
-    else:
-        raise CliError(EXIT_SCHEMA, f"{command} requires a binary or discrete model config")
     with _validated("model"):
         return build(classifier_trials=trials, classifier_seed=seed)
 
@@ -288,8 +297,7 @@ def _cmd_classify(args) -> int:
             relation, Certainty.EXACT,
             note="jointly Gaussian observations are always ordered by squared correlation")
     else:
-        trials = _field(cfg, "classifier_trials", "size", 20_000, override=args.samples)
-        verdict = _auth_model(cfg, form, seed, "classify", trials).verdict
+        verdict = _auth_model(cfg, form, seed, "classify", args.samples).verdict
 
     payload = _stamp({"verdict": verdict.to_json_dict()}, cfg_hash, seed)
     sys.stdout.write(_json_text(payload))
@@ -299,7 +307,7 @@ def _cmd_classify(args) -> int:
 def _region_boundary(cfg: dict, form: str, args, seed: int):
     if form == "binary":
         params = _binary_params(cfg, args.grid_step)
-        return closed_form_region(params, classifier_seed=seed), InfoUnit.BITS
+        return closed_form_region(params, _classifier_trials(cfg), seed), InfoUnit.BITS
     if form == "gaussian":
         params = _gaussian_params(cfg)
         if params.rho2_sq > params.rho3_sq:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,9 +31,14 @@ WILSON_Z_95 = 1.959963984540054
 _MASK64 = (1 << 64) - 1
 _GF64_REDUCTION = 0x1B  # x^64 = x^4 + x^3 + x + 1
 
+# Cap on the cells of any one table the simulator allocates (trial
+# sequences, codewords, exact-leakage laws): 256 MB of float64.
+_MAX_CELLS = 1 << 25
+
 
 class SimLimitError(ValueError):
-    """A configured simulator cap (blocklength, codebook size) was exceeded."""
+    """A configured simulator cap (blocklength, codebook size) or the cell
+    cap on the simulator's tables was exceeded."""
 
 
 def _gf64_mul(a: int, b: int) -> int:
@@ -154,6 +160,11 @@ class SimConfig:
             raise ValueError("gamma must be > 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.max_codebook_size < 1:
+            raise ValueError(f"max_codebook_size must be >= 1, got {self.max_codebook_size}")
+        if self.trials * self.n > _MAX_CELLS:
+            raise SimLimitError(f"trials x n = {self.trials * self.n} sequence cells "
+                                f"exceeds the cap of {_MAX_CELLS}")
 
 
 @dataclass
@@ -171,7 +182,6 @@ class Codebook:
     seed: int
     rates: dict
     tables: ProtocolTables
-    _bins: dict = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -181,15 +191,15 @@ class Codebook:
     def n(self) -> int:
         return self.codewords.shape[1]
 
+    @cached_property
+    def _bin_index(self):
+        """(order, edges): bin j's members are order[edges[j]:edges[j + 1]]."""
+        order = np.argsort(self.bin_of, kind="stable")
+        return order, np.searchsorted(self.bin_of[order], np.arange(self.m_j + 1))
+
     def bin_members(self, j: int) -> np.ndarray:
-        if self._bins is None:
-            order = np.argsort(self.bin_of, kind="stable")
-            sorted_bins = self.bin_of[order]
-            starts = np.searchsorted(sorted_bins, np.arange(self.m_j), side="left")
-            ends = np.searchsorted(sorted_bins, np.arange(self.m_j), side="right")
-            self._bins = {"order": order, "starts": starts, "ends": ends}
-        b = self._bins
-        return b["order"][b["starts"][j]:b["ends"][j]]
+        order, edges = self._bin_index
+        return order[edges[j]:edges[j + 1]]
 
     def encoder_threshold(self) -> float:
         return self.n * (self.rates["i_xt_u"] + self.gamma)
@@ -204,6 +214,15 @@ def _require_binary(model: AuthModel):
                          "enrollment, and eavesdropper alphabets")
 
 
+def _power_of_two(what: str, exponent: float, cap: int) -> int:
+    """2^round(exponent), at least 1; SimLimitError above `cap`, checked
+    before the power is formed."""
+    e = max(0, round(exponent)) if math.isfinite(exponent) else math.inf
+    if e > math.log2(cap):
+        raise SimLimitError(f"{what} 2^{exponent:.2f} exceeds max_codebook_size {cap}")
+    return 1 << e
+
+
 def generate_codebook(model: AuthModel, config: SimConfig) -> Codebook:
     """Draw the code: 2^{n (I(Xt;U) + 2 gamma)} i.i.d. codewords from the
     auxiliary marginal, uniform bins, and a random affine hash over GF(2^64)
@@ -212,25 +231,22 @@ def generate_codebook(model: AuthModel, config: SimConfig) -> Codebook:
     t = ProtocolTables(model, config.test_channel)
 
     exponent = config.n * (t.i_xt_u + 2.0 * config.gamma)
-    if exponent > math.log2(config.max_codebook_size):
-        raise SimLimitError(
-            f"codebook size 2^{exponent:.2f} exceeds cap {config.max_codebook_size}")
+    cap = min(config.max_codebook_size, _MAX_CELLS // config.n)
+    if exponent > math.log2(cap):
+        raise SimLimitError(f"codebook size 2^{exponent:.2f} exceeds cap {cap}")
     size = max(1, math.ceil(2.0 ** exponent))
 
     r_j = t.i_xt_u - t.i_y_u + 4.0 * config.gamma
     r_s = t.i_y_u - t.i_z_u - 6.0 * config.gamma
     if config.rate_overrides is not None:
         r_j, r_s = config.rate_overrides
-    m_j = 1 << max(0, round(config.n * r_j))
-    m_s = 1 << max(0, round(config.n * r_s))
+    m_s = _power_of_two("key count m_s", config.n * r_s, config.max_codebook_size)
+    m_j = size if config.bijective_bins else _power_of_two(
+        "bin count m_j", config.n * r_j, config.max_codebook_size)
 
     rng = np.random.default_rng(config.seed)
     codewords = rng.choice(t.nu, size=(size, config.n), p=t.p_u)
-    if config.bijective_bins:
-        m_j = size
-        bin_of = np.arange(size)
-    else:
-        bin_of = rng.integers(0, m_j, size=size)
+    bin_of = np.arange(size) if config.bijective_bins else rng.integers(0, m_j, size=size)
 
     hash_a = 0
     while hash_a == 0:
@@ -244,17 +260,30 @@ def generate_codebook(model: AuthModel, config: SimConfig) -> Codebook:
                     config.gamma, config.seed, rates, t)
 
 
-def _enroll_index(codebook: Codebook, x_tilde_seq: np.ndarray, rng) -> int:
-    """Index of the selected codeword, or -1 when none qualifies."""
-    t = codebook.tables
-    dens = t.tn_table[np.asarray(x_tilde_seq)[None, :], codebook.codewords].sum(axis=1)
-    qualify = np.isfinite(dens) & (dens <= codebook.encoder_threshold())
-    hits = np.flatnonzero(qualify)
-    if hits.size == 0:
-        return -1
-    if hits.size == 1:
-        return int(hits[0])
-    return int(rng.choice(hits))
+def _blocks(codebook: Codebook, rows: int) -> list:
+    """Slices of `rows` sequences in blocks of at most 2^22 density cells (32 MB)."""
+    step = max(1, (1 << 22) // (codebook.size * codebook.n))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _encoder_hits(codebook: Codebook, seqs: np.ndarray):
+    """(rows, cols, hits): the (sequence, codeword) pairs of the block `seqs`
+    that pass the encoder test, in row-major order, and the count per row."""
+    dens = codebook.tables.tn_table[seqs[:, None, :], codebook.codewords[None, :, :]].sum(axis=2)
+    rows, cols = np.nonzero(np.isfinite(dens) & (dens <= codebook.encoder_threshold()))
+    return rows, cols, np.bincount(rows, minlength=len(seqs))
+
+
+def _enroll_block(codebook: Codebook, seqs: np.ndarray, rng) -> np.ndarray:
+    """Selected codeword per sequence, -1 where none qualifies.  One draw of
+    rng.integers over the rows with several qualifiers, in row order, takes
+    the same numbers as one rng.choice among the qualifiers per row."""
+    _, cols, hits = _encoder_hits(codebook, seqs)
+    pick = np.cumsum(hits) - hits             # each row's first qualifier
+    pick[hits > 1] += rng.integers(0, hits[hits > 1])
+    idx = np.full(len(seqs), -1)
+    idx[hits > 0] = cols[pick[hits > 0]]
+    return idx
 
 
 def enroll(codebook: Codebook, x_tilde_seq, rng=None):
@@ -268,27 +297,26 @@ def enroll(codebook: Codebook, x_tilde_seq, rng=None):
     x = np.asarray(x_tilde_seq)
     if x.shape != (codebook.n,):
         raise ValueError(f"expected a length-{codebook.n} sequence")
-    if rng is None:
-        rng = np.random.default_rng(codebook.seed)
-    idx = _enroll_index(codebook, x, rng)
+    idx = _enroll_block(codebook, x[None, :], rng or np.random.default_rng(codebook.seed))[0]
     if idx < 0:
         return 0, 0, True
     return int(codebook.bin_of[idx]), int(codebook.key_of[idx]), False
 
 
-def _decode(codebook: Codebook, y_seq: np.ndarray, j: int):
-    """(key, failed, hit_count, decoded_index or -1)."""
-    t = codebook.tables
-    members = codebook.bin_members(j)
-    if members.size == 0:
-        return 0, True, 0, -1
-    dens = t.an_table[codebook.codewords[members], np.asarray(y_seq)[None, :]].sum(axis=1)
-    qualify = dens >= codebook.decoder_threshold()
-    hits = np.flatnonzero(qualify)
-    if hits.size != 1:
-        return 0, True, int(hits.size), -1
-    idx = int(members[hits[0]])
-    return int(codebook.key_of[idx]), False, 1, idx
+def _decode_block(codebook: Codebook, ys: np.ndarray, bins: np.ndarray):
+    """(decoded codeword or -1, count of in-bin codewords passing the decoder
+    test) per observation `ys` with helper bin `bins`; decoded when unique."""
+    order, edges = codebook._bin_index
+    sizes = edges[bins + 1] - edges[bins]
+    trial = np.repeat(np.arange(len(bins)), sizes)
+    shift = edges[bins] - (np.cumsum(sizes) - sizes)  # bin start less the trial's first slot
+    members = order[np.arange(trial.size) + shift[trial]]
+    dens = codebook.tables.an_table[codebook.codewords[members], ys[trial]].sum(axis=1)
+    typical = dens >= codebook.decoder_threshold()
+    hits = np.bincount(trial[typical], minlength=len(bins))
+    decoded = np.full(len(bins), -1)
+    decoded[trial[typical]] = members[typical]    # kept where the member is unique
+    return np.where(hits == 1, decoded, -1), hits
 
 
 def authenticate(codebook: Codebook, y_seq, j: int):
@@ -300,8 +328,8 @@ def authenticate(codebook: Codebook, y_seq, j: int):
         raise ValueError(f"expected a length-{codebook.n} sequence")
     if not 0 <= j < codebook.m_j:
         raise ValueError(f"bin index {j} outside [0, {codebook.m_j})")
-    s_hat, failed, _, _ = _decode(codebook, y, j)
-    return s_hat, failed
+    idx = _decode_block(codebook, y[None, :], np.array([j]))[0][0]
+    return (0, True) if idx < 0 else (int(codebook.key_of[idx]), False)
 
 
 def _all_sequences(n: int) -> np.ndarray:
@@ -322,22 +350,29 @@ def _encoder_kernel(codebook: Codebook, seqs: np.ndarray) -> np.ndarray:
     """Exact encoder law P(s, j | xt-sequence), with the uniform choice among
     qualifying codewords marginalised; rows indexed by sequence, columns by
     the combined code s * m_j + j."""
-    t = codebook.tables
-    thr = codebook.encoder_threshold()
     sj_code = codebook.key_of * codebook.m_j + codebook.bin_of
     ncols = codebook.m_s * codebook.m_j
     out = np.zeros((len(seqs), ncols))
-    chunk = max(1, (1 << 22) // max(1, codebook.size * codebook.n))
-    for lo in range(0, len(seqs), chunk):
-        block = seqs[lo:lo + chunk]
-        dens = t.tn_table[block[:, None, :], codebook.codewords[None, :, :]].sum(axis=2)
-        rows, cols = np.nonzero(np.isfinite(dens) & (dens <= thr))
+    for blk in _blocks(codebook, len(seqs)):
+        rows, cols, hits = _encoder_hits(codebook, seqs[blk])
         counts = np.bincount(rows * ncols + sj_code[cols],
-                             minlength=len(block) * ncols).reshape(len(block), ncols)
-        hits = np.bincount(rows, minlength=len(block))
+                             minlength=hits.size * ncols).reshape(hits.size, ncols)
         counts[hits == 0, 0] = 1   # fallback (s, j) = (0, 0)
-        out[lo:lo + len(block)] = counts / np.maximum(hits, 1)[:, None]
+        out[blk] = counts / np.maximum(hits, 1)[:, None]
     return out
+
+
+def _check_exact(codebook: Codebook, config: SimConfig):
+    """SimLimitError unless exact leakage is within the enumeration limit and
+    its 4^n pair law and 2^n x m_s m_j encoder law fit in _MAX_CELLS."""
+    n = codebook.n
+    if n > config.exact_leakage_limit:
+        raise SimLimitError(f"n={n} exceeds exact enumeration limit "
+                            f"{config.exact_leakage_limit}")
+    cells = max(1 << 2 * n, (codebook.m_s * codebook.m_j) << n)
+    if cells > _MAX_CELLS:
+        raise SimLimitError(f"exact leakage at n={n} needs a table of 2^{math.log2(cells):g} "
+                            f"cells, over the cap of {_MAX_CELLS}")
 
 
 def exact_leakage(codebook: Codebook, model: AuthModel, config: SimConfig) -> dict:
@@ -354,10 +389,8 @@ def exact_leakage(codebook: Codebook, model: AuthModel, config: SimConfig) -> di
     the source sequence.
     """
     _require_binary(model)
+    _check_exact(codebook, config)
     n = codebook.n
-    if n > config.exact_leakage_limit:
-        raise SimLimitError(f"n={n} exceeds exact enumeration limit "
-                            f"{config.exact_leakage_limit}")
     t = codebook.tables
     seqs = _all_sequences(n)
     enc = _encoder_kernel(codebook, seqs)
@@ -464,6 +497,8 @@ def run_simulation(model: AuthModel, config: SimConfig,
             f"pass monte_carlo_only=True to skip exact leakage")
 
     codebook = generate_codebook(model, config)
+    if not monte_carlo_only:
+        _check_exact(codebook, config)
     t = codebook.tables
     rng = np.random.default_rng([config.seed, 1])
 
@@ -477,31 +512,25 @@ def run_simulation(model: AuthModel, config: SimConfig,
     thr_b = n * (t.i_x_u_given_z - config.gamma)
     thr_k = n * (t.i_xt_u_given_x - config.gamma)
 
-    errors = enc_fail = dec_fail = ambig = cw_err = bn_hits = kn_hits = 0
-    trace = [] if config.collect_trace else None
-    for i in range(trials):
-        idx = _enroll_index(codebook, xts[i], rng)
-        if idx < 0:
-            enc_fail += 1
-            j, s = 0, 0
-        else:
-            j, s = int(codebook.bin_of[idx]), int(codebook.key_of[idx])
-            cw = codebook.codewords[idx]
-            if t.bn_table[cw, xs[i], zs[i]].sum() >= thr_b:
-                bn_hits += 1
-            if t.kn_table[cw, xts[i], xs[i]].sum() >= thr_k:
-                kn_hits += 1
-        s_hat, failed, hits, decoded = _decode(codebook, ys[i], j)
-        if failed:
-            dec_fail += 1
-            if hits > 1:
-                ambig += 1
-        if decoded != idx:
-            cw_err += 1
-        if s_hat != s:
-            errors += 1
-        if trace is not None:
-            trace.append((i, j, s, s_hat, idx < 0, failed, hits > 1, s_hat != s))
+    blocks = []
+    for blk in _blocks(codebook, trials):
+        idx = _enroll_block(codebook, xts[blk], rng)
+        j = np.where(idx < 0, 0, codebook.bin_of[idx])
+        blocks.append((idx, j, *_decode_block(codebook, ys[blk], j)))
+    idx, j, decoded, hits = map(np.concatenate, zip(*blocks))
+
+    enrolled = idx >= 0
+    s = np.where(enrolled, codebook.key_of[idx], 0)
+    s_hat = np.where(decoded >= 0, codebook.key_of[decoded], 0)
+    cws = codebook.codewords[idx[enrolled]]
+    bn = t.bn_table[cws, xs[enrolled], zs[enrolled]].sum(axis=1) >= thr_b
+    kn = t.kn_table[cws, xts[enrolled], xs[enrolled]].sum(axis=1) >= thr_k
+    errors = int(np.count_nonzero(s_hat != s))
+    trace = (np.column_stack((np.arange(trials), j, s, s_hat, ~enrolled, decoded < 0,
+                              hits > 1, s_hat != s)).tolist() if config.collect_trace else None)
+
+    def share(mask) -> float:
+        return int(np.count_nonzero(mask)) / trials
 
     lo, hi = wilson_interval(errors, trials)
     report = SimReport(
@@ -510,11 +539,9 @@ def run_simulation(model: AuthModel, config: SimConfig,
         rates=codebook.rates, bijective_bins=config.bijective_bins,
         error_prob=errors / trials, error_count=errors,
         wilson_low=lo, wilson_high=hi,
-        encoder_failure_rate=enc_fail / trials,
-        decoder_failure_rate=dec_fail / trials,
-        decoder_ambiguity_rate=ambig / trials,
-        codeword_error_rate=cw_err / trials,
-        bn_rate=bn_hits / trials, kn_rate=kn_hits / trials,
+        encoder_failure_rate=share(~enrolled), decoder_failure_rate=share(decoded < 0),
+        decoder_ambiguity_rate=share(hits > 1), codeword_error_rate=share(decoded != idx),
+        bn_rate=share(bn), kn_rate=share(kn),
         exact_computed=False, trace=trace,
     )
 

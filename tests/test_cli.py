@@ -358,6 +358,13 @@ MALFORMED = [
     ("classify", DEGRADED_CFG, "classifier_trials", -4, "classifier_trials", []),
     ("classify", DEGRADED_CFG, None, None, "classifier_trials", ["--samples", "0"]),
     ("compare", DEGRADED_CFG, "sampler.u_sizes", [9], "u_sizes", []),
+    ("simulate", SIM_CFG, "simulator.max_codebook_size", 0, "max_codebook_size", []),
+] + [
+    # every command that classifies reads classifier_trials, not only classify
+    (command, base, "classifier_trials", value, "classifier_trials", [])
+    for command, base in (("region", BINARY_CFG), ("region", DEGRADED_CFG),
+                          ("simulate", SIM_CFG), ("compare", DEGRADED_CFG))
+    for value in ("x", -4)
 ]
 
 
@@ -394,6 +401,26 @@ def test_size_over_cap_exits_3(tmp_path, capsys, command, base, path, value, nam
     assert name in capsys.readouterr().err
 
 
+# Simulator sizes just above their caps, rejected before any trial or table is
+# allocated: key and bin counts 2^21 (max_codebook_size 2^20), exact-leakage
+# laws of 2^26 cells (2^4 x 2^12 x 2^10, and 4^13), trials x n = 34,000,000.
+SIM_OVER_CAP = [
+    ({"rate_overrides": {"r_j": 5.25, "r_s": 0.0}}, "m_j", []),
+    ({"rate_overrides": {"r_j": 0.0, "r_s": 5.25}}, "m_s", []),
+    ({"rate_overrides": {"r_j": 3.0, "r_s": 2.5}}, "exact leakage", []),
+    ({"n": 13, "exact_leakage_limit": 13}, "exact leakage", []),
+    ({"n": 34, "trials": CAP}, "trials x n", ["--monte-carlo-only"]),
+]
+
+
+@pytest.mark.parametrize("fields, name, extra", SIM_OVER_CAP,
+                         ids=[" ".join(f"{k}={v}" for k, v in c[0].items()) for c in SIM_OVER_CAP])
+def test_simulator_size_over_cap_exits_6(tmp_path, capsys, fields, name, extra):
+    cfg = {**SIM_CFG, "simulator": {**SIM_CFG["simulator"], **fields}}
+    assert run_config(tmp_path, "simulate", cfg, *extra) == 6
+    assert name in capsys.readouterr().err
+
+
 def field_paths(cfg, prefix=""):
     """Dotted paths of every field of `cfg`, blocks and the fields inside them."""
     for key, value in cfg.items():
@@ -403,13 +430,12 @@ def field_paths(cfg, prefix=""):
             yield from field_paths(value, path + ".")
 
 
-# Every field of the base configs under every command that reads them.  The
-# simulator base leaves out rate_overrides: their key and bin counts are not
-# capped, and exact leakage allocates 2^n x 2^(n (r_s + r_j)) floats.
+# Every field of the base configs under every command that reads them.
 PROPERTY_BASES = [
     (cmd, {**SIM_CFG, "unit": "nats", "sampler": DEGRADED_CFG["sampler"], "compare_pairs": 5,
            "simulator": {**SIM_CFG["simulator"], "exact_leakage_limit": 10,
-                         "max_codebook_size": 256, "bijective_bins": False, "trace": True}})
+                         "max_codebook_size": 256, "bijective_bins": False, "trace": True,
+                         "rate_overrides": {"r_j": 0.5, "r_s": 0.25}}})
     for cmd in ("classify", "region", "simulate", "compare")
 ] + [(cmd, {**DEGRADED_CFG, "unit": "bits"}) for cmd in ("classify", "region", "compare")] + [
     (cmd, {**GAUSSIAN_CFG, "seed": 2, "gaussian": {**GAUSSIAN_CFG["gaussian"], "alpha_grid": 20,
@@ -420,14 +446,13 @@ PROPERTY_CASES = [(cmd, base, path) for cmd, base in PROPERTY_BASES
 BLOCKS = {"binary", "gaussian", "sampler", "simulator", "simulator.test_channel"}
 
 # Small counts and steps of at least 0.05 keep every example cheap; the cap
-# test above covers large values.  Object keys never spell "r_j"/"r_s", for the
-# reason given above PROPERTY_BASES.
+# tests above cover large values.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 20)
     | st.integers(-60, 60).map(lambda k: k / 20) | st.text(max_size=4)
     | st.sampled_from(["bits", "nats"]),
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(["bsc", "p", "x", "n"]), inner, max_size=2),
+    | st.dictionaries(st.sampled_from(["bsc", "p", "x", "n", "r_j", "r_s"]), inner, max_size=2),
     max_leaves=6)
 
 

@@ -18,8 +18,8 @@ from authcap import (
     run_simulation,
     wilson_interval,
 )
-from authcap.protocol import (ProtocolTables, _all_sequences, _encoder_kernel,
-                              _product_law, hash_index)
+from authcap.protocol import (_MAX_CELLS, ProtocolTables, SimReport, _all_sequences, _blocks,
+                              _encoder_kernel, _product_law, _sample_through, hash_index)
 
 
 def hb(x):
@@ -225,6 +225,39 @@ def test_codebook_cap():
                     trials=1, max_codebook_size=100)
     with pytest.raises(SimLimitError):
         generate_codebook(m, cfg)
+
+
+def test_simulator_caps_reject_before_allocating(monkeypatch):
+    # each size is just above its cap; nothing of that size is allocated
+    m = hsm_model()
+    with pytest.raises(ValueError, match="max_codebook_size") as err:
+        SimConfig(n=4, test_channel=Channel.bsc(0.1), max_codebook_size=0)
+    assert not isinstance(err.value, SimLimitError)
+    SimConfig(n=32, test_channel=Channel.bsc(0.1), trials=_MAX_CELLS // 32)
+    with pytest.raises(SimLimitError, match="trials x n"):
+        SimConfig(n=32, test_channel=Channel.bsc(0.1), trials=_MAX_CELLS // 32 + 1)
+
+    # key and bin counts 2^7 against max_codebook_size 2^6
+    for ro, what in (((0.5, 7 / 8), "m_s"), ((7 / 8, 0.25), "m_j")):
+        with pytest.raises(SimLimitError, match=what):
+            generate_codebook(m, SimConfig(n=8, test_channel=Channel.bsc(0.1), trials=1,
+                                           rate_overrides=ro, max_codebook_size=64))
+    # a codebook of just over _MAX_CELLS / n codewords, under max_codebook_size
+    n, i_xt_u = 33, ProtocolTables(m, Channel.bsc(0.1)).i_xt_u
+    gamma = (math.log2(_MAX_CELLS // n) + 0.01 - n * i_xt_u) / (2 * n)
+    with pytest.raises(SimLimitError, match="codebook size"):
+        generate_codebook(m, SimConfig(n=n, test_channel=Channel.bsc(0.1), gamma=gamma,
+                                       trials=1, max_codebook_size=1 << 40))
+
+    # exact leakage: a 4^13 pair law, and a 2^10 x 2^16 encoder law (2^26 cells)
+    monkeypatch.setattr("authcap.protocol._sample_through", pytest.fail)
+    for n, ro in ((13, None), (10, (1.0, 0.6))):
+        cfg = SimConfig(n=n, test_channel=Channel.bsc(0.1), gamma=0.1, trials=10,
+                        rate_overrides=ro, exact_leakage_limit=13)
+        with pytest.raises(SimLimitError, match="exact leakage"):
+            exact_leakage(generate_codebook(m, cfg), m, cfg)
+        with pytest.raises(SimLimitError, match="exact leakage"):
+            run_simulation(m, cfg)     # before any trial is sampled
 
 
 def test_codebook_deterministic():
@@ -472,6 +505,163 @@ def test_injective_binning_leaks_key():
         book_i = generate_codebook(m, cfg_i)
         injective_leaks.append(exact_leakage(book_i, m, cfg_i)["secrecy_leakage_bits"])
     assert np.mean(injective_leaks) > np.mean(uniform_leaks) + 0.1
+
+
+# ---------------------------------------------------------------------------
+# Per-trial reference: the encoder, the decoder and the trial loop as they
+# were before the simulator ran them over blocks of trials
+# ---------------------------------------------------------------------------
+
+def ref_enroll_index(codebook, x_tilde_seq, rng) -> int:
+    """Index of the selected codeword, or -1 when none qualifies."""
+    t = codebook.tables
+    dens = t.tn_table[np.asarray(x_tilde_seq)[None, :], codebook.codewords].sum(axis=1)
+    qualify = np.isfinite(dens) & (dens <= codebook.encoder_threshold())
+    hits = np.flatnonzero(qualify)
+    if hits.size == 0:
+        return -1
+    if hits.size == 1:
+        return int(hits[0])
+    return int(rng.choice(hits))
+
+
+def ref_decode(codebook, y_seq, j):
+    """(key, failed, hit_count, decoded_index or -1)."""
+    t = codebook.tables
+    members = codebook.bin_members(j)
+    if members.size == 0:
+        return 0, True, 0, -1
+    dens = t.an_table[codebook.codewords[members], np.asarray(y_seq)[None, :]].sum(axis=1)
+    qualify = dens >= codebook.decoder_threshold()
+    hits = np.flatnonzero(qualify)
+    if hits.size != 1:
+        return 0, True, int(hits.size), -1
+    idx = int(members[hits[0]])
+    return int(codebook.key_of[idx]), False, 1, idx
+
+
+def ref_run_simulation(model, config):
+    """run_simulation(..., monte_carlo_only=True) with one trial at a time."""
+    codebook = generate_codebook(model, config)
+    t = codebook.tables
+    rng = np.random.default_rng([config.seed, 1])
+
+    n, trials = config.n, config.trials
+    xs = _sample_through(rng, model.px.probs[None, :],
+                         np.zeros((trials, n), dtype=np.int64))
+    xts = _sample_through(rng, model.ec.matrix, xs)
+    ys = _sample_through(rng, model.ac_y.matrix, xs)
+    zs = _sample_through(rng, model.ac_z.matrix, xs)
+
+    thr_b = n * (t.i_x_u_given_z - config.gamma)
+    thr_k = n * (t.i_xt_u_given_x - config.gamma)
+
+    errors = enc_fail = dec_fail = ambig = cw_err = bn_hits = kn_hits = 0
+    trace = [] if config.collect_trace else None
+    for i in range(trials):
+        idx = ref_enroll_index(codebook, xts[i], rng)
+        if idx < 0:
+            enc_fail += 1
+            j, s = 0, 0
+        else:
+            j, s = int(codebook.bin_of[idx]), int(codebook.key_of[idx])
+            cw = codebook.codewords[idx]
+            if t.bn_table[cw, xs[i], zs[i]].sum() >= thr_b:
+                bn_hits += 1
+            if t.kn_table[cw, xts[i], xs[i]].sum() >= thr_k:
+                kn_hits += 1
+        s_hat, failed, hits, decoded = ref_decode(codebook, ys[i], j)
+        if failed:
+            dec_fail += 1
+            if hits > 1:
+                ambig += 1
+        if decoded != idx:
+            cw_err += 1
+        if s_hat != s:
+            errors += 1
+        if trace is not None:
+            trace.append((i, j, s, s_hat, idx < 0, failed, hits > 1, s_hat != s))
+
+    lo, hi = wilson_interval(errors, trials)
+    return SimReport(
+        n=n, seed=config.seed, gamma=config.gamma, trials=trials,
+        codebook_size=codebook.size, m_s=codebook.m_s, m_j=codebook.m_j,
+        rates=codebook.rates, bijective_bins=config.bijective_bins,
+        error_prob=errors / trials, error_count=errors,
+        wilson_low=lo, wilson_high=hi,
+        encoder_failure_rate=enc_fail / trials,
+        decoder_failure_rate=dec_fail / trials,
+        decoder_ambiguity_rate=ambig / trials,
+        codeword_error_rate=cw_err / trials,
+        bn_rate=bn_hits / trials, kn_rate=kn_hits / trials,
+        exact_computed=False, trace=trace,
+    )
+
+
+TERNARY_TEST = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]]))
+
+
+def test_batched_simulation_matches_per_trial_reference():
+    m = hsm_model()
+    configs = [
+        # 4096 codewords: 2,000 trials span 20 blocks
+        SimConfig(n=10, test_channel=Channel.identity(2), gamma=0.1, seed=0, trials=2_000,
+                  collect_trace=True),
+        SimConfig(n=8, test_channel=Channel.bsc(0.1), gamma=0.1, seed=1, trials=500,
+                  bijective_bins=True, collect_trace=True),
+        # 512 bins for 148 codewords: bin 0, the fallback bin, is empty
+        SimConfig(n=6, test_channel=Channel.identity(2), gamma=0.1, seed=1, trials=500,
+                  rate_overrides=(1.5, 0.5), collect_trace=True),
+        SimConfig(n=6, test_channel=TERNARY_TEST, gamma=0.1, seed=2, trials=500,
+                  collect_trace=True),
+        SimConfig(n=8, test_channel=Channel.bsc(0.05), gamma=0.02, seed=3, trials=500,
+                  rate_overrides=(0.5, 0.25), collect_trace=True),
+    ]
+    totals = {"blocks": 0, "fallback": 0, "empty": 0, "ambiguous": 0}
+    for cfg in configs:
+        ref = ref_run_simulation(m, cfg)
+        got = run_simulation(m, cfg, monte_carlo_only=True)
+        assert json.dumps(got.to_json_dict(), sort_keys=True) == \
+            json.dumps(ref.to_json_dict(), sort_keys=True)
+        assert got.trace_csv_text() == ref.trace_csv_text()
+
+        book = generate_codebook(m, cfg)
+        totals["blocks"] = max(totals["blocks"], len(_blocks(book, cfg.trials)))
+        totals["fallback"] += sum(row[4] for row in ref.trace)
+        totals["empty"] += sum(book.bin_members(row[1]).size == 0 for row in ref.trace)
+        totals["ambiguous"] += sum(row[6] for row in ref.trace)
+    # every path of the encoder and the decoder was reached
+    assert totals["blocks"] >= 2 and min(totals.values()) > 0
+
+
+def test_enroll_authenticate_match_per_sequence_reference():
+    # one call at a time: no, one or several qualifying codewords (a uniform
+    # draw), and empty bins, unique and ambiguous decodes
+    m = hsm_model()
+    rng = np.random.default_rng(31)
+    seen = set()
+    for test, ro in ((Channel.bsc(0.1), None), (Channel.identity(2), (1.5, 0.5)),
+                     (TERNARY_TEST, None)):
+        book = generate_codebook(m, SimConfig(n=6, test_channel=test, gamma=0.1, seed=1,
+                                              trials=1, rate_overrides=ro))
+        for _ in range(200):
+            x = rng.integers(0, 2, size=6)
+            y = rng.integers(0, m.ac_y.num_outputs, size=6)
+            j = int(rng.integers(0, book.m_j))
+            seed = int(rng.integers(0, 1 << 16))
+            ref_rng = np.random.default_rng(seed)
+            idx = ref_enroll_index(book, x, ref_rng)
+            want = (0, 0, True) if idx < 0 else (int(book.bin_of[idx]),
+                                                 int(book.key_of[idx]), False)
+            assert enroll(book, x, rng=np.random.default_rng(seed)) == want
+            drew = ref_rng.random() != np.random.default_rng(seed).random()
+            seen.add("drawn" if drew else "fallback" if idx < 0 else "single")
+
+            s_hat, failed, hits, _ = ref_decode(book, y, j)
+            assert authenticate(book, y, j) == (s_hat, failed)
+            seen.add("empty bin" if book.bin_members(j).size == 0 else f"{min(hits, 2)} typical")
+    assert seen == {"drawn", "fallback", "single", "empty bin", "0 typical", "1 typical",
+                    "2 typical"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,59 @@
+"""Record what every CLI command does on every shipped config.
+
+    cd CHECKOUT && python path/to/tools/cli_snapshot.py OUTDIR
+
+Runs `python -m authcap.cli COMMAND --config configs/NAME.json` for each
+command (classify, region, figures, simulate, compare) and each
+`configs/*.json` of the checkout in the current directory, with that
+checkout's `src` first on PYTHONPATH.  Each run gets a directory
+OUTDIR/NAME/COMMAND holding `exit_code`, `stdout`, `stderr` and, under
+`out/`, the files the command wrote.  Snapshots of two checkouts, such as a
+commit and its parent, compare with one `diff -r`.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+COMMANDS = ("classify", "region", "figures", "simulate", "compare")
+
+
+def snapshot(checkout: Path, outdir: Path):
+    pythonpath = [str(checkout / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    for config in sorted((checkout / "configs").glob("*.json")):
+        for command in COMMANDS:
+            run_dir = outdir / config.stem / command
+            run_dir.mkdir(parents=True)
+            argv = [sys.executable, "-m", "authcap.cli", command,
+                    "--config", str(config.relative_to(checkout))]
+            if command != "classify":
+                argv += ["--out", str(run_dir / "out")]
+            proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True)
+            (run_dir / "exit_code").write_text(f"{proc.returncode}\n")
+            (run_dir / "stdout").write_bytes(proc.stdout)
+            (run_dir / "stderr").write_bytes(proc.stderr)
+            print(f"{config.name} {command}: exit {proc.returncode}")
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    checkout, outdir = Path.cwd(), Path(argv[0]).resolve()
+    if not (checkout / "configs").is_dir() or not (checkout / "src" / "authcap").is_dir():
+        print(f"error: {checkout} is not an authcap checkout (configs/, src/authcap/)",
+              file=sys.stderr)
+        return 2
+    if outdir.exists() and any(outdir.iterdir()):
+        print(f"error: {outdir} is not empty", file=sys.stderr)
+        return 2
+    snapshot(checkout, outdir)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
