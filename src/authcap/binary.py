@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .classifier import classify_ac
 from .infotheory import (
@@ -107,6 +106,8 @@ def closed_form_region(params: BinaryModelParams, classifier_trials: int = 20_00
     lo = max(0.0, betas[best] - params.beta_step)
     hi = min(0.5, betas[best] + params.beta_step)
     if hi > lo:
+        from scipy import optimize
+
         res = optimize.minimize_scalar(
             lambda b: -closed_form_corner(params, float(b)).rs,
             bounds=(lo, hi), method="bounded",
@@ -152,9 +153,9 @@ def entropy_convolution_check(model: AuthModel, test: Channel) -> bool:
     if test.num_inputs != 2:
         raise ValueError("test channel must act on the binary enrollment alphabet")
 
-    laws = _chain_laws(model, test.matrix)
-    h_u = _entropy_nats(laws.p_u)
-    h_x_u, h_z_u, h_a_u = ((_entropy_nats(j) - h_u) / LN2
+    laws = _chain_laws(model, test.matrix[None])
+    h_u = _entropy_nats(laws.p_u[0])
+    h_x_u, h_z_u, h_a_u = ((_entropy_nats(j[0]) - h_u) / LN2
                            for j in (laws.p_xu, laws.p_zu, laws.p_au))
 
     m = binary_entropy_inverse(min(1.0, max(0.0, h_x_u)))

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .infotheory import AlphabetMismatchError, Channel, _entropy_nats
 
@@ -159,6 +158,8 @@ def is_stochastically_degraded(candidate: Channel, reference: Channel) -> Channe
         a_eq[b, b * nc:(b + 1) * nc] = 1.0
     b_eq = np.ones(nb)
 
+    from scipy import optimize
+
     res = optimize.linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                            bounds=[(0, None)] * (nb * nc) + [(0, None)],
                            method="highs")
@@ -266,6 +267,8 @@ def is_more_capable(better: Channel, worse: Channel,
     def objective(logits):
         w = np.exp(logits - logits.max())
         return gap_one(w / w.sum())
+
+    from scipy import optimize
 
     x0 = np.log(best_p + 1e-9)
     res = optimize.minimize(objective, x0, method="Nelder-Mead",

@@ -80,7 +80,34 @@ def _entropy_nats(p: np.ndarray, axis: int = None):
     if axis is None:
         q = p[p > ZERO_EPS]
         return float(-(q * np.log(q)).sum())
-    return -(p * np.log(np.where(p > ZERO_EPS, p, 1.0))).sum(axis=axis)
+    return np.add.reduce(_neg_entropy_terms(p), axis=axis)
+
+
+def _neg_entropy_terms(p: np.ndarray) -> np.ndarray:
+    """-p log p per cell, 0 where p <= ZERO_EPS."""
+    return -(p * np.log(np.where(p > ZERO_EPS, p, 1.0)))
+
+
+def _channel_stack(matrices) -> np.ndarray:
+    """Read-only copy of a stack m[..., inputs, outputs] of row-stochastic
+    matrices, checked as Channel checks one (finite entries, none below
+    -MASS_TOL, every row summing to 1 within MASS_TOL) and clipped at 0.
+    Rows in errors are counted across the stack."""
+    m = np.asarray(matrices, dtype=float)
+    _check_entries(m, "channel")
+    bad = np.abs(m.sum(axis=-1) - 1.0) > MASS_TOL
+    if np.any(bad):
+        raise InvalidDistributionError(
+            f"rows {np.flatnonzero(bad).tolist()} do not sum to 1 within {MASS_TOL}"
+        )
+    return _as_readonly(np.clip(m, 0.0, None))
+
+
+def _blocks(rows: int, row_cells: int) -> list:
+    """Slices of `rows` rows in blocks of at most 2^22 cells (32 MB of
+    float64) when each row takes `row_cells` cells."""
+    step = max(1, (1 << 22) // row_cells)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 @dataclass
@@ -117,14 +144,15 @@ class Channel:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise InvalidDistributionError("channel matrix must be 2-D and nonempty")
-        _check_entries(m, "channel")
-        rows = m.sum(axis=1)
-        bad = np.abs(rows - 1.0) > MASS_TOL
-        if np.any(bad):
-            raise InvalidDistributionError(
-                f"rows {np.nonzero(bad)[0].tolist()} do not sum to 1 within {MASS_TOL}"
-            )
-        self.matrix = _as_readonly(np.clip(m, 0.0, None))
+        self.matrix = _channel_stack(m)
+
+    @classmethod
+    def _of_checked(cls, matrix: np.ndarray) -> "Channel":
+        """Channel over one matrix of a `_channel_stack` result, which is
+        not checked again."""
+        channel = object.__new__(cls)
+        channel.matrix = matrix
+        return channel
 
     @property
     def num_inputs(self) -> int:
@@ -211,19 +239,40 @@ def _marginal_entropy_nats(probs: np.ndarray, keep) -> float:
     return _entropy_nats(p)
 
 
-def _clamp_mi(value_nats: float) -> float:
-    if value_nats < -NEGATIVE_MI_TOL:
+def _marginal_entropies_nats(probs: np.ndarray, drops) -> list:
+    """Entropies in nats of marginals of a stack of joints probs[b, ...]:
+    one array over the stack per tuple of `drops`, the axes summed out.
+    The cells of all marginals share one pass of `_neg_entropy_terms`; each
+    marginal's terms are then summed in C order, as `_marginal_entropy_nats`
+    sums its flattened cells."""
+    margs = [np.add.reduce(probs, axis=drop).reshape(len(probs), -1) for drop in drops]
+    terms = _neg_entropy_terms(np.concatenate(margs, axis=1))
+    ends = np.cumsum([m.shape[1] for m in margs]).tolist()
+    return [np.add.reduce(terms[:, end - m.shape[1]:end], axis=1)
+            for m, end in zip(margs, ends)]
+
+
+def _clamp_mi(value_nats):
+    """A mutual information (a float, or an array of them) clamped at 0;
+    MalformedJointError if any is below -NEGATIVE_MI_TOL."""
+    value_nats = np.asarray(value_nats)
+    worst = value_nats.min()
+    if worst < -NEGATIVE_MI_TOL:
         raise MalformedJointError(
-            f"mutual information {value_nats} nats below -{NEGATIVE_MI_TOL}; joint is malformed"
+            f"mutual information {worst} nats below -{NEGATIVE_MI_TOL}; joint is malformed"
         )
-    return max(0.0, value_nats)
+    clamped = np.where(value_nats > 0.0, value_nats, 0.0)
+    return clamped if clamped.ndim else float(clamped)
 
 
-def _mi2_nats(j: np.ndarray) -> float:
-    """Mutual information between the row and column variables of a 2-D
-    joint array, nats."""
-    return _clamp_mi(_entropy_nats(j.sum(axis=1)) + _entropy_nats(j.sum(axis=0))
-                     - _entropy_nats(j))
+def _mi2_nats(j: np.ndarray):
+    """Mutual information in nats between the row and column variables of a
+    2-D joint array (a float), or of each joint of a stack j[..., rows, cols]
+    (an array)."""
+    stacked = j.ndim > 2
+    return _clamp_mi(_entropy_nats(j.sum(axis=-1), axis=-1 if stacked else None)
+                     + _entropy_nats(j.sum(axis=-2), axis=-1 if stacked else None)
+                     - _entropy_nats(j, axis=(-2, -1) if stacked else None))
 
 
 def _cmi_nats(probs: np.ndarray, axes_a, axes_b, axes_c) -> float:

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .infotheory import Channel, LN2, _cmi_nats, _entropy_nats, _mi2_nats
+from .infotheory import Channel, LN2, _blocks, _cmi_nats, _entropy_nats, _mi2_nats
 from .regions import AuthModel, _chain_laws, _one_aux_infos_nats
 
 WILSON_Z_95 = 1.959963984540054
@@ -100,10 +100,10 @@ class ProtocolTables:
         t = test.matrix
 
         self.nu = test.num_outputs
-        laws = _chain_laws(model, t)
-        p_xa, p_au, p_xu = laws.p_xa, laws.p_au, laws.p_xu
+        laws = _chain_laws(model, t[None])
+        p_xa, p_au, p_xu = laws.p_xa, laws.p_au[0], laws.p_xu[0]
         self.p_xt = laws.p_xt
-        self.p_u = laws.p_u
+        self.p_u = laws.p_u[0]
 
         rev_test = _conditional(p_au.T, self.p_u[:, None])
         rev_ec = _conditional(p_xa.T, self.p_xt[:, None])
@@ -116,7 +116,7 @@ class ProtocolTables:
         self.tn_table = _log_ratio(t, self.p_u[None, :])          # [xt, u]
         self.an_table = _log_ratio(self.ch_y_u, self.p_y[None, :])  # [u, y]
 
-        i_xt_u, i_y_u, i_z_u, _ = _one_aux_infos_nats(laws)
+        i_xt_u, i_y_u, i_z_u, _ = (float(v[0]) for v in _one_aux_infos_nats(laws))
         self.i_xt_u, self.i_y_u, self.i_z_u, self.i_xz = (
             v / LN2 for v in (i_xt_u, i_y_u, i_z_u, model.i_xz_nats()))
 
@@ -156,8 +156,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("blocklength n must be >= 1")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be > 0")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if self.rate_overrides is not None and not all(map(math.isfinite, self.rate_overrides)):
+            raise ValueError(f"rate_overrides must be finite, got {self.rate_overrides}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.max_codebook_size < 1:
@@ -260,12 +262,6 @@ def generate_codebook(model: AuthModel, config: SimConfig) -> Codebook:
                     config.gamma, config.seed, rates, t)
 
 
-def _blocks(codebook: Codebook, rows: int) -> list:
-    """Slices of `rows` sequences in blocks of at most 2^22 density cells (32 MB)."""
-    step = max(1, (1 << 22) // (codebook.size * codebook.n))
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
 def _encoder_hits(codebook: Codebook, seqs: np.ndarray):
     """(rows, cols, hits): the (sequence, codeword) pairs of the block `seqs`
     that pass the encoder test, in row-major order, and the count per row."""
@@ -353,7 +349,7 @@ def _encoder_kernel(codebook: Codebook, seqs: np.ndarray) -> np.ndarray:
     sj_code = codebook.key_of * codebook.m_j + codebook.bin_of
     ncols = codebook.m_s * codebook.m_j
     out = np.zeros((len(seqs), ncols))
-    for blk in _blocks(codebook, len(seqs)):
+    for blk in _blocks(len(seqs), codebook.size * codebook.n):
         rows, cols, hits = _encoder_hits(codebook, seqs[blk])
         counts = np.bincount(rows * ncols + sj_code[cols],
                              minlength=hits.size * ncols).reshape(hits.size, ncols)
@@ -513,7 +509,7 @@ def run_simulation(model: AuthModel, config: SimConfig,
     thr_k = n * (t.i_xt_u_given_x - config.gamma)
 
     blocks = []
-    for blk in _blocks(codebook, trials):
+    for blk in _blocks(trials, codebook.size * codebook.n):
         idx = _enroll_block(codebook, xts[blk], rng)
         j = np.where(idx < 0, 0, codebook.bin_of[idx])
         blocks.append((idx, j, *_decode_block(codebook, ys[blk], j)))

@@ -24,8 +24,10 @@ from .infotheory import (
     DiscreteDistribution,
     InfoUnit,
     JointDistribution,
+    _blocks,
+    _channel_stack,
     _clamp_mi,
-    _marginal_entropy_nats,
+    _marginal_entropies_nats,
     _mi2_nats,
 )
 
@@ -110,37 +112,40 @@ class AuthModel:
 
 
 class _ChainLaws(NamedTuple):
-    """Pairwise laws of the chain U - Xt - X - (Y, Z) for one test channel."""
+    """Pairwise laws of the chain U - Xt - X - (Y, Z) for a stack of test
+    channels; the laws after p_xt have a leading stack axis."""
 
     p_xa: np.ndarray   # joint (X, Xt)
     p_xt: np.ndarray   # marginal of Xt
-    p_au: np.ndarray   # joint (Xt, U)
-    p_u: np.ndarray    # marginal of U
-    p_xu: np.ndarray   # joint (X, U)
-    p_yu: np.ndarray   # joint (Y, U)
-    p_zu: np.ndarray   # joint (Z, U)
+    p_au: np.ndarray   # joints (Xt, U)
+    p_u: np.ndarray    # marginals of U
+    p_xu: np.ndarray   # joints (X, U)
+    p_yu: np.ndarray   # joints (Y, U)
+    p_zu: np.ndarray   # joints (Z, U)
 
 
-def _chain_laws(model: AuthModel, test_matrix: np.ndarray) -> _ChainLaws:
-    """Close the chain over a test channel matrix on the enrollment alphabet."""
+def _chain_laws(model: AuthModel, tests: np.ndarray) -> _ChainLaws:
+    """Close the chain over a stack tests[b, xt, u] of test-channel matrices
+    on the enrollment alphabet."""
     p_xa = model._p_xa
     p_xt = p_xa.sum(axis=0)
-    p_au = p_xt[:, None] * test_matrix
-    p_xu = p_xa @ test_matrix
-    return _ChainLaws(p_xa, p_xt, p_au, p_au.sum(axis=0), p_xu,
+    p_au = p_xt[:, None] * tests
+    p_xu = p_xa @ tests
+    return _ChainLaws(p_xa, p_xt, p_au, p_au.sum(axis=1), p_xu,
                       model.ac_y.matrix.T @ p_xu, model.ac_z.matrix.T @ p_xu)
 
 
 def _joint_array(model: AuthModel, test_matrix: np.ndarray,
                  z_given_y: np.ndarray = None) -> np.ndarray:
-    """Five-axis joint array (U, Xt, X, Y, Z) of the auxiliary chain.
+    """Five-axis joint array (U, Xt, X, Y, Z) of the auxiliary chain, behind
+    the leading (stack) axes of `test_matrix` if it has any.
 
     Z is drawn from the source through the eavesdropper's channel, or from
     the main observation through `z_given_y` when that is given.
     """
     z = (model.ac_z.matrix[None, None, :, None, :] if z_given_y is None
          else z_given_y[None, None, None, :, :])
-    return (test_matrix.T[:, :, None, None, None]
+    return (np.swapaxes(test_matrix, -1, -2)[..., None, None, None]
             * model._p_xa.T[None, :, :, None, None]
             * model.ac_y.matrix[None, None, :, :, None]
             * z)
@@ -226,33 +231,89 @@ def _jsonable(v):
 # ---------------------------------------------------------------------------
 
 def _one_aux_infos_nats(laws: _ChainLaws):
-    """(I(U;Xt), I(U;Y), I(U;Z), I(U;X)) in nats.
+    """(I(U;Xt), I(U;Y), I(U;Z), I(U;X)) in nats, each an array over the
+    stack of test channels.
 
     Every one-auxiliary quantity reduces to pairwise mutual informations
-    along the chain, so only small 2-D joints are formed.
+    along the chain, so only small 2-D joints are formed; joints with the
+    same number of rows go through one `_mi2_nats` call.
     """
-    return (_mi2_nats(laws.p_au), _mi2_nats(laws.p_yu),
-            _mi2_nats(laws.p_zu), _mi2_nats(laws.p_xu))
+    joints = (laws.p_au, laws.p_yu, laws.p_zu, laws.p_xu)
+    infos = [None] * len(joints)
+    for rows in {j.shape[1] for j in joints}:
+        which = [k for k, j in enumerate(joints) if j.shape[1] == rows]
+        for k, mi in zip(which, _mi2_nats(np.array([joints[k] for k in which]))):
+            infos[k] = mi
+    return tuple(infos)
 
 
-def _one_aux_rates_nats(model: AuthModel, test_matrix: np.ndarray):
-    """(rs_raw, rj, rl) in nats for a test channel matrix over the
-    enrollment-observation alphabet."""
-    i_u_xt, i_u_y, i_u_z, i_u_x = _one_aux_infos_nats(_chain_laws(model, test_matrix))
+def _one_aux_rates_nats(model: AuthModel, tests: np.ndarray):
+    """(rs_raw, rj, rl) in nats, each an array over a stack tests[b, xt, u]
+    of test channels on the enrollment-observation alphabet."""
+    i_u_xt, i_u_y, i_u_z, i_u_x = _one_aux_infos_nats(_chain_laws(model, tests))
     rj = _clamp_mi(i_u_xt - i_u_y)
     rl = i_u_x - i_u_y + model.i_xz_nats()
-    return i_u_y - i_u_z, rj, max(0.0, rl)
+    return i_u_y - i_u_z, rj, np.where(rl > 0.0, rl, 0.0)
 
 
-def _rate_corner(rates_nats, unit: InfoUnit, test_channel: Channel,
+def _two_aux_marginal_drops():
+    """Axes of the stacked joints (B, V, U, Xt, X, Y, Z) to sum out for each
+    marginal `_two_aux_rates_nats` reads, in the order it unpacks them."""
+    V, U, A, X, Y, Z = range(6)
+    keeps = ((V,), (V, U), (V, Y), (V, Z), (V, U, Y), (V, U, Z), (Y,), (U, Y), (A, Y),
+             (U, A, Y), (V, X), (X,), (U, X, Y), (V, X, Y), (V, X, Z))
+    return tuple(tuple(i + 1 for i in range(6) if i not in keep) for keep in keeps)
+
+
+_TWO_AUX_DROPS = _two_aux_marginal_drops()
+
+
+def _two_aux_rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray):
+    """(rs_raw, rj, rl) in nats, each an array over stacks tu[b, xt, u] and
+    tv[b, u, v] of test-channel pairs, from the explicit joints
+    (V, U, Xt, X, Y, Z): the chain's joint with a V axis added."""
+    arr = np.swapaxes(tv, 1, 2)[..., None, None, None, None] * _joint_array(model, tu)[:, None]
+    (h_v, h_uv, h_vy, h_vz, h_vuy, h_vuz, h_y, h_uy, h_ay, h_uay,
+     h_xv, h_x, h_uxy, h_vxy, h_vxz) = _marginal_entropies_nats(arr, _TWO_AUX_DROPS)
+
+    i_y_u_given_v, i_z_u_given_v, rj, i_x_uy, i_x_y_given_v, i_x_z_given_v = _clamp_mi(
+        np.array([h_vy + h_uv - h_vuy - h_v, h_vz + h_uv - h_vuz - h_v,
+                  h_ay + h_uy - h_uay - h_y, h_x + h_uy - h_uxy,
+                  h_xv + h_vy - h_vxy - h_v, h_xv + h_vz - h_vxz - h_v]))
+
+    rs_raw = i_y_u_given_v - i_z_u_given_v
+    rl = i_x_uy - i_x_y_given_v + i_x_z_given_v
+    return rs_raw, rj, np.where(rl > 0.0, rl, 0.0)
+
+
+def _rates(model: AuthModel, unit: InfoUnit, tu: np.ndarray,
+           tv: np.ndarray = None) -> np.ndarray:
+    """Rates of a stack tu[b, xt, u] of test channels, one-auxiliary, or
+    two-auxiliary with tv[b, u, v] the channels to V: a (B, 4) array of
+    (rs clamped at 0, rj, rl, unclamped rs) in `unit`.  Evaluated in blocks
+    of at most 2^22 cells of the joints a row needs (the four pairwise
+    joints, or the six-axis joint)."""
+    ny, nz = model.ac_y.num_outputs, model.ac_z.num_outputs
+    if tv is None:
+        kernel, stacks = _one_aux_rates_nats, (tu,)
+        row_cells = tu.shape[2] * (model.n_xt + ny + nz + model.nx)
+    else:
+        kernel, stacks = _two_aux_rates_nats, (tu, tv)
+        row_cells = tv.shape[2] * tu.shape[2] * model.n_xt * model.nx * ny * nz
+    out = np.empty((len(tu), 4))
+    for blk in _blocks(len(tu), row_cells):
+        rs_raw, rj, rl = kernel(model, *(s[blk] for s in stacks))
+        out[blk] = np.array([np.where(rs_raw > 0.0, rs_raw, 0.0), rj, rl, rs_raw]).T
+    return unit.from_nats(out)
+
+
+def _rate_corner(rates, unit: InfoUnit, test_channel: Channel,
                  **extras) -> RateCorner:
-    """Corner from (rs_raw, rj, rl) in nats: rs clamped at 0, all converted
-    to `unit`; the unclamped key rate and |U| go into the extras."""
-    rs_raw, rj, rl = rates_nats
-    conv = unit.from_nats
-    return RateCorner(conv(max(0.0, rs_raw)), conv(rj), conv(rl), unit,
-                      test_channel=test_channel,
-                      extras={"rs_unclamped": conv(rs_raw),
+    """Corner from one row (rs, rj, rl, unclamped rs) of `_rates`; the
+    unclamped key rate and |U| go into the extras."""
+    rs, rj, rl, rs_raw = rates
+    return RateCorner(rs, rj, rl, unit, test_channel=test_channel,
+                      extras={"rs_unclamped": rs_raw,
                               "u_size": test_channel.num_outputs, **extras})
 
 
@@ -275,37 +336,7 @@ def eval_one_aux(model: AuthModel, test: Channel,
             f"one-auxiliary evaluation needs a degraded or less-noisy pair in the "
             f"main channel's favor; classifier found {model.verdict.relation.value}")
 
-    return _rate_corner(_one_aux_rates_nats(model, test.matrix), unit, test)
-
-
-_AXIS_V, _AXIS_U, _AXIS_A, _AXIS_X, _AXIS_Y, _AXIS_Z = range(6)
-
-
-def _two_aux_rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray):
-    """(rs_raw, rj, rl) in nats from the explicit six-axis joint
-    (V, U, Xt, X, Y, Z): the chain's joint with a V axis added."""
-    arr = tv.T[:, :, None, None, None, None] * _joint_array(model, tu)[None]
-
-    def h(*keep):
-        return _marginal_entropy_nats(arr, keep)
-
-    h_v = h(_AXIS_V)
-    h_uv = h(_AXIS_V, _AXIS_U)
-    i_y_u_given_v = _clamp_mi(h(_AXIS_V, _AXIS_Y) + h_uv - h(_AXIS_V, _AXIS_U, _AXIS_Y) - h_v)
-    i_z_u_given_v = _clamp_mi(h(_AXIS_V, _AXIS_Z) + h_uv - h(_AXIS_V, _AXIS_U, _AXIS_Z) - h_v)
-
-    h_y = h(_AXIS_Y)
-    h_uy = h(_AXIS_U, _AXIS_Y)
-    rj = _clamp_mi(h(_AXIS_A, _AXIS_Y) + h_uy - h(_AXIS_U, _AXIS_A, _AXIS_Y) - h_y)
-
-    h_xv = h(_AXIS_V, _AXIS_X)
-    i_x_uy = _clamp_mi(h(_AXIS_X) + h_uy - h(_AXIS_U, _AXIS_X, _AXIS_Y))
-    i_x_y_given_v = _clamp_mi(h_xv + h(_AXIS_V, _AXIS_Y) - h(_AXIS_V, _AXIS_X, _AXIS_Y) - h_v)
-    i_x_z_given_v = _clamp_mi(h_xv + h(_AXIS_V, _AXIS_Z) - h(_AXIS_V, _AXIS_X, _AXIS_Z) - h_v)
-
-    rs_raw = i_y_u_given_v - i_z_u_given_v
-    rl = i_x_uy - i_x_y_given_v + i_x_z_given_v
-    return rs_raw, rj, max(0.0, rl)
+    return _rate_corner(_rates(model, unit, test.matrix[None])[0].tolist(), unit, test)
 
 
 def eval_two_aux(model: AuthModel, test_u: Channel, test_v: Channel,
@@ -325,8 +356,8 @@ def eval_two_aux(model: AuthModel, test_u: Channel, test_v: Channel,
             f"auxiliary caps exceeded: |U|={test_u.num_outputs} (max {max_u}), "
             f"|V|={test_v.num_outputs} (max {max_v})")
 
-    return _rate_corner(_two_aux_rates_nats(model, test_u.matrix, test_v.matrix),
-                        unit, test_u, v_size=test_v.num_outputs,
+    rates = _rates(model, unit, test_u.matrix[None], test_v.matrix[None])[0]
+    return _rate_corner(rates.tolist(), unit, test_u, v_size=test_v.num_outputs,
                         v_channel=test_v.matrix.tolist())
 
 
@@ -359,26 +390,19 @@ def zero_key_region(model: AuthModel, unit: InfoUnit = InfoUnit.BITS) -> RegionB
 # Pareto machinery
 # ---------------------------------------------------------------------------
 
-def pareto_filter(corners):
-    """Remove corners dominated in (higher rs, lower rj, lower rl).
-
-    Deterministic: corners are sorted by (-rs, rj, rl) first, so the result
-    does not depend on input order; exact ties collapse to the first sorted
-    representative.  Idempotent.
-    """
-    if not corners:
-        return []
-    pts = np.array([[c.rs, c.rj, c.rl] for c in corners], dtype=float)
-    order = np.lexsort((pts[:, 2], pts[:, 1], -pts[:, 0]))
+def _pareto_indices(rates: np.ndarray) -> list:
+    """Indices of the rows (rs, rj, rl, ...) of `rates` that no other row
+    dominates in (higher rs, lower rj, lower rl), in (-rs, rj, rl) order;
+    of exact ties, the first row is kept."""
+    order = np.lexsort((rates[:, 2], rates[:, 1], -rates[:, 0]))
     kept = []
     stair_rj = []   # strictly increasing
     stair_rl = []   # strictly decreasing
-    for i in order:
-        rs, rj, rl = pts[i]
+    for i, (rs, rj, rl) in zip(order.tolist(), rates[order, :3].tolist()):
         pos = bisect.bisect_right(stair_rj, rj) - 1
         if pos >= 0 and stair_rl[pos] <= rl:
             continue
-        kept.append(corners[i])
+        kept.append(i)
         j = bisect.bisect_left(stair_rj, rj)
         while j < len(stair_rj) and stair_rl[j] >= rl:
             stair_rj.pop(j)
@@ -388,6 +412,20 @@ def pareto_filter(corners):
     return kept
 
 
+def _corner_rates(corners) -> np.ndarray:
+    return np.array([c.as_tuple() for c in corners], dtype=float).reshape(-1, 3)
+
+
+def pareto_filter(corners):
+    """Remove corners dominated in (higher rs, lower rj, lower rl).
+
+    Deterministic: corners are sorted by (-rs, rj, rl) first, so the result
+    does not depend on input order; exact ties collapse to the first sorted
+    representative.  Idempotent.
+    """
+    return [corners[i] for i in _pareto_indices(_corner_rates(corners))]
+
+
 def region_contains(boundary: RegionBoundary, point,
                     tol: float = DOMINANCE_TOL,
                     unit: InfoUnit = None) -> bool:
@@ -395,10 +433,8 @@ def region_contains(boundary: RegionBoundary, point,
     if unit is not None and unit != boundary.unit:
         raise ValueError(f"unit mismatch: boundary in {boundary.unit.value}, point in {unit.value}")
     rs, rj, rl = point
-    for c in boundary.corners:
-        if rs <= c.rs + tol and rj >= c.rj - tol and rl >= c.rl - tol:
-            return True
-    return False
+    c = _corner_rates(boundary.corners)
+    return bool(np.any((rs <= c[:, 0] + tol) & (rj >= c[:, 1] - tol) & (rl >= c[:, 2] - tol)))
 
 
 def compare_regions(a: RegionBoundary, b: RegionBoundary) -> float:
@@ -414,8 +450,8 @@ def compare_regions(a: RegionBoundary, b: RegionBoundary) -> float:
         return 0.0
     if not b.corners:
         return float("inf")
-    pa = np.array([[c.rs, c.rj, c.rl] for c in a.corners])
-    pb = np.array([[c.rs, c.rj, c.rl] for c in b.corners])
+    pa = _corner_rates(a.corners)
+    pb = _corner_rates(b.corners)
     worst = -np.inf
     for lo in range(0, len(pa), 4096):
         chunk = pa[lo:lo + 4096]
@@ -479,32 +515,44 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None,
     if config.random_samples < 0:
         raise ValueError(f"random_samples={config.random_samples} is negative")
 
-    def corner(matrix, param):
-        return _rate_corner(_one_aux_rates_nats(model, matrix), unit,
-                            Channel(matrix), param=param)
-
-    corners = []
+    # One stack of test channels per group (the beta grid, then each |U|),
+    # with the param of each row; the draws take the numbers one
+    # rng.dirichlet per sample would.
+    groups = []
     if model.n_xt == 2 and config.beta_grid_step:
-        corners = [corner(np.array([[1.0 - b, b], [b, 1.0 - b]]), float(b))
-                   for b in _beta_grid(config.beta_grid_step)]
-
+        betas = _beta_grid(config.beta_grid_step)
+        b = np.array(betas)
+        groups.append((np.stack([1.0 - b, b, b, 1.0 - b], axis=1).reshape(-1, 2, 2), betas))
     rng = np.random.default_rng(config.seed)
     if config.random_samples and sizes:
         per, rem = divmod(config.random_samples, len(sizes))
         counter = 0
         for si, u in enumerate(sizes):
-            for _ in range(per + (1 if si < rem else 0)):
-                corners.append(corner(rng.dirichlet(np.ones(u), size=model.n_xt), counter))
-                counter += 1
+            k = per + (1 if si < rem else 0)
+            if k:
+                groups.append((rng.dirichlet(np.ones(u), size=(k, model.n_xt)),
+                               range(counter, counter + k)))
+            counter += k
 
-    filtered = pareto_filter(corners)
+    stacks = [_channel_stack(tests) for tests, _ in groups]
+    rates = np.concatenate([_rates(model, unit, tests) for tests in stacks]
+                           or [np.empty((0, 4))])
+    starts = np.cumsum([0] + [len(tests) for tests in stacks])
+    corners = []
+    for i in _pareto_indices(rates):
+        g = int(np.searchsorted(starts, i, side="right")) - 1
+        row = i - int(starts[g])
+        corners.append(_rate_corner(rates[i].tolist(), unit,
+                                    Channel._of_checked(stacks[g][row]),
+                                    param=groups[g][1][row]))
+
     meta = {"model_hash": model.content_hash(), "seed": config.seed,
             "sampler": {"random_samples": config.random_samples,
                         "beta_grid_step": config.beta_grid_step,
                         "u_sizes": list(sizes)},
             "verdict": model.verdict,
-            "corners_sampled": len(corners)}
-    return RegionBoundary(filtered, unit, metadata=meta)
+            "corners_sampled": len(rates)}
+    return RegionBoundary(corners, unit, metadata=meta)
 
 
 def two_aux_random_search(model: AuthModel, n_pairs: int, seed: int = 0,
@@ -519,12 +567,18 @@ def two_aux_random_search(model: AuthModel, n_pairs: int, seed: int = 0,
         raise UnsupportedClassError(
             f"two-auxiliary search unsupported for verdict {model.verdict.relation.value}")
     rng = np.random.default_rng(seed)
-    corners = []
+    groups = {}   # (|U|, |V|) -> pair indices, U-channels, V-channels
     for idx in range(n_pairs):
         u = int(rng.integers(1, max_u + 1))
         v = int(rng.integers(1, max_v + 1))
-        tu = rng.dirichlet(np.ones(u), size=model.n_xt)
-        tv = rng.dirichlet(np.ones(v), size=u)
-        corners.append(_rate_corner(_two_aux_rates_nats(model, tu, tv), unit,
-                                    Channel(tu), param=idx, v_size=v))
+        group = groups.setdefault((u, v), ([], [], []))
+        group[0].append(idx)
+        group[1].append(rng.dirichlet(np.ones(u), size=model.n_xt))
+        group[2].append(rng.dirichlet(np.ones(v), size=u))
+    corners = [None] * n_pairs
+    for (u, v), (indices, tus, tvs) in groups.items():
+        tu, tv = _channel_stack(tus), _channel_stack(tvs)
+        for idx, test, rates in zip(indices, tu, _rates(model, unit, tu, tv).tolist()):
+            corners[idx] = _rate_corner(rates, unit, Channel._of_checked(test),
+                                        param=idx, v_size=v)
     return corners

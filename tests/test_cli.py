@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -254,6 +257,50 @@ def test_compare_unsupported(tmp_path):
         "ac_z": [[0.8, 0.2], [0.2, 0.8]],
         "seed": 0})
     assert run_cli("compare", "--config", cfg, "--out", str(tmp_path / "c")) == 5
+
+
+def test_compare_embedding_matches_per_corner_loop(tmp_path):
+    # the batched constant-V check against the per-corner loop it replaced
+    from authcap import (AuthModel, BinaryModelParams, Channel, DiscreteDistribution,
+                         SamplerConfig, eval_one_aux, eval_two_aux, sweep_region)
+
+    sampler = {"random_samples": 500, "beta_grid_step": 0.01}
+    discrete = {k: DEGRADED_CFG[k] for k in ("px", "ec", "ac_y", "ac_z")}
+    discrete_model = AuthModel(DiscreteDistribution(discrete["px"]),
+                               *(Channel(discrete[k]) for k in ("ec", "ac_y", "ac_z")),
+                               classifier_seed=3)
+    for payload, model in (
+            ({**BINARY_CFG, "sampler": sampler},
+             BinaryModelParams(0.1, 0.5, 0.2).model(classifier_trials=2000, classifier_seed=3)),
+            ({**discrete, "seed": 3, "sampler": sampler}, discrete_model)):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "cmp"
+        assert run_cli("compare", "--config", cfg, "--out", str(out), "--samples", "50") == 0
+        data = json.loads((out / "comparison.json").read_text())
+
+        front = sweep_region(model, SamplerConfig(seed=3, **sampler))
+        ref_gap = 0.0
+        for corner in front.corners:
+            test_u = corner.test_channel
+            v_const = Channel.constant(test_u.num_outputs)
+            two = eval_two_aux(model, test_u, v_const,
+                               max_u=max(4, test_u.num_outputs), max_v=3)
+            one = eval_one_aux(model, test_u)
+            ref_gap = max(ref_gap,
+                          abs(two.rs - one.rs), abs(two.rj - one.rj),
+                          abs(two.rl - one.rl))
+        assert data["one_aux_corners"] == len(front.corners)
+        assert data["one_aux_excess_over_two_aux_with_embedding"] == ref_gap
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize is imported by the classifier and the binary closed
+    # form when they run, not by `import authcap.cli`
+    code = "import sys, authcap.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_bad_seed_exit_code(tmp_path, capsys):

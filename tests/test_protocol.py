@@ -260,6 +260,18 @@ def test_simulator_caps_reject_before_allocating(monkeypatch):
             run_simulation(m, cfg)     # before any trial is sampled
 
 
+def test_simulator_rejects_non_finite_settings():
+    # NaN passes `gamma <= 0`; a non-finite override reached math.ceil or
+    # the 2^r_j bin count before SimConfig checked either
+    for kw in ({"gamma": math.nan}, {"gamma": math.inf}, {"gamma": -math.inf},
+               {"rate_overrides": (math.nan, 0.0)}, {"rate_overrides": (0.5, math.inf)},
+               {"rate_overrides": (-math.inf, 0.25)}):
+        with pytest.raises(ValueError, match="gamma|rate_overrides") as err:
+            SimConfig(n=4, test_channel=Channel.bsc(0.1), **kw)
+        assert not isinstance(err.value, SimLimitError)
+    SimConfig(n=4, test_channel=Channel.bsc(0.1), gamma=0.05, rate_overrides=(0.5, 0.0))
+
+
 def test_codebook_deterministic():
     m = hsm_model()
     cfg = SimConfig(n=6, test_channel=Channel.bsc(0.1), gamma=0.1, seed=7,
@@ -626,7 +638,7 @@ def test_batched_simulation_matches_per_trial_reference():
         assert got.trace_csv_text() == ref.trace_csv_text()
 
         book = generate_codebook(m, cfg)
-        totals["blocks"] = max(totals["blocks"], len(_blocks(book, cfg.trials)))
+        totals["blocks"] = max(totals["blocks"], len(_blocks(cfg.trials, book.size * book.n)))
         totals["fallback"] += sum(row[4] for row in ref.trace)
         totals["empty"] += sum(book.bin_members(row[1]).size == 0 for row in ref.trace)
         totals["ambiguous"] += sum(row[6] for row in ref.trace)

@@ -1,4 +1,6 @@
+import bisect
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from authcap import (
     AuthModel,
     Channel,
+    DiscreteDistribution,
     InfoUnit,
     RateCorner,
     RegionBoundary,
@@ -21,7 +24,16 @@ from authcap import (
     sweep_region,
     two_aux_random_search,
 )
-from authcap.regions import CardinalityError, build_joint
+from authcap.infotheory import (
+    InvalidDistributionError,
+    MalformedJointError,
+    _blocks,
+    _channel_stack,
+    _clamp_mi,
+    _marginal_entropy_nats,
+    _mi2_nats,
+)
+from authcap.regions import CardinalityError, _beta_grid, _rates, build_joint
 
 
 # ---------------------------------------------------------------------------
@@ -351,3 +363,269 @@ def test_boundary_serialization():
     assert d["unit"] == "bits"
     assert len(d["corners"]) == len(b.corners)
     assert d["metadata"]["model_hash"] == m.content_hash()
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels against the per-sample code they replaced.  The ref_*
+# functions are the deleted per-sample kernels and loops, kept verbatim
+# (renamed, and reading the same private model laws).
+# ---------------------------------------------------------------------------
+
+def discrete_degraded_model():
+    # configs/discrete_degraded.json
+    return AuthModel(DiscreteDistribution([0.5, 0.5]),
+                     Channel([[0.9, 0.1], [0.1, 0.9]]), Channel([[0.9, 0.1], [0.1, 0.9]]),
+                     Channel([[0.74, 0.26], [0.26, 0.74]]), classifier_trials=2_000)
+
+
+def ternary_model():
+    # |Xt| = 3 (no beta grid) and a noiseless main channel, so several
+    # joints have zero cells
+    return AuthModel(DiscreteDistribution([0.3, 0.3, 0.4]),
+                     Channel([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]),
+                     Channel.identity(3),
+                     Channel([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]]),
+                     classifier_trials=2_000)
+
+
+def ref_one_aux_rates_nats(model, test_matrix):
+    p_xa = model._p_xa
+    p_xt = p_xa.sum(axis=0)
+    p_au = p_xt[:, None] * test_matrix
+    p_xu = p_xa @ test_matrix
+    i_u_xt, i_u_y, i_u_z, i_u_x = (
+        _mi2_nats(p_au), _mi2_nats(model.ac_y.matrix.T @ p_xu),
+        _mi2_nats(model.ac_z.matrix.T @ p_xu), _mi2_nats(p_xu))
+    rj = _clamp_mi(i_u_xt - i_u_y)
+    rl = i_u_x - i_u_y + model.i_xz_nats()
+    return i_u_y - i_u_z, rj, max(0.0, rl)
+
+
+def ref_two_aux_rates_nats(model, tu, tv):
+    joint = (tu.T[:, :, None, None, None]
+             * model._p_xa.T[None, :, :, None, None]
+             * model.ac_y.matrix[None, None, :, :, None]
+             * model.ac_z.matrix[None, None, :, None, :])
+    arr = tv.T[:, :, None, None, None, None] * joint[None]
+    V, U, A, X, Y, Z = range(6)
+
+    def h(*keep):
+        return _marginal_entropy_nats(arr, keep)
+
+    h_v = h(V)
+    h_uv = h(V, U)
+    i_y_u_given_v = _clamp_mi(h(V, Y) + h_uv - h(V, U, Y) - h_v)
+    i_z_u_given_v = _clamp_mi(h(V, Z) + h_uv - h(V, U, Z) - h_v)
+    h_y = h(Y)
+    h_uy = h(U, Y)
+    rj = _clamp_mi(h(A, Y) + h_uy - h(U, A, Y) - h_y)
+    h_xv = h(V, X)
+    i_x_uy = _clamp_mi(h(X) + h_uy - h(U, X, Y))
+    i_x_y_given_v = _clamp_mi(h_xv + h(V, Y) - h(V, X, Y) - h_v)
+    i_x_z_given_v = _clamp_mi(h_xv + h(V, Z) - h(V, X, Z) - h_v)
+    rs_raw = i_y_u_given_v - i_z_u_given_v
+    rl = i_x_uy - i_x_y_given_v + i_x_z_given_v
+    return rs_raw, rj, max(0.0, rl)
+
+
+def ref_rate_corner(rates_nats, unit, test_channel, **extras):
+    rs_raw, rj, rl = rates_nats
+    conv = unit.from_nats
+    return RateCorner(conv(max(0.0, rs_raw)), conv(rj), conv(rl), unit,
+                      test_channel=test_channel,
+                      extras={"rs_unclamped": conv(rs_raw),
+                              "u_size": test_channel.num_outputs, **extras})
+
+
+def ref_pareto_filter(corners):
+    if not corners:
+        return []
+    pts = np.array([[c.rs, c.rj, c.rl] for c in corners], dtype=float)
+    order = np.lexsort((pts[:, 2], pts[:, 1], -pts[:, 0]))
+    kept = []
+    stair_rj = []   # strictly increasing
+    stair_rl = []   # strictly decreasing
+    for i in order:
+        rs, rj, rl = pts[i]
+        pos = bisect.bisect_right(stair_rj, rj) - 1
+        if pos >= 0 and stair_rl[pos] <= rl:
+            continue
+        kept.append(corners[i])
+        j = bisect.bisect_left(stair_rj, rj)
+        while j < len(stair_rj) and stair_rl[j] >= rl:
+            stair_rj.pop(j)
+            stair_rl.pop(j)
+        stair_rj.insert(j, rj)
+        stair_rl.insert(j, rl)
+    return kept
+
+
+def ref_sweep_region(model, config, unit=InfoUnit.BITS):
+    sizes = config.sizes_for(model.n_xt)
+
+    def corner(matrix, param):
+        return ref_rate_corner(ref_one_aux_rates_nats(model, matrix), unit,
+                               Channel(matrix), param=param)
+
+    corners = []
+    if model.n_xt == 2 and config.beta_grid_step:
+        corners = [corner(np.array([[1.0 - b, b], [b, 1.0 - b]]), float(b))
+                   for b in _beta_grid(config.beta_grid_step)]
+
+    rng = np.random.default_rng(config.seed)
+    if config.random_samples and sizes:
+        per, rem = divmod(config.random_samples, len(sizes))
+        counter = 0
+        for si, u in enumerate(sizes):
+            for _ in range(per + (1 if si < rem else 0)):
+                corners.append(corner(rng.dirichlet(np.ones(u), size=model.n_xt), counter))
+                counter += 1
+
+    filtered = ref_pareto_filter(corners)
+    meta = {"model_hash": model.content_hash(), "seed": config.seed,
+            "sampler": {"random_samples": config.random_samples,
+                        "beta_grid_step": config.beta_grid_step,
+                        "u_sizes": list(sizes)},
+            "verdict": model.verdict,
+            "corners_sampled": len(corners)}
+    return RegionBoundary(filtered, unit, metadata=meta)
+
+
+def ref_two_aux_random_search(model, n_pairs, seed=0, max_u=4, max_v=3,
+                              unit=InfoUnit.BITS):
+    rng = np.random.default_rng(seed)
+    corners = []
+    for idx in range(n_pairs):
+        u = int(rng.integers(1, max_u + 1))
+        v = int(rng.integers(1, max_v + 1))
+        tu = rng.dirichlet(np.ones(u), size=model.n_xt)
+        tv = rng.dirichlet(np.ones(v), size=u)
+        corners.append(ref_rate_corner(ref_two_aux_rates_nats(model, tu, tv), unit,
+                                       Channel(tu), param=idx, v_size=v))
+    return corners
+
+
+@pytest.mark.parametrize("model_fn", [hsm_model, discrete_degraded_model, ternary_model])
+def test_batched_sweep_matches_per_sample_reference(model_fn):
+    m = model_fn()
+    n_sizes = m.n_xt + 3
+    plans = [
+        dict(random_samples=600, beta_grid_step=1e-2),                # beta grid on
+        dict(random_samples=600, beta_grid_step=None),                # beta grid off
+        dict(random_samples=301, beta_grid_step=5e-2, u_sizes=(2, 4)),
+        dict(random_samples=2 * n_sizes + 3, beta_grid_step=1e-1),    # rem = 3
+        dict(random_samples=n_sizes - 2, beta_grid_step=None),        # some sizes draw none
+        dict(random_samples=0, beta_grid_step=1e-2),
+        dict(random_samples=0, beta_grid_step=None),
+    ]
+    for k, plan in enumerate(plans):
+        for unit in (InfoUnit.BITS, InfoUnit.NATS):
+            cfg = SamplerConfig(seed=30 + k, **plan)
+            got, ref = sweep_region(m, cfg, unit), ref_sweep_region(m, cfg, unit)
+            assert got.to_csv_text() == ref.to_csv_text()
+            assert json.dumps(got.to_json_dict(), sort_keys=True) == \
+                json.dumps(ref.to_json_dict(), sort_keys=True)
+            assert got.metadata["corners_sampled"] == ref.metadata["corners_sampled"]
+
+
+def test_batched_two_aux_search_matches_per_pair_reference():
+    def as_rows(corners):
+        return [(c.rs, c.rj, c.rl, c.extras, c.test_channel.matrix.tolist()) for c in corners]
+
+    # models without zero-probability cells: every rate bit for bit
+    for model, seed in ((discrete_degraded_model(), 50), (degraded_model(), 51)):
+        got = two_aux_random_search(model, 600, seed=seed)
+        ref = ref_two_aux_random_search(model, 600, seed=seed)
+        assert as_rows(got) == as_rows(ref)
+        groups = {(c.test_channel.num_outputs, c.extras["v_size"]) for c in got}
+        assert groups == set(itertools.product(range(1, 5), range(1, 4)))
+    # with zero cells the unbatched entropy drops them before its pairwise
+    # sum, so a rate may move in the last bits; the sampled channels and
+    # every other field are identical
+    for model, seed in ((hsm_model(), 52), (ternary_model(), 53)):
+        got = two_aux_random_search(model, 300, seed=seed, max_u=5)
+        ref = ref_two_aux_random_search(model, 300, seed=seed, max_u=5)
+        for g, r in zip(got, ref):
+            assert g.as_tuple() == pytest.approx(r.as_tuple(), abs=1e-12, rel=0)
+            assert g.extras == r.extras
+            assert g.test_channel.matrix.tolist() == r.test_channel.matrix.tolist()
+
+
+def test_array_pareto_keeps_reference_corners_in_order():
+    # coarse rounding gives many exact ties; shuffled copies put the tied
+    # corners in different input orders
+    rng = np.random.default_rng(54)
+    for _ in range(40):
+        n = int(rng.integers(1, 300))
+        pts = [_corner(*np.round(rng.random(3), 1)) for _ in range(n)]
+        pts += [_corner(*pts[i].as_tuple()) for i in rng.integers(0, n, size=n // 3)]
+        pts = [pts[i] for i in rng.permutation(len(pts))]
+        got, ref = pareto_filter(pts), ref_pareto_filter(pts)
+        assert len(got) == len(ref)
+        assert all(g is r for g, r in zip(got, ref))
+    assert pareto_filter([]) == []
+
+
+def test_batched_kernels_reject_malformed_stacks():
+    m = hsm_model()
+    good = np.array([[0.3, 0.7], [0.6, 0.4]])
+    mass_two = np.ones((2, 2))     # rows sum to 2: not a channel
+    with pytest.raises(MalformedJointError):
+        _rates(m, InfoUnit.BITS, np.stack([good, good, mass_two]))
+    with pytest.raises(MalformedJointError):
+        _rates(m, InfoUnit.BITS, np.stack([good, mass_two]), np.ones((2, 2, 1)))
+    with pytest.raises(MalformedJointError):
+        _mi2_nats(np.stack([np.full((2, 2), 0.25), np.full((2, 2), 0.5)]))
+
+    for bad, what in ((mass_two, "do not sum"), (np.array([[1.5, -0.5], [0.5, 0.5]]), "negative"),
+                      (np.array([[np.nan, 1.0], [0.5, 0.5]]), "non-finite"),
+                      (np.array([[0.5, 0.5], [0.5, 0.5 + 1e-11]]), "rows \\[3\\]")):
+        with pytest.raises(InvalidDistributionError, match=what):
+            _channel_stack(np.stack([good, bad]))
+    ok = _channel_stack(np.stack([good, np.array([[1.0, -1e-13], [0.5, 0.5]])]))
+    assert not ok.flags.writeable and ok.min() == 0.0
+
+
+def test_region_contains_matches_loop():
+    def ref_region_contains(boundary, point, tol=1e-9):
+        rs, rj, rl = point
+        for c in boundary.corners:
+            if rs <= c.rs + tol and rj >= c.rj - tol and rl >= c.rl - tol:
+                return True
+        return False
+
+    m = hsm_model()
+    b = sweep_region(m, SamplerConfig(random_samples=200, beta_grid_step=5e-2, seed=55))
+    rng = np.random.default_rng(56)
+    probes = [tuple(rng.random(3)) for _ in range(300)]
+    for c in b.corners:
+        for tol in (0.0, 1e-9, 1e-6):
+            # exactly at the tolerance, and one step beyond it
+            probes.append((c.rs + tol, c.rj - tol, c.rl - tol))
+            probes.append((np.nextafter(c.rs + tol, np.inf), c.rj - tol, c.rl - tol))
+            probes.append((c.rs, np.nextafter(c.rj - tol, -np.inf), c.rl))
+            probes.append((c.rs, c.rj, np.nextafter(c.rl - tol, -np.inf)))
+    outcomes = []
+    for tol in (0.0, 1e-9, 1e-6):
+        for p in probes:
+            got = region_contains(b, p, tol=tol)
+            assert got is ref_region_contains(b, p, tol)
+            outcomes.append(got)
+    assert any(outcomes) and not all(outcomes)
+    assert region_contains(RegionBoundary([], InfoUnit.BITS), (0.0, 0.0, 0.0)) is False
+
+
+def test_rates_in_blocks_match_one_pass(monkeypatch):
+    m = discrete_degraded_model()
+    rng = np.random.default_rng(57)
+    tu = _channel_stack(rng.dirichlet(np.ones(3), size=(10, 2)))
+    tv = _channel_stack(rng.dirichlet(np.ones(2), size=(10, 3)))
+    whole = (_rates(m, InfoUnit.BITS, tu), _rates(m, InfoUnit.BITS, tu, tv))
+    monkeypatch.setattr("authcap.regions._blocks",
+                        lambda rows, row_cells: [slice(lo, lo + 3) for lo in range(0, rows, 3)])
+    assert np.array_equal(_rates(m, InfoUnit.BITS, tu), whole[0])
+    assert np.array_equal(_rates(m, InfoUnit.BITS, tu, tv), whole[1])
+    # at most 2^22 cells a block, and at least one row
+    assert _blocks(5, 1 << 21) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+    assert _blocks(2, 1 << 23) == [slice(0, 1), slice(1, 2)]
+    assert _blocks(0, 8) == []
