@@ -80,12 +80,7 @@ def _entropy_nats(p: np.ndarray, axis: int = None):
     if axis is None:
         q = p[p > ZERO_EPS]
         return float(-(q * np.log(q)).sum())
-    return np.add.reduce(_neg_entropy_terms(p), axis=axis)
-
-
-def _neg_entropy_terms(p: np.ndarray) -> np.ndarray:
-    """-p log p per cell, 0 where p <= ZERO_EPS."""
-    return -(p * np.log(np.where(p > ZERO_EPS, p, 1.0)))
+    return np.add.reduce(-(p * np.log(np.where(p > ZERO_EPS, p, 1.0))), axis=axis)
 
 
 def _channel_stack(matrices) -> np.ndarray:
@@ -237,19 +232,6 @@ def _marginal_entropy_nats(probs: np.ndarray, keep) -> float:
     drop = tuple(i for i in range(probs.ndim) if i not in keep)
     p = probs.sum(axis=drop) if drop else probs
     return _entropy_nats(p)
-
-
-def _marginal_entropies_nats(probs: np.ndarray, drops) -> list:
-    """Entropies in nats of marginals of a stack of joints probs[b, ...]:
-    one array over the stack per tuple of `drops`, the axes summed out.
-    The cells of all marginals share one pass of `_neg_entropy_terms`; each
-    marginal's terms are then summed in C order, as `_marginal_entropy_nats`
-    sums its flattened cells."""
-    margs = [np.add.reduce(probs, axis=drop).reshape(len(probs), -1) for drop in drops]
-    terms = _neg_entropy_terms(np.concatenate(margs, axis=1))
-    ends = np.cumsum([m.shape[1] for m in margs]).tolist()
-    return [np.add.reduce(terms[:, end - m.shape[1]:end], axis=1)
-            for m, end in zip(margs, ends)]
 
 
 def _clamp_mi(value_nats):

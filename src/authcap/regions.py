@@ -6,7 +6,10 @@ corners (secret-key, storage, privacy-leakage) are evaluated by closing the
 chain auxiliary - enrollment observation - source - (main, eavesdropper)
 over a test channel, either with one auxiliary variable (the computable
 form for degraded / less-noisy channel pairs) or with two auxiliaries at
-tiny alphabets (numerical evidence that one suffices).
+tiny alphabets (numerical evidence that one suffices).  Both come from the
+pairwise informations of one kernel: a two-auxiliary corner is the
+one-auxiliary corner of U with rs lowered and rl raised by
+I(V;Y) - I(V;Z), which a less-noisy pair keeps nonnegative for every V.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .infotheory import (
     _blocks,
     _channel_stack,
     _clamp_mi,
-    _marginal_entropies_nats,
     _mi2_nats,
 )
 
@@ -135,22 +137,6 @@ def _chain_laws(model: AuthModel, tests: np.ndarray) -> _ChainLaws:
                       model.ac_y.matrix.T @ p_xu, model.ac_z.matrix.T @ p_xu)
 
 
-def _joint_array(model: AuthModel, test_matrix: np.ndarray,
-                 z_given_y: np.ndarray = None) -> np.ndarray:
-    """Five-axis joint array (U, Xt, X, Y, Z) of the auxiliary chain, behind
-    the leading (stack) axes of `test_matrix` if it has any.
-
-    Z is drawn from the source through the eavesdropper's channel, or from
-    the main observation through `z_given_y` when that is given.
-    """
-    z = (model.ac_z.matrix[None, None, :, None, :] if z_given_y is None
-         else z_given_y[None, None, None, :, :])
-    return (np.swapaxes(test_matrix, -1, -2)[..., None, None, None]
-            * model._p_xa.T[None, :, :, None, None]
-            * model.ac_y.matrix[None, None, :, :, None]
-            * z)
-
-
 @dataclass
 class RateCorner:
     """Achievable (secret-key, storage, privacy-leakage) triple."""
@@ -247,42 +233,25 @@ def _one_aux_infos_nats(laws: _ChainLaws):
     return tuple(infos)
 
 
-def _one_aux_rates_nats(model: AuthModel, tests: np.ndarray):
-    """(rs_raw, rj, rl) in nats, each an array over a stack tests[b, xt, u]
-    of test channels on the enrollment-observation alphabet."""
-    i_u_xt, i_u_y, i_u_z, i_u_x = _one_aux_infos_nats(_chain_laws(model, tests))
+def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
+    """(rs_raw, rj, rl) in nats, each an array over a stack tu[b, xt, u] of
+    test channels, or over pairs of it and a stack tv[b, u, v] of channels
+    from U to a second auxiliary V.
+
+    Along V - U - Xt - X - (Y, Z), I(U;Y|V) = I(U;Y) - I(V;Y),
+    I(X;Y|V) = I(X;Y) - I(V;Y) and I(X;U,Y) = I(X;Y) + I(U;X) - I(U;Y),
+    and the same with Z in place of Y.  So a two-auxiliary corner is the
+    one-auxiliary corner of its U with rs lowered and rl raised by
+    d = I(V;Y) - I(V;Z), V being reached from Xt through tu @ tv.
+    """
+    i_u_xt, i_u_y, i_u_z, i_u_x = _one_aux_infos_nats(_chain_laws(model, tu))
+    rs_raw = i_u_y - i_u_z
     rj = _clamp_mi(i_u_xt - i_u_y)
     rl = i_u_x - i_u_y + model.i_xz_nats()
-    return i_u_y - i_u_z, rj, np.where(rl > 0.0, rl, 0.0)
-
-
-def _two_aux_marginal_drops():
-    """Axes of the stacked joints (B, V, U, Xt, X, Y, Z) to sum out for each
-    marginal `_two_aux_rates_nats` reads, in the order it unpacks them."""
-    V, U, A, X, Y, Z = range(6)
-    keeps = ((V,), (V, U), (V, Y), (V, Z), (V, U, Y), (V, U, Z), (Y,), (U, Y), (A, Y),
-             (U, A, Y), (V, X), (X,), (U, X, Y), (V, X, Y), (V, X, Z))
-    return tuple(tuple(i + 1 for i in range(6) if i not in keep) for keep in keeps)
-
-
-_TWO_AUX_DROPS = _two_aux_marginal_drops()
-
-
-def _two_aux_rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray):
-    """(rs_raw, rj, rl) in nats, each an array over stacks tu[b, xt, u] and
-    tv[b, u, v] of test-channel pairs, from the explicit joints
-    (V, U, Xt, X, Y, Z): the chain's joint with a V axis added."""
-    arr = np.swapaxes(tv, 1, 2)[..., None, None, None, None] * _joint_array(model, tu)[:, None]
-    (h_v, h_uv, h_vy, h_vz, h_vuy, h_vuz, h_y, h_uy, h_ay, h_uay,
-     h_xv, h_x, h_uxy, h_vxy, h_vxz) = _marginal_entropies_nats(arr, _TWO_AUX_DROPS)
-
-    i_y_u_given_v, i_z_u_given_v, rj, i_x_uy, i_x_y_given_v, i_x_z_given_v = _clamp_mi(
-        np.array([h_vy + h_uv - h_vuy - h_v, h_vz + h_uv - h_vuz - h_v,
-                  h_ay + h_uy - h_uay - h_y, h_x + h_uy - h_uxy,
-                  h_xv + h_vy - h_vxy - h_v, h_xv + h_vz - h_vxz - h_v]))
-
-    rs_raw = i_y_u_given_v - i_z_u_given_v
-    rl = i_x_uy - i_x_y_given_v + i_x_z_given_v
+    if tv is not None:
+        _, i_v_y, i_v_z, _ = _one_aux_infos_nats(_chain_laws(model, tu @ tv))
+        d = i_v_y - i_v_z
+        rs_raw, rl = rs_raw - d, rl + d
     return rs_raw, rj, np.where(rl > 0.0, rl, 0.0)
 
 
@@ -291,18 +260,14 @@ def _rates(model: AuthModel, unit: InfoUnit, tu: np.ndarray,
     """Rates of a stack tu[b, xt, u] of test channels, one-auxiliary, or
     two-auxiliary with tv[b, u, v] the channels to V: a (B, 4) array of
     (rs clamped at 0, rj, rl, unclamped rs) in `unit`.  Evaluated in blocks
-    of at most 2^22 cells of the joints a row needs (the four pairwise
-    joints, or the six-axis joint)."""
-    ny, nz = model.ac_y.num_outputs, model.ac_z.num_outputs
-    if tv is None:
-        kernel, stacks = _one_aux_rates_nats, (tu,)
-        row_cells = tu.shape[2] * (model.n_xt + ny + nz + model.nx)
-    else:
-        kernel, stacks = _two_aux_rates_nats, (tu, tv)
-        row_cells = tv.shape[2] * tu.shape[2] * model.n_xt * model.nx * ny * nz
+    of at most 2^22 cells of the pairwise joints a row needs: those of U,
+    and of V if given, with Xt, Y, Z and X."""
+    stacks = (tu,) if tv is None else (tu, tv)
+    row_cells = sum(s.shape[2] for s in stacks) * (
+        model.n_xt + model.ac_y.num_outputs + model.ac_z.num_outputs + model.nx)
     out = np.empty((len(tu), 4))
     for blk in _blocks(len(tu), row_cells):
-        rs_raw, rj, rl = kernel(model, *(s[blk] for s in stacks))
+        rs_raw, rj, rl = _rates_nats(model, *(s[blk] for s in stacks))
         out[blk] = np.array([np.where(rs_raw > 0.0, rs_raw, 0.0), rj, rl, rs_raw]).T
     return unit.from_nats(out)
 
@@ -344,8 +309,11 @@ def eval_two_aux(model: AuthModel, test_u: Channel, test_v: Channel,
                  max_u: int = 4, max_v: int = 3) -> RateCorner:
     """Rate corner for the two-auxiliary chain V - U - Xt - X - (Y, Z).
 
-    Intended for tiny alphabets only; the default caps keep the six-axis
-    joint small.  With a constant V this collapses to eval_one_aux exactly.
+    rs = I(U;Y|V) - I(U;Z|V), rj = I(U;Xt) - I(U;Y) and
+    rl = I(X;U,Y) - I(X;Y|V) + I(X;Z|V): the corner of eval_one_aux(test_u)
+    with rs lowered and rl raised by I(V;Y) - I(V;Z).  Alphabets beyond
+    `max_u`/`max_v` raise CardinalityError.  With a constant V this
+    collapses to eval_one_aux within rounding.
     """
     if test_u.num_inputs != model.n_xt:
         raise ValueError("test_u input alphabet does not match enrollment observations")
@@ -371,8 +339,12 @@ def build_joint(model: AuthModel, test: Channel,
     eavesdropper's observation through the main one instead, which realises
     the full Markov chain used by degraded-order properties.
     """
-    w = None if degraded_witness is None else degraded_witness.matrix
-    return JointDistribution(_joint_array(model, test.matrix, w))
+    z = (model.ac_z.matrix[None, None, :, None, :] if degraded_witness is None
+         else degraded_witness.matrix[None, None, None, :, :])
+    return JointDistribution(test.matrix.T[:, :, None, None, None]
+                             * model._p_xa.T[None, :, :, None, None]
+                             * model.ac_y.matrix[None, None, :, :, None]
+                             * z)
 
 
 def zero_key_region(model: AuthModel, unit: InfoUnit = InfoUnit.BITS) -> RegionBoundary:

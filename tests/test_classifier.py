@@ -138,6 +138,29 @@ def test_classify_unordered():
     assert v.relation is Relation.UNORDERED
 
 
+def test_classify_bec_over_bsc_known_answers():
+    # BEC(q) against BSC(eps): degraded iff q <= 2 eps, less noisy iff
+    # q <= 4 eps (1 - eps), more capable iff q <= H_b(eps).  Grid points lie
+    # at least 0.02 from every threshold.  Above H_b(eps) every test runs, so
+    # only a band of 0.1 there is sampled.
+    ordered = (Relation.DEGRADED_Z_WRT_Y, Relation.LESS_NOISY_Y_OVER_Z, Relation.MORE_CAPABLE_Y)
+    checked = {r: 0 for r in ordered + (None,)}
+    for eps in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3):
+        h = -eps * math.log2(eps) - (1 - eps) * math.log2(1 - eps)
+        thresholds = (2 * eps, 4 * eps * (1 - eps), h)
+        for q in np.arange(1, 34) * 0.03:
+            if q > h + 0.1 or min(abs(q - t) for t in thresholds) < 0.02:
+                continue
+            expected = next((r for r, t in zip(ordered, thresholds) if q <= t), None)
+            got = classify_ac(Channel.bec(q), Channel.bsc(eps)).relation
+            if expected is None:
+                assert got not in ordered, (q, eps, got)
+            else:
+                assert got is expected, (q, eps, got)
+            checked[expected] += 1
+    assert min(checked.values()) >= 5
+
+
 def test_degraded_implies_less_noisy_not_refuted():
     pairs = [(Channel.bsc(0.1), Channel.bsc(0.26)),
              (Channel.bsc(0.05), Channel.bsc(0.4))]

@@ -13,6 +13,7 @@ from authcap import (
     InfoUnit,
     RateCorner,
     RegionBoundary,
+    Relation,
     SamplerConfig,
     UnsupportedClassError,
     compare_regions,
@@ -183,6 +184,34 @@ def test_two_aux_dominated_by_one_aux():
                 c.rs - front[:, 0],
                 np.maximum(front[:, 1] - c.rj, front[:, 2] - c.rl)))
             assert slack <= 5e-3
+
+
+def test_two_aux_corner_dominated_by_one_aux_of_its_u():
+    # along V - U - Xt - X - (Y, Z) a two-auxiliary corner is the corner of
+    # its U with rs lowered and rl raised by I(V;Y) - I(V;Z), which is
+    # nonnegative on degraded and less-noisy pairs: so each corner, not just
+    # the front, is dominated by eval_one_aux of its own test channel
+    for model, seed in ((degraded_model(), 60), (hsm_model(), 61), (ternary_model(), 62)):
+        for two in two_aux_random_search(model, 400, seed=seed):
+            one = eval_one_aux(model, two.test_channel)
+            assert two.rs <= one.rs + 1e-12
+            assert two.rj >= one.rj - 1e-12
+            assert two.rl >= one.rl - 1e-12
+
+    # on a more-capable-only pair some V gives I(V;Y) < I(V;Z), and its
+    # corner has a larger key rate than the constant-V corner of the same U
+    model = AuthModel(DiscreteDistribution.uniform(2), Channel.bsc(0.1), Channel.bec(0.7),
+                      Channel.bsc(0.2), classifier_trials=2_000)
+    assert model.verdict.relation is Relation.MORE_CAPABLE_Y
+    rng = np.random.default_rng(2)
+    gains = []
+    for _ in range(200):
+        u, v = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        tu = Channel(rng.dirichlet(np.ones(u), size=2))
+        tv = Channel(rng.dirichlet(np.ones(v), size=u))
+        gains.append(eval_two_aux(model, tu, tv).extras["rs_unclamped"]
+                     - eval_two_aux(model, tu, Channel.constant(u)).extras["rs_unclamped"])
+    assert max(gains) > 1e-3
 
 
 def test_zero_key_region():
@@ -529,26 +558,26 @@ def test_batched_sweep_matches_per_sample_reference(model_fn):
 
 
 def test_batched_two_aux_search_matches_per_pair_reference():
-    def as_rows(corners):
-        return [(c.rs, c.rj, c.rl, c.extras, c.test_channel.matrix.tolist()) for c in corners]
+    def without_rs_raw(extras):
+        return {k: v for k, v in extras.items() if k != "rs_unclamped"}
 
-    # models without zero-probability cells: every rate bit for bit
-    for model, seed in ((discrete_degraded_model(), 50), (degraded_model(), 51)):
-        got = two_aux_random_search(model, 600, seed=seed)
-        ref = ref_two_aux_random_search(model, 600, seed=seed)
-        assert as_rows(got) == as_rows(ref)
-        groups = {(c.test_channel.num_outputs, c.extras["v_size"]) for c in got}
-        assert groups == set(itertools.product(range(1, 5), range(1, 4)))
-    # with zero cells the unbatched entropy drops them before its pairwise
-    # sum, so a rate may move in the last bits; the sampled channels and
-    # every other field are identical
-    for model, seed in ((hsm_model(), 52), (ternary_model(), 53)):
-        got = two_aux_random_search(model, 300, seed=seed, max_u=5)
-        ref = ref_two_aux_random_search(model, 300, seed=seed, max_u=5)
-        for g, r in zip(got, ref):
-            assert g.as_tuple() == pytest.approx(r.as_tuple(), abs=1e-12, rel=0)
-            assert g.extras == r.extras
+    # the oracle sums the six-axis joint, the library pairwise informations
+    # along the chain, so rates agree to rounding (zero-cell models too); the
+    # sampled channels and every other field are identical
+    for model, seed, n_pairs, max_u in ((discrete_degraded_model(), 50, 600, 4),
+                                        (degraded_model(), 51, 600, 4),
+                                        (hsm_model(), 52, 300, 5),
+                                        (ternary_model(), 53, 300, 5)):
+        got = two_aux_random_search(model, n_pairs, seed=seed, max_u=max_u)
+        ref = ref_two_aux_random_search(model, n_pairs, seed=seed, max_u=max_u)
+        for g, r in zip(got, ref, strict=True):
+            assert g.as_tuple() == pytest.approx(r.as_tuple(), abs=1e-14, rel=0)
+            assert g.extras["rs_unclamped"] == pytest.approx(r.extras["rs_unclamped"],
+                                                             abs=1e-14, rel=0)
+            assert without_rs_raw(g.extras) == without_rs_raw(r.extras)
             assert g.test_channel.matrix.tolist() == r.test_channel.matrix.tolist()
+        groups = {(c.test_channel.num_outputs, c.extras["v_size"]) for c in got}
+        assert groups == set(itertools.product(range(1, max_u + 1), range(1, 4)))
 
 
 def test_array_pareto_keeps_reference_corners_in_order():
