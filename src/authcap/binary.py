@@ -32,8 +32,10 @@ from .regions import (
     RegionBoundary,
     Y_FAVOR,
     _beta_grid,
+    _bsc_stack,
     _chain_laws,
-    pareto_filter,
+    _front,
+    _rate_corner,
 )
 
 ENTROPY_BOUND_SLACK = 1e-9
@@ -62,25 +64,35 @@ class BinaryModelParams:
         return AuthModel.binary_hsm(self.p, self.q, self.eps, **kwargs)
 
 
-def closed_form_corner(params: BinaryModelParams, beta: float) -> RateCorner:
-    """Closed-form corner at test-channel crossover beta, in bits.
+def _closed_form_rates(params: BinaryModelParams, betas) -> np.ndarray:
+    """Closed-form rates at the test-channel crossovers `betas`, in bits: a
+    (B, 4) array of (rs, rj, rl, unclamped rs) rows, as `_rates` gives.
 
     rs = H_b(beta*p*eps) - (1-q) H_b(beta*p) - q, clamped at 0
-    rj = q + (1-q) H_b(beta*p) - H_b(beta)
+    rj = q + (1-q) H_b(beta*p) - H_b(beta), clamped at 0
     rl = 1 + q - q H_b(beta*p) - H_b(eps)
     """
+    def h_b(x):
+        return _entropy_nats(np.stack([x, 1.0 - x], -1), axis=-1) / LN2
+
+    beta = np.asarray(betas, dtype=float)
+    p, q, eps = params.p, params.q, params.eps
+    bp = beta * (1.0 - p) + (1.0 - beta) * p
+    h_bp = h_b(bp)
+    rs_raw = h_b(bp * (1.0 - eps) + (1.0 - bp) * eps) - (1.0 - q) * h_bp - q
+    rj = q + (1.0 - q) * h_bp - h_b(beta)
+    rl = 1.0 + q - q * h_bp - h_b(eps)
+    return np.stack([np.where(rs_raw > 0.0, rs_raw, 0.0), np.where(rj > 0.0, rj, 0.0),
+                     rl, rs_raw], axis=-1)
+
+
+def closed_form_corner(params: BinaryModelParams, beta: float) -> RateCorner:
+    """Closed-form corner at test-channel crossover beta, in bits (see
+    `_closed_form_rates`)."""
     if not 0.0 <= beta <= 0.5:
         raise ValueError(f"beta={beta} outside [0, 1/2]")
-    bp = convolve(beta, params.p)
-    bpe = convolve(bp, params.eps)
-    h_bp = binary_entropy(bp)
-    rs_raw = binary_entropy(bpe) - (1.0 - params.q) * h_bp - params.q
-    rj = params.q + (1.0 - params.q) * h_bp - binary_entropy(beta)
-    rl = 1.0 + params.q - params.q * h_bp - binary_entropy(params.eps)
-    return RateCorner(max(0.0, rs_raw), max(0.0, rj), rl, InfoUnit.BITS,
-                      test_channel=Channel.bsc(beta),
-                      extras={"param": float(beta), "rs_unclamped": rs_raw,
-                              "u_size": 2})
+    return _rate_corner(_closed_form_rates(params, [beta])[0].tolist(), InfoUnit.BITS,
+                        Channel.bsc(beta), param=float(beta))
 
 
 def closed_form_region(params: BinaryModelParams, classifier_trials: int = 20_000,
@@ -98,27 +110,28 @@ def closed_form_region(params: BinaryModelParams, classifier_trials: int = 20_00
         warning = (f"classifier verdict {verdict.relation.value}: main channel not "
                    f"verified stronger; closed form may not be the capacity region")
 
+    # The beta grid, plus a golden-section refinement around its
+    # key-rate-maximising beta.
     betas = _beta_grid(params.beta_step)
-    corners = [closed_form_corner(params, b) for b in betas]
-
-    # Golden-section refinement around the key-rate-maximising beta.
-    best = max(range(len(betas)), key=lambda i: corners[i].rs)
-    lo = max(0.0, betas[best] - params.beta_step)
-    hi = min(0.5, betas[best] + params.beta_step)
+    best = betas[int(np.argmax(_closed_form_rates(params, betas)[:, 0]))]
+    lo = max(0.0, best - params.beta_step)
+    hi = min(0.5, best + params.beta_step)
     if hi > lo:
         from scipy import optimize
 
         res = optimize.minimize_scalar(
-            lambda b: -closed_form_corner(params, float(b)).rs,
+            lambda b: -_closed_form_rates(params, [b])[0, 0],
             bounds=(lo, hi), method="bounded",
             options={"xatol": 1e-12})
-        corners.append(closed_form_corner(params, float(res.x)))
+        betas.append(float(res.x))
 
     meta = {"params": {"p": params.p, "q": params.q, "eps": params.eps,
                        "beta_step": params.beta_step},
             "verdict": verdict,
             "classifier_warning": warning}
-    return RegionBoundary(pareto_filter(corners), InfoUnit.BITS, metadata=meta)
+    corners = _front(_closed_form_rates(params, betas), InfoUnit.BITS, betas,
+                     _bsc_stack(betas))
+    return RegionBoundary(corners, InfoUnit.BITS, metadata=meta)
 
 
 def convolution_bounds(lam: float, p: float, eps: float):

@@ -117,6 +117,21 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+def _degradedness_lp(candidate: Channel, reference: Channel):
+    """(A_ub, b_ub, A_eq) of the LP that minimises t over the post-channel W
+    (nb*nc variables, row-major) then t, W >= 0: for each (a, c), row-major,
+    the rows (ref @ W)[a, c] - t <= cand[a, c] and
+    -(ref @ W)[a, c] - t <= -cand[a, c]; and each row of W summing to 1."""
+    nb, nc = reference.num_outputs, candidate.num_outputs
+    m = np.kron(reference.matrix, np.eye(nc))
+    t = np.full((len(m), 1), -1.0)
+    a_ub = np.stack([np.hstack([m, t]), np.hstack([-m, t])], axis=1).reshape(-1, nb * nc + 1)
+    cand = candidate.matrix.ravel()
+    b_ub = np.stack([cand, -cand], axis=1).ravel()
+    a_eq = np.hstack([np.kron(np.eye(nb), np.ones(nc)), np.zeros((nb, 1))])
+    return a_ub, b_ub, a_eq
+
+
 def is_stochastically_degraded(candidate: Channel, reference: Channel) -> ChannelOrderVerdict:
     """Test whether `candidate` equals some post-channel applied to `reference`.
 
@@ -126,43 +141,16 @@ def is_stochastically_degraded(candidate: Channel, reference: Channel) -> Channe
     candidate plays the Z role and the reference the Y role.
     """
     _check_same_input(candidate, reference)
-    na = reference.num_inputs
     nb = reference.num_outputs
     nc = candidate.num_outputs
-
-    # Variables: W (nb*nc, row-major) then t.  Minimise t subject to
-    # |(ref @ W - cand)[a, c]| <= t, W rows summing to 1, W >= 0.
-    nvar = nb * nc + 1
-    cost = np.zeros(nvar)
+    a_ub, b_ub, a_eq = _degradedness_lp(candidate, reference)
+    cost = np.zeros(nb * nc + 1)
     cost[-1] = 1.0
-
-    rows = []
-    rhs = []
-    for a in range(na):
-        for c in range(nc):
-            coeff = np.zeros(nvar)
-            for b in range(nb):
-                coeff[b * nc + c] = reference.matrix[a, b]
-            coeff[-1] = -1.0
-            rows.append(coeff.copy())
-            rhs.append(candidate.matrix[a, c])
-            coeff2 = -coeff
-            coeff2[-1] = -1.0
-            rows.append(coeff2)
-            rhs.append(-candidate.matrix[a, c])
-    a_ub = np.array(rows)
-    b_ub = np.array(rhs)
-
-    a_eq = np.zeros((nb, nvar))
-    for b in range(nb):
-        a_eq[b, b * nc:(b + 1) * nc] = 1.0
-    b_eq = np.ones(nb)
 
     from scipy import optimize
 
-    res = optimize.linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                           bounds=[(0, None)] * (nb * nc) + [(0, None)],
-                           method="highs")
+    res = optimize.linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(nb),
+                           bounds=[(0, None)] * len(cost), method="highs")
     if not res.success:
         return ChannelOrderVerdict(Relation.UNORDERED, Certainty.EXACT,
                                    note="degradedness LP did not converge",
@@ -204,39 +192,31 @@ def is_less_noisy(better: Channel, worse: Channel, trials: int = DEFAULT_TRIALS,
         f_m = _mi_batch(mid, better.matrix) - _mi_batch(mid, worse.matrix)
         return f_m - 0.5 * (f_a + f_b)
 
-    # Deterministic grid pairs first so refutations are seed-independent.
     grid = _simplex_grid(k, DEFAULT_GRID_RESOLUTION)
     idx = np.array(list(itertools.combinations(range(len(grid)), 2)))
-    checked = 0
-    if len(idx) > 0:
-        g = gap(grid[idx[:, 0]], grid[idx[:, 1]])
-        checked += len(idx)
-        j = int(np.argmin(g))
-        if g[j] < -CONCAVITY_TOL:
-            return ChannelOrderVerdict(
-                Relation.UNORDERED, Certainty.COUNTEREXAMPLE,
-                witness={"p1": grid[idx[j, 0]], "p2": grid[idx[j, 1]],
-                         "concavity_gap": float(g[j])},
-                note="midpoint concavity violated on grid pair",
-                details={"pairs_checked": checked})
-
     rng = np.random.default_rng(seed)
-    batch = 5000
-    done = 0
-    while done < trials:
-        m = min(batch, trials - done)
-        p1 = rng.dirichlet(np.ones(k), size=m)
-        p2 = rng.dirichlet(np.ones(k), size=m)
+
+    def batches():
+        # Deterministic grid pairs first so refutations are seed-independent;
+        # random pairs are drawn only while no violation has been found.
+        if len(idx) > 0:
+            yield grid[idx[:, 0]], grid[idx[:, 1]], "grid pair"
+        for done in range(0, trials, 5000):
+            m = min(5000, trials - done)
+            p1 = rng.dirichlet(np.ones(k), size=m)
+            yield p1, rng.dirichlet(np.ones(k), size=m), "sampled pair"
+
+    checked = 0
+    for p1, p2, what in batches():
         g = gap(p1, p2)
-        checked += m
+        checked += len(g)
         j = int(np.argmin(g))
         if g[j] < -CONCAVITY_TOL:
             return ChannelOrderVerdict(
                 Relation.UNORDERED, Certainty.COUNTEREXAMPLE,
                 witness={"p1": p1[j], "p2": p2[j], "concavity_gap": float(g[j])},
-                note="midpoint concavity violated on sampled pair",
+                note=f"midpoint concavity violated on {what}",
                 details={"pairs_checked": checked})
-        done += m
 
     return ChannelOrderVerdict(Relation.LESS_NOISY_Y_OVER_Z,
                                Certainty.STATISTICAL_EVIDENCE,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .infotheory import InfoUnit
-from .regions import RateCorner, RegionBoundary, pareto_filter
+from .regions import RateCorner, RegionBoundary, _front, _rate_corner
 
 VAR_NAMES = ("U", "Xt", "X", "Y", "Z")
 
@@ -153,25 +153,35 @@ def _check_direction(params: GaussianModelParams):
             f"dominates; use zero_key_region_gaussian")
 
 
-def parametric_corner(params: GaussianModelParams, alpha: float) -> RateCorner:
-    """Parametric corner at a given alpha, nats, for rho2_sq > rho3_sq.
+def _parametric_rates(params: GaussianModelParams, alphas) -> np.ndarray:
+    """Parametric rates at the splits `alphas`, in nats, for
+    rho2_sq > rho3_sq: a (B, 4) array of (rs, rj, rl, unclamped rs) rows,
+    as `_rates` gives.
 
-    rs = 1/2 log((a c3 + 1 - c3)/(a c2 + 1 - c2)) with c_k = rho1_sq rho_k_sq
+    rs = 1/2 log((a c3 + 1 - c3)/(a c2 + 1 - c2)) with c_k = rho1_sq rho_k_sq,
+         clamped at 0
     rj = 1/2 log((a c2 + 1 - c2)/a)
     rl = 1/2 log((a c2 + 1 - c2)/((a rho1_sq + 1 - rho1_sq)(1 - rho3_sq)))
     """
-    _check_direction(params)
-    _check_alpha(alpha)
+    alpha = np.asarray(alphas, dtype=float)
     c2 = params.rho1_sq * params.rho2_sq
     c3 = params.rho1_sq * params.rho3_sq
     top2 = alpha * c2 + 1.0 - c2
     top3 = alpha * c3 + 1.0 - c3
-    rs_raw = 0.5 * math.log(top3 / top2)
-    rj = 0.5 * math.log(top2 / alpha)
-    rl = 0.5 * math.log(top2 / ((alpha * params.rho1_sq + 1.0 - params.rho1_sq)
-                                * (1.0 - params.rho3_sq)))
-    return RateCorner(max(0.0, rs_raw), rj, rl, InfoUnit.NATS,
-                      extras={"param": float(alpha), "rs_unclamped": rs_raw})
+    rs_raw = 0.5 * np.log(top3 / top2)
+    rj = 0.5 * np.log(top2 / alpha)
+    rl = 0.5 * np.log(top2 / ((alpha * params.rho1_sq + 1.0 - params.rho1_sq)
+                              * (1.0 - params.rho3_sq)))
+    return np.stack([np.where(rs_raw > 0.0, rs_raw, 0.0), rj, rl, rs_raw], axis=-1)
+
+
+def parametric_corner(params: GaussianModelParams, alpha: float) -> RateCorner:
+    """Parametric corner at a given alpha, nats, for rho2_sq > rho3_sq (see
+    `_parametric_rates`)."""
+    _check_direction(params)
+    _check_alpha(alpha)
+    return _rate_corner(_parametric_rates(params, [alpha])[0].tolist(), InfoUnit.NATS,
+                        param=float(alpha))
 
 
 def zero_key_region_gaussian(params: GaussianModelParams) -> RegionBoundary:
@@ -191,10 +201,11 @@ def parametric_region(params: GaussianModelParams) -> RegionBoundary:
     """Sweep alpha over a log-spaced grid on (alpha_min, 1], Pareto-filtered."""
     _check_direction(params)
     alphas = np.geomspace(params.alpha_min, 1.0, params.alpha_grid)
-    corners = [parametric_corner(params, float(a)) for a in alphas]
     meta = {"params": _params_dict(params),
             "alpha_grid": params.alpha_grid, "alpha_min": params.alpha_min}
-    return RegionBoundary(pareto_filter(corners), InfoUnit.NATS, metadata=meta)
+    return RegionBoundary(_front(_parametric_rates(params, alphas), InfoUnit.NATS,
+                                 alphas.tolist()),
+                          InfoUnit.NATS, metadata=meta)
 
 
 def figure_curves(params: GaussianModelParams) -> dict:
@@ -204,13 +215,8 @@ def figure_curves(params: GaussianModelParams) -> dict:
     alphas = np.geomspace(params.alpha_min, 1.0, params.alpha_grid)
     out = {"alpha": alphas}
     for tag, prm in (("hsm", params), ("vsm", params.vsm())):
-        corners = [parametric_corner(prm, float(a)) for a in alphas]
-        out[tag] = {
-            "rj": np.array([c.rj for c in corners]),
-            "rs": np.array([c.rs for c in corners]),
-            "rl": np.array([c.rl for c in corners]),
-            "rho1_sq": prm.rho1_sq,
-        }
+        rs, rj, rl, _ = _parametric_rates(prm, alphas).T
+        out[tag] = {"rj": rj, "rs": rs, "rl": rl, "rho1_sq": prm.rho1_sq}
     return out
 
 

@@ -168,14 +168,13 @@ class RegionBoundary:
             "rs,rj,rl,unit,param,u_size,test_channel",
         ]
         for c in self.corners:
-            param = c.extras.get("param", "")
-            u_size = c.test_channel.num_outputs if c.test_channel is not None else ""
-            tc = ""
+            u_size, tc = "", ""
             if c.test_channel is not None:
+                u_size = c.test_channel.num_outputs
                 tc = ";".join(repr(float(v)) for v in c.test_channel.matrix.ravel())
             lines.append(",".join([
                 repr(float(c.rs)), repr(float(c.rj)), repr(float(c.rl)),
-                self.unit.value, _fmt_param(param), str(u_size), tc,
+                self.unit.value, str(c.extras.get("param", "")), str(u_size), tc,
             ]))
         return "\n".join(lines) + "\n"
 
@@ -190,14 +189,6 @@ class RegionBoundary:
         return {"unit": self.unit.value,
                 "metadata": {k: _jsonable(v) for k, v in self.metadata.items()},
                 "corners": corners}
-
-
-def _fmt_param(p) -> str:
-    if p == "":
-        return ""
-    if isinstance(p, float):
-        return repr(p)
-    return str(p)
 
 
 def _jsonable(v):
@@ -272,14 +263,26 @@ def _rates(model: AuthModel, unit: InfoUnit, tu: np.ndarray,
     return unit.from_nats(out)
 
 
-def _rate_corner(rates, unit: InfoUnit, test_channel: Channel,
+def _rate_corner(rates, unit: InfoUnit, test_channel: Channel = None,
                  **extras) -> RateCorner:
-    """Corner from one row (rs, rj, rl, unclamped rs) of `_rates`; the
-    unclamped key rate and |U| go into the extras."""
+    """Corner from one row (rs, rj, rl, unclamped rs) of a `_rates` array;
+    the unclamped key rate and, given a test channel, |U| go into the
+    extras."""
     rs, rj, rl, rs_raw = rates
+    sizes = {} if test_channel is None else {"u_size": test_channel.num_outputs}
     return RateCorner(rs, rj, rl, unit, test_channel=test_channel,
-                      extras={"rs_unclamped": rs_raw,
-                              "u_size": test_channel.num_outputs, **extras})
+                      extras={"rs_unclamped": rs_raw, **sizes, **extras})
+
+
+def _front(rates: np.ndarray, unit: InfoUnit, params, tests=None) -> list:
+    """Corners of the rows of a (B, 4) `_rates` array that no other row
+    dominates, in `_pareto_indices` order.  Row i gets param params[i] and,
+    if `tests` is given, the test channel of matrix tests[i], which must
+    come from a `_channel_stack` result."""
+    return [_rate_corner(rates[i].tolist(), unit,
+                         None if tests is None else Channel._of_checked(tests[i]),
+                         param=params[i])
+            for i in _pareto_indices(rates)]
 
 
 def eval_one_aux(model: AuthModel, test: Channel,
@@ -446,6 +449,12 @@ def _beta_grid(step: float) -> list:
     return betas
 
 
+def _bsc_stack(betas) -> np.ndarray:
+    """Checked stack of the binary symmetric test channels of crossovers `betas`."""
+    b = np.asarray(betas, dtype=float)
+    return _channel_stack(np.stack([1.0 - b, b, b, 1.0 - b], axis=1).reshape(-1, 2, 2))
+
+
 @dataclass
 class SamplerConfig:
     """Test-channel sampling plan for sweep_region.
@@ -487,36 +496,25 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None,
     if config.random_samples < 0:
         raise ValueError(f"random_samples={config.random_samples} is negative")
 
-    # One stack of test channels per group (the beta grid, then each |U|),
-    # with the param of each row; the draws take the numbers one
+    # One checked stack of test channels per group (the beta grid, then each
+    # |U|) and the param of each row; the draws take the numbers one
     # rng.dirichlet per sample would.
-    groups = []
+    stacks, params = [], []
     if model.n_xt == 2 and config.beta_grid_step:
-        betas = _beta_grid(config.beta_grid_step)
-        b = np.array(betas)
-        groups.append((np.stack([1.0 - b, b, b, 1.0 - b], axis=1).reshape(-1, 2, 2), betas))
+        params = _beta_grid(config.beta_grid_step)
+        stacks.append(_bsc_stack(params))
     rng = np.random.default_rng(config.seed)
     if config.random_samples and sizes:
         per, rem = divmod(config.random_samples, len(sizes))
-        counter = 0
         for si, u in enumerate(sizes):
             k = per + (1 if si < rem else 0)
             if k:
-                groups.append((rng.dirichlet(np.ones(u), size=(k, model.n_xt)),
-                               range(counter, counter + k)))
-            counter += k
+                stacks.append(_channel_stack(rng.dirichlet(np.ones(u), size=(k, model.n_xt))))
+        params += range(config.random_samples)
 
-    stacks = [_channel_stack(tests) for tests, _ in groups]
     rates = np.concatenate([_rates(model, unit, tests) for tests in stacks]
                            or [np.empty((0, 4))])
-    starts = np.cumsum([0] + [len(tests) for tests in stacks])
-    corners = []
-    for i in _pareto_indices(rates):
-        g = int(np.searchsorted(starts, i, side="right")) - 1
-        row = i - int(starts[g])
-        corners.append(_rate_corner(rates[i].tolist(), unit,
-                                    Channel._of_checked(stacks[g][row]),
-                                    param=groups[g][1][row]))
+    corners = _front(rates, unit, params, [t for tests in stacks for t in tests])
 
     meta = {"model_hash": model.content_hash(), "seed": config.seed,
             "sampler": {"random_samples": config.random_samples,

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from authcap import (
     closed_form_corner,
     closed_form_region,
 )
+from authcap.infotheory import binary_entropy, convolve
 from authcap.classifier import Relation
 
 
@@ -196,3 +199,41 @@ def test_entropy_convolution_check_rejects_nonbinary():
         Channel.bec(0.5), Channel.bsc(0.2), classifier_trials=500)
     with pytest.raises(ValueError):
         entropy_convolution_check(model, Channel.identity(3))
+
+
+# ---------------------------------------------------------------------------
+# The array closed form against the per-beta scalar formula it replaced,
+# kept verbatim as ref_closed_form_corner (renamed).
+# ---------------------------------------------------------------------------
+
+def ref_closed_form_corner(params, beta):
+    bp = convolve(beta, params.p)
+    bpe = convolve(bp, params.eps)
+    h_bp = binary_entropy(bp)
+    rs_raw = binary_entropy(bpe) - (1.0 - params.q) * h_bp - params.q
+    rj = params.q + (1.0 - params.q) * h_bp - binary_entropy(beta)
+    rl = 1.0 + params.q - params.q * h_bp - binary_entropy(params.eps)
+    return max(0.0, rs_raw), max(0.0, rj), rl, rs_raw
+
+
+def config_params(name):
+    blk = json.loads((Path(__file__).parents[1] / "configs" / name).read_text())["binary"]
+    return BinaryModelParams(blk["p"], blk["q"], blk["eps"],
+                             beta_step=blk.get("beta_step", 1e-3))
+
+
+@pytest.mark.parametrize("name", ["binary.json", "keyed.json"])
+def test_closed_form_region_matches_scalar_formula_exactly(name):
+    params = config_params(name)
+    region = closed_form_region(params, classifier_trials=2_000)
+    assert len(region.corners) > 100
+    for c in region.corners:
+        beta = c.extras["param"]
+        assert type(beta) is float
+        assert (c.rs, c.rj, c.rl, c.extras["rs_unclamped"]) == \
+            ref_closed_form_corner(params, beta)
+        assert c.extras["u_size"] == 2
+        assert np.array_equal(c.test_channel.matrix, Channel.bsc(beta).matrix)
+    one = closed_form_corner(params, 0.25)
+    assert (one.rs, one.rj, one.rl, one.extras["rs_unclamped"]) == \
+        ref_closed_form_corner(params, 0.25)

@@ -13,7 +13,7 @@ from authcap import (
     is_more_capable,
     is_stochastically_degraded,
 )
-from authcap.classifier import _mi_batch
+from authcap.classifier import _degradedness_lp, _mi_batch
 from authcap.infotheory import AlphabetMismatchError, JointDistribution, mutual_information
 
 
@@ -211,3 +211,47 @@ def test_mi_batch_matches_explicit_joint():
             joint = JointDistribution(row[:, None] * matrix)
             assert value == pytest.approx(
                 mutual_information(joint, [0], [1], unit=InfoUnit.NATS), abs=1e-12)
+
+
+def ref_degradedness_lp(candidate, reference):
+    """The per-entry loop `_degradedness_lp` replaced, kept verbatim."""
+    na = reference.num_inputs
+    nb = reference.num_outputs
+    nc = candidate.num_outputs
+    nvar = nb * nc + 1
+    rows = []
+    rhs = []
+    for a in range(na):
+        for c in range(nc):
+            coeff = np.zeros(nvar)
+            for b in range(nb):
+                coeff[b * nc + c] = reference.matrix[a, b]
+            coeff[-1] = -1.0
+            rows.append(coeff.copy())
+            rhs.append(candidate.matrix[a, c])
+            coeff2 = -coeff
+            coeff2[-1] = -1.0
+            rows.append(coeff2)
+            rhs.append(-candidate.matrix[a, c])
+    a_eq = np.zeros((nb, nvar))
+    for b in range(nb):
+        a_eq[b, b * nc:(b + 1) * nc] = 1.0
+    return np.array(rows), np.array(rhs), a_eq
+
+
+def test_degradedness_lp_matches_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+
+    def random_channel(outputs):
+        return Channel(rng.dirichlet(np.ones(outputs), size=3))
+
+    pairs = [(Channel.bsc(0.26), Channel.bsc(0.1)), (Channel.bsc(0.1), Channel.bsc(0.26)),
+             (Channel.bec(0.4), Channel.bsc(0.2)), (Channel.bsc(0.2), Channel.bec(0.4)),
+             (random_channel(4), random_channel(5)), (random_channel(5), random_channel(4))]
+    for candidate, reference in pairs:
+        for got, ref in zip(_degradedness_lp(candidate, reference),
+                            ref_degradedness_lp(candidate, reference)):
+            # tobytes also tells 0.0 from -0.0
+            assert got.shape == ref.shape
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()

@@ -216,6 +216,15 @@ def test_simulate(tmp_path):
     assert rep["wilson_high"] >= rep["error_prob"] >= rep["wilson_low"]
 
 
+def test_simulate_keyed_config(tmp_path):
+    # configs/keyed.json is the shipped simulator run with a key
+    config = Path(__file__).parents[1] / "configs" / "keyed.json"
+    assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path)) == 0
+    rep = json.loads((tmp_path / "simulation.json").read_text())["report"]
+    assert rep["m_s"] > 1
+    assert 0.0 <= rep["exact_secrecy_leakage_bits"] <= math.log2(rep["m_s"])
+
+
 def test_simulate_limit_exit_code(tmp_path):
     cfg = write_config(tmp_path, {
         **BINARY_CFG,

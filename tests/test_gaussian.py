@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,3 +201,47 @@ def test_identical_overlays_coincide():
 
 def test_covariance_monte_carlo_diagnostic():
     assert covariance_mc_diagnostic(PAPER, 0.5, n_samples=1_000_000, seed=0) <= 5e-3
+
+
+# ---------------------------------------------------------------------------
+# The array parametric rates against the per-alpha scalar formula they
+# replaced, kept verbatim as ref_parametric_corner (renamed).
+# ---------------------------------------------------------------------------
+
+def ref_parametric_corner(params, alpha):
+    c2 = params.rho1_sq * params.rho2_sq
+    c3 = params.rho1_sq * params.rho3_sq
+    top2 = alpha * c2 + 1.0 - c2
+    top3 = alpha * c3 + 1.0 - c3
+    rs_raw = 0.5 * math.log(top3 / top2)
+    rj = 0.5 * math.log(top2 / alpha)
+    rl = 0.5 * math.log(top2 / ((alpha * params.rho1_sq + 1.0 - params.rho1_sq)
+                                * (1.0 - params.rho3_sq)))
+    return max(0.0, rs_raw), rj, rl, rs_raw
+
+
+def test_parametric_rates_match_scalar_formula():
+    # configs/gaussian.json.  np.log and math.log are each within 1 ulp of
+    # the true logarithm, so the rates may differ by up to 2 ulp.
+    blk = json.loads((Path(__file__).parents[1] / "configs" / "gaussian.json")
+                     .read_text())["gaussian"]
+    params = GaussianModelParams(blk["rho1_sq"], blk["rho2_sq"], blk["rho3_sq"],
+                                 alpha_grid=blk["alpha_grid"], alpha_min=blk["alpha_min"])
+
+    def assert_close(got, ref):
+        got, ref = np.asarray(got), np.asarray(ref)
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+
+    region = parametric_region(params)
+    assert len(region.corners) == params.alpha_grid
+    for c in region.corners:
+        assert type(c.extras["param"]) is float
+        assert set(c.extras) == {"param", "rs_unclamped"}
+        assert c.test_channel is None
+        assert_close((c.rs, c.rj, c.rl, c.extras["rs_unclamped"]),
+                     ref_parametric_corner(params, c.extras["param"]))
+    curves = figure_curves(params)
+    for tag, prm in (("hsm", params), ("vsm", params.vsm())):
+        ref = np.array([ref_parametric_corner(prm, float(a)) for a in curves["alpha"]])
+        for col, key in enumerate(("rs", "rj", "rl")):
+            assert_close(curves[tag][key], ref[:, col])

@@ -5,14 +5,18 @@
 Runs `python -m authcap.cli COMMAND --config configs/NAME.json` for each
 command (classify, region, figures, simulate, compare) and each
 `configs/*.json` of the checkout in the current directory, with that
-checkout's `src` first on PYTHONPATH.  Each run gets a directory
-OUTDIR/NAME/COMMAND holding `exit_code`, `stdout`, `stderr` and, under
-`out/`, the files the command wrote.  Snapshots of two checkouts, such as a
-commit and its parent, compare with one `diff -r`.  Standard library only.
+checkout's `src` first on PYTHONPATH, plus one `region --unit` run in the
+config's non-default unit (nats for a discrete or binary model, bits for a
+Gaussian one, unless the config sets "unit").  Each run gets a directory
+OUTDIR/NAME/RUN (the command, or `region_unit`) holding `exit_code`,
+`stdout`, `stderr` and, under `out/`, the files the command wrote.
+Snapshots of two checkouts, such as a commit and its parent, compare with
+one `diff -r`.  Standard library only.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -25,18 +29,23 @@ def snapshot(checkout: Path, outdir: Path):
     pythonpath = [str(checkout / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
     for config in sorted((checkout / "configs").glob("*.json")):
-        for command in COMMANDS:
-            run_dir = outdir / config.stem / command
+        cfg = json.loads(config.read_text())
+        default_unit = cfg.get("unit", "nats" if "gaussian" in cfg else "bits")
+        other_unit = "bits" if default_unit == "nats" else "nats"
+        runs = [(command, [command]) for command in COMMANDS]
+        runs.append(("region_unit", ["region", "--unit", other_unit]))
+        for name, command in runs:
+            run_dir = outdir / config.stem / name
             run_dir.mkdir(parents=True)
-            argv = [sys.executable, "-m", "authcap.cli", command,
+            argv = [sys.executable, "-m", "authcap.cli", *command,
                     "--config", str(config.relative_to(checkout))]
-            if command != "classify":
+            if command[0] != "classify":
                 argv += ["--out", str(run_dir / "out")]
             proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True)
             (run_dir / "exit_code").write_text(f"{proc.returncode}\n")
             (run_dir / "stdout").write_bytes(proc.stdout)
             (run_dir / "stderr").write_bytes(proc.stderr)
-            print(f"{config.name} {command}: exit {proc.returncode}")
+            print(f"{config.name} {name}: exit {proc.returncode}")
 
 
 def main(argv) -> int:
