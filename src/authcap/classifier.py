@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infotheory import AlphabetMismatchError, Channel, _entropy_nats
+from .infotheory import AlphabetMismatchError, Channel, _entropy_nats, _jsonable
 
 DEGRADED_RESIDUAL_TOL = 1e-9
 CONCAVITY_TOL = 1e-10
@@ -70,15 +70,10 @@ class ChannelOrderVerdict:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        w = self.witness
-        if isinstance(w, Channel):
-            w = w.matrix.tolist()
-        elif isinstance(w, dict):
-            w = {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in w.items()}
         return {
             "relation": self.relation.value,
             "certainty": self.certainty.value,
-            "witness": w,
+            "witness": _jsonable(self.witness),
             "residual": self.residual,
             "note": self.note,
             "details": self.details,
@@ -98,23 +93,23 @@ def _mi_batch(p: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return _entropy_nats(p @ matrix, axis=1) - p @ _entropy_nats(matrix, axis=1)
 
 
-def _simplex_grid(k: int, resolution: float) -> np.ndarray:
-    """Deterministic grid on the k-simplex, capped at _GRID_POINT_CAP points."""
-    m = max(1, round(1.0 / resolution))
+def _info_gap(p: np.ndarray, better: Channel, worse: Channel) -> np.ndarray:
+    """f(P) = I(P;better) - I(P;worse) in nats for each row P of p; the
+    less-noisy test checks its concavity, the more-capable test its sign."""
+    return _mi_batch(p, better.matrix) - _mi_batch(p, worse.matrix)
+
+
+def _simplex_grid(k: int) -> np.ndarray:
+    """Points c/m of the k-simplex, c running over the compositions of m into
+    k parts in lexicographic order, with m = 1/DEFAULT_GRID_RESOLUTION
+    lowered until there are at most _GRID_POINT_CAP points.  The parts of a
+    composition are the gaps between k - 1 bars placed among m + k - 1 slots
+    (stars and bars)."""
+    m = max(1, round(1.0 / DEFAULT_GRID_RESOLUTION))
     while m > 1 and math.comb(m + k - 1, k - 1) > _GRID_POINT_CAP:
         m -= 1
-    pts = [np.array(c, dtype=float) / m
-           for c in _compositions(m, k)]
-    return np.array(pts)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    bars = np.array(list(itertools.combinations(range(m + k - 1), k - 1)), dtype=int)
+    return (np.diff(bars, axis=1, prepend=-1, append=m + k - 1) - 1) / m
 
 
 def _degradedness_lp(candidate: Channel, reference: Channel):
@@ -186,13 +181,10 @@ def is_less_noisy(better: Channel, worse: Channel, trials: int = DEFAULT_TRIALS,
     k = better.num_inputs
 
     def gap(pairs_a, pairs_b):
-        mid = 0.5 * (pairs_a + pairs_b)
-        f_a = _mi_batch(pairs_a, better.matrix) - _mi_batch(pairs_a, worse.matrix)
-        f_b = _mi_batch(pairs_b, better.matrix) - _mi_batch(pairs_b, worse.matrix)
-        f_m = _mi_batch(mid, better.matrix) - _mi_batch(mid, worse.matrix)
-        return f_m - 0.5 * (f_a + f_b)
+        f_m = _info_gap(0.5 * (pairs_a + pairs_b), better, worse)
+        return f_m - 0.5 * (_info_gap(pairs_a, better, worse) + _info_gap(pairs_b, better, worse))
 
-    grid = _simplex_grid(k, DEFAULT_GRID_RESOLUTION)
+    grid = _simplex_grid(k)
     idx = np.array(list(itertools.combinations(range(len(grid)), 2)))
     rng = np.random.default_rng(seed)
 
@@ -224,8 +216,7 @@ def is_less_noisy(better: Channel, worse: Channel, trials: int = DEFAULT_TRIALS,
                                details={"pairs_checked": checked})
 
 
-def is_more_capable(better: Channel, worse: Channel,
-                    grid_resolution: float = DEFAULT_GRID_RESOLUTION) -> ChannelOrderVerdict:
+def is_more_capable(better: Channel, worse: Channel) -> ChannelOrderVerdict:
     """Test whether I(P;better) >= I(P;worse) for every input law P.
 
     Minimises the gap over a simplex grid and refines locally (Nelder-Mead in
@@ -233,20 +224,14 @@ def is_more_capable(better: Channel, worse: Channel,
     otherwise the verdict is statistical evidence.
     """
     _check_same_input(better, worse)
-    k = better.num_inputs
-
-    def gap_one(p):
-        p = np.atleast_2d(p)
-        return float(_mi_batch(p, better.matrix)[0] - _mi_batch(p, worse.matrix)[0])
-
-    grid = _simplex_grid(k, grid_resolution)
-    vals = _mi_batch(grid, better.matrix) - _mi_batch(grid, worse.matrix)
+    grid = _simplex_grid(better.num_inputs)
+    vals = _info_gap(grid, better, worse)
     j = int(np.argmin(vals))
     best_p, best_v = grid[j], float(vals[j])
 
     def objective(logits):
         w = np.exp(logits - logits.max())
-        return gap_one(w / w.sum())
+        return float(_info_gap((w / w.sum())[None, :], better, worse)[0])
 
     from scipy import optimize
 
@@ -269,8 +254,7 @@ def is_more_capable(better: Channel, worse: Channel,
 
 
 def classify_ac(ac_y: Channel, ac_z: Channel, trials: int = DEFAULT_TRIALS,
-                seed: int = 0,
-                grid_resolution: float = DEFAULT_GRID_RESOLUTION) -> ChannelOrderVerdict:
+                seed: int = 0) -> ChannelOrderVerdict:
     """Strongest verified ordering between the two authentication channels.
 
     Runs degradedness both ways, then less-noisy both ways, then
@@ -297,18 +281,18 @@ def classify_ac(ac_y: Channel, ac_z: Channel, trials: int = DEFAULT_TRIALS,
     ln_z = is_less_noisy(ac_z, ac_y, trials=trials, seed=seed + 1)
     if ln_y.certainty is Certainty.STATISTICAL_EVIDENCE:
         details = {"reverse_refuted": ln_z.certainty is Certainty.COUNTEREXAMPLE,
-                   "reverse_witness": _witness_json(ln_z)}
+                   "reverse_witness": _jsonable(ln_z.witness)}
         return ChannelOrderVerdict(Relation.LESS_NOISY_Y_OVER_Z,
                                    Certainty.STATISTICAL_EVIDENCE,
                                    note=ln_y.note, details=details)
     if ln_z.certainty is Certainty.STATISTICAL_EVIDENCE:
-        details = {"reverse_refuted": True, "reverse_witness": _witness_json(ln_y)}
+        details = {"reverse_refuted": True, "reverse_witness": _jsonable(ln_y.witness)}
         return ChannelOrderVerdict(Relation.LESS_NOISY_Z_OVER_Y,
                                    Certainty.STATISTICAL_EVIDENCE,
                                    note=ln_z.note, details=details)
 
-    mc_y = is_more_capable(ac_y, ac_z, grid_resolution=grid_resolution)
-    mc_z = is_more_capable(ac_z, ac_y, grid_resolution=grid_resolution)
+    mc_y = is_more_capable(ac_y, ac_z)
+    mc_z = is_more_capable(ac_z, ac_y)
     if mc_y.certainty is Certainty.STATISTICAL_EVIDENCE:
         return ChannelOrderVerdict(Relation.MORE_CAPABLE_Y,
                                    Certainty.STATISTICAL_EVIDENCE,
@@ -320,12 +304,7 @@ def classify_ac(ac_y: Channel, ac_z: Channel, trials: int = DEFAULT_TRIALS,
 
     return ChannelOrderVerdict(
         Relation.UNORDERED, Certainty.COUNTEREXAMPLE,
-        witness={"y_gap_witness": _witness_json(mc_y), "z_gap_witness": _witness_json(mc_z)},
+        witness={"y_gap_witness": _jsonable(mc_y.witness),
+                 "z_gap_witness": _jsonable(mc_z.witness)},
         note="both directions refuted for every tested ordering")
 
-
-def _witness_json(verdict: ChannelOrderVerdict):
-    if isinstance(verdict.witness, dict):
-        return {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                for k, v in verdict.witness.items()}
-    return None

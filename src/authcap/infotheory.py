@@ -77,10 +77,24 @@ def _entropy_nats(p: np.ndarray, axis: int = None):
     """Shannon entropy in nats of the whole array (a float), or of each
     slice along ``axis`` (an array: the batched form)."""
     p = np.asarray(p, dtype=float)
-    if axis is None:
-        q = p[p > ZERO_EPS]
-        return float(-(q * np.log(q)).sum())
-    return np.add.reduce(-(p * np.log(np.where(p > ZERO_EPS, p, 1.0))), axis=axis)
+    h = np.add.reduce(-(p * np.log(np.where(p > ZERO_EPS, p, 1.0))), axis=axis)
+    return float(h) if axis is None else h
+
+
+def _jsonable(v):
+    """v with numpy arrays and scalars, channels and verdicts (anything with
+    a ``to_json_dict``) turned into JSON types, recursing into dicts."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, (np.floating, np.integer)):
+        return v.item()
+    if isinstance(v, Channel):
+        return v.matrix.tolist()
+    if hasattr(v, "to_json_dict"):
+        return v.to_json_dict()
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    return v
 
 
 def _channel_stack(matrices) -> np.ndarray:
@@ -251,10 +265,9 @@ def _mi2_nats(j: np.ndarray):
     """Mutual information in nats between the row and column variables of a
     2-D joint array (a float), or of each joint of a stack j[..., rows, cols]
     (an array)."""
-    stacked = j.ndim > 2
-    return _clamp_mi(_entropy_nats(j.sum(axis=-1), axis=-1 if stacked else None)
-                     + _entropy_nats(j.sum(axis=-2), axis=-1 if stacked else None)
-                     - _entropy_nats(j, axis=(-2, -1) if stacked else None))
+    return _clamp_mi(_entropy_nats(j.sum(axis=-1), axis=-1)
+                     + _entropy_nats(j.sum(axis=-2), axis=-1)
+                     - _entropy_nats(j, axis=(-2, -1)))
 
 
 def _cmi_nats(probs: np.ndarray, axes_a, axes_b, axes_c) -> float:

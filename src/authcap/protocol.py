@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .infotheory import Channel, LN2, _blocks, _cmi_nats, _entropy_nats, _mi2_nats
+from .infotheory import Channel, LN2, _blocks, _cmi_nats, _entropy_nats, _jsonable, _mi2_nats
 from .regions import AuthModel, _chain_laws, _one_aux_infos_nats
 
 WILSON_Z_95 = 1.959963984540054
@@ -454,14 +454,7 @@ class SimReport:
     trace: list = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for k, v in self.__dict__.items():
-            if k == "trace":
-                continue
-            if isinstance(v, (np.floating, np.integer)):
-                v = v.item()
-            out[k] = v
-        return out
+        return {k: _jsonable(v) for k, v in self.__dict__.items() if k != "trace"}
 
     TRACE_COLUMNS = ("trial", "j", "s", "s_hat", "encoder_failed",
                      "decoder_failed", "ambiguous", "error")

@@ -30,6 +30,7 @@ from .infotheory import (
     _blocks,
     _channel_stack,
     _clamp_mi,
+    _jsonable,
     _mi2_nats,
 )
 
@@ -62,7 +63,7 @@ class AuthModel:
     ec: Channel
     ac_y: Channel
     ac_z: Channel
-    verdict: ChannelOrderVerdict = None
+    verdict: ChannelOrderVerdict = field(init=False)
     classifier_trials: int = 20_000
     classifier_seed: int = 0
 
@@ -74,12 +75,10 @@ class AuthModel:
         self._p_xa = self.px.probs[:, None] * self.ec.matrix
         self._p_xa.setflags(write=False)
         self._i_xz = _mi2_nats(self.px.probs[:, None] * self.ac_z.matrix)
-        if self.verdict is None:
-            if self.classifier_trials < 1:
-                raise ValueError(f"classifier_trials={self.classifier_trials} must be >= 1")
-            self.verdict = classify_ac(self.ac_y, self.ac_z,
-                                       trials=self.classifier_trials,
-                                       seed=self.classifier_seed)
+        if self.classifier_trials < 1:
+            raise ValueError(f"classifier_trials={self.classifier_trials} must be >= 1")
+        self.verdict = classify_ac(self.ac_y, self.ac_z,
+                                   trials=self.classifier_trials, seed=self.classifier_seed)
 
     @property
     def nx(self) -> int:
@@ -181,26 +180,12 @@ class RegionBoundary:
     def to_json_dict(self) -> dict:
         corners = []
         for c in self.corners:
-            d = {"rs": float(c.rs), "rj": float(c.rj), "rl": float(c.rl)}
-            d.update({k: _jsonable(v) for k, v in c.extras.items()})
+            d = {"rs": float(c.rs), "rj": float(c.rj), "rl": float(c.rl), **_jsonable(c.extras)}
             if c.test_channel is not None:
-                d["test_channel"] = c.test_channel.matrix.tolist()
+                d["test_channel"] = _jsonable(c.test_channel)
             corners.append(d)
-        return {"unit": self.unit.value,
-                "metadata": {k: _jsonable(v) for k, v in self.metadata.items()},
+        return {"unit": self.unit.value, "metadata": _jsonable(self.metadata),
                 "corners": corners}
-
-
-def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, ChannelOrderVerdict):
-        return v.to_json_dict()
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +516,17 @@ def two_aux_random_search(model: AuthModel, n_pairs: int, seed: int = 0,
     """Random (U, V) test-channel pairs for the two-auxiliary region.
 
     Returns the raw corner list (not Pareto-filtered) so containment checks
-    can cover every sampled pair.
+    can cover every sampled pair.  Raises CardinalityError for max_u or
+    max_v below 1 and ValueError for a negative n_pairs, before anything is
+    drawn.
     """
     if model.verdict.relation not in Y_FAVOR:
         raise UnsupportedClassError(
             f"two-auxiliary search unsupported for verdict {model.verdict.relation.value}")
+    if max_u < 1 or max_v < 1:
+        raise CardinalityError(f"auxiliary sizes max_u={max_u}, max_v={max_v} must be >= 1")
+    if n_pairs < 0:
+        raise ValueError(f"n_pairs={n_pairs} is negative")
     rng = np.random.default_rng(seed)
     groups = {}   # (|U|, |V|) -> pair indices, U-channels, V-channels
     for idx in range(n_pairs):

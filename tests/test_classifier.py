@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from authcap import (
     is_more_capable,
     is_stochastically_degraded,
 )
-from authcap.classifier import _degradedness_lp, _mi_batch
+from authcap.classifier import DEFAULT_GRID_RESOLUTION, _degradedness_lp, _mi_batch, _simplex_grid
 from authcap.infotheory import AlphabetMismatchError, JointDistribution, mutual_information
 
 
@@ -255,3 +256,69 @@ def test_degradedness_lp_matches_loop_bit_for_bit():
             assert got.shape == ref.shape
             assert got.dtype == ref.dtype
             assert got.tobytes() == ref.tobytes()
+
+
+def ref_compositions(total, parts):
+    """The recursive composition generator `_simplex_grid` replaced, kept
+    verbatim."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in ref_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def test_simplex_grid_matches_recursive_compositions():
+    for k in range(1, 8):
+        m = round(1.0 / DEFAULT_GRID_RESOLUTION)
+        while m > 1 and math.comb(m + k - 1, k - 1) > 100:
+            m -= 1
+        ref = np.array([np.array(c, dtype=float) / m for c in ref_compositions(m, k)])
+        got = _simplex_grid(k)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got, ref), k
+
+
+def ref_witness_json(verdict):
+    """The witness conversion `classify_ac` used inline, kept verbatim."""
+    if isinstance(verdict.witness, dict):
+        return {k: (v.tolist() if isinstance(v, np.ndarray) else v)
+                for k, v in verdict.witness.items()}
+    return None
+
+
+def ref_verdict_json(verdict):
+    """`ChannelOrderVerdict.to_json_dict` as it converted witnesses inline,
+    kept verbatim, dumped with sorted keys."""
+    w = verdict.witness
+    if isinstance(w, Channel):
+        w = w.matrix.tolist()
+    elif isinstance(w, dict):
+        w = {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in w.items()}
+    return json.dumps({"relation": verdict.relation.value, "certainty": verdict.certainty.value,
+                       "witness": w, "residual": verdict.residual, "note": verdict.note,
+                       "details": verdict.details}, sort_keys=True)
+
+
+def test_verdict_json_matches_inline_conversion():
+    y, z = Channel.bec(0.5), Channel.bsc(0.2)
+    degraded = classify_ac(Channel.bsc(0.1), Channel.bsc(0.26), trials=500, seed=0)
+    refuted = is_less_noisy(z, y, trials=2_000, seed=1)
+    less_noisy = classify_ac(y, z, trials=2_000, seed=2)
+    unordered = classify_ac(Channel.bec(0.8), z, trials=2_000, seed=4)
+    assert isinstance(degraded.witness, Channel)
+    assert isinstance(refuted.witness["p1"], np.ndarray)
+    assert less_noisy.relation is Relation.LESS_NOISY_Y_OVER_Z
+    assert unordered.relation is Relation.UNORDERED
+    for v in (degraded, refuted, less_noisy, unordered):
+        assert json.dumps(v.to_json_dict(), sort_keys=True) == ref_verdict_json(v)
+
+    # the sub-verdict witnesses classify_ac stores, against the inline form
+    reverse = is_less_noisy(z, y, trials=2_000, seed=3)
+    assert json.dumps(less_noisy.details["reverse_witness"]) == \
+        json.dumps(ref_witness_json(reverse))
+    gap_y, gap_z = is_more_capable(Channel.bec(0.8), z), is_more_capable(z, Channel.bec(0.8))
+    assert json.dumps(unordered.witness, sort_keys=True) == json.dumps(
+        {"y_gap_witness": ref_witness_json(gap_y), "z_gap_witness": ref_witness_json(gap_z)},
+        sort_keys=True)

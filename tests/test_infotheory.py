@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from authcap import (
     Channel,
@@ -21,6 +22,8 @@ from authcap.infotheory import (
     AlphabetMismatchError,
     MalformedJointError,
     LN2,
+    ZERO_EPS,
+    _entropy_nats,
 )
 
 
@@ -226,3 +229,39 @@ def test_joint_marginal_idempotence():
     assert j.axes == (2, 3, 2)
     with pytest.raises(AttributeError):
         j.axes = (12,)
+
+
+def ref_entropy_nats(p):
+    """The masked whole-array branch `_entropy_nats` had, kept verbatim."""
+    p = np.asarray(p, dtype=float)
+    q = p[p > ZERO_EPS]
+    return float(-(q * np.log(q)).sum())
+
+
+# cells: exact zeros, masses below ZERO_EPS, and ordinary masses
+CELLS = st.one_of(st.just(0.0), st.floats(0.0, ZERO_EPS), st.floats(1e-12, 1.0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(rows=st.integers(1, 4), cells=st.lists(CELLS, min_size=1, max_size=300))
+def test_entropy_nats_matches_masked_sum(rows, cells):
+    # the masked sum drops the zero cells, the whole-array sum keeps them
+    # (as -0.0 terms), so numpy's pairwise blocks start at other cells and
+    # the last bits can move once there are 8 or more cells; below that both
+    # sum the same nonzero terms in the same order
+    p = np.array(cells)
+    if p.sum() > 0:
+        p = p / p.sum()
+    got = _entropy_nats(p)
+    assert isinstance(got, float)
+    ref = ref_entropy_nats(p)
+    assert abs(got - ref) <= 1e-14
+    if p.size < 8:
+        assert got == ref
+
+    table = p[:len(p) - len(p) % rows].reshape(rows, -1)
+    for got, row in zip(_entropy_nats(table, axis=-1), table):
+        ref = ref_entropy_nats(row)
+        assert abs(got - ref) <= 1e-14
+        if row.size < 8:
+            assert got == ref

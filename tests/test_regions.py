@@ -658,3 +658,27 @@ def test_rates_in_blocks_match_one_pass(monkeypatch):
     assert _blocks(5, 1 << 21) == [slice(0, 2), slice(2, 4), slice(4, 6)]
     assert _blocks(2, 1 << 23) == [slice(0, 1), slice(1, 2)]
     assert _blocks(0, 8) == []
+
+
+@pytest.mark.parametrize("kwargs, error, match", [
+    ({"n_pairs": -5}, ValueError, "n_pairs"),
+    ({"n_pairs": 10, "max_u": 0}, CardinalityError, "max_u"),
+    ({"n_pairs": 10, "max_v": 0}, CardinalityError, "max_v"),
+])
+def test_two_aux_search_rejects_bad_sizes(kwargs, error, match):
+    with pytest.raises(error, match=match):
+        two_aux_random_search(degraded_model(), **kwargs)
+
+
+def test_two_aux_search_zero_pairs():
+    assert two_aux_random_search(degraded_model(), 0) == []
+
+
+def test_auth_model_verdict_is_computed_not_passed():
+    args = (DiscreteDistribution.uniform(2), Channel.bsc(0.1), Channel.bsc(0.1),
+            Channel.bsc(0.26))
+    with pytest.raises(TypeError):
+        AuthModel(*args, verdict=None)
+    with pytest.raises(ValueError, match="classifier_trials"):
+        AuthModel(*args, classifier_trials=0)
+    assert AuthModel(*args, classifier_trials=500).verdict.relation is Relation.DEGRADED_Z_WRT_Y
