@@ -60,6 +60,20 @@ def hash_index(a: int, b: int, index: int, m_s: int) -> int:
     return (_gf64_mul(a, index) ^ b) & (m_s - 1)
 
 
+def _hash_indices(a: int, b: int, count: int, m_s: int) -> np.ndarray:
+    """hash_index(a, b, i, m_s) for i in range(count), as int64.  The product
+    a * i is the XOR of the shifts a * x^k (reduced) over the set bits k of i,
+    so one pass per index bit covers every index."""
+    idx = np.arange(count, dtype=np.uint64)
+    out = np.full(count, b, dtype=np.uint64)
+    shift = a
+    for k in range(max(count - 1, 0).bit_length()):
+        bit = (idx >> np.uint64(k)) & np.uint64(1)
+        out ^= -bit & np.uint64(shift)   # -bit is all ones where bit k of i is set
+        shift = _gf64_mul(shift, 2)
+    return (out & np.uint64(m_s - 1)).astype(np.int64)
+
+
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_95):
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
@@ -199,6 +213,18 @@ class Codebook:
         order = np.argsort(self.bin_of, kind="stable")
         return order, np.searchsorted(self.bin_of[order], np.arange(self.m_j + 1))
 
+    @cached_property
+    def _density_matrix(self) -> np.ndarray:
+        """B with one_hot(xt^n) @ B = the encoder information densities
+        against every codeword: B[(t, a), c] = tn_table[a, u_ct].  A
+        zero-posterior pair (tn_table -inf) is replaced by a finite penalty
+        that alone puts any row containing it above the encoder threshold."""
+        tn = self.tables.tn_table
+        finite = np.isfinite(tn)
+        penalty = max(self.encoder_threshold(), 0.0) + self.n * np.abs(tn[finite]).max() + 1.0
+        b = np.where(finite, tn, penalty)[:, self.codewords]        # (a, c, t)
+        return b.transpose(2, 0, 1).reshape(-1, self.size)
+
     def bin_members(self, j: int) -> np.ndarray:
         order, edges = self._bin_index
         return order[edges[j]:edges[j + 1]]
@@ -254,7 +280,7 @@ def generate_codebook(model: AuthModel, config: SimConfig) -> Codebook:
     while hash_a == 0:
         hash_a = (int(rng.integers(0, 1 << 32)) << 32) | int(rng.integers(0, 1 << 32))
     hash_b = (int(rng.integers(0, 1 << 32)) << 32) | int(rng.integers(0, 1 << 32))
-    key_of = np.array([hash_index(hash_a, hash_b, i, m_s) for i in range(size)])
+    key_of = _hash_indices(hash_a, hash_b, size, m_s)
 
     rates = {"r_j": r_j, "r_s": r_s, "i_xt_u": t.i_xt_u, "i_y_u": t.i_y_u,
              "i_z_u": t.i_z_u, "i_xz": t.i_xz}
@@ -265,8 +291,9 @@ def generate_codebook(model: AuthModel, config: SimConfig) -> Codebook:
 def _encoder_hits(codebook: Codebook, seqs: np.ndarray):
     """(rows, cols, hits): the (sequence, codeword) pairs of the block `seqs`
     that pass the encoder test, in row-major order, and the count per row."""
-    dens = codebook.tables.tn_table[seqs[:, None, :], codebook.codewords[None, :, :]].sum(axis=2)
-    rows, cols = np.nonzero(np.isfinite(dens) & (dens <= codebook.encoder_threshold()))
+    one_hot = seqs[:, :, None] == np.arange(len(codebook.tables.tn_table))
+    dens = one_hot.reshape(len(seqs), -1) @ codebook._density_matrix
+    rows, cols = np.nonzero(dens <= codebook.encoder_threshold())
     return rows, cols, np.bincount(rows, minlength=len(seqs))
 
 
@@ -342,6 +369,17 @@ def _product_law(per_symbol: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _mode_products(table: np.ndarray, per_symbol: np.ndarray, n: int) -> np.ndarray:
+    """sum over a^n of table[a^n, c] * prod_t per_symbol[a_t, b_t], as a
+    (c, b^n) matrix: `table` has rows indexed by sequences in `_all_sequences`
+    order, and each of the n symbols is contracted with the per-symbol law in
+    turn, so the n-fold product law is never formed."""
+    out = table.reshape(per_symbol.shape[:1] * n + table.shape[1:])
+    for _ in range(n):   # contracts the leading symbol, appends its image last
+        out = np.tensordot(out, per_symbol, axes=(0, 0))
+    return out.reshape(table.shape[1], -1)
+
+
 def _encoder_kernel(codebook: Codebook, seqs: np.ndarray) -> np.ndarray:
     """Exact encoder law P(s, j | xt-sequence), with the uniform choice among
     qualifying codewords marginalised; rows indexed by sequence, columns by
@@ -360,12 +398,12 @@ def _encoder_kernel(codebook: Codebook, seqs: np.ndarray) -> np.ndarray:
 
 def _check_exact(codebook: Codebook, config: SimConfig):
     """SimLimitError unless exact leakage is within the enumeration limit and
-    its 4^n pair law and 2^n x m_s m_j encoder law fit in _MAX_CELLS."""
+    its 2^n x m_s m_j encoder law fits in _MAX_CELLS."""
     n = codebook.n
     if n > config.exact_leakage_limit:
         raise SimLimitError(f"n={n} exceeds exact enumeration limit "
                             f"{config.exact_leakage_limit}")
-    cells = max(1 << 2 * n, (codebook.m_s * codebook.m_j) << n)
+    cells = (codebook.m_s * codebook.m_j) << n
     if cells > _MAX_CELLS:
         raise SimLimitError(f"exact leakage at n={n} needs a table of 2^{math.log2(cells):g} "
                             f"cells, over the cap of {_MAX_CELLS}")
@@ -379,7 +417,8 @@ def exact_leakage(codebook: Codebook, model: AuthModel, config: SimConfig) -> di
     Secrecy side: P(s, j, z^n) = sum over xt-sequences of the pair law
     P(xt^n, z^n) (per-symbol joint, since the eavesdropper's observation is
     conditionally independent of the enrollment one given the source) times
-    the exact encoder law.  Privacy side uses
+    the exact encoder law, taken one symbol at a time (`_mode_products`).
+    Privacy side uses
     I(X^n; J, Z^n) = n I(X;Z) + H(J|Z^n) - H(J|X^n), valid because the
     helper is conditionally independent of the eavesdropper's sequence given
     the source sequence.
@@ -391,8 +430,7 @@ def exact_leakage(codebook: Codebook, model: AuthModel, config: SimConfig) -> di
     seqs = _all_sequences(n)
     enc = _encoder_kernel(codebook, seqs)
 
-    w = _product_law(t.p_xtz, n)                # P(xt^n, z^n)
-    p_sjz = enc.T @ w                           # (m_s * m_j, 2^n)
+    p_sjz = _mode_products(enc, t.p_xtz, n)     # (m_s * m_j, 2^n)
     table_mass = float(p_sjz.sum())
 
     m_s, m_j = codebook.m_s, codebook.m_j
@@ -405,11 +443,10 @@ def exact_leakage(codebook: Codebook, model: AuthModel, config: SimConfig) -> di
     secrecy = _mi2_nats(cube.reshape(m_s, -1)) / LN2
     mu_n = float(np.abs(cube - p_jz[None, :, :] / m_s).sum())
 
-    v = _product_law(model.ec.matrix, n)        # P(xt^n | x^n) as [x, xt]
     enc_j = enc.reshape(len(seqs), m_s, m_j).sum(axis=1)
-    p_j_given_x = v @ enc_j
+    p_j_given_x = _mode_products(enc_j, model.ec.matrix.T, n)   # (m_j, 2^n)
     p_x_seq = _product_law(model.px.probs, n)
-    h_j_given_x = float(np.sum(p_x_seq * _entropy_nats(p_j_given_x, axis=1)))
+    h_j_given_x = float(np.sum(p_x_seq * _entropy_nats(p_j_given_x, axis=0)))
     h_j_given_z = _entropy_nats(p_jz) - _entropy_nats(p_z)
     privacy_total = n * t.i_xz + (h_j_given_z - h_j_given_x) / LN2
 

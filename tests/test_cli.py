@@ -459,12 +459,13 @@ def test_size_over_cap_exits_3(tmp_path, capsys, command, base, path, value, nam
 
 # Simulator sizes just above their caps, rejected before any trial or table is
 # allocated: key and bin counts 2^21 (max_codebook_size 2^20), exact-leakage
-# laws of 2^26 cells (2^4 x 2^12 x 2^10, and 4^13), trials x n = 34,000,000.
+# encoder laws of 2^26 cells (2^4 x 2^22 and 2^13 x 2^13), trials x n = 34,000,000.
 SIM_OVER_CAP = [
     ({"rate_overrides": {"r_j": 5.25, "r_s": 0.0}}, "m_j", []),
     ({"rate_overrides": {"r_j": 0.0, "r_s": 5.25}}, "m_s", []),
     ({"rate_overrides": {"r_j": 3.0, "r_s": 2.5}}, "exact leakage", []),
-    ({"n": 13, "exact_leakage_limit": 13}, "exact leakage", []),
+    ({"n": 13, "exact_leakage_limit": 13, "rate_overrides": {"r_j": 0.75, "r_s": 0.25}},
+     "exact leakage", []),
     ({"n": 34, "trials": CAP}, "trials x n", ["--monte-carlo-only"]),
 ]
 

@@ -9,6 +9,7 @@ from authcap import (
     AuthModel,
     Channel,
     Codebook,
+    DiscreteDistribution,
     SimConfig,
     SimLimitError,
     authenticate,
@@ -18,8 +19,10 @@ from authcap import (
     run_simulation,
     wilson_interval,
 )
+from authcap.infotheory import LN2, _entropy_nats, _mi2_nats
 from authcap.protocol import (_MAX_CELLS, ProtocolTables, SimReport, _all_sequences, _blocks,
-                              _encoder_kernel, _product_law, _sample_through, hash_index)
+                              _check_exact, _encoder_hits, _encoder_kernel, _gf64_mul,
+                              _hash_indices, _product_law, _sample_through, hash_index)
 
 
 def hb(x):
@@ -249,9 +252,9 @@ def test_simulator_caps_reject_before_allocating(monkeypatch):
         generate_codebook(m, SimConfig(n=n, test_channel=Channel.bsc(0.1), gamma=gamma,
                                        trials=1, max_codebook_size=1 << 40))
 
-    # exact leakage: a 4^13 pair law, and a 2^10 x 2^16 encoder law (2^26 cells)
+    # exact leakage: 2^13 x 2^13 and 2^10 x 2^16 encoder laws (2^26 cells)
     monkeypatch.setattr("authcap.protocol._sample_through", pytest.fail)
-    for n, ro in ((13, None), (10, (1.0, 0.6))):
+    for n, ro in ((13, (0.75, 0.25)), (10, (1.0, 0.6))):
         cfg = SimConfig(n=n, test_channel=Channel.bsc(0.1), gamma=0.1, trials=10,
                         rate_overrides=ro, exact_leakage_limit=13)
         with pytest.raises(SimLimitError, match="exact leakage"):
@@ -312,6 +315,27 @@ def test_hash_two_universal_bound():
     mean = float(np.mean(fractions))
     sigma = float(np.std(fractions)) / math.sqrt(draws)
     assert mean <= 1.0 / m_s + 3.0 * sigma + 1e-12
+
+
+def test_hash_indices_match_scalar_gf64_mul():
+    # the vectorised hash against the scalar carry-less product, over all 64
+    # bits (m_s = 2^64) and truncated, on 2^16 indices per random (a, b)
+    rng = np.random.default_rng(21)
+    count = 1 << 16
+    for _ in range(4):
+        a, b = ((int(hi) << 32) | int(lo) for hi, lo in rng.integers(1, 1 << 32, size=(2, 2)))
+        full = np.array([_gf64_mul(a, i) ^ b for i in range(count)], dtype=np.uint64)
+        assert np.array_equal(_hash_indices(a, b, count, 1 << 64), full.astype(np.int64))
+        for m_s in (1, 8, 1 << 20):
+            got = _hash_indices(a, b, count, m_s)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, (full & np.uint64(m_s - 1)).astype(np.int64))
+    assert _hash_indices(3, 5, 0, 8).shape == (0,)
+    assert _hash_indices(3, 5, 1, 8).tolist() == [hash_index(3, 5, 0, 8)]
+    book = generate_codebook(hsm_model(), SimConfig(n=8, test_channel=Channel.bsc(0.1), seed=3,
+                                                    trials=1, rate_overrides=(0.5, 0.25)))
+    assert book.key_of.tolist() == [hash_index(book.hash_a, book.hash_b, i, book.m_s)
+                                    for i in range(book.size)]
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +429,93 @@ def test_membership_density_forms_agree():
 # ---------------------------------------------------------------------------
 # Exact leakage
 # ---------------------------------------------------------------------------
+
+def ref_encoder_hits(codebook, seqs):
+    """The encoder test as a gather-sum of per-symbol densities, with
+    zero-posterior pairs (-inf) excluded by the finiteness mask."""
+    dens = codebook.tables.tn_table[seqs[:, None, :], codebook.codewords[None, :, :]].sum(axis=2)
+    rows, cols = np.nonzero(np.isfinite(dens) & (dens <= codebook.encoder_threshold()))
+    return rows, cols, np.bincount(rows, minlength=len(seqs))
+
+
+def ref_exact_leakage(codebook, model):
+    """exact_leakage with the pair law P(xt^n, z^n) and P(xt^n | x^n) formed
+    as Kronecker powers of the per-symbol laws (4^n-cell tables)."""
+    n, t = codebook.n, codebook.tables
+    m_s, m_j = codebook.m_s, codebook.m_j
+    seqs = _all_sequences(n)
+    enc = _encoder_kernel(codebook, seqs)
+    p_sjz = enc.T @ _product_law(t.p_xtz, n)
+    cube = p_sjz.reshape(m_s, m_j, len(seqs))
+    p_jz = cube.sum(axis=0)
+    p_z = p_jz.sum(axis=0)
+    enc_j = enc.reshape(len(seqs), m_s, m_j).sum(axis=1)
+    p_j_given_x = _product_law(model.ec.matrix, n) @ enc_j
+    h_j_given_x = float(np.sum(_product_law(model.px.probs, n)
+                               * _entropy_nats(p_j_given_x, axis=1)))
+    h_j_given_z = _entropy_nats(p_jz) - _entropy_nats(p_z)
+    return {
+        "secrecy_leakage_bits": _mi2_nats(cube.reshape(m_s, -1)) / LN2,
+        "privacy_leakage_rate_bits": max(0.0, n * t.i_xz + (h_j_given_z - h_j_given_x) / LN2) / n,
+        "mu_n": float(np.abs(cube - p_jz[None, :, :] / m_s).sum()),
+        "table_mass": float(p_sjz.sum()),
+        "z_marginal_gap": float(np.max(np.abs(p_z - _product_law(t.p_z, n)))),
+    }
+
+
+def test_encoder_hits_match_gather_sum():
+    # test channels with zero cells, where a -inf density must never qualify
+    zero_ternary = Channel(np.array([[0.7, 0.3, 0.0], [0.0, 0.2, 0.8]]))
+    rng = np.random.default_rng(17)
+    checked = 0
+    for model, test in ((hsm_model(), Channel.identity(2)), (hsm_model(), zero_ternary),
+                        (AuthModel.binary_hsm(0.02, 0.2, 0.3, classifier_trials=500),
+                         Channel.identity(2))):
+        for n, gamma, seed in ((4, 0.3, 0), (8, 0.1, 1), (10, 0.05, 2)):
+            book = generate_codebook(model, SimConfig(n=n, test_channel=test, gamma=gamma,
+                                                      seed=seed, trials=1))
+            assert not np.isfinite(book.tables.tn_table).all()
+            for seqs in (_all_sequences(n), rng.integers(0, 2, size=(300, n))):
+                got, ref = _encoder_hits(book, seqs), ref_encoder_hits(book, seqs)
+                for g, r in zip(got, ref):
+                    assert np.array_equal(g, r)
+                checked += int(ref[2].sum())
+    assert checked > 0
+
+
+def test_exact_leakage_matches_kronecker_reference():
+    # the asymmetric model has non-symmetric per-symbol laws, so a transposed
+    # law in the mode products shows
+    workload = AuthModel.binary_hsm(0.02, 0.2, 0.3, classifier_trials=500)
+    asymmetric = AuthModel(DiscreteDistribution(np.array([0.3, 0.7])),
+                           Channel(np.array([[0.9, 0.1], [0.2, 0.8]])), Channel.bsc(0.1),
+                           Channel(np.array([[0.8, 0.2], [0.35, 0.65]])), classifier_trials=500)
+    p_xtz = ProtocolTables(asymmetric, Channel.bsc(0.1)).p_xtz
+    assert not np.allclose(p_xtz, p_xtz.T)
+    for m in (workload, asymmetric):
+        for n in range(1, 11):
+            for test, ro in ((Channel.identity(2), None), (Channel.bsc(0.1), (0.5, 2.0 / n))):
+                cfg = SimConfig(n=n, test_channel=test, gamma=0.05, seed=n, trials=1,
+                                rate_overrides=ro)
+                book = generate_codebook(m, cfg)
+                got, ref = exact_leakage(book, m, cfg), ref_exact_leakage(book, m)
+                for key, value in ref.items():
+                    assert abs(got[key] - value) <= 1e-12, (n, key)
+
+
+def test_exact_leakage_at_n13():
+    # the 4^13 pair law is never formed: only the 2^13 x m_s m_j encoder law
+    m = hsm_model()
+    cfg = SimConfig(n=13, test_channel=Channel.bsc(0.45), gamma=0.05, seed=14, trials=1,
+                    rate_overrides=(0.25, 0.25), exact_leakage_limit=13)
+    book = generate_codebook(m, cfg)
+    assert (book.m_s, book.m_j) == (8, 8)
+    _check_exact(book, cfg)
+    got = exact_leakage(book, m, cfg)
+    assert abs(got["table_mass"] - 1.0) <= 1e-10
+    assert got["z_marginal_gap"] <= 1e-10
+    assert 0.0 <= got["secrecy_leakage_bits"] <= math.log2(book.m_s)
+    assert 0.0 <= got["mu_n"] <= 2.0
 
 def test_exact_leakage_against_brute_force():
     m = hsm_model()
