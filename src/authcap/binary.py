@@ -130,7 +130,7 @@ def closed_form_region(params: BinaryModelParams, classifier_trials: int = 20_00
             "verdict": verdict,
             "classifier_warning": warning}
     corners = _front(_closed_form_rates(params, betas), InfoUnit.BITS, betas,
-                     _bsc_stack(betas))
+                     [_bsc_stack(betas)])
     return RegionBoundary(corners, InfoUnit.BITS, metadata=meta)
 
 

@@ -75,9 +75,11 @@ def _check_entries(p: np.ndarray, what: str):
 
 def _entropy_nats(p: np.ndarray, axis: int = None):
     """Shannon entropy in nats of the whole array (a float), or of each
-    slice along ``axis`` (an array: the batched form)."""
+    slice along ``axis`` (an array: the batched form).  The sum is negated
+    once rather than term by term, which rounds the same; subtracting it
+    from 0.0 rather than negating keeps a zero entropy at +0.0."""
     p = np.asarray(p, dtype=float)
-    h = np.add.reduce(-(p * np.log(np.where(p > ZERO_EPS, p, 1.0))), axis=axis)
+    h = 0.0 - np.add.reduce(p * np.log(np.where(p > ZERO_EPS, p, 1.0)), axis=axis)
     return float(h) if axis is None else h
 
 
@@ -157,8 +159,9 @@ class Channel:
 
     @classmethod
     def _of_checked(cls, matrix: np.ndarray) -> "Channel":
-        """Channel over one matrix of a `_channel_stack` result, which is
-        not checked again."""
+        """Channel over a read-only matrix that passes Channel's checks by
+        construction (one matrix of a `_channel_stack` result, or a one-hot
+        matrix), which is not checked again."""
         channel = object.__new__(cls)
         channel.matrix = matrix
         return channel
@@ -191,10 +194,17 @@ class Channel:
 
     @staticmethod
     def constant(num_inputs: int, num_outputs: int = 1, index: int = 0) -> "Channel":
-        """Channel whose output is the fixed symbol `index` regardless of input."""
+        """Channel whose output is the fixed symbol `index` regardless of input.
+        Raises InvalidDistributionError for an empty matrix and ValueError
+        for `index` outside [0, num_outputs)."""
+        if num_inputs < 1 or num_outputs < 1:
+            raise InvalidDistributionError("channel matrix must be 2-D and nonempty")
+        if not 0 <= index < num_outputs:
+            raise ValueError(f"output index {index} outside [0, {num_outputs})")
         m = np.zeros((num_inputs, num_outputs))
         m[:, index] = 1.0
-        return Channel(m)
+        m.setflags(write=False)
+        return Channel._of_checked(m)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .infotheory import Channel, LN2, _blocks, _cmi_nats, _entropy_nats, _jsonable, _mi2_nats
-from .regions import AuthModel, _chain_laws, _one_aux_infos_nats
+from .regions import AuthModel, _chain_laws, _infos_nats
 
 WILSON_Z_95 = 1.959963984540054
 
@@ -130,7 +130,8 @@ class ProtocolTables:
         self.tn_table = _log_ratio(t, self.p_u[None, :])          # [xt, u]
         self.an_table = _log_ratio(self.ch_y_u, self.p_y[None, :])  # [u, y]
 
-        i_xt_u, i_y_u, i_z_u, _ = (float(v[0]) for v in _one_aux_infos_nats(laws))
+        i_xt_u, i_y_u, i_z_u = (float(v[0])
+                                for v in _infos_nats(laws.p_au, laws.p_yu, laws.p_zu))
         self.i_xt_u, self.i_y_u, self.i_z_u, self.i_xz = (
             v / LN2 for v in (i_xt_u, i_y_u, i_z_u, model.i_xz_nats()))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -56,7 +57,7 @@ class AuthModel:
     them, so no joint main/eavesdropper conditional is accepted.  The
     channel-pair ordering is classified once at construction, and the
     source-side laws every corner reuses (joint of source and enrollment
-    observation, I(X;Z)) are computed once.
+    observation, marginal of the latter, I(X;Z)) are computed once.
     """
 
     px: DiscreteDistribution
@@ -74,6 +75,8 @@ class AuthModel:
                 raise ValueError(f"{name} expects {ch.num_inputs} inputs, source has {nx}")
         self._p_xa = self.px.probs[:, None] * self.ec.matrix
         self._p_xa.setflags(write=False)
+        self._p_xt = self._p_xa.sum(axis=0)
+        self._p_xt.setflags(write=False)
         self._i_xz = _mi2_nats(self.px.probs[:, None] * self.ac_z.matrix)
         if self.classifier_trials < 1:
             raise ValueError(f"classifier_trials={self.classifier_trials} must be >= 1")
@@ -128,8 +131,7 @@ class _ChainLaws(NamedTuple):
 def _chain_laws(model: AuthModel, tests: np.ndarray) -> _ChainLaws:
     """Close the chain over a stack tests[b, xt, u] of test-channel matrices
     on the enrollment alphabet."""
-    p_xa = model._p_xa
-    p_xt = p_xa.sum(axis=0)
+    p_xa, p_xt = model._p_xa, model._p_xt
     p_au = p_xt[:, None] * tests
     p_xu = p_xa @ tests
     return _ChainLaws(p_xa, p_xt, p_au, p_au.sum(axis=1), p_xu,
@@ -192,21 +194,17 @@ class RegionBoundary:
 # Rate evaluation
 # ---------------------------------------------------------------------------
 
-def _one_aux_infos_nats(laws: _ChainLaws):
-    """(I(U;Xt), I(U;Y), I(U;Z), I(U;X)) in nats, each an array over the
-    stack of test channels.
-
-    Every one-auxiliary quantity reduces to pairwise mutual informations
-    along the chain, so only small 2-D joints are formed; joints with the
-    same number of rows go through one `_mi2_nats` call.
-    """
-    joints = (laws.p_au, laws.p_yu, laws.p_zu, laws.p_xu)
+def _infos_nats(*joints) -> list:
+    """Mutual information in nats between the row and column variables of
+    each stack of joints j[b, rows, cols], an array over the stack per
+    argument; stacks with the same number of rows go through one
+    `_mi2_nats` call."""
     infos = [None] * len(joints)
     for rows in {j.shape[1] for j in joints}:
         which = [k for k, j in enumerate(joints) if j.shape[1] == rows]
         for k, mi in zip(which, _mi2_nats(np.array([joints[k] for k in which]))):
             infos[k] = mi
-    return tuple(infos)
+    return infos
 
 
 def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
@@ -214,18 +212,23 @@ def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
     test channels, or over pairs of it and a stack tv[b, u, v] of channels
     from U to a second auxiliary V.
 
-    Along V - U - Xt - X - (Y, Z), I(U;Y|V) = I(U;Y) - I(V;Y),
-    I(X;Y|V) = I(X;Y) - I(V;Y) and I(X;U,Y) = I(X;Y) + I(U;X) - I(U;Y),
-    and the same with Z in place of Y.  So a two-auxiliary corner is the
-    one-auxiliary corner of its U with rs lowered and rl raised by
-    d = I(V;Y) - I(V;Z), V being reached from Xt through tu @ tv.
+    Every one-auxiliary quantity reduces to the pairwise mutual
+    informations I(U;Xt), I(U;Y), I(U;Z) and I(U;X) along the chain, so
+    only small 2-D joints are formed.  Along V - U - Xt - X - (Y, Z),
+    I(U;Y|V) = I(U;Y) - I(V;Y), I(X;Y|V) = I(X;Y) - I(V;Y) and
+    I(X;U,Y) = I(X;Y) + I(U;X) - I(U;Y), and the same with Z in place of Y.
+    So a two-auxiliary corner is the one-auxiliary corner of its U with rs
+    lowered and rl raised by d = I(V;Y) - I(V;Z), V being reached from Xt
+    through tu @ tv; of V's joints only those with Y and Z are formed.
     """
-    i_u_xt, i_u_y, i_u_z, i_u_x = _one_aux_infos_nats(_chain_laws(model, tu))
+    laws = _chain_laws(model, tu)
+    i_u_xt, i_u_y, i_u_z, i_u_x = _infos_nats(laws.p_au, laws.p_yu, laws.p_zu, laws.p_xu)
     rs_raw = i_u_y - i_u_z
     rj = _clamp_mi(i_u_xt - i_u_y)
     rl = i_u_x - i_u_y + model.i_xz_nats()
     if tv is not None:
-        _, i_v_y, i_v_z, _ = _one_aux_infos_nats(_chain_laws(model, tu @ tv))
+        p_xv = laws.p_xa @ (tu @ tv)
+        i_v_y, i_v_z = _infos_nats(model.ac_y.matrix.T @ p_xv, model.ac_z.matrix.T @ p_xv)
         d = i_v_y - i_v_z
         rs_raw, rl = rs_raw - d, rl + d
     return rs_raw, rj, np.where(rl > 0.0, rl, 0.0)
@@ -244,7 +247,8 @@ def _rates(model: AuthModel, unit: InfoUnit, tu: np.ndarray,
     out = np.empty((len(tu), 4))
     for blk in _blocks(len(tu), row_cells):
         rs_raw, rj, rl = _rates_nats(model, *(s[blk] for s in stacks))
-        out[blk] = np.array([np.where(rs_raw > 0.0, rs_raw, 0.0), rj, rl, rs_raw]).T
+        out[blk, 0] = np.where(rs_raw > 0.0, rs_raw, 0.0)
+        out[blk, 1], out[blk, 2], out[blk, 3] = rj, rl, rs_raw
     return unit.from_nats(out)
 
 
@@ -259,13 +263,18 @@ def _rate_corner(rates, unit: InfoUnit, test_channel: Channel = None,
                       extras={"rs_unclamped": rs_raw, **sizes, **extras})
 
 
-def _front(rates: np.ndarray, unit: InfoUnit, params, tests=None) -> list:
+def _front(rates: np.ndarray, unit: InfoUnit, params, stacks=()) -> list:
     """Corners of the rows of a (B, 4) `_rates` array that no other row
     dominates, in `_pareto_indices` order.  Row i gets param params[i] and,
-    if `tests` is given, the test channel of matrix tests[i], which must
-    come from a `_channel_stack` result."""
-    return [_rate_corner(rates[i].tolist(), unit,
-                         None if tests is None else Channel._of_checked(tests[i]),
+    if `stacks` is given, the test channel of row i of the `_channel_stack`
+    results `stacks` laid end to end; only kept rows get a Channel."""
+    starts = list(itertools.accumulate((len(s) for s in stacks), initial=0))
+
+    def test_channel(i):
+        g = bisect.bisect_right(starts, i) - 1
+        return Channel._of_checked(stacks[g][i - starts[g]])
+
+    return [_rate_corner(rates[i].tolist(), unit, test_channel(i) if stacks else None,
                          param=params[i])
             for i in _pareto_indices(rates)]
 
@@ -402,7 +411,10 @@ def compare_regions(a: RegionBoundary, b: RegionBoundary) -> float:
 
     For each corner of a, the smallest dominance slack any corner of b
     leaves; the maximum of those (clamped at 0) is returned.  0 means every
-    corner of a is dominated by b within floating tolerance.
+    corner of a is dominated by b within floating tolerance.  Only the
+    corners of a's own Pareto front are compared, which is exact: fl(x - y)
+    is monotone in each argument, so a corner that another corner of a
+    dominates never leaves a larger smallest slack.
     """
     if a.unit != b.unit:
         raise ValueError(f"unit mismatch: {a.unit.value} vs {b.unit.value}")
@@ -411,6 +423,7 @@ def compare_regions(a: RegionBoundary, b: RegionBoundary) -> float:
     if not b.corners:
         return float("inf")
     pa = _corner_rates(a.corners)
+    pa = pa[_pareto_indices(pa)]
     pb = _corner_rates(b.corners)
     worst = -np.inf
     for lo in range(0, len(pa), 4096):
@@ -499,7 +512,7 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None,
 
     rates = np.concatenate([_rates(model, unit, tests) for tests in stacks]
                            or [np.empty((0, 4))])
-    corners = _front(rates, unit, params, [t for tests in stacks for t in tests])
+    corners = _front(rates, unit, params, stacks)
 
     meta = {"model_hash": model.content_hash(), "seed": config.seed,
             "sampler": {"random_samples": config.random_samples,

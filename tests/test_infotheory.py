@@ -246,7 +246,7 @@ CELLS = st.one_of(st.just(0.0), st.floats(0.0, ZERO_EPS), st.floats(1e-12, 1.0))
 @given(rows=st.integers(1, 4), cells=st.lists(CELLS, min_size=1, max_size=300))
 def test_entropy_nats_matches_masked_sum(rows, cells):
     # the masked sum drops the zero cells, the whole-array sum keeps them
-    # (as -0.0 terms), so numpy's pairwise blocks start at other cells and
+    # (as zero terms), so numpy's pairwise blocks start at other cells and
     # the last bits can move once there are 8 or more cells; below that both
     # sum the same nonzero terms in the same order
     p = np.array(cells)
@@ -265,3 +265,68 @@ def test_entropy_nats_matches_masked_sum(rows, cells):
         assert abs(got - ref) <= 1e-14
         if row.size < 8:
             assert got == ref
+
+
+def ref_negating_entropy_nats(p, axis=None):
+    """`_entropy_nats` as it was, negating every term before the sum, kept
+    verbatim."""
+    p = np.asarray(p, dtype=float)
+    h = np.add.reduce(-(p * np.log(np.where(p > ZERO_EPS, p, 1.0))), axis=axis)
+    return float(h) if axis is None else h
+
+
+def test_entropy_nats_matches_per_term_negation_bit_for_bit():
+    # sums of 1 to 1,000 cells (numpy's pairwise blocks start at 8 and 128)
+    # over every axis choice, C-ordered and transposed; cells are ordinary
+    # masses, exact +0.0 and -0.0, masses below ZERO_EPS and ones, and some
+    # tables are all zeros of both signs, whose entropy must stay +0.0
+    rng = np.random.default_rng(60)
+    kinds = np.array([0.0, -0.0, 1.0, 1e-16, 1e-300])
+    checked = 0
+    for n in [*range(1, 20), 100, 127, 128, 129, 1000]:
+        for shape in ((n,), (3, n), (n, 3), (2, n, 3), (5, 2, n)):
+            for zeros_only in (False, True):
+                x = rng.random(shape) * kinds[rng.integers(0, len(kinds), size=shape)]
+                if zeros_only:
+                    x = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+                for table in (x, x.T):
+                    axes = [None, *range(table.ndim)]
+                    if table.ndim > 1:
+                        axes.append((-2, -1))
+                    for axis in axes:
+                        got = np.asarray(_entropy_nats(table, axis=axis))
+                        ref = np.asarray(ref_negating_entropy_nats(table, axis=axis))
+                        assert got.tobytes() == ref.tobytes()
+                        checked += 1
+    assert checked > 1000
+    for p in ([1.0, 0.0], [1.0, -0.0], [0.0, 1.0, 0.0], [1.0]):
+        assert math.copysign(1.0, _entropy_nats(p)) == 1.0
+        assert math.copysign(1.0, entropy(DiscreteDistribution(p))) == 1.0
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 3), (3, 2), (4, 5)])
+def test_constant_channel_is_read_only_one_hot(shape):
+    n_in, n_out = shape
+    for index in range(n_out):
+        ch = Channel.constant(n_in, n_out, index)
+        m = np.zeros(shape)
+        m[:, index] = 1.0
+        assert ch.matrix.tobytes() == Channel(m).matrix.tobytes()
+        assert ch.matrix.shape == shape and ch.matrix.dtype == np.float64
+        assert not ch.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            ch.matrix[0, 0] = 0.5
+    assert Channel.constant(n_in).matrix.tobytes() == np.ones((n_in, 1)).tobytes()
+
+
+@pytest.mark.parametrize("args", [(2, 1, 1), (2, 2, -1), (3, 2, 2), (2, 3, 10), (1, 1, -5)])
+def test_constant_channel_rejects_index_out_of_range(args):
+    with pytest.raises(ValueError, match="index") as err:
+        Channel.constant(*args)
+    assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("args", [(0, 1), (2, 0), (0, 0), (0, 3, 1), (2, 0, 0)])
+def test_constant_channel_rejects_empty_matrix(args):
+    with pytest.raises(InvalidDistributionError, match="nonempty"):
+        Channel.constant(*args)

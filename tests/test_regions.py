@@ -26,6 +26,7 @@ from authcap import (
     two_aux_random_search,
 )
 from authcap.infotheory import (
+    ZERO_EPS,
     InvalidDistributionError,
     MalformedJointError,
     _blocks,
@@ -682,3 +683,166 @@ def test_auth_model_verdict_is_computed_not_passed():
     with pytest.raises(ValueError, match="classifier_trials"):
         AuthModel(*args, classifier_trials=0)
     assert AuthModel(*args, classifier_trials=500).verdict.relation is Relation.DEGRADED_Z_WRT_Y
+
+
+# ---------------------------------------------------------------------------
+# The rate kernel, its entropy sum and compare_regions as they were before
+# V's unused joints were dropped, the entropy sum was negated once and a's
+# dominated corners were skipped, kept verbatim (renamed, reading the same
+# private model laws, and with I(X;Z) recomputed through the old entropy
+# rather than read from the model), so that the faster code is pinned to the
+# same bits.
+# ---------------------------------------------------------------------------
+
+def ref_entropy_nats(p, axis=None):
+    p = np.asarray(p, dtype=float)
+    h = np.add.reduce(-(p * np.log(np.where(p > ZERO_EPS, p, 1.0))), axis=axis)
+    return float(h) if axis is None else h
+
+
+def ref_mi2_nats(j):
+    return _clamp_mi(ref_entropy_nats(j.sum(axis=-1), axis=-1)
+                     + ref_entropy_nats(j.sum(axis=-2), axis=-1)
+                     - ref_entropy_nats(j, axis=(-2, -1)))
+
+
+def ref_chain_laws(model, tests):
+    p_xa = model._p_xa
+    p_xt = p_xa.sum(axis=0)
+    p_au = p_xt[:, None] * tests
+    p_xu = p_xa @ tests
+    return (p_xa, p_xt, p_au, p_au.sum(axis=1), p_xu,
+            model.ac_y.matrix.T @ p_xu, model.ac_z.matrix.T @ p_xu)
+
+
+def ref_one_aux_infos_nats(laws):
+    _, _, p_au, _, p_xu, p_yu, p_zu = laws
+    joints = (p_au, p_yu, p_zu, p_xu)
+    infos = [None] * len(joints)
+    for rows in {j.shape[1] for j in joints}:
+        which = [k for k, j in enumerate(joints) if j.shape[1] == rows]
+        for k, mi in zip(which, ref_mi2_nats(np.array([joints[k] for k in which]))):
+            infos[k] = mi
+    return tuple(infos)
+
+
+def ref_rates_nats(model, tu, tv=None):
+    i_xz = ref_mi2_nats(model.px.probs[:, None] * model.ac_z.matrix)
+    i_u_xt, i_u_y, i_u_z, i_u_x = ref_one_aux_infos_nats(ref_chain_laws(model, tu))
+    rs_raw = i_u_y - i_u_z
+    rj = _clamp_mi(i_u_xt - i_u_y)
+    rl = i_u_x - i_u_y + i_xz
+    if tv is not None:
+        _, i_v_y, i_v_z, _ = ref_one_aux_infos_nats(ref_chain_laws(model, tu @ tv))
+        d = i_v_y - i_v_z
+        rs_raw, rl = rs_raw - d, rl + d
+    return rs_raw, rj, np.where(rl > 0.0, rl, 0.0)
+
+
+def ref_rates(model, unit, tu, tv=None):
+    out = np.empty((len(tu), 4))
+    rs_raw, rj, rl = ref_rates_nats(model, tu, tv)
+    out[:] = np.array([np.where(rs_raw > 0.0, rs_raw, 0.0), rj, rl, rs_raw]).T
+    return unit.from_nats(out)
+
+
+def ref_compare_regions(a, b):
+    if a.unit != b.unit:
+        raise ValueError(f"unit mismatch: {a.unit.value} vs {b.unit.value}")
+    if not a.corners:
+        return 0.0
+    if not b.corners:
+        return float("inf")
+    pa = np.array([c.as_tuple() for c in a.corners], dtype=float).reshape(-1, 3)
+    pb = np.array([c.as_tuple() for c in b.corners], dtype=float).reshape(-1, 3)
+    worst = -np.inf
+    for lo in range(0, len(pa), 4096):
+        chunk = pa[lo:lo + 4096]
+        slack = np.maximum(
+            chunk[:, None, 0] - pb[None, :, 0],
+            np.maximum(pb[None, :, 1] - chunk[:, None, 1],
+                       pb[None, :, 2] - chunk[:, None, 2]))
+        worst = max(worst, float(slack.min(axis=1).max()))
+    return max(0.0, worst)
+
+
+BIT_MODELS = [hsm_model, degraded_model, discrete_degraded_model, ternary_model]
+
+
+def _channels_with_one_hot_rows(rng, n, inputs, outputs):
+    """n random channels; every third is one-hot, so joints get exact zeros."""
+    m = rng.dirichlet(np.ones(outputs), size=(n, inputs))
+    m[::3] = np.eye(outputs)[rng.integers(0, outputs, size=(len(m[::3]), inputs))]
+    return _channel_stack(m)
+
+
+@pytest.mark.parametrize("model_fn", BIT_MODELS)
+def test_rates_match_four_joint_kernel_bit_for_bit(model_fn):
+    m = model_fn()
+    rng = np.random.default_rng(61)
+    for u in range(1, m.n_xt + 4):
+        tu = _channels_with_one_hot_rows(rng, 2_000, m.n_xt, u)
+        for unit in (InfoUnit.BITS, InfoUnit.NATS):
+            assert _rates(m, unit, tu).tobytes() == ref_rates(m, unit, tu).tobytes()
+            for i in range(4):
+                one = tu[i:i + 1]
+                assert _rates(m, unit, one).tobytes() == ref_rates(m, unit, one).tobytes()
+        for v in (1, 2, 3):
+            tv = _channels_with_one_hot_rows(rng, 2_000, u, v)
+            for unit in (InfoUnit.BITS, InfoUnit.NATS):
+                assert (_rates(m, unit, tu, tv).tobytes()
+                        == ref_rates(m, unit, tu, tv).tobytes())
+                for i in range(4):
+                    pair = tu[i:i + 1], tv[i:i + 1]
+                    assert (_rates(m, unit, *pair).tobytes()
+                            == ref_rates(m, unit, *pair).tobytes())
+    assert np.asarray(m.i_xz_nats()).tobytes() == np.asarray(
+        ref_mi2_nats(m.px.probs[:, None] * m.ac_z.matrix)).tobytes()
+
+
+@pytest.mark.parametrize("model_fn", BIT_MODELS)
+def test_eval_two_aux_constant_v_matches_four_joint_kernel_bit_for_bit(model_fn):
+    m = model_fn()
+    rng = np.random.default_rng(62)
+    for u in range(1, m.n_xt + 4):
+        for matrix in _channels_with_one_hot_rows(rng, 6, m.n_xt, u):
+            tu = Channel(matrix)
+            for v, index in ((1, 0), (2, 1), (3, 0), (3, 2)):
+                one_hot = np.zeros((u, v))
+                one_hot[:, index] = 1.0
+                c = eval_two_aux(m, tu, Channel.constant(u, v, index), max_u=u)
+                got = np.array([*c.as_tuple(), c.extras["rs_unclamped"]])
+                ref = ref_rates(m, InfoUnit.BITS, tu.matrix[None], one_hot[None])[0]
+                assert got.tobytes() == ref.tobytes()
+                assert c.extras["v_channel"] == one_hot.tolist()
+
+
+def test_compare_regions_matches_dense_pass_bit_for_bit():
+    # coarse rounding gives exact ties and duplicates; shrunk copies of
+    # corners (by 0, one ulp or a little) give dominated points, in a and b
+    rng = np.random.default_rng(63)
+
+    def corners(n, decimals):
+        pts = np.round(rng.random((n, 3)), decimals)
+        dup = pts[rng.integers(0, n, size=n // 4)]
+        step = rng.choice([0.0, 1e-3, np.finfo(float).eps], size=(len(dup), 3))
+        worse = np.nextafter(dup - step * [1, -1, -1], dup + [-1, 1, 1])
+        return [_corner(*p) for p in rng.permutation(np.concatenate([pts, dup, worse]))]
+
+    seen_zero = seen_positive = False
+    for _ in range(60):
+        decimals = int(rng.integers(1, 4))
+        a = RegionBoundary(corners(int(rng.integers(1, 400)), decimals), InfoUnit.BITS)
+        b = RegionBoundary(corners(int(rng.integers(1, 400)), decimals), InfoUnit.BITS)
+        for x, y in ((a, b), (b, a), (a, a), (a, RegionBoundary(a.corners + b.corners,
+                                                                InfoUnit.BITS))):
+            got, ref = compare_regions(x, y), ref_compare_regions(x, y)
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+            seen_zero |= got == 0.0
+            seen_positive |= got > 0.0
+    assert seen_zero and seen_positive
+    # more corners than one 4,096-row chunk of the dense pass
+    a = RegionBoundary(corners(5_000, 2), InfoUnit.BITS)
+    b = RegionBoundary(corners(50, 2), InfoUnit.BITS)
+    assert np.float64(compare_regions(a, b)).tobytes() == \
+        np.float64(ref_compare_regions(a, b)).tobytes()
