@@ -99,9 +99,12 @@ def closed_form_region(params: BinaryModelParams, classifier_trials: int = 20_00
                     classifier_seed: int = 0) -> RegionBoundary:
     """Closed-form boundary swept over the beta grid, Pareto-filtered.
 
-    The main-vs-eavesdropper ordering is verified by the numerical
-    classifier rather than assumed; a failed check is attached as a warning
-    in the metadata, not raised.
+    The main-vs-eavesdropper ordering is verified by the classifier rather
+    than assumed; a failed check is attached as a warning in the metadata,
+    not raised.  For this binary-input pair the less-noisy test is an exact
+    certificate, so the verdict holds with Certainty.EXACT for q <=
+    4 eps (1 - eps), and `classifier_trials`/`classifier_seed` act only if
+    the certificate leaves the pair undecided.
     """
     verdict = classify_ac(Channel.bec(params.q), Channel.bsc(params.eps),
                           trials=classifier_trials, seed=classifier_seed)

@@ -6,7 +6,9 @@ Three orderings are tested, strongest first:
                 decided exactly by linear feasibility over the post-channel.
   less noisy    I(W;B) >= I(W;C) for every auxiliary W through the input;
                 equivalent to concavity of P -> I(P;B) - I(P;C) on the input
-                simplex, so midpoint-concavity violations are exact
+                simplex.  For a binary input that is a sign condition on one
+                integer polynomial, decided exactly in both directions; for
+                larger inputs midpoint-concavity violations are exact
                 refutation certificates while absence of violations is only
                 statistical evidence.
   more capable  I(P;B) >= I(P;C) for every input law; tested by grid
@@ -19,6 +21,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,6 +37,17 @@ DEFAULT_GRID_RESOLUTION = 1.0 / 64.0
 # Deterministic simplex grids are capped at this many points so the number of
 # midpoint pairs stays manageable on non-binary alphabets.
 _GRID_POINT_CAP = 100
+
+# The binary-input less-noisy certificate splits [0, 1] into dyadic halves
+# down to width 2^-_CERTIFICATE_DEPTH before it leaves a pair undecided.
+_CERTIFICATE_DEPTH = 12
+
+# Input laws (1 - p, p) at which the certificate looks for f''(p) > 0 in
+# floating point: a uniform grid, plus points approaching each end, where
+# the 1/q terms of f'' are largest.  All are dyadic, so f'' is then
+# evaluated exactly at the best one.
+_SEARCH_POINTS = np.concatenate([np.arange(1, 1024) / 1024.0, 2.0 ** -np.arange(11, 54),
+                                 1.0 - 2.0 ** -np.arange(11, 54)])
 
 
 class Relation(enum.Enum):
@@ -165,34 +179,156 @@ def is_stochastically_degraded(candidate: Channel, reference: Channel) -> Channe
                                details={"best_residual": t})
 
 
+def _curvature_terms(better: Channel, worse: Channel):
+    """f''(p) = sum_h c_h / (scale * (a_h (1 - p) + b_h p)) for the binary
+    input law (1 - p, p) and f = I(P;better) - I(P;worse), with integers c_h,
+    a_h, b_h and scale: returns ([(c_h, a_h, b_h), ...], scale).
+
+    An output column (u, v) adds -(v - u)^2 / (u (1 - p) + v p) for
+    `better` and + for `worse`.  Entries are dyadic rationals, so the
+    largest denominator `scale` makes them integers.  A column is k (a, b)
+    with a, b coprime; columns with equal (a, b), that is equal likelihood
+    ratio, merge into one term with c = (sum of -+k) (b - a)^2.  Columns
+    with u = v and terms with c = 0 drop out."""
+    stacked = np.concatenate([better.matrix, worse.matrix], axis=1)
+    ratios = [x.as_integer_ratio() for x in stacked.ravel().tolist()]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    n = stacked.shape[1]
+    weights = {}
+    for col, (u, v) in enumerate(zip(ints[:n], ints[n:])):
+        if u != v:
+            k = math.gcd(u, v)
+            key = (u // k, v // k)
+            weights[key] = weights.get(key, 0) + (k if col >= better.num_outputs else -k)
+    return [(w * (b - a) ** 2, a, b) for (a, b), w in weights.items() if w], scale
+
+
+def _times_linear(poly: list, a: int, b: int) -> list:
+    """poly * (a s + b t) for a form homogeneous in (s, t), stored as the
+    coefficients of s^m, s^(m-1) t, ..., t^m."""
+    return [a * x + b * y for x, y in zip(poly + [0], [0] + poly)]
+
+
+def _form_value(poly: list, s: int, t: int) -> int:
+    """Value at (s, t) of a form stored as in `_times_linear`."""
+    m = len(poly) - 1
+    return sum(c * s ** (m - k) * t ** k for k, c in enumerate(poly))
+
+
+def _halves(b: list):
+    """De Casteljau at 1/2: the Bernstein coefficients on [0, 1/2] and on
+    [1/2, 1] of the polynomial with Bernstein coefficients b on [0, 1], both
+    times 2^m.  Pairwise sums stand in for midpoints, so integers stay
+    integers."""
+    left, right = [b[0]], [b[-1]]
+    while len(b) > 1:
+        b = [x + y for x, y in zip(b, b[1:])]
+        left.append(b[0])
+        right.append(b[-1])
+    m = len(left) - 1
+    return ([x << (m - k) for k, x in enumerate(left)],
+            [x << k for k, x in enumerate(reversed(right))])
+
+
+def _binary_certificate(better: Channel, worse: Channel):
+    """Exact less-noisy decision for a binary input, in integer arithmetic.
+
+    With f''(p) from `_curvature_terms`, g(p) = sum_h c_h prod_{j != h} L_j(p)
+    (L_h = a_h (1 - p) + b_h p > 0 on (0, 1)) has the sign of f'', so
+    `better` is less noisy than `worse` iff g <= 0 on [0, 1] (van Dijk
+    1997).  Returns (certainty, witness):
+      EXACT, None           every Bernstein coefficient of g is <= 0 on each
+                            piece of a de Casteljau subdivision (g = 0
+                            counts);
+      COUNTEREXAMPLE, w     g(p) > 0 exactly at a dyadic p, found by a float
+                            search over _SEARCH_POINTS or as a subdivision
+                            midpoint; w = {"p": (1 - p, p),
+                            "second_derivative": f''(p) rounded from its
+                            exact value};
+      None, None            undecided after _CERTIFICATE_DEPTH halvings.
+    """
+    terms, scale = _curvature_terms(better, worse)
+    g, prod = [], [1]         # g and prod_h L_h as forms in (1 - p, p)
+    for c, a, b in terms:
+        g = [x + c * y for x, y in zip(_times_linear(g, a, b), prod)]
+        prod = _times_linear(prod, a, b)
+
+    def witness(p: float):
+        num, den = p.as_integer_ratio()
+        value = _form_value(g, den - num, num)
+        if value <= 0:
+            return None
+        # the form is den^(n-1) g(p), the product den^n prod_h L_h(p)
+        f2 = Fraction(den * value, scale * _form_value(prod, den - num, num))
+        return {"p": np.array([1.0 - p, p]), "second_derivative": float(f2)}
+
+    # f'' in floats: term h is c/((a + b) scale), at most 1 in magnitude,
+    # over a convex combination of a/(a + b) and b/(a + b), which is >= 1/2
+    # at one end and so never 0
+    t = np.array([(c / ((a + b) * scale), a / (a + b), b / (a + b))
+                  for c, a, b in terms]).reshape(-1, 3)
+    f2 = (t[:, 0] / (t[:, 1] + _SEARCH_POINTS[:, None] * (t[:, 2] - t[:, 1]))).sum(axis=1)
+    j = int(np.argmax(f2))
+    if f2[j] > 0 and (w := witness(float(_SEARCH_POINTS[j]))):
+        return Certainty.COUNTEREXAMPLE, w
+
+    m = len(g) - 1
+    bernstein = [x * math.factorial(k) * math.factorial(m - k) for k, x in enumerate(g)]
+    stack = [(bernstein, 0, 0)]     # coefficients on [i 2^-depth, (i + 1) 2^-depth]
+    while stack:
+        b, depth, i = stack.pop()
+        if all(x <= 0 for x in b):
+            continue
+        if depth == _CERTIFICATE_DEPTH:
+            return None, None
+        left, right = _halves(b)
+        if left[-1] > 0:          # g > 0 at the midpoint
+            return Certainty.COUNTEREXAMPLE, witness((2 * i + 1) / 2.0 ** (depth + 1))
+        stack += [(left, depth + 1, 2 * i), (right, depth + 1, 2 * i + 1)]
+    return Certainty.EXACT, None
+
+
 def is_less_noisy(better: Channel, worse: Channel, trials: int = DEFAULT_TRIALS,
                   seed: int = 0) -> ChannelOrderVerdict:
     """Test whether `better` is less noisy than `worse`.
 
-    Checks midpoint concavity of f(P) = I(P;better) - I(P;worse) on pairs
-    drawn from a deterministic simplex grid and `trials` flat-simplex random
-    pairs.  A violation beyond tolerance refutes the relation with a
-    re-checkable counterexample pair; no violation yields statistical
-    evidence only.
+    A binary input is decided by `_binary_certificate` first.  A proof is
+    Certainty.EXACT with no pair checked.  A refutation is a
+    counterexample: its witness is the deterministic grid's worst midpoint
+    pair when that pair violates concavity beyond CONCAVITY_TOL, else the
+    certificate's law (1 - p, p) with f''(p) > 0.  Only a larger input, or
+    a binary pair the certificate leaves undecided, reaches the sampler:
+    midpoint concavity of f(P) = I(P;better) - I(P;worse) on the grid pairs
+    and `trials` flat-simplex random pairs (from `seed`).  A violation
+    beyond tolerance refutes the relation with a re-checkable
+    counterexample pair; no violation yields statistical evidence only.
     """
     _check_same_input(better, worse)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     k = better.num_inputs
+    certainty, witness = _binary_certificate(better, worse) if k == 2 else (None, None)
+    if certainty is Certainty.EXACT:
+        return ChannelOrderVerdict(Relation.LESS_NOISY_Y_OVER_Z, Certainty.EXACT,
+                                   note="f'' <= 0 on [0, 1] by exact Bernstein certificate",
+                                   details={"pairs_checked": 0})
+    if certainty is not None:
+        trials = 0
 
     def gap(pairs_a, pairs_b):
         f_m = _info_gap(0.5 * (pairs_a + pairs_b), better, worse)
         return f_m - 0.5 * (_info_gap(pairs_a, better, worse) + _info_gap(pairs_b, better, worse))
 
     grid = _simplex_grid(k)
-    idx = np.array(list(itertools.combinations(range(len(grid)), 2)))
+    first, second = np.triu_indices(len(grid), 1)    # itertools.combinations order
     rng = np.random.default_rng(seed)
 
     def batches():
         # Deterministic grid pairs first so refutations are seed-independent;
         # random pairs are drawn only while no violation has been found.
-        if len(idx) > 0:
-            yield grid[idx[:, 0]], grid[idx[:, 1]], "grid pair"
+        if len(first) > 0:
+            yield grid[first], grid[second], "grid pair"
         for done in range(0, trials, 5000):
             m = min(5000, trials - done)
             p1 = rng.dirichlet(np.ones(k), size=m)
@@ -210,6 +346,11 @@ def is_less_noisy(better: Channel, worse: Channel, trials: int = DEFAULT_TRIALS,
                 note=f"midpoint concavity violated on {what}",
                 details={"pairs_checked": checked})
 
+    if certainty is Certainty.COUNTEREXAMPLE:
+        return ChannelOrderVerdict(Relation.UNORDERED, Certainty.COUNTEREXAMPLE,
+                                   witness=witness,
+                                   note="f''(p) > 0 at a dyadic p, evaluated exactly",
+                                   details={"pairs_checked": checked})
     return ChannelOrderVerdict(Relation.LESS_NOISY_Y_OVER_Z,
                                Certainty.STATISTICAL_EVIDENCE,
                                note="no concavity violation found",
@@ -260,7 +401,10 @@ def classify_ac(ac_y: Channel, ac_z: Channel, trials: int = DEFAULT_TRIALS,
     Runs degradedness both ways, then less-noisy both ways, then
     more-capable; strength order is degraded > less noisy > more capable >
     unordered.  Equivalent channels (degraded both ways) tie-break to
-    degraded_Z_wrt_Y with a note.
+    degraded_Z_wrt_Y with a note.  A less-noisy verdict carries the
+    certainty of `is_less_noisy`: exact for a binary input, so `trials` and
+    `seed` act only for larger inputs or a binary pair its certificate
+    leaves undecided.
     """
     _check_same_input(ac_y, ac_z)
 
@@ -279,16 +423,14 @@ def classify_ac(ac_y: Channel, ac_z: Channel, trials: int = DEFAULT_TRIALS,
 
     ln_y = is_less_noisy(ac_y, ac_z, trials=trials, seed=seed)
     ln_z = is_less_noisy(ac_z, ac_y, trials=trials, seed=seed + 1)
-    if ln_y.certainty is Certainty.STATISTICAL_EVIDENCE:
+    if ln_y.relation is Relation.LESS_NOISY_Y_OVER_Z:
         details = {"reverse_refuted": ln_z.certainty is Certainty.COUNTEREXAMPLE,
                    "reverse_witness": _jsonable(ln_z.witness)}
-        return ChannelOrderVerdict(Relation.LESS_NOISY_Y_OVER_Z,
-                                   Certainty.STATISTICAL_EVIDENCE,
+        return ChannelOrderVerdict(Relation.LESS_NOISY_Y_OVER_Z, ln_y.certainty,
                                    note=ln_y.note, details=details)
-    if ln_z.certainty is Certainty.STATISTICAL_EVIDENCE:
+    if ln_z.relation is Relation.LESS_NOISY_Y_OVER_Z:
         details = {"reverse_refuted": True, "reverse_witness": _jsonable(ln_y.witness)}
-        return ChannelOrderVerdict(Relation.LESS_NOISY_Z_OVER_Y,
-                                   Certainty.STATISTICAL_EVIDENCE,
+        return ChannelOrderVerdict(Relation.LESS_NOISY_Z_OVER_Y, ln_z.certainty,
                                    note=ln_z.note, details=details)
 
     mc_y = is_more_capable(ac_y, ac_z)

@@ -1,8 +1,10 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from authcap import (
     Certainty,
@@ -14,7 +16,16 @@ from authcap import (
     is_more_capable,
     is_stochastically_degraded,
 )
-from authcap.classifier import DEFAULT_GRID_RESOLUTION, _degradedness_lp, _mi_batch, _simplex_grid
+from authcap.classifier import (
+    CONCAVITY_TOL,
+    DEFAULT_GRID_RESOLUTION,
+    _binary_certificate,
+    _degradedness_lp,
+    _halves,
+    _info_gap,
+    _mi_batch,
+    _simplex_grid,
+)
 from authcap.infotheory import AlphabetMismatchError, JointDistribution, mutual_information
 
 
@@ -68,17 +79,19 @@ def test_less_noisy_self():
     c = Channel.bsc(0.23)
     v = is_less_noisy(c, c, trials=500, seed=0)
     assert v.relation is Relation.LESS_NOISY_Y_OVER_Z
-    assert v.certainty is Certainty.STATISTICAL_EVIDENCE
+    assert v.certainty is Certainty.EXACT
 
 
 def test_less_noisy_bec_over_bsc():
     v = is_less_noisy(Channel.bec(0.5), Channel.bsc(0.2), trials=20_000, seed=1)
-    assert v.certainty is Certainty.STATISTICAL_EVIDENCE
+    assert v.certainty is Certainty.EXACT
+    assert v.details["pairs_checked"] == 0
 
 
 def test_less_noisy_refuted_reversed():
     v = is_less_noisy(Channel.bsc(0.2), Channel.bec(0.5), trials=20_000, seed=1)
     assert v.certainty is Certainty.COUNTEREXAMPLE
+    assert v.note == "midpoint concavity violated on grid pair"
     # the witness pair re-checks by direct evaluation
     p1, p2 = np.asarray(v.witness["p1"]), np.asarray(v.witness["p2"])
     mid = 0.5 * (p1 + p2)
@@ -87,6 +100,147 @@ def test_less_noisy_refuted_reversed():
         return mi_input(p, Channel.bsc(0.2).matrix) - mi_input(p, Channel.bec(0.5).matrix)
 
     assert f(mid) - 0.5 * (f(p1) + f(p2)) < -1e-10
+
+
+def exact_curvature(better, worse, p):
+    """f''(p) for the input law (1 - p, p), f = I(P;better) - I(P;worse), in
+    exact rational arithmetic from the channel entries."""
+    total = Fraction(0)
+    for matrix, sign in ((worse.matrix, 1), (better.matrix, -1)):
+        for u, v in zip(*([Fraction(x) for x in row] for row in matrix.tolist())):
+            if u != v:
+                total += sign * (v - u) ** 2 / (u + p * (v - u))
+    return total
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.3])
+def test_certificate_boundary_bec_over_bsc(eps):
+    # BEC(q) is less noisy than BSC(eps) iff q <= 4 eps (1 - eps); every
+    # bisection step must be decided exactly (one sampled pair could never
+    # give EXACT or a refutation past the grid)
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-13:
+        q = 0.5 * (lo + hi)
+        v = is_less_noisy(Channel.bec(q), Channel.bsc(eps), trials=1, seed=0)
+        if v.certainty is Certainty.EXACT:
+            lo = q
+        else:
+            assert v.certainty is Certainty.COUNTEREXAMPLE, (q, v)
+            hi = q
+    assert abs(lo - 4 * eps * (1 - eps)) <= 1e-12
+
+
+def test_certificate_bsc_pairs():
+    # BSC(b) is BSC(a) followed by a BSC, so degraded, for a <= b <= 1/2
+    for a in np.linspace(0.0, 0.5, 11):
+        for b in np.linspace(0.0, 0.5, 11):
+            v = is_less_noisy(Channel.bsc(a), Channel.bsc(b), trials=1, seed=0)
+            if a <= b:
+                assert v.certainty is Certainty.EXACT, (a, b)
+                assert v.details["pairs_checked"] == 0
+            else:
+                assert v.certainty is Certainty.COUNTEREXAMPLE, (a, b)
+
+
+def test_certificate_identical_channels():
+    rng = np.random.default_rng(12)
+    channels = [Channel.bec(0.3), Channel.identity(2), Channel.constant(2, 3, 1),
+                Channel(np.array([[0.5, 0.25, 0.25], [0.125, 0.125, 0.75]]))]
+    channels += [Channel(rng.dirichlet(np.ones(n), size=2)) for n in range(1, 9)]
+    for c in channels:
+        v = is_less_noisy(c, c, trials=1, seed=0)
+        assert v.certainty is Certainty.EXACT
+        assert v.relation is Relation.LESS_NOISY_Y_OVER_Z
+
+
+def test_certificate_witness_below_concavity_tol():
+    # BSC(0.2 + d) against BSC(0.2): the grid's worst midpoint gap is about
+    # -1.4 d (-1.39e-9 at d = 1e-9), so at d = 1e-11 no grid pair shows the
+    # violation beyond CONCAVITY_TOL, and the witness is the certificate's
+    v = is_less_noisy(Channel.bsc(0.2 + 1e-11), Channel.bsc(0.2), trials=1, seed=0)
+    assert v.certainty is Certainty.COUNTEREXAMPLE
+    p = v.witness["p"]
+    assert p[0] == 1.0 - p[1]
+    exact = exact_curvature(Channel.bsc(0.2 + 1e-11), Channel.bsc(0.2), Fraction(p[1]))
+    assert exact > 0 and v.witness["second_derivative"] == float(exact)
+
+
+def test_certificate_refutes_below_float_resolution():
+    # one ulp above the BEC/BSC threshold, f''(1/2) rounds to 0.0 in floats
+    # while exactly it is about 1.2e-16; the de Casteljau midpoint finds it
+    eps = 0.015
+    better, worse = Channel.bec(np.nextafter(4 * eps * (1 - eps), 1.0)), Channel.bsc(eps)
+    certainty, witness = _binary_certificate(better, worse)
+    assert certainty is Certainty.COUNTEREXAMPLE
+    exact = exact_curvature(better, worse, Fraction(witness["p"][1]))
+    assert 0 < exact < 1e-15 and witness["second_derivative"] == float(exact)
+
+
+def bernstein_value(coeffs, x):
+    m = len(coeffs) - 1
+    return sum(c * math.comb(m, k) * x ** k * (1 - x) ** (m - k) for k, c in enumerate(coeffs))
+
+
+def test_halves_matches_exact_subdivision():
+    # each half, divided by 2^m, is the polynomial on [0, 1/2] or [1/2, 1]
+    # mapped onto [0, 1]
+    rng = np.random.default_rng(21)
+    for m in range(6):
+        coeffs = [int(x) for x in rng.integers(-50, 50, size=m + 1)]
+        left, right = _halves(coeffs)
+        for x in (Fraction(0), Fraction(1, 3), Fraction(5, 7), Fraction(1)):
+            assert bernstein_value(left, x) == 2 ** m * bernstein_value(coeffs, x / 2)
+            assert bernstein_value(right, x) == 2 ** m * bernstein_value(coeffs, (1 + x) / 2)
+
+
+def sampled_concavity_gap(better, worse, seed, trials=2_000):
+    """Smallest midpoint-concavity gap over the deterministic grid pairs and
+    `trials` flat random pairs, as the sampler evaluates it."""
+    rng = np.random.default_rng(seed)
+    grid = _simplex_grid(2)
+    first, second = np.triu_indices(len(grid), 1)
+    p1 = np.vstack([grid[first], rng.dirichlet(np.ones(2), size=trials)])
+    p2 = np.vstack([grid[second], rng.dirichlet(np.ones(2), size=trials)])
+    mid = _info_gap(0.5 * (p1 + p2), better, worse)
+    return float(np.min(mid - 0.5 * (_info_gap(p1, better, worse) + _info_gap(p2, better, worse))))
+
+
+def _binary_channel(outputs):
+    """Two rows of small integer weights (zeros and equal likelihood ratios
+    are common), normalised; an all-zero row becomes uniform."""
+    row = st.lists(st.integers(0, 6), min_size=outputs, max_size=outputs)
+    return st.tuples(row, row).map(
+        lambda rows: Channel(np.array([[x / sum(r) if sum(r) else 1 / len(r) for x in r]
+                                       for r in rows])))
+
+
+BINARY_PAIRS = st.integers(1, 4).flatmap(lambda ny: st.integers(1, 4).flatmap(
+    lambda nz: st.tuples(_binary_channel(ny), _binary_channel(nz), st.booleans(),
+                         st.lists(st.lists(st.integers(0, 6), min_size=nz, max_size=nz),
+                                  min_size=ny, max_size=ny))))
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=BINARY_PAIRS, seed=st.integers(0, 2 ** 16))
+def test_certificate_agrees_with_sampler(case, seed):
+    better, worse, degrade, post = case
+    if degrade:
+        # worse = better followed by a post-channel: always less noisy
+        post = np.array([[x / sum(r) if sum(r) else 1 / len(r) for x in r] for r in post])
+        worse = Channel(better.matrix @ post)
+    certainty, witness = _binary_certificate(better, worse)
+    gap = sampled_concavity_gap(better, worse, seed)
+    if certainty is Certainty.EXACT:
+        assert gap >= -CONCAVITY_TOL
+    if gap < -CONCAVITY_TOL:
+        assert certainty is Certainty.COUNTEREXAMPLE
+    if degrade:
+        assert certainty is not Certainty.COUNTEREXAMPLE
+    if certainty is Certainty.COUNTEREXAMPLE:
+        p = witness["p"]
+        assert p[0] == 1.0 - p[1]
+        exact = exact_curvature(better, worse, Fraction(p[1]))
+        assert exact > 0 and witness["second_derivative"] == float(exact)
 
 
 def test_more_capable_examples():
@@ -106,7 +260,7 @@ def test_more_capable_examples():
 def test_classify_less_noisy_pair():
     v = classify_ac(Channel.bec(0.5), Channel.bsc(0.2), trials=20_000, seed=2)
     assert v.relation is Relation.LESS_NOISY_Y_OVER_Z
-    assert v.certainty is Certainty.STATISTICAL_EVIDENCE
+    assert v.certainty is Certainty.EXACT
     assert v.details["reverse_refuted"] is True
 
 
@@ -168,7 +322,7 @@ def test_degraded_implies_less_noisy_not_refuted():
     for y, z in pairs:
         assert is_stochastically_degraded(z, y).relation is Relation.DEGRADED_Z_WRT_Y
         assert is_less_noisy(y, z, trials=20_000, seed=5).certainty \
-            is Certainty.STATISTICAL_EVIDENCE
+            is Certainty.EXACT
 
 
 def test_less_noisy_implies_more_capable():
@@ -176,7 +330,7 @@ def test_less_noisy_implies_more_capable():
              (Channel.bsc(0.1), Channel.bsc(0.26))]
     for y, z in pairs:
         assert is_less_noisy(y, z, trials=5_000, seed=6).certainty \
-            is Certainty.STATISTICAL_EVIDENCE
+            is Certainty.EXACT
         assert is_more_capable(y, z).certainty is Certainty.STATISTICAL_EVIDENCE
 
 

@@ -11,7 +11,9 @@ Gaussian one, unless the config sets "unit").  Each run gets a directory
 OUTDIR/NAME/RUN (the command, or `region_unit`) holding `exit_code`,
 `stdout`, `stderr` and, under `out/`, the files the command wrote.
 Snapshots of two checkouts, such as a commit and its parent, compare with
-one `diff -r`.  Standard library only.
+one `diff -r`.  Exits 1 if any run exited 1 (an uncaught exception) or died
+on a signal; the documented CLI exits 2-6 count as recorded outcomes.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from pathlib import Path
 COMMANDS = ("classify", "region", "figures", "simulate", "compare")
 
 
-def snapshot(checkout: Path, outdir: Path):
+def snapshot(checkout: Path, outdir: Path) -> list:
+    """Record every run under outdir; returns the runs that crashed."""
+    crashed = []
     pythonpath = [str(checkout / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
     for config in sorted((checkout / "configs").glob("*.json")):
@@ -46,6 +50,9 @@ def snapshot(checkout: Path, outdir: Path):
             (run_dir / "stdout").write_bytes(proc.stdout)
             (run_dir / "stderr").write_bytes(proc.stderr)
             print(f"{config.name} {name}: exit {proc.returncode}")
+            if proc.returncode == 1 or proc.returncode < 0:
+                crashed.append(f"{config.name} {name}: exit {proc.returncode}")
+    return crashed
 
 
 def main(argv) -> int:
@@ -60,8 +67,10 @@ def main(argv) -> int:
     if outdir.exists() and any(outdir.iterdir()):
         print(f"error: {outdir} is not empty", file=sys.stderr)
         return 2
-    snapshot(checkout, outdir)
-    return 0
+    crashed = snapshot(checkout, outdir)
+    for run in crashed:
+        print(f"error: crashed: {run}", file=sys.stderr)
+    return 1 if crashed else 0
 
 
 if __name__ == "__main__":
