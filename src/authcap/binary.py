@@ -91,13 +91,13 @@ def closed_form_corner(params: BinaryModelParams, beta: float) -> RateCorner:
     `_closed_form_rates`)."""
     if not 0.0 <= beta <= 0.5:
         raise ValueError(f"beta={beta} outside [0, 1/2]")
-    return _rate_corner(_closed_form_rates(params, [beta])[0].tolist(), InfoUnit.BITS,
+    return _rate_corner(_closed_form_rates(params, [beta])[0].tolist(),
                         Channel.bsc(beta), param=float(beta))
 
 
 def closed_form_region(params: BinaryModelParams, classifier_trials: int = 20_000,
                     classifier_seed: int = 0) -> RegionBoundary:
-    """Closed-form boundary swept over the beta grid, Pareto-filtered.
+    """Closed-form boundary swept over the beta grid, Pareto-filtered, in bits.
 
     The main-vs-eavesdropper ordering is verified by the classifier rather
     than assumed; a failed check is attached as a warning in the metadata,
@@ -132,8 +132,7 @@ def closed_form_region(params: BinaryModelParams, classifier_trials: int = 20_00
                        "beta_step": params.beta_step},
             "verdict": verdict,
             "classifier_warning": warning}
-    corners = _front(_closed_form_rates(params, betas), InfoUnit.BITS, betas,
-                     [_bsc_stack(betas)])
+    corners = _front(_closed_form_rates(params, betas), betas, [_bsc_stack(betas)])
     return RegionBoundary(corners, InfoUnit.BITS, metadata=meta)
 
 

@@ -39,7 +39,7 @@ from .gaussian import (
     figure_curves,
     zero_key_region_gaussian,
 )
-from .infotheory import Channel, DiscreteDistribution, InfoUnit, LN2
+from .infotheory import Channel, DiscreteDistribution, InfoUnit
 from .protocol import SimConfig, SimLimitError, run_simulation
 from .regions import (
     AuthModel,
@@ -50,7 +50,6 @@ from .regions import (
     Z_FAVOR,
     _rates,
     compare_regions,
-    pareto_filter,
     zero_key_region,
     sweep_region,
     two_aux_random_search,
@@ -244,21 +243,6 @@ def _sampler(cfg: dict, seed: int, samples, default_samples: int, grid_step) -> 
         seed=seed)
 
 
-def _convert_boundary(boundary: RegionBoundary, unit: InfoUnit) -> RegionBoundary:
-    if unit == boundary.unit:
-        return boundary
-    scale = LN2 if (boundary.unit, unit) == (InfoUnit.BITS, InfoUnit.NATS) else 1.0 / LN2
-    for c in boundary.corners:
-        c.rs *= scale
-        c.rj *= scale
-        c.rl *= scale
-        if "rs_unclamped" in c.extras:
-            c.extras["rs_unclamped"] *= scale
-        c.unit = unit
-    boundary.unit = unit
-    return boundary
-
-
 def _write_text(path: str, text: str):
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -303,37 +287,37 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _region_boundary(cfg: dict, form: str, args, seed: int):
+def _region_boundary(cfg: dict, form: str, args, seed: int) -> RegionBoundary:
     if form == "binary":
         params = _binary_params(cfg, args.grid_step)
-        return closed_form_region(params, _classifier_trials(cfg), seed), InfoUnit.BITS
+        return closed_form_region(params, _classifier_trials(cfg), seed)
     if form == "gaussian":
         params = _gaussian_params(cfg)
         if params.rho2_sq > params.rho3_sq:
-            return parametric_region(params), InfoUnit.NATS
-        return zero_key_region_gaussian(params), InfoUnit.NATS
+            return parametric_region(params)
+        return zero_key_region_gaussian(params)
 
     model = _auth_model(cfg, form, seed, "region")
     relation = model.verdict.relation
     if relation in Z_FAVOR:
-        return zero_key_region(model), InfoUnit.BITS
+        return zero_key_region(model)
     if relation not in Y_FAVOR:
         raise CliError(EXIT_UNSUPPORTED,
                        f"verdict {relation.value}: no capacity-region formula is known "
                        f"for more-capable-only or unordered channel pairs")
     sampler = _sampler(cfg, seed, args.samples, 100_000, args.grid_step)
     with _validated("sampler"):
-        return sweep_region(model, sampler), InfoUnit.BITS
+        return sweep_region(model, sampler)
 
 
 def _cmd_region(args) -> int:
     cfg, cfg_hash = _load_config(args.config)
     form = _model_form(cfg)
     seed = _seed(cfg, args)
-    boundary, default_unit = _region_boundary(cfg, form, args, seed)
-    unit = _field(cfg, "unit", "string", default_unit.value, override=args.unit)
+    boundary = _region_boundary(cfg, form, args, seed)
+    unit = _field(cfg, "unit", "string", boundary.unit.value, override=args.unit)
     with _validated("unit"):
-        boundary = _convert_boundary(boundary, InfoUnit.parse(unit))
+        boundary = boundary.to_unit(InfoUnit.parse(unit))
     boundary.metadata.update({"version": __version__, "config_hash": cfg_hash,
                               "seed": seed})
 
@@ -421,9 +405,7 @@ def _cmd_compare(args) -> int:
     sampler = _sampler(cfg, seed, None, 20_000, args.grid_step)
     with _validated("sampler"):
         one_aux = sweep_region(model, sampler)
-    two_corners = two_aux_random_search(model, n_pairs, seed=seed + 1)
-    two_boundary = RegionBoundary(pareto_filter(two_corners), one_aux.unit,
-                                  metadata={"pairs": n_pairs})
+    two_aux = RegionBoundary(two_aux_random_search(model, n_pairs, seed=seed + 1), one_aux.unit)
 
     # Reverse containment via the constant-V embedding: each front corner's
     # test channel with a constant V, one stack per |U|, reproduces the
@@ -432,12 +414,12 @@ def _cmd_compare(args) -> int:
     for u in sorted({c.test_channel.num_outputs for c in one_aux.corners}):
         group = [c for c in one_aux.corners if c.test_channel.num_outputs == u]
         tu = np.stack([c.test_channel.matrix for c in group])
-        two = _rates(model, one_aux.unit, tu, np.ones((len(group), u, 1)))
+        two = _rates(model, tu, np.ones((len(group), u, 1)))
         one = np.array([c.as_tuple() for c in group])
         embed_gap = max(embed_gap, float(np.abs(two[:, :3] - one).max()))
 
     payload = _stamp({
-        "two_aux_excess_over_one_aux": compare_regions(two_boundary, one_aux),
+        "two_aux_excess_over_one_aux": compare_regions(two_aux, one_aux),
         "one_aux_excess_over_two_aux_with_embedding": embed_gap,
         "pairs_sampled": n_pairs,
         "one_aux_corners": len(one_aux.corners),
@@ -455,27 +437,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    # Each command registers only the flags it reads.
+    kinds = {"unit": {"choices": ["bits", "nats"]}, "samples": {"type": int},
+             "grid_step": {"type": float}}
+
+    def command(name, about, out=True, **flags):
+        p = sub.add_parser(name, help=about)
         p.add_argument("--config", required=True, help="JSON model config")
-        if needs_out:
+        if out:
             p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--unit", choices=["bits", "nats"], default=None)
-        p.add_argument("--samples", type=int, default=None,
-                       help="random sample count (sweeps, classifier trials, compare pairs)")
-        p.add_argument("--grid-step", dest="grid_step", type=float, default=None,
-                       help="structured grid step (beta grid)")
+        for dest, text in flags.items():
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, default=None,
+                           help=text, **kinds[dest])
+        return p
 
-    common(sub.add_parser("classify", help="print the channel-ordering verdict"),
-           needs_out=False)
-    common(sub.add_parser("region", help="compute the rate-region boundary"))
-    common(sub.add_parser("figures", help="emit storage-rate projection curves "
-                                          "(gaussian models)"))
-    sim = sub.add_parser("simulate", help="run the random-binning protocol")
-    common(sim)
+    command("classify", "print the channel-ordering verdict", out=False,
+            samples="classifier trials")
+    command("region", "compute the rate-region boundary", unit="unit of the written region",
+            samples="sweep samples", grid_step="beta grid step")
+    command("figures", "emit storage-rate projection curves (gaussian models)")
+    sim = command("simulate", "run the random-binning protocol")
     sim.add_argument("--monte-carlo-only", action="store_true",
                      help="skip exact leakage enumeration (required for n over the limit)")
-    common(sub.add_parser("compare", help="two-auxiliary vs one-auxiliary region check"))
+    command("compare", "two-auxiliary vs one-auxiliary region check",
+            samples="two-auxiliary pairs", grid_step="beta grid step of the sweep")
     return parser
 
 

@@ -180,31 +180,29 @@ def parametric_corner(params: GaussianModelParams, alpha: float) -> RateCorner:
     `_parametric_rates`)."""
     _check_direction(params)
     _check_alpha(alpha)
-    return _rate_corner(_parametric_rates(params, [alpha])[0].tolist(), InfoUnit.NATS,
-                        param=float(alpha))
+    return _rate_corner(_parametric_rates(params, [alpha])[0].tolist(), param=float(alpha))
 
 
 def zero_key_region_gaussian(params: GaussianModelParams) -> RegionBoundary:
-    """Zero-key region for rho2_sq <= rho3_sq: leakage floor
+    """Zero-key region in nats for rho2_sq <= rho3_sq: leakage floor
     1/2 log(1/(1 - rho3_sq)) with any nonnegative storage."""
     if params.rho2_sq > params.rho3_sq:
         raise WrongDirectionError(
             f"rho2_sq={params.rho2_sq} > rho3_sq={params.rho3_sq}: the main channel "
             f"dominates; use parametric_region")
     rl = 0.5 * math.log(1.0 / (1.0 - params.rho3_sq))
-    corner = RateCorner(0.0, 0.0, rl, InfoUnit.NATS, extras={"param": "zero_key"})
+    corner = RateCorner(0.0, 0.0, rl, extras={"param": "zero_key"})
     return RegionBoundary([corner], InfoUnit.NATS,
                           metadata={"region": "zero_key", "params": _params_dict(params)})
 
 
 def parametric_region(params: GaussianModelParams) -> RegionBoundary:
-    """Sweep alpha over a log-spaced grid on (alpha_min, 1], Pareto-filtered."""
+    """Log-spaced alpha sweep on (alpha_min, 1], Pareto-filtered, in nats."""
     _check_direction(params)
     alphas = np.geomspace(params.alpha_min, 1.0, params.alpha_grid)
     meta = {"params": _params_dict(params),
             "alpha_grid": params.alpha_grid, "alpha_min": params.alpha_min}
-    return RegionBoundary(_front(_parametric_rates(params, alphas), InfoUnit.NATS,
-                                 alphas.tolist()),
+    return RegionBoundary(_front(_parametric_rates(params, alphas), alphas.tolist()),
                           InfoUnit.NATS, metadata=meta)
 
 

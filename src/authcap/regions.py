@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +28,7 @@ from .infotheory import (
     DiscreteDistribution,
     InfoUnit,
     JointDistribution,
+    LN2,
     _blocks,
     _channel_stack,
     _clamp_mi,
@@ -140,12 +141,12 @@ def _chain_laws(model: AuthModel, tests: np.ndarray) -> _ChainLaws:
 
 @dataclass
 class RateCorner:
-    """Achievable (secret-key, storage, privacy-leakage) triple."""
+    """Achievable (secret-key, storage, privacy-leakage) triple, in the unit
+    its builder gives (see RegionBoundary)."""
 
     rs: float
     rj: float
     rl: float
-    unit: InfoUnit
     test_channel: Channel = None
     extras: dict = field(default_factory=dict)
 
@@ -155,11 +156,26 @@ class RateCorner:
 
 @dataclass
 class RegionBoundary:
-    """Pareto-filtered corner set with reproducibility metadata."""
+    """Pareto-filtered corner set with reproducibility metadata.  `unit` is
+    the one record of the corners' unit, set by the builder: bits for
+    discrete and binary models, nats for Gaussian ones."""
 
     corners: list
     unit: InfoUnit
     metadata: dict = field(default_factory=dict)
+
+    def to_unit(self, unit: InfoUnit) -> "RegionBoundary":
+        """This region in `unit`: itself, or a copy with every rate and the
+        unclamped key rate times ln 2 (bits to nats) or 1 / ln 2."""
+        if unit == self.unit:
+            return self
+        k = LN2 if unit == InfoUnit.NATS else 1.0 / LN2
+
+        def scaled(c):
+            extras = {key: v * k if key == "rs_unclamped" else v for key, v in c.extras.items()}
+            return replace(c, rs=c.rs * k, rj=c.rj * k, rl=c.rl * k, extras=extras)
+
+        return RegionBoundary([scaled(c) for c in self.corners], unit, dict(self.metadata))
 
     def to_csv_text(self) -> str:
         meta = self.metadata
@@ -234,11 +250,10 @@ def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
     return rs_raw, rj, np.where(rl > 0.0, rl, 0.0)
 
 
-def _rates(model: AuthModel, unit: InfoUnit, tu: np.ndarray,
-           tv: np.ndarray = None) -> np.ndarray:
+def _rates(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None) -> np.ndarray:
     """Rates of a stack tu[b, xt, u] of test channels, one-auxiliary, or
     two-auxiliary with tv[b, u, v] the channels to V: a (B, 4) array of
-    (rs clamped at 0, rj, rl, unclamped rs) in `unit`.  Evaluated in blocks
+    (rs clamped at 0, rj, rl, unclamped rs) in bits.  Evaluated in blocks
     of at most 2^22 cells of the pairwise joints a row needs: those of U,
     and of V if given, with Xt, Y, Z and X."""
     stacks = (tu,) if tv is None else (tu, tv)
@@ -249,21 +264,20 @@ def _rates(model: AuthModel, unit: InfoUnit, tu: np.ndarray,
         rs_raw, rj, rl = _rates_nats(model, *(s[blk] for s in stacks))
         out[blk, 0] = np.where(rs_raw > 0.0, rs_raw, 0.0)
         out[blk, 1], out[blk, 2], out[blk, 3] = rj, rl, rs_raw
-    return unit.from_nats(out)
+    return InfoUnit.BITS.from_nats(out)
 
 
-def _rate_corner(rates, unit: InfoUnit, test_channel: Channel = None,
-                 **extras) -> RateCorner:
+def _rate_corner(rates, test_channel: Channel = None, **extras) -> RateCorner:
     """Corner from one row (rs, rj, rl, unclamped rs) of a `_rates` array;
     the unclamped key rate and, given a test channel, |U| go into the
     extras."""
     rs, rj, rl, rs_raw = rates
     sizes = {} if test_channel is None else {"u_size": test_channel.num_outputs}
-    return RateCorner(rs, rj, rl, unit, test_channel=test_channel,
+    return RateCorner(rs, rj, rl, test_channel=test_channel,
                       extras={"rs_unclamped": rs_raw, **sizes, **extras})
 
 
-def _front(rates: np.ndarray, unit: InfoUnit, params, stacks=()) -> list:
+def _front(rates: np.ndarray, params, stacks=()) -> list:
     """Corners of the rows of a (B, 4) `_rates` array that no other row
     dominates, in `_pareto_indices` order.  Row i gets param params[i] and,
     if `stacks` is given, the test channel of row i of the `_channel_stack`
@@ -274,14 +288,13 @@ def _front(rates: np.ndarray, unit: InfoUnit, params, stacks=()) -> list:
         g = bisect.bisect_right(starts, i) - 1
         return Channel._of_checked(stacks[g][i - starts[g]])
 
-    return [_rate_corner(rates[i].tolist(), unit, test_channel(i) if stacks else None,
+    return [_rate_corner(rates[i].tolist(), test_channel(i) if stacks else None,
                          param=params[i])
             for i in _pareto_indices(rates)]
 
 
-def eval_one_aux(model: AuthModel, test: Channel,
-                 unit: InfoUnit = InfoUnit.BITS) -> RateCorner:
-    """Rate corner for a single auxiliary obtained through `test`.
+def eval_one_aux(model: AuthModel, test: Channel) -> RateCorner:
+    """Rate corner in bits for a single auxiliary obtained through `test`.
 
     rs = I(U;Y) - I(U;Z) clamped at 0 (equals I(Y;U|Z) when the
     eavesdropper's channel is a degraded version of the main one),
@@ -298,13 +311,12 @@ def eval_one_aux(model: AuthModel, test: Channel,
             f"one-auxiliary evaluation needs a degraded or less-noisy pair in the "
             f"main channel's favor; classifier found {model.verdict.relation.value}")
 
-    return _rate_corner(_rates(model, unit, test.matrix[None])[0].tolist(), unit, test)
+    return _rate_corner(_rates(model, test.matrix[None])[0].tolist(), test)
 
 
 def eval_two_aux(model: AuthModel, test_u: Channel, test_v: Channel,
-                 unit: InfoUnit = InfoUnit.BITS,
                  max_u: int = 4, max_v: int = 3) -> RateCorner:
-    """Rate corner for the two-auxiliary chain V - U - Xt - X - (Y, Z).
+    """Rate corner in bits for the two-auxiliary chain V - U - Xt - X - (Y, Z).
 
     rs = I(U;Y|V) - I(U;Z|V), rj = I(U;Xt) - I(U;Y) and
     rl = I(X;U,Y) - I(X;Y|V) + I(X;Z|V): the corner of eval_one_aux(test_u)
@@ -321,8 +333,8 @@ def eval_two_aux(model: AuthModel, test_u: Channel, test_v: Channel,
             f"auxiliary caps exceeded: |U|={test_u.num_outputs} (max {max_u}), "
             f"|V|={test_v.num_outputs} (max {max_v})")
 
-    rates = _rates(model, unit, test_u.matrix[None], test_v.matrix[None])[0]
-    return _rate_corner(rates.tolist(), unit, test_u, v_size=test_v.num_outputs,
+    rates = _rates(model, test_u.matrix[None], test_v.matrix[None])[0]
+    return _rate_corner(rates.tolist(), test_u, v_size=test_v.num_outputs,
                         v_channel=test_v.matrix.tolist())
 
 
@@ -344,13 +356,13 @@ def build_joint(model: AuthModel, test: Channel,
                              * z)
 
 
-def zero_key_region(model: AuthModel, unit: InfoUnit = InfoUnit.BITS) -> RegionBoundary:
-    """Degenerate region: zero key, any storage, leakage floor I(X;Z)."""
-    i_xz = unit.from_nats(model.i_xz_nats())
-    corner = RateCorner(0.0, 0.0, i_xz, unit,
+def zero_key_region(model: AuthModel) -> RegionBoundary:
+    """Degenerate region in bits: zero key, any storage, leakage floor I(X;Z)."""
+    i_xz = InfoUnit.BITS.from_nats(model.i_xz_nats())
+    corner = RateCorner(0.0, 0.0, i_xz,
                         test_channel=Channel.constant(model.n_xt),
                         extras={"param": "zero_key", "u_size": 1})
-    return RegionBoundary([corner], unit,
+    return RegionBoundary([corner], InfoUnit.BITS,
                           metadata={"region": "zero_key", "model_hash": model.content_hash(),
                                     "verdict": model.verdict})
 
@@ -458,8 +470,9 @@ class SamplerConfig:
     """Test-channel sampling plan for sweep_region.
 
     The structured family (symmetric test channels on a beta grid) only
-    applies to binary enrollment alphabets; random samples draw each channel
-    row from the flat Dirichlet measure, sweeping the auxiliary size.
+    applies to binary enrollment alphabets, and a `beta_grid_step` of 0 or
+    less (or None) turns it off; random samples draw each channel row from
+    the flat Dirichlet measure, sweeping the auxiliary size.
     """
 
     random_samples: int = 100_000
@@ -473,9 +486,8 @@ class SamplerConfig:
         return tuple(range(1, n_xt + 4))
 
 
-def sweep_region(model: AuthModel, config: SamplerConfig = None,
-                 unit: InfoUnit = InfoUnit.BITS) -> RegionBoundary:
-    """Union over sampled test channels, Pareto-filtered.
+def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBoundary:
+    """Union over sampled test channels, Pareto-filtered, in bits.
 
     Deterministic given the sampler seed.  Raises UnsupportedClassError when
     the classifier verdict does not favor the main channel, and
@@ -498,7 +510,7 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None,
     # |U|) and the param of each row; the draws take the numbers one
     # rng.dirichlet per sample would.
     stacks, params = [], []
-    if model.n_xt == 2 and config.beta_grid_step:
+    if model.n_xt == 2 and (config.beta_grid_step or 0.0) > 0.0:
         params = _beta_grid(config.beta_grid_step)
         stacks.append(_bsc_stack(params))
     rng = np.random.default_rng(config.seed)
@@ -510,9 +522,9 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None,
                 stacks.append(_channel_stack(rng.dirichlet(np.ones(u), size=(k, model.n_xt))))
         params += range(config.random_samples)
 
-    rates = np.concatenate([_rates(model, unit, tests) for tests in stacks]
+    rates = np.concatenate([_rates(model, tests) for tests in stacks]
                            or [np.empty((0, 4))])
-    corners = _front(rates, unit, params, stacks)
+    corners = _front(rates, params, stacks)
 
     meta = {"model_hash": model.content_hash(), "seed": config.seed,
             "sampler": {"random_samples": config.random_samples,
@@ -520,16 +532,15 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None,
                         "u_sizes": list(sizes)},
             "verdict": model.verdict,
             "corners_sampled": len(rates)}
-    return RegionBoundary(corners, unit, metadata=meta)
+    return RegionBoundary(corners, InfoUnit.BITS, metadata=meta)
 
 
 def two_aux_random_search(model: AuthModel, n_pairs: int, seed: int = 0,
-                          max_u: int = 4, max_v: int = 3,
-                          unit: InfoUnit = InfoUnit.BITS):
+                          max_u: int = 4, max_v: int = 3):
     """Random (U, V) test-channel pairs for the two-auxiliary region.
 
-    Returns the raw corner list (not Pareto-filtered) so containment checks
-    can cover every sampled pair.  Raises CardinalityError for max_u or
+    Returns the raw corner list in bits (not Pareto-filtered) so containment
+    checks can cover every sampled pair.  Raises CardinalityError for max_u or
     max_v below 1 and ValueError for a negative n_pairs, before anything is
     drawn.
     """
@@ -552,7 +563,7 @@ def two_aux_random_search(model: AuthModel, n_pairs: int, seed: int = 0,
     corners = [None] * n_pairs
     for (u, v), (indices, tus, tvs) in groups.items():
         tu, tv = _channel_stack(tus), _channel_stack(tvs)
-        for idx, test, rates in zip(indices, tu, _rates(model, unit, tu, tv).tolist()):
-            corners[idx] = _rate_corner(rates, unit, Channel._of_checked(test),
+        for idx, test, rates in zip(indices, tu, _rates(model, tu, tv).tolist()):
+            corners[idx] = _rate_corner(rates, Channel._of_checked(test),
                                         param=idx, v_size=v)
     return corners

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from authcap.cli import main
+from authcap.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -322,6 +323,39 @@ def test_bad_seed_exit_code(tmp_path, capsys):
         gauss = write_config(tmp_path, {**GAUSSIAN_CFG, "seed": seed}, "g.json")
         assert run_cli("figures", "--config", gauss, "--out", str(tmp_path / "f")) == 3
     assert "seed" in capsys.readouterr().err
+
+
+def test_each_command_registers_only_the_flags_it_reads():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+             for name, p in subparsers.choices.items()}
+    assert flags == {
+        "classify": {"--config", "--seed", "--samples"},
+        "region": {"--config", "--out", "--seed", "--unit", "--samples", "--grid-step"},
+        "figures": {"--config", "--out", "--seed"},
+        "simulate": {"--config", "--out", "--seed", "--monte-carlo-only"},
+        "compare": {"--config", "--out", "--seed", "--samples", "--grid-step"},
+    }
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("classify", ["--unit", "bits"]), ("classify", ["--grid-step", "0.1"]),
+    ("figures", ["--unit", "bits"]), ("figures", ["--samples", "5"]),
+    ("figures", ["--grid-step", "0.1"]),
+    ("simulate", ["--unit", "bits"]), ("simulate", ["--samples", "5"]),
+    ("simulate", ["--grid-step", "0.1"]),
+    ("compare", ["--unit", "nats"]),
+])
+def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    argv = [command, "--config", str(tmp_path / "c.json"), *flag]
+    if command != "classify":
+        argv += ["--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as e:
+        run_cli(*argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_explicit_zero_overrides_reach_validators(tmp_path):

@@ -156,7 +156,7 @@ def test_tables_match_one_aux_inputs():
     # the simulator's four information rates are the ones the one-auxiliary
     # evaluator combines: cross-check them against an explicit five-axis
     # joint and against the corner's rate differences
-    from authcap import DiscreteDistribution, InfoUnit, eval_one_aux, mutual_information
+    from authcap import DiscreteDistribution, eval_one_aux, mutual_information
     from authcap.regions import build_joint
 
     rng = np.random.default_rng(29)
@@ -173,7 +173,7 @@ def test_tables_match_one_aux_inputs():
         assert t.i_y_u == pytest.approx(mutual_information(j, [3], [0]), abs=1e-12)
         assert t.i_z_u == pytest.approx(mutual_information(j, [4], [0]), abs=1e-12)
         assert t.i_xz == pytest.approx(mutual_information(j, [2], [4]), abs=1e-12)
-        corner = eval_one_aux(m, test, unit=InfoUnit.BITS)
+        corner = eval_one_aux(m, test)
         assert corner.extras["rs_unclamped"] == pytest.approx(t.i_y_u - t.i_z_u, abs=1e-12)
         assert corner.rj == pytest.approx(max(0.0, t.i_xt_u - t.i_y_u), abs=1e-12)
 

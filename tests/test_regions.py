@@ -26,6 +26,7 @@ from authcap import (
     two_aux_random_search,
 )
 from authcap.infotheory import (
+    LN2,
     ZERO_EPS,
     InvalidDistributionError,
     MalformedJointError,
@@ -298,7 +299,7 @@ def test_less_noisy_mi_ordering():
 
 
 def _corner(rs, rj, rl):
-    return RateCorner(rs, rj, rl, InfoUnit.BITS)
+    return RateCorner(rs, rj, rl)
 
 
 def test_pareto_filter_basics():
@@ -382,6 +383,37 @@ def test_compare_regions():
         compare_regions(b, nats)
 
 
+def test_non_positive_beta_grid_step_gives_no_grid():
+    m = hsm_model()
+    regions = [sweep_region(m, SamplerConfig(random_samples=50, beta_grid_step=step, seed=21))
+               for step in (None, 0.0, -0.1)]
+    for b in regions:
+        assert b.to_csv_text() == regions[0].to_csv_text()
+        assert b.metadata["corners_sampled"] == 50
+        assert all(isinstance(c.extras["param"], int) for c in b.corners)
+
+
+def test_region_to_unit_scales_every_rate():
+    m = hsm_model()
+    bits = sweep_region(m, SamplerConfig(random_samples=200, beta_grid_step=5e-2, seed=22))
+    before = bits.to_csv_text()
+    assert bits.to_unit(InfoUnit.BITS) is bits
+    nats = bits.to_unit(InfoUnit.NATS)
+    assert nats.unit is InfoUnit.NATS
+    assert nats.metadata == bits.metadata and nats.metadata is not bits.metadata
+    for b, n in zip(bits.corners, nats.corners, strict=True):
+        assert n.as_tuple() == (b.rs * LN2, b.rj * LN2, b.rl * LN2)
+        assert n.extras["rs_unclamped"] == b.extras["rs_unclamped"] * LN2
+        assert n.extras["param"] == b.extras["param"] and n.test_channel is b.test_channel
+    assert bits.to_csv_text() == before
+    back = nats.to_unit(InfoUnit.BITS)
+    assert back.unit is InfoUnit.BITS
+    for b, r in zip(bits.corners, back.corners):
+        assert r.as_tuple() == pytest.approx(b.as_tuple(), rel=1e-15, abs=0.0)
+    with pytest.raises(ValueError, match="unit mismatch"):
+        compare_regions(nats, bits)
+
+
 def test_boundary_serialization():
     m = hsm_model()
     b = sweep_region(m, SamplerConfig(random_samples=50, beta_grid_step=5e-2,
@@ -458,10 +490,10 @@ def ref_two_aux_rates_nats(model, tu, tv):
     return rs_raw, rj, max(0.0, rl)
 
 
-def ref_rate_corner(rates_nats, unit, test_channel, **extras):
+def ref_rate_corner(rates_nats, test_channel, **extras):
     rs_raw, rj, rl = rates_nats
-    conv = unit.from_nats
-    return RateCorner(conv(max(0.0, rs_raw)), conv(rj), conv(rl), unit,
+    conv = InfoUnit.BITS.from_nats
+    return RateCorner(conv(max(0.0, rs_raw)), conv(rj), conv(rl),
                       test_channel=test_channel,
                       extras={"rs_unclamped": conv(rs_raw),
                               "u_size": test_channel.num_outputs, **extras})
@@ -490,11 +522,11 @@ def ref_pareto_filter(corners):
     return kept
 
 
-def ref_sweep_region(model, config, unit=InfoUnit.BITS):
+def ref_sweep_region(model, config):
     sizes = config.sizes_for(model.n_xt)
 
     def corner(matrix, param):
-        return ref_rate_corner(ref_one_aux_rates_nats(model, matrix), unit,
+        return ref_rate_corner(ref_one_aux_rates_nats(model, matrix),
                                Channel(matrix), param=param)
 
     corners = []
@@ -518,11 +550,10 @@ def ref_sweep_region(model, config, unit=InfoUnit.BITS):
                         "u_sizes": list(sizes)},
             "verdict": model.verdict,
             "corners_sampled": len(corners)}
-    return RegionBoundary(filtered, unit, metadata=meta)
+    return RegionBoundary(filtered, InfoUnit.BITS, metadata=meta)
 
 
-def ref_two_aux_random_search(model, n_pairs, seed=0, max_u=4, max_v=3,
-                              unit=InfoUnit.BITS):
+def ref_two_aux_random_search(model, n_pairs, seed=0, max_u=4, max_v=3):
     rng = np.random.default_rng(seed)
     corners = []
     for idx in range(n_pairs):
@@ -530,7 +561,7 @@ def ref_two_aux_random_search(model, n_pairs, seed=0, max_u=4, max_v=3,
         v = int(rng.integers(1, max_v + 1))
         tu = rng.dirichlet(np.ones(u), size=model.n_xt)
         tv = rng.dirichlet(np.ones(v), size=u)
-        corners.append(ref_rate_corner(ref_two_aux_rates_nats(model, tu, tv), unit,
+        corners.append(ref_rate_corner(ref_two_aux_rates_nats(model, tu, tv),
                                        Channel(tu), param=idx, v_size=v))
     return corners
 
@@ -549,13 +580,12 @@ def test_batched_sweep_matches_per_sample_reference(model_fn):
         dict(random_samples=0, beta_grid_step=None),
     ]
     for k, plan in enumerate(plans):
-        for unit in (InfoUnit.BITS, InfoUnit.NATS):
-            cfg = SamplerConfig(seed=30 + k, **plan)
-            got, ref = sweep_region(m, cfg, unit), ref_sweep_region(m, cfg, unit)
-            assert got.to_csv_text() == ref.to_csv_text()
-            assert json.dumps(got.to_json_dict(), sort_keys=True) == \
-                json.dumps(ref.to_json_dict(), sort_keys=True)
-            assert got.metadata["corners_sampled"] == ref.metadata["corners_sampled"]
+        cfg = SamplerConfig(seed=30 + k, **plan)
+        got, ref = sweep_region(m, cfg), ref_sweep_region(m, cfg)
+        assert got.to_csv_text() == ref.to_csv_text()
+        assert json.dumps(got.to_json_dict(), sort_keys=True) == \
+            json.dumps(ref.to_json_dict(), sort_keys=True)
+        assert got.metadata["corners_sampled"] == ref.metadata["corners_sampled"]
 
 
 def test_batched_two_aux_search_matches_per_pair_reference():
@@ -601,9 +631,9 @@ def test_batched_kernels_reject_malformed_stacks():
     good = np.array([[0.3, 0.7], [0.6, 0.4]])
     mass_two = np.ones((2, 2))     # rows sum to 2: not a channel
     with pytest.raises(MalformedJointError):
-        _rates(m, InfoUnit.BITS, np.stack([good, good, mass_two]))
+        _rates(m, np.stack([good, good, mass_two]))
     with pytest.raises(MalformedJointError):
-        _rates(m, InfoUnit.BITS, np.stack([good, mass_two]), np.ones((2, 2, 1)))
+        _rates(m, np.stack([good, mass_two]), np.ones((2, 2, 1)))
     with pytest.raises(MalformedJointError):
         _mi2_nats(np.stack([np.full((2, 2), 0.25), np.full((2, 2), 0.5)]))
 
@@ -650,11 +680,11 @@ def test_rates_in_blocks_match_one_pass(monkeypatch):
     rng = np.random.default_rng(57)
     tu = _channel_stack(rng.dirichlet(np.ones(3), size=(10, 2)))
     tv = _channel_stack(rng.dirichlet(np.ones(2), size=(10, 3)))
-    whole = (_rates(m, InfoUnit.BITS, tu), _rates(m, InfoUnit.BITS, tu, tv))
+    whole = (_rates(m, tu), _rates(m, tu, tv))
     monkeypatch.setattr("authcap.regions._blocks",
                         lambda rows, row_cells: [slice(lo, lo + 3) for lo in range(0, rows, 3)])
-    assert np.array_equal(_rates(m, InfoUnit.BITS, tu), whole[0])
-    assert np.array_equal(_rates(m, InfoUnit.BITS, tu, tv), whole[1])
+    assert np.array_equal(_rates(m, tu), whole[0])
+    assert np.array_equal(_rates(m, tu, tv), whole[1])
     # at most 2^22 cells a block, and at least one row
     assert _blocks(5, 1 << 21) == [slice(0, 2), slice(2, 4), slice(4, 6)]
     assert _blocks(2, 1 << 23) == [slice(0, 1), slice(1, 2)]
@@ -739,11 +769,11 @@ def ref_rates_nats(model, tu, tv=None):
     return rs_raw, rj, np.where(rl > 0.0, rl, 0.0)
 
 
-def ref_rates(model, unit, tu, tv=None):
+def ref_rates(model, tu, tv=None):
     out = np.empty((len(tu), 4))
     rs_raw, rj, rl = ref_rates_nats(model, tu, tv)
     out[:] = np.array([np.where(rs_raw > 0.0, rs_raw, 0.0), rj, rl, rs_raw]).T
-    return unit.from_nats(out)
+    return InfoUnit.BITS.from_nats(out)
 
 
 def ref_compare_regions(a, b):
@@ -782,20 +812,16 @@ def test_rates_match_four_joint_kernel_bit_for_bit(model_fn):
     rng = np.random.default_rng(61)
     for u in range(1, m.n_xt + 4):
         tu = _channels_with_one_hot_rows(rng, 2_000, m.n_xt, u)
-        for unit in (InfoUnit.BITS, InfoUnit.NATS):
-            assert _rates(m, unit, tu).tobytes() == ref_rates(m, unit, tu).tobytes()
-            for i in range(4):
-                one = tu[i:i + 1]
-                assert _rates(m, unit, one).tobytes() == ref_rates(m, unit, one).tobytes()
+        assert _rates(m, tu).tobytes() == ref_rates(m, tu).tobytes()
+        for i in range(4):
+            one = tu[i:i + 1]
+            assert _rates(m, one).tobytes() == ref_rates(m, one).tobytes()
         for v in (1, 2, 3):
             tv = _channels_with_one_hot_rows(rng, 2_000, u, v)
-            for unit in (InfoUnit.BITS, InfoUnit.NATS):
-                assert (_rates(m, unit, tu, tv).tobytes()
-                        == ref_rates(m, unit, tu, tv).tobytes())
-                for i in range(4):
-                    pair = tu[i:i + 1], tv[i:i + 1]
-                    assert (_rates(m, unit, *pair).tobytes()
-                            == ref_rates(m, unit, *pair).tobytes())
+            assert _rates(m, tu, tv).tobytes() == ref_rates(m, tu, tv).tobytes()
+            for i in range(4):
+                pair = tu[i:i + 1], tv[i:i + 1]
+                assert _rates(m, *pair).tobytes() == ref_rates(m, *pair).tobytes()
     assert np.asarray(m.i_xz_nats()).tobytes() == np.asarray(
         ref_mi2_nats(m.px.probs[:, None] * m.ac_z.matrix)).tobytes()
 
@@ -812,7 +838,7 @@ def test_eval_two_aux_constant_v_matches_four_joint_kernel_bit_for_bit(model_fn)
                 one_hot[:, index] = 1.0
                 c = eval_two_aux(m, tu, Channel.constant(u, v, index), max_u=u)
                 got = np.array([*c.as_tuple(), c.extras["rs_unclamped"]])
-                ref = ref_rates(m, InfoUnit.BITS, tu.matrix[None], one_hot[None])[0]
+                ref = ref_rates(m, tu.matrix[None], one_hot[None])[0]
                 assert got.tobytes() == ref.tobytes()
                 assert c.extras["v_channel"] == one_hot.tolist()
 
