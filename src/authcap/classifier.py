@@ -2,8 +2,13 @@
 
 Three orderings are tested, strongest first:
 
-  degraded      one channel equals the other followed by some post-channel;
-                decided exactly by linear feasibility over the post-channel.
+  degraded      one channel equals the other followed by some post-channel.
+                For a binary input that is Blackwell's order of two
+                dichotomies: an exactly evaluated Bayes-risk gap refutes it
+                and a shadow coupling builds the post-channel, with no LP;
+                larger inputs, and the narrow band of gaps that neither
+                settles, are decided by linear feasibility over the
+                post-channel.
   less noisy    I(W;B) >= I(W;C) for every auxiliary W through the input;
                 equivalent to concavity of P -> I(P;B) - I(P;C) on the input
                 simplex.  For a binary input that is a sign condition on one
@@ -141,15 +146,88 @@ def _degradedness_lp(candidate: Channel, reference: Channel):
     return a_ub, b_ub, a_eq
 
 
-def is_stochastically_degraded(candidate: Channel, reference: Channel) -> ChannelOrderVerdict:
-    """Test whether `candidate` equals some post-channel applied to `reference`.
+def _bayes_risks(matrix: np.ndarray, priors: np.ndarray) -> np.ndarray:
+    """R_M(pi) = sum_c max(pi M[0, c], (1 - pi) M[1, c]), the Bayes
+    probability of guessing a binary input with prior (pi, 1 - pi) from the
+    output of M, at each prior pi."""
+    return np.maximum(priors[:, None] * matrix[0], (1.0 - priors)[:, None] * matrix[1]).sum(axis=1)
 
-    Solved as a linear program over the post-channel entries minimising the
-    max-abs composition residual; residual <= 1e-9 counts as degraded and the
-    witness channel is returned.  The verdict uses the convention that the
-    candidate plays the Z role and the reference the Y role.
+
+def _bayes_risk_gap(candidate: Channel, reference: Channel):
+    """(gap, prior): the largest R_candidate(pi) - R_reference(pi) over
+    pi in [0, 1], as a Fraction evaluated exactly at its float arg-max
+    `prior` (entries are dyadic).  The difference is piecewise linear with
+    kinks at pi = b / (a + b) for the columns (a, b) of either channel, so
+    those and the ends are the only priors tried."""
+    stacked = np.concatenate([candidate.matrix, reference.matrix], axis=1)
+    mass = stacked.sum(axis=0)
+    kinks = np.divide(stacked[1], mass, out=np.zeros_like(mass), where=mass > 0)
+    priors = np.concatenate([[0.0, 1.0], kinks])
+    gaps = _bayes_risks(candidate.matrix, priors) - _bayes_risks(reference.matrix, priors)
+    prior = Fraction(float(priors[int(np.argmax(gaps))]))
+
+    def risk(matrix):
+        return sum(max(prior * Fraction(a), (1 - prior) * Fraction(b))
+                   for a, b in zip(*matrix.tolist()))
+
+    return risk(candidate.matrix) - risk(reference.matrix), prior
+
+
+def _shadow_post_channel(candidate: Channel, reference: Channel) -> np.ndarray:
+    """Post-channel W with reference @ W = candidate for binary inputs, when
+    one exists, built as a left-curtain martingale coupling (Beiglboeck &
+    Juillet 2016).
+
+    Column c of a channel is an atom of mass a + b at position b / (a + b).
+    The candidate's atoms, in increasing position, each take from what is
+    left of the reference's atoms the slice of its own mass, contiguous in
+    position order (a quantile slice), whose mean is its own position: its
+    shadow.  W[j, c] is the share of reference atom j that candidate atom c
+    took; a reference column of zero mass gets a uniform row.
+    When the candidate is no garbling of the reference some shadow does not
+    exist, its start is clamped, and W misses; the caller checks it.
     """
-    _check_same_input(candidate, reference)
+    ref, cand = reference.matrix, candidate.matrix
+    nb, nc = ref.shape[1], cand.shape[1]
+    ref_mass, cand_mass = ref.sum(axis=0), cand.sum(axis=0)
+    ref_pos = np.divide(ref[1], ref_mass, out=np.zeros(nb), where=ref_mass > 0)
+    cand_pos = np.divide(cand[1], cand_mass, out=np.zeros(nc), where=cand_mass > 0)
+    order = np.argsort(ref_pos, kind="stable")
+    left, pos = ref_mass[order], ref_pos[order]
+    taken = np.zeros((nb, nc))
+    for c in np.argsort(cand_pos, kind="stable"):
+        m = cand_mass[c]
+        if m <= 0.0:
+            continue
+        # quantile coordinate u in [0, total]; F(u) integrates the quantile
+        # function, so F(s + m) - F(s) = m * (mean of the slice [s, s + m]),
+        # nondecreasing and piecewise linear in s with kinks at cum and cum - m
+        cum = np.concatenate([[0.0], np.cumsum(left)])
+        first = np.concatenate([[0.0], np.cumsum(left * pos)])
+        starts = np.unique(np.clip(np.concatenate([cum, cum - m]), 0.0, max(cum[-1] - m, 0.0)))
+        means = np.maximum.accumulate(np.interp(starts + m, cum, first)
+                                      - np.interp(starts, cum, first))
+        s = np.interp(cand[1, c], means, starts)
+        piece = np.diff(np.clip(cum, s, s + m))
+        taken[order, c] = piece
+        left = np.maximum(left - piece, 0.0)
+    rows = taken.sum(axis=1, keepdims=True)
+    return np.divide(taken, rows, out=np.full((nb, nc), 1.0 / nc), where=rows > 0)
+
+
+def _composition_residual(candidate: Channel, reference: Channel, w: np.ndarray) -> float:
+    """max |reference @ w - candidate|."""
+    return float(np.max(np.abs(reference.matrix @ w - candidate.matrix)))
+
+
+def _degraded_by_lp(candidate: Channel, reference: Channel) -> ChannelOrderVerdict:
+    """Degradedness by the LP that minimises the max-abs composition
+    residual t over post-channels.  The verdict is degraded only when the
+    solver's post-channel itself composes back within
+    DEGRADED_RESIDUAL_TOL: at HiGHS's default feasibility tolerance (1e-7)
+    t can fall below the tolerance while the post-channel misses by 1e-8,
+    so the LP also runs at feasibility tolerances of 1e-10, at which it
+    finds post-channels that do compose back."""
     nb = reference.num_outputs
     nc = candidate.num_outputs
     a_ub, b_ub, a_eq = _degradedness_lp(candidate, reference)
@@ -159,24 +237,64 @@ def is_stochastically_degraded(candidate: Channel, reference: Channel) -> Channe
     from scipy import optimize
 
     res = optimize.linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(nb),
-                           bounds=[(0, None)] * len(cost), method="highs")
+                           bounds=[(0, None)] * len(cost), method="highs",
+                           options={"primal_feasibility_tolerance": 1e-10,
+                                    "dual_feasibility_tolerance": 1e-10})
     if not res.success:
         return ChannelOrderVerdict(Relation.UNORDERED, Certainty.EXACT,
                                    note="degradedness LP did not converge",
                                    details={"lp_status": res.status})
 
     t = float(res.x[-1])
-    if t <= DEGRADED_RESIDUAL_TOL:
-        w = np.clip(res.x[:-1].reshape(nb, nc), 0.0, None)
-        w /= w.sum(axis=1, keepdims=True)
-        witness = Channel(w)
-        residual = float(np.max(np.abs(reference.matrix @ w - candidate.matrix)))
+    w = np.clip(res.x[:-1].reshape(nb, nc), 0.0, None)
+    w /= w.sum(axis=1, keepdims=True)
+    residual = _composition_residual(candidate, reference, w)
+    if residual <= DEGRADED_RESIDUAL_TOL:
         return ChannelOrderVerdict(Relation.DEGRADED_Z_WRT_Y, Certainty.EXACT,
-                                   witness=witness, residual=residual)
+                                   witness=Channel(w), residual=residual)
     return ChannelOrderVerdict(Relation.UNORDERED, Certainty.EXACT,
                                residual=t,
                                note="no intermediate channel within tolerance",
-                               details={"best_residual": t})
+                               details={"best_residual": t, "witness_residual": residual})
+
+
+def is_stochastically_degraded(candidate: Channel, reference: Channel) -> ChannelOrderVerdict:
+    """Test whether `candidate` equals some post-channel applied to `reference`.
+
+    The verdict uses the convention that the candidate plays the Z role and
+    the reference the Y role; a degraded verdict carries the post-channel
+    as witness and its max-abs composition residual, at most
+    DEGRADED_RESIDUAL_TOL.
+
+    A binary input is Blackwell's comparison of two dichotomies and needs
+    no LP.  A post-channel never raises the Bayes probability R(pi) of
+    `_bayes_risks`, and one within residual t raises it by at most
+    n_c * t, so a gap max_pi R_candidate - R_reference above
+    n_c * DEGRADED_RESIDUAL_TOL, evaluated exactly, refutes degradedness:
+    UNORDERED, EXACT, with residual gap / n_c, a lower bound on every
+    post-channel's residual, and details {"bayes_risk_gap", "prior"}.
+    Otherwise the shadow coupling of `_shadow_post_channel` is the witness
+    when it composes back within tolerance.  What is left (a gap in
+    (0, n_c * DEGRADED_RESIDUAL_TOL]) and every larger input go to
+    `_degraded_by_lp`.
+    """
+    _check_same_input(candidate, reference)
+    if candidate.num_inputs != 2:
+        return _degraded_by_lp(candidate, reference)
+    nc = candidate.num_outputs
+    gap, prior = _bayes_risk_gap(candidate, reference)
+    if gap > nc * Fraction(DEGRADED_RESIDUAL_TOL):
+        return ChannelOrderVerdict(Relation.UNORDERED, Certainty.EXACT,
+                                   residual=float(gap / nc),
+                                   note="Bayes risk gap exceeds what a post-channel within "
+                                        "tolerance allows",
+                                   details={"bayes_risk_gap": float(gap), "prior": float(prior)})
+    w = _shadow_post_channel(candidate, reference)
+    residual = _composition_residual(candidate, reference, w)
+    if residual <= DEGRADED_RESIDUAL_TOL:
+        return ChannelOrderVerdict(Relation.DEGRADED_Z_WRT_Y, Certainty.EXACT,
+                                   witness=Channel(w), residual=residual)
+    return _degraded_by_lp(candidate, reference)
 
 
 def _curvature_terms(better: Channel, worse: Channel):

@@ -287,11 +287,22 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _unread(args, region: str, *flags):
+    """Exit 3 naming the first of `flags` given on the command line: the
+    `region` the config selects does not read it."""
+    for dest in flags:
+        if getattr(args, dest) is not None:
+            raise CliError(EXIT_SCHEMA, f"--{dest.replace('_', '-')} is not read by "
+                                        f"the {region} region")
+
+
 def _region_boundary(cfg: dict, form: str, args, seed: int) -> RegionBoundary:
     if form == "binary":
+        _unread(args, "binary closed-form", "samples")
         params = _binary_params(cfg, args.grid_step)
         return closed_form_region(params, _classifier_trials(cfg), seed)
     if form == "gaussian":
+        _unread(args, "Gaussian closed-form", "samples", "grid_step")
         params = _gaussian_params(cfg)
         if params.rho2_sq > params.rho3_sq:
             return parametric_region(params)
@@ -300,6 +311,7 @@ def _region_boundary(cfg: dict, form: str, args, seed: int) -> RegionBoundary:
     model = _auth_model(cfg, form, seed, "region")
     relation = model.verdict.relation
     if relation in Z_FAVOR:
+        _unread(args, "zero-key", "samples", "grid_step")
         return zero_key_region(model)
     if relation not in Y_FAVOR:
         raise CliError(EXIT_UNSUPPORTED,

@@ -407,12 +407,9 @@ def pareto_filter(corners):
     return [corners[i] for i in _pareto_indices(_corner_rates(corners))]
 
 
-def region_contains(boundary: RegionBoundary, point,
-                    tol: float = DOMINANCE_TOL,
-                    unit: InfoUnit = None) -> bool:
-    """Whether (rs, rj, rl) is achievable per some corner of the boundary."""
-    if unit is not None and unit != boundary.unit:
-        raise ValueError(f"unit mismatch: boundary in {boundary.unit.value}, point in {unit.value}")
+def region_contains(boundary: RegionBoundary, point, tol: float = DOMINANCE_TOL) -> bool:
+    """Whether (rs, rj, rl), in the boundary's unit (`RegionBoundary.unit`),
+    is achievable per some corner of the boundary."""
     rs, rj, rl = point
     c = _corner_rates(boundary.corners)
     return bool(np.any((rs <= c[:, 0] + tol) & (rj >= c[:, 1] - tol) & (rl >= c[:, 2] - tol)))

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,9 @@ from authcap import (
 from authcap.classifier import (
     CONCAVITY_TOL,
     DEFAULT_GRID_RESOLUTION,
+    DEGRADED_RESIDUAL_TOL,
     _binary_certificate,
+    _degraded_by_lp,
     _degradedness_lp,
     _halves,
     _info_gap,
@@ -60,8 +66,39 @@ def test_degraded_infeasible_both_ways():
     b = is_stochastically_degraded(Channel.bsc(0.2), Channel.bec(0.5))
     assert a.relation is Relation.UNORDERED
     assert b.relation is Relation.UNORDERED
-    assert a.details["best_residual"] > 1e-9
-    assert b.details["best_residual"] > 1e-9
+    # the certified lower bound on every post-channel's residual, and the
+    # LP's optimum
+    assert a.residual > 1e-9
+    assert b.residual > 1e-9
+    assert _degraded_by_lp(Channel.bec(0.5), Channel.bsc(0.2)).details["best_residual"] > 1e-9
+    assert _degraded_by_lp(Channel.bsc(0.2), Channel.bec(0.5)).details["best_residual"] > 1e-9
+
+
+def with_row_0_repeated(channel):
+    """The channel on three inputs, input 0 copied to input 1: degradedness
+    is unchanged, and only the LP decides it."""
+    return Channel(np.vstack([channel.matrix[:1], channel.matrix]))
+
+
+@pytest.mark.parametrize("d", [1e-8, 3e-8])
+def test_degraded_only_when_the_witness_composes_back(d):
+    # BSC(eps) is BEC(q) followed by a post-channel iff q <= 2 eps.  At
+    # q = 2 eps + d the best post-channel misses by about d, yet the LP's
+    # objective falls within its solver's feasibility tolerance (about 1e-7)
+    # and once read as t <= 1e-9
+    bsc, bec = Channel.bsc(0.3), Channel.bec(0.6 + d)
+    for candidate, reference in ((bsc, bec),
+                                 (with_row_0_repeated(bsc), with_row_0_repeated(bec))):
+        v = is_stochastically_degraded(candidate, reference)
+        assert v.relation is Relation.UNORDERED, (d, v)
+    # at q = 2 eps exactly both paths find a post-channel
+    for candidate, reference in ((Channel.bsc(0.3), Channel.bec(0.6)),
+                                 (with_row_0_repeated(Channel.bsc(0.3)),
+                                  with_row_0_repeated(Channel.bec(0.6)))):
+        v = is_stochastically_degraded(candidate, reference)
+        assert v.relation is Relation.DEGRADED_Z_WRT_Y
+        assert np.max(np.abs(reference.matrix @ v.witness.matrix - candidate.matrix)) \
+            == v.residual <= 1e-9
 
 
 def test_degraded_witness_residual_randomized():
@@ -242,6 +279,82 @@ def test_certificate_agrees_with_sampler(case, seed):
         exact = exact_curvature(better, worse, Fraction(p[1]))
         assert exact > 0 and witness["second_derivative"] == float(exact)
 
+
+
+def exact_bayes_gap(candidate, reference, prior):
+    """R_candidate(prior) - R_reference(prior), R_M(pi) = sum_c
+    max(pi M[0, c], (1 - pi) M[1, c]), in exact rational arithmetic."""
+    def risk(matrix):
+        return sum(max(prior * Fraction(a), (1 - prior) * Fraction(b))
+                   for a, b in zip(*matrix.tolist()))
+    return risk(candidate.matrix) - risk(reference.matrix)
+
+
+def max_exact_bayes_gap(candidate, reference):
+    """The largest exact Bayes gap over [0, 1]: at an end or at an exact
+    kink b / (a + b) of either channel's columns (a, b)."""
+    priors = {Fraction(0), Fraction(1)}
+    for matrix in (candidate.matrix, reference.matrix):
+        priors |= {Fraction(b) / (Fraction(a) + Fraction(b))
+                   for a, b in zip(*matrix.tolist()) if a + b > 0}
+    return max(exact_bayes_gap(candidate, reference, p) for p in priors)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=BINARY_PAIRS, swap=st.booleans())
+def test_lp_free_degradedness_agrees_with_lp(case, swap):
+    better, worse, degrade, post = case
+    if degrade:
+        # worse = better followed by a post-channel, composed in floats
+        post = np.array([[x / sum(r) if sum(r) else 1 / len(r) for x in r] for r in post])
+        worse = Channel(better.matrix @ post)
+    candidate, reference = (better, worse) if swap else (worse, better)
+    v = is_stochastically_degraded(candidate, reference)
+    lp = _degraded_by_lp(candidate, reference)
+    bound = candidate.num_outputs * Fraction(DEGRADED_RESIDUAL_TOL)
+    if not 0 < max_exact_bayes_gap(candidate, reference) <= bound:
+        assert v.relation is lp.relation
+    if degrade and not swap:
+        assert v.relation is Relation.DEGRADED_Z_WRT_Y
+    if v.relation is Relation.DEGRADED_Z_WRT_Y:
+        residual = np.max(np.abs(reference.matrix @ v.witness.matrix - candidate.matrix))
+        assert residual == v.residual <= 1e-9
+    elif "bayes_risk_gap" in v.details:
+        gap = exact_bayes_gap(candidate, reference, Fraction(v.details["prior"]))
+        assert gap > bound
+        assert v.details["bayes_risk_gap"] == float(gap)
+        assert lp.relation is Relation.UNORDERED and lp.details["best_residual"] > 1e-9
+
+
+def test_building_a_binary_input_model_imports_no_scipy():
+    # every shipped binary or discrete config, in a fresh interpreter: the
+    # degradedness test needs no LP for two inputs, and a less-noisy verdict
+    # no more-capable search
+    code = """if True:
+        import json, sys
+        from pathlib import Path
+        from authcap import AuthModel, Channel, DiscreteDistribution
+        built = []
+        for path in sorted(Path(sys.argv[1]).glob("*.json")):
+            c = json.loads(path.read_text())
+            if "binary" in c:
+                b = c["binary"]
+                AuthModel.binary_hsm(b["p"], b["q"], b["eps"])
+            elif "px" in c:
+                AuthModel(DiscreteDistribution(c["px"]), Channel(c["ec"]),
+                          Channel(c["ac_y"]), Channel(c["ac_z"]))
+            else:
+                continue
+            built.append(path.stem)
+        print(json.dumps([built, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+    """
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "configs")],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    built, loaded = json.loads(proc.stdout)
+    assert built == ["binary", "discrete_degraded", "keyed"]
+    assert loaded == []
 
 def test_more_capable_examples():
     c = Channel(np.array([[0.8, 0.2], [0.3, 0.7]]))

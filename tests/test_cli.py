@@ -153,18 +153,36 @@ def test_region_unsupported_class(tmp_path):
     assert run_cli("region", "--config", cfg, "--out", str(tmp_path / "u")) == 5
 
 
+Z_FAVOR_CFG = {"px": [0.5, 0.5],
+               "ec": [[0.9, 0.1], [0.1, 0.9]],
+               "ac_y": [[0.74, 0.26], [0.26, 0.74]],
+               "ac_z": [[0.9, 0.1], [0.1, 0.9]],
+               "seed": 0}
+
+
 def test_region_discrete_z_favor(tmp_path):
-    cfg = write_config(tmp_path, {
-        "px": [0.5, 0.5],
-        "ec": [[0.9, 0.1], [0.1, 0.9]],
-        "ac_y": [[0.74, 0.26], [0.26, 0.74]],
-        "ac_z": [[0.9, 0.1], [0.1, 0.9]],
-        "seed": 0})
+    cfg = write_config(tmp_path, Z_FAVOR_CFG)
     out = tmp_path / "zf"
     assert run_cli("region", "--config", cfg, "--out", str(out)) == 0
     data = json.loads((out / "region.json").read_text())
     assert len(data["corners"]) == 1
     assert data["corners"][0]["rs"] == 0.0
+
+
+@pytest.mark.parametrize("cfg,flag", [
+    (BINARY_CFG, ["--samples", "7"]),
+    (GAUSSIAN_CFG, ["--samples", "7"]), (GAUSSIAN_CFG, ["--grid-step", "0.1"]),
+    (Z_FAVOR_CFG, ["--samples", "7"]), (Z_FAVOR_CFG, ["--grid-step", "0.1"]),
+], ids=["binary-samples", "gaussian-samples", "gaussian-grid-step", "zero-key-samples",
+        "zero-key-grid-step"])
+def test_region_flag_the_chosen_region_does_not_read_exits_3(tmp_path, capsys, cfg, flag):
+    # the closed forms sweep no samples, the Gaussian one has no beta grid,
+    # and the zero-key region is one corner: an accepted value must act
+    out = tmp_path / "o"
+    assert run_cli("region", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                   *flag) == 3
+    assert f"error: {flag[0]} is not read by the" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_figures(tmp_path):
@@ -304,8 +322,9 @@ def test_compare_embedding_matches_per_corner_loop(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize is imported by the classifier and the binary closed
-    # form when they run, not by `import authcap.cli`
+    # scipy.optimize is imported by the degradedness LP, the more-capable
+    # test and the binary closed form when they run, not by
+    # `import authcap.cli`
     code = "import sys, authcap.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
