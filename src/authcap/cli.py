@@ -273,6 +273,7 @@ def _cmd_classify(args) -> int:
     seed = _seed(cfg, args)
 
     if form == "gaussian":
+        _unread(args, "the Gaussian verdict", "samples")
         params = _gaussian_params(cfg)
         relation = (Relation.DEGRADED_Z_WRT_Y if params.rho2_sq > params.rho3_sq
                     else Relation.DEGRADED_Y_WRT_Z)
@@ -287,22 +288,23 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _unread(args, region: str, *flags):
+def _unread(args, reader: str, *flags):
     """Exit 3 naming the first of `flags` given on the command line: the
-    `region` the config selects does not read it."""
+    `reader` the config selects (a region or verdict) does not read it."""
     for dest in flags:
         if getattr(args, dest) is not None:
-            raise CliError(EXIT_SCHEMA, f"--{dest.replace('_', '-')} is not read by "
-                                        f"the {region} region")
+            raise CliError(EXIT_SCHEMA, f"--{dest.replace('_', '-')} is not read by {reader}")
 
 
 def _region_boundary(cfg: dict, form: str, args, seed: int) -> RegionBoundary:
+    # `compare` reads the sampler block too, so it is checked for every region
+    _sampler(cfg, seed, None, 100_000, None)
     if form == "binary":
-        _unread(args, "binary closed-form", "samples")
+        _unread(args, "the binary closed-form region", "samples")
         params = _binary_params(cfg, args.grid_step)
         return closed_form_region(params, _classifier_trials(cfg), seed)
     if form == "gaussian":
-        _unread(args, "Gaussian closed-form", "samples", "grid_step")
+        _unread(args, "the Gaussian closed-form region", "samples", "grid_step")
         params = _gaussian_params(cfg)
         if params.rho2_sq > params.rho3_sq:
             return parametric_region(params)
@@ -311,7 +313,7 @@ def _region_boundary(cfg: dict, form: str, args, seed: int) -> RegionBoundary:
     model = _auth_model(cfg, form, seed, "region")
     relation = model.verdict.relation
     if relation in Z_FAVOR:
-        _unread(args, "zero-key", "samples", "grid_step")
+        _unread(args, "the zero-key region", "samples", "grid_step")
         return zero_key_region(model)
     if relation not in Y_FAVOR:
         raise CliError(EXIT_UNSUPPORTED,

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from authcap import (
     AuthModel,
@@ -15,8 +16,10 @@ from authcap import (
     closed_form_corner,
     closed_form_region,
 )
-from authcap.infotheory import binary_entropy, convolve
+from authcap.binary import _closed_form_rates
+from authcap.infotheory import ZERO_EPS, binary_entropy, convolve
 from authcap.classifier import Relation
+from authcap.regions import _beta_grid
 
 
 def hb(x):
@@ -80,8 +83,8 @@ def test_closed_form_matches_generic_evaluator():
 def test_region_single_point_grid():
     params = BinaryModelParams(0.1, 0.5, 0.2, beta_step=0.5)
     b = closed_form_region(params, classifier_trials=2_000)
-    # grid is {0, 1/2} plus refinement; the beta = 1/2 corner is the
-    # zero-key zero-storage point
+    # grid is {0, 1/2}; the beta = 1/2 corner is the zero-key zero-storage
+    # point
     tuples = [c.as_tuple() for c in b.corners]
     assert any(t == pytest.approx((0.0, 0.0, 1 - hb(0.2)), abs=1e-12) for t in tuples)
 
@@ -90,9 +93,27 @@ def test_region_max_rs_at_zero():
     b = closed_form_region(PARAMS, classifier_trials=2_000)
     best = max(b.corners, key=lambda c: c.rs)
     assert best.rs == pytest.approx(0.0922, abs=5e-5)
-    assert best.extras["param"] == pytest.approx(0.0, abs=1e-6)
+    assert best.extras["param"] == 0.0
     assert b.metadata["classifier_warning"] is None
     assert b.metadata["verdict"].relation is Relation.LESS_NOISY_Y_OVER_Z
+
+
+MASKED = ZERO_EPS * math.log2(1 / ZERO_EPS)   # 5.0e-14 bits
+
+
+@settings(deadline=None, max_examples=1000)
+@given(p=st.floats(0.0, 0.5), eps=st.floats(0.0, 0.5), share=st.floats(0.0, 1.0),
+       beta=st.sampled_from(_beta_grid(1e-3)) | st.floats(0.0, 0.5))
+def test_key_rate_of_a_less_noisy_pair_peaks_at_beta_zero(p, eps, share, beta):
+    # BEC(q) is less noisy than BSC(eps) iff q <= 4 eps (1 - eps); then
+    # I(Xt;Y|U) >= I(Xt;Z|U), so I(U;Y) - I(U;Z) is largest at U = Xt, and
+    # the beta grid, which holds 0, needs no search off it.  Entropies drop
+    # cells of at most ZERO_EPS (-x log2 x <= MASKED there), so each side may
+    # be off by one masked term besides rounding: p = 0, eps = beta = 1e-15
+    # reads 9.8e-14 above beta = 0.
+    params = BinaryModelParams(p, share * 4.0 * eps * (1.0 - eps), eps)
+    at_zero, at_beta = _closed_form_rates(params, [0.0, beta])[:, 3]
+    assert at_beta <= at_zero + 1e-15 + 2 * MASKED
 
 
 def test_region_noiseless_eavesdropper_degenerates():

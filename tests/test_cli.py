@@ -185,6 +185,46 @@ def test_region_flag_the_chosen_region_does_not_read_exits_3(tmp_path, capsys, c
     assert not out.exists()
 
 
+def test_classify_samples_on_a_gaussian_config_exits_3(tmp_path, capsys):
+    # the Gaussian verdict is exact from the squared correlations and runs
+    # no classifier trials
+    cfg = write_config(tmp_path, GAUSSIAN_CFG)
+    assert run_cli("classify", "--config", cfg, "--samples", "-7") == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: --samples is not read by the Gaussian verdict\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("cfg,sampler,name", [
+    (BINARY_CFG, "garbage", "sampler"),
+    (Z_FAVOR_CFG, {"random_samples": "many", "u_sizes": "x"}, "sampler.random_samples"),
+    (GAUSSIAN_CFG, 5, "sampler"),
+], ids=["binary", "zero-key", "gaussian"])
+def test_region_checks_a_sampler_block_it_does_not_read(tmp_path, capsys, cfg, sampler, name):
+    # only a discrete pair in Y's favour sweeps with the block, but compare
+    # reads it too: a malformed one exits 3 whichever region is built
+    out = tmp_path / "o"
+    assert run_cli("region", "--config", write_config(tmp_path, {**cfg, "sampler": sampler}),
+                   "--out", str(out)) == 3
+    assert f"error: {name} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_region_accepts_a_well_formed_sampler_block_it_does_not_read(tmp_path):
+    sampler = {"random_samples": 10, "beta_grid_step": 0.05, "u_sizes": [1, 2]}
+    for i, cfg in enumerate((BINARY_CFG, Z_FAVOR_CFG, GAUSSIAN_CFG)):
+        corners = []
+        for extra in ({}, {"sampler": sampler}):
+            out = tmp_path / f"{i}-{len(extra)}"
+            path = write_config(tmp_path, {**cfg, **extra}, f"{i}-{len(extra)}.json")
+            assert run_cli("region", "--config", path, "--out", str(out)) == 0
+            corners.append(json.loads((out / "region.json").read_text())["corners"])
+        assert corners[0] == corners[1]
+    # compare sweeps with the same block on the same binary config
+    path = write_config(tmp_path, {**BINARY_CFG, "sampler": sampler, "compare_pairs": 5})
+    assert run_cli("compare", "--config", path, "--out", str(tmp_path / "c")) == 0
+
+
 def test_figures(tmp_path):
     cfg = write_config(tmp_path, GAUSSIAN_CFG)
     out = tmp_path / "fig"
@@ -322,14 +362,46 @@ def test_compare_embedding_matches_per_corner_loop(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize is imported by the degradedness LP, the more-capable
-    # test and the binary closed form when they run, not by
-    # `import authcap.cli`
+    # scipy.optimize is imported by the degradedness LP and the more-capable
+    # test when they run, not by `import authcap.cli`
     code = "import sys, authcap.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_command_on_a_shipped_config_loads_scipy(tmp_path):
+    # in one fresh interpreter, every command on every configs/*.json: none
+    # of them reaches the LP or the more-capable search, and the binary
+    # closed form is its beta grid alone
+    code = """if True:
+        import contextlib, io, json, sys
+        from pathlib import Path
+        from authcap.cli import main
+        runs = []
+        for path in sorted(Path(sys.argv[1]).glob("*.json")):
+            for command in ("classify", "region", "figures", "simulate", "compare"):
+                argv = [command, "--config", str(path)]
+                if command != "classify":
+                    argv += ["--out", str(Path(sys.argv[2]) / path.stem / command)]
+                with contextlib.redirect_stdout(io.StringIO()), \\
+                        contextlib.redirect_stderr(io.StringIO()):
+                    exit_code = main(argv)
+                runs.append([path.stem, command, exit_code,
+                             sorted(m for m in sys.modules if m.startswith("scipy"))])
+        print(json.dumps(runs))
+    """
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "configs"), str(tmp_path)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    runs = json.loads(proc.stdout)
+    assert len(runs) == 20
+    assert [run[:2] for run in runs if run[3]] == []
+    ran = {(stem, command) for stem, command, exit_code, _ in runs if exit_code == 0}
+    assert {("binary", "region"), ("keyed", "region"), ("binary", "compare"),
+            ("discrete_degraded", "compare"), ("gaussian", "figures")} <= ran
 
 
 def test_bad_seed_exit_code(tmp_path, capsys):
