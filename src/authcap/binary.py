@@ -162,7 +162,7 @@ def entropy_convolution_check(model: AuthModel, test: Channel) -> bool:
         raise ValueError("test channel must act on the binary enrollment alphabet")
 
     laws = _chain_laws(model, test.matrix[None])
-    h_u = _entropy_nats(laws.p_u[0])
+    h_u = _entropy_nats(laws.p_au.sum(axis=1)[0])
     h_x_u, h_z_u, h_a_u = ((_entropy_nats(j[0]) - h_u) / LN2
                            for j in (laws.p_xu, laws.p_zu, laws.p_au))
 

@@ -73,13 +73,21 @@ def _check_entries(p: np.ndarray, what: str):
         raise InvalidDistributionError(f"negative {what} entry: min={p.min()}")
 
 
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    """p log p cell by cell, 0 where p <= ZERO_EPS, in one float temporary
+    the size of p (the logarithm is taken and multiplied in place)."""
+    t = np.where(p > ZERO_EPS, p, 1.0)
+    np.log(t, out=t)
+    t *= p
+    return t
+
+
 def _entropy_nats(p: np.ndarray, axis: int = None):
     """Shannon entropy in nats of the whole array (a float), or of each
     slice along ``axis`` (an array: the batched form).  The sum is negated
     once rather than term by term, which rounds the same; subtracting it
     from 0.0 rather than negating keeps a zero entropy at +0.0."""
-    p = np.asarray(p, dtype=float)
-    h = 0.0 - np.add.reduce(p * np.log(np.where(p > ZERO_EPS, p, 1.0)), axis=axis)
+    h = 0.0 - np.add.reduce(_xlogx(np.asarray(p, dtype=float)), axis=axis)
     return float(h) if axis is None else h
 
 
@@ -274,10 +282,16 @@ def _clamp_mi(value_nats):
 def _mi2_nats(j: np.ndarray):
     """Mutual information in nats between the row and column variables of a
     2-D joint array (a float), or of each joint of a stack j[..., rows, cols]
-    (an array)."""
-    return _clamp_mi(_entropy_nats(j.sum(axis=-1), axis=-1)
-                     + _entropy_nats(j.sum(axis=-2), axis=-1)
-                     - _entropy_nats(j, axis=(-2, -1)))
+    (an array).  With S the sum of p log p over the rows' marginal, the
+    columns' marginal or the cells, it is S_cells - (S_rows + S_cols): the
+    bits of H(rows) + H(cols) - H(cells) once clamped, as negating every
+    operand of a rounded sum or difference negates its result.  The cells
+    are summed over the flattened trailing axes, a view of a contiguous
+    stack, so no temporary beyond `_xlogx`'s is made."""
+    s_rows = np.add.reduce(_xlogx(np.add.reduce(j, axis=-1)), axis=-1)
+    s_cols = np.add.reduce(_xlogx(np.add.reduce(j, axis=-2)), axis=-1)
+    s_cells = np.add.reduce(_xlogx(j.reshape(*j.shape[:-2], -1)), axis=-1)
+    return _clamp_mi(s_cells - (s_rows + s_cols))
 
 
 def _cmi_nats(probs: np.ndarray, axes_a, axes_b, axes_c) -> float:

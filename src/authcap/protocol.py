@@ -117,7 +117,7 @@ class ProtocolTables:
         laws = _chain_laws(model, t[None])
         p_xa, p_au, p_xu = laws.p_xa, laws.p_au[0], laws.p_xu[0]
         self.p_xt = laws.p_xt
-        self.p_u = laws.p_u[0]
+        self.p_u = laws.p_au.sum(axis=1)[0]
 
         rev_test = _conditional(p_au.T, self.p_u[:, None])
         rev_ec = _conditional(p_xa.T, self.p_xt[:, None])

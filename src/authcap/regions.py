@@ -123,7 +123,6 @@ class _ChainLaws(NamedTuple):
     p_xa: np.ndarray   # joint (X, Xt)
     p_xt: np.ndarray   # marginal of Xt
     p_au: np.ndarray   # joints (Xt, U)
-    p_u: np.ndarray    # marginals of U
     p_xu: np.ndarray   # joints (X, U)
     p_yu: np.ndarray   # joints (Y, U)
     p_zu: np.ndarray   # joints (Z, U)
@@ -135,7 +134,7 @@ def _chain_laws(model: AuthModel, tests: np.ndarray) -> _ChainLaws:
     p_xa, p_xt = model._p_xa, model._p_xt
     p_au = p_xt[:, None] * tests
     p_xu = p_xa @ tests
-    return _ChainLaws(p_xa, p_xt, p_au, p_au.sum(axis=1), p_xu,
+    return _ChainLaws(p_xa, p_xt, p_au, p_xu,
                       model.ac_y.matrix.T @ p_xu, model.ac_z.matrix.T @ p_xu)
 
 
@@ -210,13 +209,17 @@ class RegionBoundary:
 # Rate evaluation
 # ---------------------------------------------------------------------------
 
-def _infos_nats(*joints) -> list:
+def _infos_nats(*joints):
     """Mutual information in nats between the row and column variables of
     each stack of joints j[b, rows, cols], an array over the stack per
     argument; stacks with the same number of rows go through one
-    `_mi2_nats` call."""
+    `_mi2_nats` call, so when all share it (the usual case) the joints are
+    stacked once and the result is one array with a row per argument."""
+    row_counts = {j.shape[1] for j in joints}
+    if len(row_counts) == 1:
+        return _mi2_nats(np.array(joints))
     infos = [None] * len(joints)
-    for rows in {j.shape[1] for j in joints}:
+    for rows in row_counts:
         which = [k for k, j in enumerate(joints) if j.shape[1] == rows]
         for k, mi in zip(which, _mi2_nats(np.array([joints[k] for k in which]))):
             infos[k] = mi
@@ -536,9 +539,14 @@ def two_aux_random_search(model: AuthModel, n_pairs: int, seed: int = 0,
                           max_u: int = 4, max_v: int = 3):
     """Random (U, V) test-channel pairs for the two-auxiliary region.
 
-    Returns the raw corner list in bits (not Pareto-filtered) so containment
-    checks can cover every sampled pair.  Raises CardinalityError for max_u or
-    max_v below 1 and ValueError for a negative n_pairs, before anything is
+    Draw order: every pair's |U| (one `rng.integers` call over the pairs),
+    then every pair's |V| (one more); then, for each (|U|, |V|) that occurs,
+    in ascending order, the U-channels of its pairs (one `rng.dirichlet`
+    call, the pairs in index order) and then their V-channels (one more).
+    Each group is evaluated as one stack.  Returns the raw corner list in
+    bits, in pair order (not Pareto-filtered) so containment checks can
+    cover every sampled pair.  Raises CardinalityError for max_u or max_v
+    below 1 and ValueError for a negative n_pairs, before anything is
     drawn.
     """
     if model.verdict.relation not in Y_FAVOR:
@@ -549,18 +557,18 @@ def two_aux_random_search(model: AuthModel, n_pairs: int, seed: int = 0,
     if n_pairs < 0:
         raise ValueError(f"n_pairs={n_pairs} is negative")
     rng = np.random.default_rng(seed)
-    groups = {}   # (|U|, |V|) -> pair indices, U-channels, V-channels
-    for idx in range(n_pairs):
-        u = int(rng.integers(1, max_u + 1))
-        v = int(rng.integers(1, max_v + 1))
-        group = groups.setdefault((u, v), ([], [], []))
-        group[0].append(idx)
-        group[1].append(rng.dirichlet(np.ones(u), size=model.n_xt))
-        group[2].append(rng.dirichlet(np.ones(v), size=u))
+    us = rng.integers(1, max_u + 1, size=n_pairs)
+    vs = rng.integers(1, max_v + 1, size=n_pairs)
+    # pairs by |U|, then |V|, then index; a group starts where either size
+    # changes, the first at 0, so np.split's first piece is empty
+    order = np.lexsort((vs, us))
+    starts = np.flatnonzero(np.diff(us[order], prepend=0) | np.diff(vs[order], prepend=0))
     corners = [None] * n_pairs
-    for (u, v), (indices, tus, tvs) in groups.items():
-        tu, tv = _channel_stack(tus), _channel_stack(tvs)
-        for idx, test, rates in zip(indices, tu, _rates(model, tu, tv).tolist()):
+    for indices in np.split(order, starts)[1:]:
+        u, v = int(us[indices[0]]), int(vs[indices[0]])
+        tu = _channel_stack(rng.dirichlet(np.ones(u), size=(len(indices), model.n_xt)))
+        tv = _channel_stack(rng.dirichlet(np.ones(v), size=(len(indices), u)))
+        for idx, test, rates in zip(indices.tolist(), tu, _rates(model, tu, tv).tolist()):
             corners[idx] = _rate_corner(rates, Channel._of_checked(test),
                                         param=idx, v_size=v)
     return corners

@@ -554,16 +554,25 @@ def ref_sweep_region(model, config):
 
 
 def ref_two_aux_random_search(model, n_pairs, seed=0, max_u=4, max_v=3):
+    # the stacked draw order: every |U|, every |V|, then for each (|U|, |V|)
+    # in ascending order the U-channels of its pairs and then their
+    # V-channels, each pair in index order; a size pair no pair has draws
+    # nothing
     rng = np.random.default_rng(seed)
-    corners = []
-    for idx in range(n_pairs):
-        u = int(rng.integers(1, max_u + 1))
-        v = int(rng.integers(1, max_v + 1))
-        tu = rng.dirichlet(np.ones(u), size=model.n_xt)
-        tv = rng.dirichlet(np.ones(v), size=u)
-        corners.append(ref_rate_corner(ref_two_aux_rates_nats(model, tu, tv),
-                                       Channel(tu), param=idx, v_size=v))
-    return corners
+    us = rng.integers(1, max_u + 1, size=n_pairs).tolist()
+    vs = rng.integers(1, max_v + 1, size=n_pairs).tolist()
+    drawn = [None] * n_pairs
+    for u, v in itertools.product(range(1, max_u + 1), range(1, max_v + 1)):
+        members = [idx for idx in range(n_pairs) if (us[idx], vs[idx]) == (u, v)]
+        if not members:
+            continue
+        tus = rng.dirichlet(np.ones(u), size=(len(members), model.n_xt))
+        tvs = rng.dirichlet(np.ones(v), size=(len(members), u))
+        for idx, tu, tv in zip(members, tus, tvs):
+            drawn[idx] = tu, tv
+    return [ref_rate_corner(ref_two_aux_rates_nats(model, tu, tv), Channel(tu),
+                            param=idx, v_size=tv.shape[1])
+            for idx, (tu, tv) in enumerate(drawn)]
 
 
 @pytest.mark.parametrize("model_fn", [hsm_model, discrete_degraded_model, ternary_model])
@@ -595,10 +604,14 @@ def test_batched_two_aux_search_matches_per_pair_reference():
     # the oracle sums the six-axis joint, the library pairwise informations
     # along the chain, so rates agree to rounding (zero-cell models too); the
     # sampled channels and every other field are identical
+    # with 5 pairs and max_u = 5, at most 5 of the 15 size pairs occur; a
+    # draw for an empty one would shift every later group's channels
     for model, seed, n_pairs, max_u in ((discrete_degraded_model(), 50, 600, 4),
                                         (degraded_model(), 51, 600, 4),
                                         (hsm_model(), 52, 300, 5),
-                                        (ternary_model(), 53, 300, 5)):
+                                        (ternary_model(), 53, 300, 5),
+                                        (discrete_degraded_model(), 55, 5, 5),
+                                        (ternary_model(), 56, 5, 5)):
         got = two_aux_random_search(model, n_pairs, seed=seed, max_u=max_u)
         ref = ref_two_aux_random_search(model, n_pairs, seed=seed, max_u=max_u)
         for g, r in zip(got, ref, strict=True):
@@ -608,7 +621,10 @@ def test_batched_two_aux_search_matches_per_pair_reference():
             assert without_rs_raw(g.extras) == without_rs_raw(r.extras)
             assert g.test_channel.matrix.tolist() == r.test_channel.matrix.tolist()
         groups = {(c.test_channel.num_outputs, c.extras["v_size"]) for c in got}
-        assert groups == set(itertools.product(range(1, max_u + 1), range(1, 4)))
+        if n_pairs > 100:
+            assert groups == set(itertools.product(range(1, max_u + 1), range(1, 4)))
+        else:
+            assert len(groups) < max_u * 3
 
 
 def test_array_pareto_keeps_reference_corners_in_order():
