@@ -429,12 +429,16 @@ def exact_leakage(codebook: Codebook, model: AuthModel, config: SimConfig) -> di
     n = codebook.n
     t = codebook.tables
     seqs = _all_sequences(n)
+    m_s, m_j = codebook.m_s, codebook.m_j
+    # The encoder law is freed once both its contractions are taken, and
+    # mu_n's deviation table is made in place, so fewer tables of the
+    # encoder law's size are alive at once.
     enc = _encoder_kernel(codebook, seqs)
-
+    enc_j = enc.reshape(len(seqs), m_s, m_j).sum(axis=1)
     p_sjz = _mode_products(enc, t.p_xtz, n)     # (m_s * m_j, 2^n)
+    del enc
     table_mass = float(p_sjz.sum())
 
-    m_s, m_j = codebook.m_s, codebook.m_j
     cube = p_sjz.reshape(m_s, m_j, len(seqs))
     p_jz = cube.sum(axis=0)
     p_z = p_jz.sum(axis=0)
@@ -442,9 +446,11 @@ def exact_leakage(codebook: Codebook, model: AuthModel, config: SimConfig) -> di
     z_marginal_gap = float(np.max(np.abs(p_z - p_z_product)))
 
     secrecy = _mi2_nats(cube.reshape(m_s, -1)) / LN2
-    mu_n = float(np.abs(cube - p_jz[None, :, :] / m_s).sum())
+    dev = cube - p_jz[None, :, :] / m_s
+    np.abs(dev, out=dev)
+    mu_n = float(dev.sum())
+    del dev
 
-    enc_j = enc.reshape(len(seqs), m_s, m_j).sum(axis=1)
     p_j_given_x = _mode_products(enc_j, model.ec.matrix.T, n)   # (m_j, 2^n)
     p_x_seq = _product_law(model.px.probs, n)
     h_j_given_x = float(np.sum(p_x_seq * _entropy_nats(p_j_given_x, axis=0)))

@@ -490,9 +490,10 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
     """Union over sampled test channels, Pareto-filtered, in bits.
 
     Deterministic given the sampler seed.  Raises UnsupportedClassError when
-    the classifier verdict does not favor the main channel, and
-    CardinalityError or ValueError for auxiliary sizes outside
-    [1, |Xt| + 3] or a negative sample count, before anything is sampled.
+    the classifier verdict does not favor the main channel, CardinalityError
+    for auxiliary sizes outside [1, |Xt| + 3], and ValueError for a negative
+    sample count, random samples with no auxiliary size, or a plan with
+    neither a beta grid row nor a random one, before anything is sampled.
     """
     if config is None:
         config = SamplerConfig()
@@ -505,16 +506,21 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
         raise CardinalityError(f"auxiliary sizes u_sizes={list(sizes)} outside [1, {cap}]")
     if config.random_samples < 0:
         raise ValueError(f"random_samples={config.random_samples} is negative")
+    beta_grid = model.n_xt == 2 and (config.beta_grid_step or 0.0) > 0.0
+    if config.random_samples and not sizes:
+        raise ValueError(f"random_samples={config.random_samples} with no u_sizes to draw")
+    if not (beta_grid or config.random_samples):
+        raise ValueError("the plan samples nothing: no beta grid and no random samples")
 
     # One checked stack of test channels per group (the beta grid, then each
     # |U|) and the param of each row; the draws take the numbers one
     # rng.dirichlet per sample would.
     stacks, params = [], []
-    if model.n_xt == 2 and (config.beta_grid_step or 0.0) > 0.0:
+    if beta_grid:
         params = _beta_grid(config.beta_grid_step)
         stacks.append(_bsc_stack(params))
     rng = np.random.default_rng(config.seed)
-    if config.random_samples and sizes:
+    if config.random_samples:
         per, rem = divmod(config.random_samples, len(sizes))
         for si, u in enumerate(sizes):
             k = per + (1 if si < rem else 0)
@@ -522,8 +528,7 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
                 stacks.append(_channel_stack(rng.dirichlet(np.ones(u), size=(k, model.n_xt))))
         params += range(config.random_samples)
 
-    rates = np.concatenate([_rates(model, tests) for tests in stacks]
-                           or [np.empty((0, 4))])
+    rates = np.concatenate([_rates(model, tests) for tests in stacks])
     corners = _front(rates, params, stacks)
 
     meta = {"model_hash": model.content_hash(), "seed": config.seed,

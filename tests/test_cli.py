@@ -541,6 +541,13 @@ MALFORMED = [
     ("compare", DEGRADED_CFG, "sampler.u_sizes", [9], "u_sizes", []),
     ("simulate", SIM_CFG, "simulator.max_codebook_size", 0, "max_codebook_size", []),
 ] + [
+    # a plan that draws nothing, or drops its random samples for want of a
+    # size, wrote an empty region, or compare's excess as `Infinity`
+    (command, DEGRADED_CFG, "sampler", plan, "sampler", [])
+    for command in ("region", "compare")
+    for plan in ({"random_samples": 0, "beta_grid_step": 0},
+                 {"random_samples": 2000, "beta_grid_step": 0, "u_sizes": []})
+] + [
     # every command that classifies reads classifier_trials, not only classify
     (command, base, "classifier_trials", value, "classifier_trials", [])
     for command, base in (("region", BINARY_CFG), ("region", DEGRADED_CFG),

@@ -265,6 +265,17 @@ def test_sweep_rejects_negative_samples():
         sweep_region(hsm_model(), SamplerConfig(random_samples=-5, seed=0))
 
 
+def test_sweep_rejects_a_plan_that_samples_nothing():
+    # a zero beta step and no random samples; or random samples with no size
+    # to draw them at, which were dropped (see also the batched-sweep test)
+    m = hsm_model()
+    for plan in (dict(random_samples=0, beta_grid_step=0.0),
+                 dict(random_samples=2000, beta_grid_step=0.0, u_sizes=()),
+                 dict(random_samples=2000, u_sizes=())):
+        with pytest.raises(ValueError):
+            sweep_region(m, SamplerConfig(seed=0, **plan))
+
+
 def test_sweep_unsupported_class():
     reversed_model = AuthModel.binary_symmetric(0.1, 0.26, 0.1,
                                                 classifier_trials=500)
@@ -590,6 +601,11 @@ def test_batched_sweep_matches_per_sample_reference(model_fn):
     ]
     for k, plan in enumerate(plans):
         cfg = SamplerConfig(seed=30 + k, **plan)
+        if not (cfg.random_samples or (m.n_xt == 2 and cfg.beta_grid_step)):
+            # a plan that samples nothing is refused, not made an empty region
+            with pytest.raises(ValueError, match="samples nothing"):
+                sweep_region(m, cfg)
+            continue
         got, ref = sweep_region(m, cfg), ref_sweep_region(m, cfg)
         assert got.to_csv_text() == ref.to_csv_text()
         assert json.dumps(got.to_json_dict(), sort_keys=True) == \

@@ -1,0 +1,127 @@
+"""Micro-benchmarks of what perfbench's traced runs do not measure.
+
+    cd CHECKOUT && python path/to/tools/bench.py [REPS]
+
+Imports authcap from the `src` of the checkout in the current directory, so
+one script times a commit and its parent alike.  Every timing follows one
+untimed call.  Prints one JSON object:
+
+  workload_pairs_us       per benchmark workload, the median of REPS calls
+                          is_stochastically_degraded(candidate, reference)
+                          for its authentication pair (ac_y, ac_z), Z as
+                          candidate then Y: region_sweep BEC(0.5)/BSC(0.2)
+                          (configs/binary.json), two_aux_check
+                          BSC(0.1)/BSC(0.26) (configs/discrete_degraded.json),
+                          simulate BEC(0.2)/BSC(0.3) (configs/keyed.json)
+  degraded_pairs_us       for |Y| + |Z| = 2 ... 10, the median over 20 random
+                          degraded pairs (`random_pairs`) of the best of 3
+                          is_stochastically_degraded(worse, better) calls
+  independent_pairs_us    the same for 20 independent random pairs per size
+                          (mostly refuted)
+  less_noisy_pairs_us     for |Y| + |Z| = 2 ... 16, the same statistic for
+                          is_less_noisy(better, worse) on the degraded pairs
+  certificate_us          the same for `_binary_certificate` on the
+                          independent pairs, where the checkout has it
+  certificate_bec_bsc_us  median of REPS `_binary_certificate` calls on
+                          (BEC(0.5), BSC(0.2)) and on the reverse pair
+  search_100k_s           median of ceil(REPS / 10) calls
+                          two_aux_random_search(model, 100000, seed=41) on
+                          criterion 4's model, binary_symmetric(0.1, 0.1, 0.26)
+  pairs_per_s             100000 / search_100k_s
+
+REPS defaults to 31.  Standard library, numpy and authcap only.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path.cwd() / "src"))
+
+from authcap import (AuthModel, Channel, classifier, is_less_noisy,  # noqa: E402
+                     is_stochastically_degraded, two_aux_random_search)
+
+PAIRS_PER_SIZE = 20
+
+
+def seconds(call, reps: int) -> list:
+    """Wall seconds of each of `reps` calls, after one untimed call."""
+    call()
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return times
+
+
+def random_pairs(size: int, degraded: bool) -> list:
+    """20 binary-input (better, worse) pairs with |better| + |worse| = size:
+    worse = better followed by a random post-channel if `degraded`, else
+    drawn on its own.  Seeded by `size`, or 1000 + size if independent."""
+    rng = np.random.default_rng(size if degraded else 1000 + size)
+    nb = size // 2
+    nw = size - nb
+    pairs = []
+    for _ in range(PAIRS_PER_SIZE):
+        better = Channel(rng.dirichlet(np.ones(nb), size=2))
+        worse = rng.dirichlet(np.ones(nw), size=nb if degraded else 2)
+        pairs.append((better, Channel(better.matrix @ worse if degraded else worse)))
+    return pairs
+
+
+def per_size_us(test, sizes, degraded: bool) -> dict:
+    """Per size, the median over `random_pairs` of the best of 3 calls
+    test(better, worse), in microseconds."""
+    return {size: statistics.median(min(seconds(lambda: test(b, w), 3))
+                                    for b, w in random_pairs(size, degraded)) * 1e6
+            for size in sizes}
+
+
+def main(argv) -> int:
+    reps = int(argv[0]) if argv else 31
+
+    def median_us(call) -> float:
+        return statistics.median(seconds(call, reps)) * 1e6
+
+    cfg = {name: json.loads(Path("configs", name + ".json").read_text())
+           for name in ("binary", "discrete_degraded", "keyed")}
+    b, k, d = cfg["binary"]["binary"], cfg["keyed"]["binary"], cfg["discrete_degraded"]
+    pairs = {"region_sweep": (Channel.bec(b["q"]), Channel.bsc(b["eps"])),
+             "two_aux_check": (Channel(d["ac_y"]), Channel(d["ac_z"])),
+             "simulate": (Channel.bec(k["q"]), Channel.bsc(k["eps"]))}
+    result = {"workload_pairs_us": {
+        name: [median_us(lambda: is_stochastically_degraded(z, y)),
+               median_us(lambda: is_stochastically_degraded(y, z))]
+        for name, (y, z) in pairs.items()}}
+
+    def degradedness(better, worse):
+        return is_stochastically_degraded(worse, better)
+
+    result["degraded_pairs_us"] = per_size_us(degradedness, range(2, 11), True)
+    result["independent_pairs_us"] = per_size_us(degradedness, range(2, 11), False)
+    result["less_noisy_pairs_us"] = per_size_us(is_less_noisy, range(2, 17), True)
+    certificate = getattr(classifier, "_binary_certificate", None)
+    if certificate is not None:
+        bec, bsc = Channel.bec(0.5), Channel.bsc(0.2)
+        result["certificate_us"] = per_size_us(certificate, range(2, 17), False)
+        result["certificate_bec_bsc_us"] = [median_us(lambda: certificate(*pair))
+                                            for pair in ((bec, bsc), (bsc, bec))]
+
+    criterion_4 = AuthModel.binary_symmetric(0.1, 0.1, 0.26)
+    result["search_100k_s"] = statistics.median(seconds(
+        lambda: two_aux_random_search(criterion_4, 100_000, seed=41), math.ceil(reps / 10)))
+    result["pairs_per_s"] = 100_000 / result["search_100k_s"]
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
