@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .infotheory import AlphabetMismatchError, Channel, _entropy_nats, _jsonable
+from .infotheory import MASS_TOL, AlphabetMismatchError, Channel, _entropy_nats, _jsonable
 
 DEGRADED_RESIDUAL_TOL = 1e-9
 CONCAVITY_TOL = 1e-10
@@ -75,10 +75,11 @@ class Certainty(enum.Enum):
 class ChannelOrderVerdict:
     """Outcome of an ordering test.
 
-    For degraded verdicts, ``witness`` is the intermediate channel and
-    ``residual`` its max-abs composition error.  For refutations, ``witness``
-    is a dict holding the violating input distribution(s) so the violation can
-    be re-checked by direct evaluation.
+    For degraded verdicts, and less-noisy ones proved by degradedness,
+    ``witness`` is the intermediate channel and ``residual`` its max-abs
+    composition error.  For refutations, ``witness`` is a dict holding the
+    violating input distribution(s) so the violation can be re-checked by
+    direct evaluation.
     """
 
     relation: Relation
@@ -364,13 +365,28 @@ def _binary_certificate(better: Channel, worse: Channel):
                             midpoint; w = {"p": (1 - p, p),
                             "second_derivative": f''(p) rounded from its
                             exact value};
+      EXACT, d              in place of such a refutation, when the shadow
+                            coupling composes `better` into `worse` within
+                            MASS_TOL; d = {"post_channel", "residual"};
       None, None            undecided after _CERTIFICATE_DEPTH halvings.
+    A pair degraded to within MASS_TOL, the accuracy a Channel holds its
+    rows to, is less noisy.  Its exact refutation is the rounding's: a
+    float product `better.matrix @ post` can leave the outputs that one
+    input never reaches with 1e-17 more mass in `worse`, and f'' then
+    grows as 1e-17 / p towards an end of [0, 1].
     """
     terms, scale = _curvature_terms(better, worse)
     g, prod = [], [1]         # g and prod_h L_h as forms in (1 - p, p)
     for c, a, b in terms:
         g = [x + c * y for x, y in zip(_times_linear(g, a, b), prod)]
         prod = _times_linear(prod, a, b)
+
+    def refutation(w):
+        post = _shadow_post_channel(worse, better)
+        residual = _composition_residual(worse, better, post)
+        if residual <= MASS_TOL:
+            return Certainty.EXACT, {"post_channel": Channel(post), "residual": residual}
+        return Certainty.COUNTEREXAMPLE, w
 
     def witness(p: float):
         num, den = p.as_integer_ratio()
@@ -389,7 +405,7 @@ def _binary_certificate(better: Channel, worse: Channel):
     f2 = (t[:, 0] / (t[:, 1] + _SEARCH_POINTS[:, None] * (t[:, 2] - t[:, 1]))).sum(axis=1)
     j = int(np.argmax(f2))
     if f2[j] > 0 and (w := witness(float(_SEARCH_POINTS[j]))):
-        return Certainty.COUNTEREXAMPLE, w
+        return refutation(w)
 
     m = len(g) - 1
     bernstein = [x * math.factorial(k) * math.factorial(m - k) for k, x in enumerate(g)]
@@ -402,7 +418,7 @@ def _binary_certificate(better: Channel, worse: Channel):
             return None, None
         left, right = _halves(b)
         if left[-1] > 0:          # g > 0 at the midpoint
-            return Certainty.COUNTEREXAMPLE, witness((2 * i + 1) / 2.0 ** (depth + 1))
+            return refutation(witness((2 * i + 1) / 2.0 ** (depth + 1)))
         stack += [(left, depth + 1, 2 * i), (right, depth + 1, 2 * i + 1)]
     return Certainty.EXACT, None
 
@@ -412,7 +428,8 @@ def is_less_noisy(better: Channel, worse: Channel, trials: int = DEFAULT_TRIALS,
     """Test whether `better` is less noisy than `worse`.
 
     A binary input is decided by `_binary_certificate` first.  A proof is
-    Certainty.EXACT with no pair checked.  A refutation is a
+    Certainty.EXACT with no pair checked; for a pair degraded within
+    MASS_TOL it carries the post-channel and its residual.  A refutation is a
     counterexample: its witness is the deterministic grid's worst midpoint
     pair when that pair violates concavity beyond CONCAVITY_TOL, else the
     certificate's law (1 - p, p) with f''(p) > 0.  Only a larger input, or
@@ -428,9 +445,11 @@ def is_less_noisy(better: Channel, worse: Channel, trials: int = DEFAULT_TRIALS,
     k = better.num_inputs
     certainty, witness = _binary_certificate(better, worse) if k == 2 else (None, None)
     if certainty is Certainty.EXACT:
+        proof = ({"note": "f'' <= 0 on [0, 1] by exact Bernstein certificate"} if witness is None
+                 else {"witness": witness["post_channel"], "residual": witness["residual"],
+                       "note": "degraded within MASS_TOL, so less noisy"})
         return ChannelOrderVerdict(Relation.LESS_NOISY_Y_OVER_Z, Certainty.EXACT,
-                                   note="f'' <= 0 on [0, 1] by exact Bernstein certificate",
-                                   details={"pairs_checked": 0})
+                                   details={"pairs_checked": 0}, **proof)
     if certainty is not None:
         trials = 0
 

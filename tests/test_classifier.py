@@ -32,7 +32,12 @@ from authcap.classifier import (
     _mi_batch,
     _simplex_grid,
 )
-from authcap.infotheory import AlphabetMismatchError, JointDistribution, mutual_information
+from authcap.infotheory import (
+    MASS_TOL,
+    AlphabetMismatchError,
+    JointDistribution,
+    mutual_information,
+)
 
 
 def mi_input(p, matrix):
@@ -211,6 +216,29 @@ def test_certificate_refutes_below_float_resolution():
     assert certainty is Certainty.COUNTEREXAMPLE
     exact = exact_curvature(better, worse, Fraction(witness["p"][1]))
     assert 0 < exact < 1e-15 and witness["second_derivative"] == float(exact)
+
+
+def test_certificate_float_composed_degraded_pairs():
+    # worse = better @ post rounds: the outputs input 0 never reaches get a
+    # few 1e-17 more mass in worse, so exactly f''(p) > 0 near p = 0 (the
+    # second pair's reaches 0.25 at p = 2^-53); composed back within
+    # MASS_TOL, both pairs are degraded, hence less noisy
+    cases = [([[0.5, 0.5], [0.0, 1.0]], [[0, 1, 0], [4, 0, 1]]),
+             ([[1.0, 0.0], [0.5, 0.5]], [[0, 0, 0, 1], [6, 5, 6, 0]])]
+    for rows, weights in cases:
+        better = Channel(np.array(rows))
+        post = np.array([[x / sum(r) for x in r] for r in weights])
+        worse = Channel(better.matrix @ post)
+        assert exact_curvature(better, worse, Fraction(2) ** -53) > 0
+        certainty, proof = _binary_certificate(better, worse)
+        assert certainty is Certainty.EXACT
+        assert proof["residual"] <= MASS_TOL
+        composed = better.matrix @ proof["post_channel"].matrix
+        assert np.max(np.abs(composed - worse.matrix)) == proof["residual"]
+        v = is_less_noisy(better, worse, trials=1, seed=0)
+        assert v.certainty is Certainty.EXACT and v.details["pairs_checked"] == 0
+        assert np.array_equal(v.witness.matrix, proof["post_channel"].matrix)
+        assert v.residual == proof["residual"]
 
 
 def bernstein_value(coeffs, x):
