@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import classify_ac
+from .classifier import DEFAULT_TRIALS, classify_ac
 from .infotheory import (
     Channel,
     InfoUnit,
@@ -99,8 +99,8 @@ def closed_form_corner(params: BinaryModelParams, beta: float) -> RateCorner:
                         Channel.bsc(beta), param=float(beta))
 
 
-def closed_form_region(params: BinaryModelParams, classifier_trials: int = 20_000,
-                    classifier_seed: int = 0) -> RegionBoundary:
+def closed_form_region(params: BinaryModelParams, classifier_trials: int = DEFAULT_TRIALS,
+                       classifier_seed: int = 0) -> RegionBoundary:
     """Closed-form boundary swept over the beta grid, Pareto-filtered, in bits.
 
     Nothing off the grid is searched: the grid holds beta = 0, where the key

@@ -32,7 +32,6 @@ import numpy as np
 
 from . import __version__
 from .binary import BinaryModelParams, closed_form_region
-from .classifier import Certainty, ChannelOrderVerdict, Relation
 from .gaussian import (
     GaussianModelParams,
     parametric_region,
@@ -46,9 +45,9 @@ from .regions import (
     RegionBoundary,
     SamplerConfig,
     UnsupportedClassError,
-    Y_FAVOR,
     Z_FAVOR,
     _rates,
+    _require_y_favor,
     compare_regions,
     zero_key_region,
     sweep_region,
@@ -193,7 +192,7 @@ def _seed(cfg: dict, args) -> int:
 def _binary_params(cfg: dict, grid_step: float = None) -> BinaryModelParams:
     blk = _field(cfg, "binary", "object")
     p, q, eps = (_field(blk, f"binary.{k}", "number") for k in ("p", "q", "eps"))
-    beta_step = _field(blk, "binary.beta_step", "step", 1e-3, grid_step)
+    beta_step = _field(blk, "binary.beta_step", "step", BinaryModelParams.beta_step, grid_step)
     with _validated("binary"):
         return BinaryModelParams(p, q, eps, beta_step=beta_step)
 
@@ -201,7 +200,8 @@ def _binary_params(cfg: dict, grid_step: float = None) -> BinaryModelParams:
 def _classifier_trials(cfg: dict, samples=None) -> int:
     """The classifier's trial count: `samples` (classify --samples) if given,
     else the config's classifier_trials."""
-    trials = _field(cfg, "classifier_trials", "size", 20_000, override=samples)
+    trials = _field(cfg, "classifier_trials", "size", AuthModel.classifier_trials,
+                    override=samples)
     if trials < 1:
         raise CliError(EXIT_SCHEMA, f"classifier_trials must be >= 1, got {trials}")
     return trials
@@ -227,19 +227,21 @@ def _auth_model(cfg: dict, form: str, seed: int, command: str, samples=None) -> 
 def _gaussian_params(cfg: dict) -> GaussianModelParams:
     blk = _field(cfg, "gaussian", "object")
     rhos = [_field(blk, f"gaussian.{k}", "number") for k in ("rho1_sq", "rho2_sq", "rho3_sq")]
-    alpha_grid = _field(blk, "gaussian.alpha_grid", "size", 400)
-    alpha_min = _field(blk, "gaussian.alpha_min", "number", 1e-6)
+    alpha_grid = _field(blk, "gaussian.alpha_grid", "size", GaussianModelParams.alpha_grid)
+    alpha_min = _field(blk, "gaussian.alpha_min", "number", GaussianModelParams.alpha_min)
     with _validated("gaussian"):
         return GaussianModelParams(*rhos, alpha_grid=alpha_grid, alpha_min=alpha_min)
 
 
-def _sampler(cfg: dict, seed: int, samples, default_samples: int, grid_step) -> SamplerConfig:
+def _sampler(cfg: dict, seed: int, samples=None, grid_step=None,
+             default_samples: int = SamplerConfig.random_samples) -> SamplerConfig:
     """The discrete sweep plan; `samples` and `grid_step` override the config."""
     blk = _field(cfg, "sampler", "object", {})
     return SamplerConfig(
         random_samples=_field(blk, "sampler.random_samples", "size", default_samples, samples),
-        beta_grid_step=_field(blk, "sampler.beta_grid_step", "step", 1e-3, grid_step),
-        u_sizes=_field(blk, "sampler.u_sizes", "integers", None),
+        beta_grid_step=_field(blk, "sampler.beta_grid_step", "step",
+                              SamplerConfig.beta_grid_step, grid_step),
+        u_sizes=_field(blk, "sampler.u_sizes", "integers", SamplerConfig.u_sizes),
         seed=seed)
 
 
@@ -274,12 +276,7 @@ def _cmd_classify(args) -> int:
 
     if form == "gaussian":
         _unread(args, "the Gaussian verdict", "samples")
-        params = _gaussian_params(cfg)
-        relation = (Relation.DEGRADED_Z_WRT_Y if params.rho2_sq > params.rho3_sq
-                    else Relation.DEGRADED_Y_WRT_Z)
-        verdict = ChannelOrderVerdict(
-            relation, Certainty.EXACT,
-            note="jointly Gaussian observations are always ordered by squared correlation")
+        verdict = _gaussian_params(cfg).verdict()
     else:
         verdict = _auth_model(cfg, form, seed, "classify", args.samples).verdict
 
@@ -298,7 +295,7 @@ def _unread(args, reader: str, *flags):
 
 def _region_boundary(cfg: dict, form: str, args, seed: int) -> RegionBoundary:
     # `compare` reads the sampler block too, so it is checked for every region
-    _sampler(cfg, seed, None, 100_000, None)
+    _sampler(cfg, seed)
     if form == "binary":
         _unread(args, "the binary closed-form region", "samples")
         params = _binary_params(cfg, args.grid_step)
@@ -306,20 +303,17 @@ def _region_boundary(cfg: dict, form: str, args, seed: int) -> RegionBoundary:
     if form == "gaussian":
         _unread(args, "the Gaussian closed-form region", "samples", "grid_step")
         params = _gaussian_params(cfg)
-        if params.rho2_sq > params.rho3_sq:
-            return parametric_region(params)
-        return zero_key_region_gaussian(params)
+        if params.verdict().relation in Z_FAVOR:
+            return zero_key_region_gaussian(params)
+        return parametric_region(params)
 
     model = _auth_model(cfg, form, seed, "region")
-    relation = model.verdict.relation
-    if relation in Z_FAVOR:
+    if model.verdict.relation in Z_FAVOR:
         _unread(args, "the zero-key region", "samples", "grid_step")
         return zero_key_region(model)
-    if relation not in Y_FAVOR:
-        raise CliError(EXIT_UNSUPPORTED,
-                       f"verdict {relation.value}: no capacity-region formula is known "
-                       f"for more-capable-only or unordered channel pairs")
-    sampler = _sampler(cfg, seed, args.samples, 100_000, args.grid_step)
+    with _validated("model"):
+        _require_y_favor(model, "the one-auxiliary region")
+    sampler = _sampler(cfg, seed, args.samples, args.grid_step)
     with _validated("sampler"):
         return sweep_region(model, sampler)
 
@@ -346,11 +340,9 @@ def _cmd_figures(args) -> int:
     if _model_form(cfg) != "gaussian":
         raise CliError(EXIT_SCHEMA, "figures requires a gaussian model config")
     params = _gaussian_params(cfg)
-    if params.rho2_sq <= params.rho3_sq:
-        raise CliError(EXIT_UNSUPPORTED,
-                       "figures requires the main channel to dominate (rho2_sq > rho3_sq)")
+    with _validated("gaussian"):
+        curves = figure_curves(params)
     seed = _seed(cfg, args)
-    curves = figure_curves(params)
 
     header = "# version=%s config_hash=%s seed=%s" % (__version__, cfg_hash, seed)
     for fname, col in (("rs_vs_rj.csv", "rs"), ("rl_vs_rj.csv", "rl")):
@@ -375,13 +367,16 @@ def _sim_config(cfg: dict, seed: int) -> SimConfig:
     with _validated("simulator"):
         return SimConfig(
             n=_field(blk, "simulator.n", "integer"), test_channel=test,
-            gamma=_field(blk, "simulator.gamma", "number", 0.1),
+            gamma=_field(blk, "simulator.gamma", "number", SimConfig.gamma),
             rate_overrides=overrides, seed=seed,
-            exact_leakage_limit=_field(blk, "simulator.exact_leakage_limit", "integer", 10),
-            trials=_field(blk, "simulator.trials", "size", 10_000),
-            max_codebook_size=_field(blk, "simulator.max_codebook_size", "integer", 1 << 20),
-            bijective_bins=_field(blk, "simulator.bijective_bins", "flag", False),
-            collect_trace=_field(blk, "simulator.trace", "flag", False))
+            exact_leakage_limit=_field(blk, "simulator.exact_leakage_limit", "integer",
+                                       SimConfig.exact_leakage_limit),
+            trials=_field(blk, "simulator.trials", "size", SimConfig.trials),
+            max_codebook_size=_field(blk, "simulator.max_codebook_size", "integer",
+                                     SimConfig.max_codebook_size),
+            bijective_bins=_field(blk, "simulator.bijective_bins", "flag",
+                                  SimConfig.bijective_bins),
+            collect_trace=_field(blk, "simulator.trace", "flag", SimConfig.collect_trace))
 
 
 def _cmd_simulate(args) -> int:
@@ -405,18 +400,15 @@ def _cmd_compare(args) -> int:
     form = _model_form(cfg)
     seed = _seed(cfg, args)
     model = _auth_model(cfg, form, seed, "compare")
-    if model.verdict.relation not in Y_FAVOR:
-        raise CliError(EXIT_UNSUPPORTED,
-                       f"verdict {model.verdict.relation.value}: one-auxiliary vs "
-                       f"two-auxiliary comparison is only claimed for degraded or "
-                       f"less-noisy pairs in the main channel's favor")
+    with _validated("model"):
+        _require_y_favor(model, "the one-auxiliary vs two-auxiliary comparison")
     if model.n_xt > 4:
         raise CliError(EXIT_SCHEMA, "compare is restricted to tiny alphabets (|Xt| <= 4)")
 
     n_pairs = _field(cfg, "compare_pairs", "size", 2000, override=args.samples)
     if n_pairs < 1:
         raise CliError(EXIT_SCHEMA, f"compare needs at least one auxiliary pair, got {n_pairs}")
-    sampler = _sampler(cfg, seed, None, 20_000, args.grid_step)
+    sampler = _sampler(cfg, seed, grid_step=args.grid_step, default_samples=20_000)
     with _validated("sampler"):
         one_aux = sweep_region(model, sampler)
     two_aux = RegionBoundary(two_aux_random_search(model, n_pairs, seed=seed + 1), one_aux.unit)

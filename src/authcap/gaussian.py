@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifier import Certainty, ChannelOrderVerdict, Relation
 from .infotheory import InfoUnit
-from .regions import RateCorner, RegionBoundary, _front, _rate_corner
+from .regions import RateCorner, RegionBoundary, UnsupportedClassError, _front, _rate_corner
 
 VAR_NAMES = ("U", "Xt", "X", "Y", "Z")
 
@@ -28,7 +29,7 @@ PSD_TOL = -1e-10
 SINGULAR_TOL = 1e-12
 
 
-class WrongDirectionError(ValueError):
+class WrongDirectionError(UnsupportedClassError):
     """The main/eavesdropper strength ordering does not match the formula."""
 
 
@@ -51,6 +52,15 @@ class GaussianModelParams:
             raise ValueError("alpha_grid must be >= 1")
         if not 0.0 < self.alpha_min <= 1.0:
             raise ValueError(f"alpha_min={self.alpha_min} outside (0, 1]")
+
+    def verdict(self) -> ChannelOrderVerdict:
+        """The exact channel-pair ordering: Z degraded w.r.t. Y if
+        rho2_sq > rho3_sq, else (equal correlations too) Y w.r.t. Z."""
+        relation = (Relation.DEGRADED_Z_WRT_Y if self.rho2_sq > self.rho3_sq
+                    else Relation.DEGRADED_Y_WRT_Z)
+        return ChannelOrderVerdict(
+            relation, Certainty.EXACT,
+            note="jointly Gaussian observations are always ordered by squared correlation")
 
     def vsm(self) -> "GaussianModelParams":
         """Visible-source variant: enrollment made (numerically) noiseless."""
@@ -147,10 +157,10 @@ def closed_form_mis(params: GaussianModelParams, alpha: float) -> dict:
 
 
 def _check_direction(params: GaussianModelParams):
-    if params.rho2_sq <= params.rho3_sq:
+    if params.verdict().relation is not Relation.DEGRADED_Z_WRT_Y:
         raise WrongDirectionError(
             f"rho2_sq={params.rho2_sq} <= rho3_sq={params.rho3_sq}: the eavesdropper "
-            f"dominates; use zero_key_region_gaussian")
+            f"dominates, so the key rate is zero and only the zero-key region applies")
 
 
 def _parametric_rates(params: GaussianModelParams, alphas) -> np.ndarray:
@@ -186,7 +196,7 @@ def parametric_corner(params: GaussianModelParams, alpha: float) -> RateCorner:
 def zero_key_region_gaussian(params: GaussianModelParams) -> RegionBoundary:
     """Zero-key region in nats for rho2_sq <= rho3_sq: leakage floor
     1/2 log(1/(1 - rho3_sq)) with any nonnegative storage."""
-    if params.rho2_sq > params.rho3_sq:
+    if params.verdict().relation is Relation.DEGRADED_Z_WRT_Y:
         raise WrongDirectionError(
             f"rho2_sq={params.rho2_sq} > rho3_sq={params.rho3_sq}: the main channel "
             f"dominates; use parametric_region")

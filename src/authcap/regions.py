@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classifier import ChannelOrderVerdict, Relation, classify_ac
+from .classifier import DEFAULT_TRIALS, ChannelOrderVerdict, Relation, classify_ac
 from .infotheory import (
     Channel,
     DiscreteDistribution,
@@ -66,7 +66,7 @@ class AuthModel:
     ac_y: Channel
     ac_z: Channel
     verdict: ChannelOrderVerdict = field(init=False)
-    classifier_trials: int = 20_000
+    classifier_trials: int = DEFAULT_TRIALS
     classifier_seed: int = 0
 
     def __post_init__(self):
@@ -114,6 +114,16 @@ class AuthModel:
         """Uniform binary source with symmetric channels everywhere."""
         return AuthModel(DiscreteDistribution.uniform(2), Channel.bsc(p),
                          Channel.bsc(eps_y), Channel.bsc(eps_z), **kwargs)
+
+
+def _require_y_favor(model: AuthModel, what: str):
+    """Unless the pair is degraded or less noisy in the main channel's favor,
+    raise UnsupportedClassError naming the verdict and `what` needs one."""
+    relation = model.verdict.relation
+    if relation not in Y_FAVOR:
+        raise UnsupportedClassError(
+            f"{what} needs a degraded or less-noisy pair in the main channel's favor; "
+            f"classifier found {relation.value}")
 
 
 class _ChainLaws(NamedTuple):
@@ -309,10 +319,7 @@ def eval_one_aux(model: AuthModel, test: Channel) -> RateCorner:
     if test.num_outputs > model.n_xt + 3:
         raise CardinalityError(
             f"|U| = {test.num_outputs} exceeds cap {model.n_xt + 3}")
-    if model.verdict.relation not in Y_FAVOR:
-        raise UnsupportedClassError(
-            f"one-auxiliary evaluation needs a degraded or less-noisy pair in the "
-            f"main channel's favor; classifier found {model.verdict.relation.value}")
+    _require_y_favor(model, "one-auxiliary evaluation")
 
     return _rate_corner(_rates(model, test.matrix[None])[0].tolist(), test)
 
@@ -497,9 +504,7 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
     """
     if config is None:
         config = SamplerConfig()
-    if model.verdict.relation not in Y_FAVOR:
-        raise UnsupportedClassError(
-            f"region sweep unsupported for verdict {model.verdict.relation.value}")
+    _require_y_favor(model, "region sweep")
     sizes = config.sizes_for(model.n_xt)
     cap = model.n_xt + 3
     if any(not 1 <= u <= cap for u in sizes):
@@ -554,9 +559,7 @@ def two_aux_random_search(model: AuthModel, n_pairs: int, seed: int = 0,
     below 1 and ValueError for a negative n_pairs, before anything is
     drawn.
     """
-    if model.verdict.relation not in Y_FAVOR:
-        raise UnsupportedClassError(
-            f"two-auxiliary search unsupported for verdict {model.verdict.relation.value}")
+    _require_y_favor(model, "two-auxiliary search")
     if max_u < 1 or max_v < 1:
         raise CardinalityError(f"auxiliary sizes max_u={max_u}, max_v={max_v} must be >= 1")
     if n_pairs < 0:

@@ -106,6 +106,25 @@ def test_degraded_only_when_the_witness_composes_back(d):
             == v.residual <= 1e-9
 
 
+@pytest.mark.parametrize("d, degraded", [(2e-9, True), (3e-9, False)])
+def test_binary_degradedness_in_the_band_left_to_the_lp(monkeypatch, d, degraded):
+    # BSC(0.05) is BEC(q) followed by a post-channel iff q <= 0.1.  Just
+    # above, the Bayes-risk gap is within n_c * DEGRADED_RESIDUAL_TOL, so the
+    # exact refutation leaves the pair to the LP, which decides it
+    from authcap import classifier
+
+    verdicts = []
+
+    def spy(candidate, reference):
+        verdicts.append(_degraded_by_lp(candidate, reference))
+        return verdicts[-1]
+
+    monkeypatch.setattr(classifier, "_degraded_by_lp", spy)
+    v = is_stochastically_degraded(Channel.bsc(0.05), Channel.bec(0.1 + d))
+    assert len(verdicts) == 1 and v is verdicts[0]
+    assert v.relation is (Relation.DEGRADED_Z_WRT_Y if degraded else Relation.UNORDERED)
+
+
 def test_degraded_witness_residual_randomized():
     rng = np.random.default_rng(0)
     for _ in range(25):
@@ -128,6 +147,16 @@ def test_less_noisy_bec_over_bsc():
     v = is_less_noisy(Channel.bec(0.5), Channel.bsc(0.2), trials=20_000, seed=1)
     assert v.certainty is Certainty.EXACT
     assert v.details["pairs_checked"] == 0
+
+
+def test_less_noisy_beyond_binary_inputs_is_statistical_evidence():
+    # the three-input embedding of a less-noisy binary pair: no certificate,
+    # so every grid pair and then every drawn pair is checked
+    v = is_less_noisy(with_row_0_repeated(Channel.bec(0.5)),
+                      with_row_0_repeated(Channel.bsc(0.2)), trials=3000)
+    assert v.relation is Relation.LESS_NOISY_Y_OVER_Z
+    assert v.certainty is Certainty.STATISTICAL_EVIDENCE
+    assert v.details["pairs_checked"] == math.comb(len(_simplex_grid(3)), 2) + 3000 == 7095
 
 
 def test_less_noisy_refuted_reversed():
@@ -403,6 +432,11 @@ def test_classify_less_noisy_pair():
     assert v.relation is Relation.LESS_NOISY_Y_OVER_Z
     assert v.certainty is Certainty.EXACT
     assert v.details["reverse_refuted"] is True
+    # roles swapped: the pair is less noisy in the eavesdropper's favor
+    v = classify_ac(Channel.bsc(0.2), Channel.bec(0.5))
+    assert v.relation is Relation.LESS_NOISY_Z_OVER_Y
+    assert v.certainty is Certainty.EXACT
+    assert v.details["reverse_refuted"] is True
 
 
 def test_classify_degraded_pairs_both_roles():
@@ -425,6 +459,9 @@ def test_classify_more_capable_only():
     # 4*0.2*0.8 = 0.64 but under the capacity threshold H_b(0.2) = 0.722
     v = classify_ac(Channel.bec(0.7), Channel.bsc(0.2), trials=20_000, seed=3)
     assert v.relation is Relation.MORE_CAPABLE_Y
+    assert v.certainty is Certainty.STATISTICAL_EVIDENCE
+    v = classify_ac(Channel.bsc(0.2), Channel.bec(0.7))
+    assert v.relation is Relation.MORE_CAPABLE_Z
     assert v.certainty is Certainty.STATISTICAL_EVIDENCE
 
 

@@ -28,6 +28,14 @@ BINARY_CFG = {"binary": {"p": 0.1, "q": 0.5, "eps": 0.2}, "seed": 3,
               "classifier_trials": 2000}
 GAUSSIAN_CFG = {"gaussian": {"rho1_sq": 7 / 8, "rho2_sq": 4 / 5,
                              "rho3_sq": 2 / 3, "alpha_grid": 200}}
+# the eavesdropper's correlation is the larger: Y is degraded w.r.t. Z
+GAUSSIAN_Z_FAVOR_CFG = {"gaussian": {"rho1_sq": 7 / 8, "rho2_sq": 0.5, "rho3_sq": 2 / 3}}
+# erasure above H_b(0.2): neither channel is more capable
+UNORDERED_CFG = {"px": [0.5, 0.5],
+                 "ec": [[0.9, 0.1], [0.1, 0.9]],
+                 "ac_y": [[0.2, 0.0, 0.8], [0.0, 0.2, 0.8]],
+                 "ac_z": [[0.8, 0.2], [0.2, 0.8]],
+                 "seed": 0}
 
 
 def test_classify_binary(tmp_path, capsys):
@@ -58,6 +66,13 @@ def test_classify_gaussian(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"]["relation"] == "degraded_Z_wrt_Y"
 
+    cfg = write_config(tmp_path, GAUSSIAN_Z_FAVOR_CFG, "z.json")
+    assert run_cli("classify", "--config", cfg) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == {
+        "relation": "degraded_Y_wrt_Z", "certainty": "exact", "witness": None,
+        "residual": None, "details": {},
+        "note": "jointly Gaussian observations are always ordered by squared correlation"}
+
 
 def test_classify_unordered_still_exits_zero(tmp_path, capsys):
     cfg = write_config(tmp_path, {
@@ -87,6 +102,12 @@ def test_exit_codes(tmp_path):
         "ac_y": [[1.0, 0.0], [0.0, 1.0]],
         "ac_z": [[1.0, 0.0], [0.0, 1.0]]}, "stoch.json")
     assert run_cli("classify", "--config", malformed) == 4
+
+    # a regular file where the output directory's parent should be
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, GAUSSIAN_CFG, "g.json")
+    assert run_cli("region", "--config", cfg, "--out", str(blocker / "out")) == 2
 
 
 def test_region_binary_reproducible(tmp_path):
@@ -143,13 +164,8 @@ def test_region_unit_override(tmp_path):
 
 
 def test_region_unsupported_class(tmp_path):
-    # erasure above H_b(0.2): unordered pair, no region formula
-    cfg = write_config(tmp_path, {
-        "px": [0.5, 0.5],
-        "ec": [[0.9, 0.1], [0.1, 0.9]],
-        "ac_y": [[0.2, 0.0, 0.8], [0.0, 0.2, 0.8]],
-        "ac_z": [[0.8, 0.2], [0.2, 0.8]],
-        "seed": 0, "sampler": {"random_samples": 10}})
+    # unordered pair, no region formula
+    cfg = write_config(tmp_path, {**UNORDERED_CFG, "sampler": {"random_samples": 10}})
     assert run_cli("region", "--config", cfg, "--out", str(tmp_path / "u")) == 5
 
 
@@ -317,14 +333,12 @@ def test_compare_degraded_binary(tmp_path):
     assert data["verdict"]["relation"] == "degraded_Z_wrt_Y"
 
 
-def test_compare_unsupported(tmp_path):
-    cfg = write_config(tmp_path, {
-        "px": [0.5, 0.5],
-        "ec": [[0.9, 0.1], [0.1, 0.9]],
-        "ac_y": [[0.2, 0.0, 0.8], [0.0, 0.2, 0.8]],
-        "ac_z": [[0.8, 0.2], [0.2, 0.8]],
-        "seed": 0})
+def test_compare_unsupported(tmp_path, capsys):
+    cfg = write_config(tmp_path, UNORDERED_CFG)
     assert run_cli("compare", "--config", cfg, "--out", str(tmp_path / "c")) == 5
+    assert capsys.readouterr().err == (
+        "error: the one-auxiliary vs two-auxiliary comparison needs a degraded or less-noisy "
+        "pair in the main channel's favor; classifier found unordered\n")
 
 
 def test_compare_embedding_matches_per_corner_loop(tmp_path):
@@ -608,6 +622,35 @@ def test_simulator_size_over_cap_exits_6(tmp_path, capsys, fields, name, extra):
     cfg = {**SIM_CFG, "simulator": {**SIM_CFG["simulator"], **fields}}
     assert run_config(tmp_path, "simulate", cfg, *extra) == 6
     assert name in capsys.readouterr().err
+
+
+# (command, config, extra argv, exit code, text in stderr)
+REJECTED = [
+    ("classify", [BINARY_CFG], [], 3, "config root must be a JSON object"),
+    ("classify", {**UNORDERED_CFG, "ac_y": [[0.3, -0.1, 0.8], [0.0, 0.2, 0.8]]}, [], 4,
+     "ac_y has negative or non-finite entries"),
+    ("classify", {**UNORDERED_CFG, "ac_y": [[0.2, float("nan"), 0.8], [0.0, 0.2, 0.8]]}, [], 4,
+     "ac_y has negative or non-finite entries"),
+    ("compare", {**UNORDERED_CFG, "ac_y": [[0.9, 0.1], [0.1, 0.9]],
+                 "ec": [[0.6, 0.1, 0.1, 0.1, 0.1], [0.1, 0.1, 0.1, 0.1, 0.6]]}, [], 3,
+     "compare is restricted to tiny alphabets (|Xt| <= 4)"),
+    ("figures", GAUSSIAN_Z_FAVOR_CFG, [], 5, "the eavesdropper dominates"),
+    # the unsupported class wins over a size over its cap and a bad seed
+    ("region", UNORDERED_CFG, ["--samples", "2000000"], 5,
+     "the one-auxiliary region needs a degraded or less-noisy pair in the main channel's "
+     "favor; classifier found unordered"),
+    ("figures", {**GAUSSIAN_Z_FAVOR_CFG, "seed": -1}, [], 5, "the eavesdropper dominates"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, extra, code, text", REJECTED,
+                         ids=["root-array", "negative-entry", "nan-entry", "compare-xt-5",
+                              "figures-z-favor", "unsupported-before-cap",
+                              "unsupported-before-seed"])
+def test_rejected_config_exits_with_its_code(tmp_path, capsys, command, cfg, extra, code, text):
+    assert run_config(tmp_path, command, cfg, *extra) == code
+    assert text in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def field_paths(cfg, prefix=""):

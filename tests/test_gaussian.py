@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from authcap import (
+    Certainty,
     CovarianceMatrix,
     GaussianModelParams,
     build_covariance,
@@ -13,6 +14,8 @@ from authcap import (
     parametric_region,
     covariance_mc_diagnostic,
     gaussian_mi,
+    Relation,
+    UnsupportedClassError,
     zero_key_region_gaussian,
 )
 from authcap.gaussian import WrongDirectionError, closed_form_mis, figure_curves
@@ -137,6 +140,19 @@ def test_corner_direction_guard():
         parametric_corner(bad, 0.5)
     with pytest.raises(ValueError):
         parametric_corner(PAPER, 0.0)
+
+
+def test_verdict_orders_by_squared_correlation():
+    # the one ordering the Gaussian region, its guards and the CLI read;
+    # equal correlations are degraded both ways and read as Y w.r.t. Z
+    for rhos, relation in (((7 / 8, 4 / 5, 2 / 3), Relation.DEGRADED_Z_WRT_Y),
+                           ((7 / 8, 2 / 3, 2 / 3), Relation.DEGRADED_Y_WRT_Z),
+                           ((7 / 8, 2 / 3, 4 / 5), Relation.DEGRADED_Y_WRT_Z)):
+        v = GaussianModelParams(*rhos).verdict()
+        assert (v.relation, v.certainty) == (relation, Certainty.EXACT)
+    # a wrong direction is an unsupported class, as the CLI maps it to exit 5
+    with pytest.raises(UnsupportedClassError):
+        figure_curves(GaussianModelParams(7 / 8, 2 / 3, 2 / 3))
 
 
 def test_zero_key_region_gaussian():

@@ -281,6 +281,9 @@ def test_sweep_unsupported_class():
                                                 classifier_trials=500)
     with pytest.raises(UnsupportedClassError):
         sweep_region(reversed_model, SamplerConfig(random_samples=10, seed=0))
+    with pytest.raises(UnsupportedClassError,
+                       match="^two-auxiliary search needs .* classifier found degraded_Y_wrt_Z$"):
+        two_aux_random_search(reversed_model, 10)
 
 
 def test_degraded_coupling_conditional_rate():
