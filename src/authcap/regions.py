@@ -37,6 +37,7 @@ from .infotheory import (
 )
 
 DOMINANCE_TOL = 1e-9
+_COMPARE_CELLS = 1 << 16   # cells per compare_regions buffer: 512 KB of float64
 
 Y_FAVOR = (Relation.DEGRADED_Z_WRT_Y, Relation.LESS_NOISY_Y_OVER_Z)
 Z_FAVOR = (Relation.DEGRADED_Y_WRT_Z, Relation.LESS_NOISY_Z_OVER_Y)
@@ -430,28 +431,36 @@ def compare_regions(a: RegionBoundary, b: RegionBoundary) -> float:
 
     For each corner of a, the smallest dominance slack any corner of b
     leaves; the maximum of those (clamped at 0) is returned.  0 means every
-    corner of a is dominated by b within floating tolerance.  Only the
-    corners of a's own Pareto front are compared, which is exact: fl(x - y)
-    is monotone in each argument, so a corner that another corner of a
-    dominates never leaves a larger smallest slack.
+    corner of a is dominated by b within floating tolerance; a non-finite
+    rate in either region raises ValueError.  Only the corners of a's own
+    Pareto front are compared, which is exact: fl(x - y) is monotone in each
+    argument, so a corner that another corner of a dominates never leaves a
+    larger smallest slack.  They are compared in blocks of at most
+    _COMPARE_CELLS slacks, so memory does not grow with |a| x |b|.
     """
     if a.unit != b.unit:
         raise ValueError(f"unit mismatch: {a.unit.value} vs {b.unit.value}")
-    if not a.corners:
+    pa, pb = _corner_rates(a.corners), _corner_rates(b.corners)
+    for name, p in (("a", pa), ("b", pb)):
+        if not np.isfinite(p).all():
+            raise ValueError(f"region {name} has a non-finite rate")
+    if not len(pa):
         return 0.0
-    if not b.corners:
+    if not len(pb):
         return float("inf")
-    pa = _corner_rates(a.corners)
     pa = pa[_pareto_indices(pa)]
-    pb = _corner_rates(b.corners)
+    rs, rj, rl = pb.T.copy()
+    # blocks of a's front against all of b, in two reused cache-sized buffers
+    rows = max(1, _COMPARE_CELLS // len(rs))
+    s, t = np.empty((2, min(rows, len(pa)), len(rs)))
     worst = -np.inf
-    for lo in range(0, len(pa), 4096):
-        chunk = pa[lo:lo + 4096]
-        slack = np.maximum(
-            chunk[:, None, 0] - pb[None, :, 0],
-            np.maximum(pb[None, :, 1] - chunk[:, None, 1],
-                       pb[None, :, 2] - chunk[:, None, 2]))
-        worst = max(worst, float(slack.min(axis=1).max()))
+    for lo in range(0, len(pa), rows):
+        blk = pa[lo:lo + rows]
+        sb, tb = s[:len(blk)], t[:len(blk)]
+        np.subtract(rj, blk[:, 1, None], out=sb)
+        np.maximum(sb, np.subtract(rl, blk[:, 2, None], out=tb), out=sb)
+        np.maximum(sb, np.subtract(blk[:, 0, None], rs, out=tb), out=sb)
+        worst = max(worst, float(sb.min(axis=1).max()))
     return max(0.0, worst)
 
 

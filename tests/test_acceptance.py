@@ -122,9 +122,11 @@ def test_criterion_4_one_aux_vs_two_aux():
 
     corners = two_aux_random_search(model, 100_000, seed=41, max_u=4, max_v=3)
     pts = np.array([[c.rs, c.rj, c.rl] for c in corners])
+    # chunks of at most 2^16 cells (512 KB) a table stay in cache
+    step = max(1, (1 << 16) // len(front))
     worst_slack = -np.inf
-    for lo in range(0, len(pts), 2048):
-        chunk = pts[lo:lo + 2048]
+    for lo in range(0, len(pts), step):
+        chunk = pts[lo:lo + step]
         slack = np.maximum(
             chunk[:, None, 0] - front[None, :, 0],
             np.maximum(front[None, :, 1] - chunk[:, None, 1],

@@ -2,9 +2,11 @@ import bisect
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from authcap import (
     AuthModel,
@@ -36,7 +38,7 @@ from authcap.infotheory import (
     _marginal_entropy_nats,
     _mi2_nats,
 )
-from authcap.regions import CardinalityError, _beta_grid, _rates, build_joint
+from authcap.regions import _COMPARE_CELLS, CardinalityError, _beta_grid, _rates, build_joint
 
 
 # ---------------------------------------------------------------------------
@@ -907,3 +909,69 @@ def test_compare_regions_matches_dense_pass_bit_for_bit():
     b = RegionBoundary(corners(50, 2), InfoUnit.BITS)
     assert np.float64(compare_regions(a, b)).tobytes() == \
         np.float64(ref_compare_regions(a, b)).tobytes()
+    # more corners in b than one block has cells: one row a block
+    a = RegionBoundary(corners(9, 1), InfoUnit.BITS)
+    b = RegionBoundary(corners(_COMPARE_CELLS, 2), InfoUnit.BITS)
+    for x, y in ((a, b), (b, a)):
+        assert compare_regions(x, y).hex() == ref_compare_regions(x, y).hex()
+
+
+# Few distinct values, both zeros among them, so that drawn regions hold exact
+# ties, duplicated corners and signed-zero slacks.
+RATES = st.one_of(st.sampled_from([0.0, -0.0, 0.125, 0.5, 1.0]), st.floats(-2.0, 2.0))
+CORNERS = st.lists(st.tuples(RATES, RATES, RATES), min_size=1, max_size=40)
+
+
+def _bits(points):
+    return RegionBoundary([_corner(*p) for p in points], InfoUnit.BITS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=CORNERS, b=CORNERS, cells=st.integers(1, 64))
+@example(a=[(0.0, 0.0, 0.0)], b=[(-0.0, -0.0, -0.0)], cells=1)
+@example(a=[(1.0, 0.5, 0.5)] * 7, b=[(1.0, 0.5, 0.5)] * 3, cells=6)
+def test_compare_regions_in_blocks_matches_dense_oracle(a, b, cells):
+    # a block budget of `cells` gives one row a block once |b| exceeds it,
+    # and leaves a last short block when |front of a| is not a multiple of
+    # the row count
+    a, b = _bits(a), _bits(b)
+    union = RegionBoundary(a.corners + b.corners, InfoUnit.BITS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("authcap.regions._COMPARE_CELLS", cells)
+        for x, y in ((a, b), (b, a), (a, a), (a, union)):
+            assert compare_regions(x, y).hex() == ref_compare_regions(x, y).hex()
+
+
+def test_compare_regions_edge_rules():
+    a, b = _bits([(0.9, 0.0, 0.0)]), _bits([(0.1, 0.5, 0.5)])
+    assert compare_regions(a, b) == 0.8
+    empty = RegionBoundary([], InfoUnit.BITS)
+    assert compare_regions(empty, b) == 0.0
+    assert compare_regions(a, empty) == math.inf
+    with pytest.raises(ValueError, match="unit mismatch"):
+        compare_regions(a, RegionBoundary([], InfoUnit.NATS))
+    # a NaN slack makes its row's minimum NaN, which max() then drops, so a
+    # pair with a non-finite corner would read as contained
+    for bad in ((math.nan,) * 3, (0.1, math.nan, 0.5), (0.1, 0.5, math.inf), (-math.inf, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="region b has a non-finite rate"):
+            compare_regions(a, _bits([(0.1, 0.5, 0.5), bad]))
+        with pytest.raises(ValueError, match="region a has a non-finite rate"):
+            compare_regions(_bits([bad, (0.9, 0.0, 0.0)]), b)
+        with pytest.raises(ValueError, match="region b has a non-finite rate"):
+            compare_regions(empty, _bits([bad]))
+
+
+def test_compare_regions_memory_does_not_grow_with_both_sizes():
+    # one full 300 x 50,000 slack table is 114 MB; the blocked pass peaks at
+    # about 6 MB
+    rng = np.random.default_rng(0)
+    x = np.sort(rng.random(300))
+    a = _bits(np.stack([x, x, x], axis=1).tolist())
+    b = _bits(rng.random((50_000, 3)).tolist())
+    tracemalloc.start()
+    try:
+        compare_regions(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"

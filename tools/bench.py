@@ -28,6 +28,11 @@ untimed call.  Prints one JSON object:
                           two_aux_random_search(model, 100000, seed=41) on
                           criterion 4's model, binary_symmetric(0.1, 0.1, 0.26)
   pairs_per_s             100000 / search_100k_s
+  compare_100k_s          median of ceil(REPS / 10) calls compare_regions(pairs,
+                          front): the corners of that search against
+                          sweep_region(model, 100000 samples, beta step
+                          1e-3, seed 40) on the same model
+  compare_100k_peak_mb    tracemalloc peak of one such call, in MB
 
 REPS defaults to 31.  Standard library, numpy and authcap only.
 """
@@ -39,14 +44,16 @@ import math
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path.cwd() / "src"))
 
-from authcap import (AuthModel, Channel, classifier, is_less_noisy,  # noqa: E402
-                     is_stochastically_degraded, two_aux_random_search)
+from authcap import (AuthModel, Channel, RegionBoundary, SamplerConfig,  # noqa: E402
+                     classifier, compare_regions, is_less_noisy,
+                     is_stochastically_degraded, sweep_region, two_aux_random_search)
 
 PAIRS_PER_SIZE = 20
 
@@ -119,6 +126,15 @@ def main(argv) -> int:
     result["search_100k_s"] = statistics.median(seconds(
         lambda: two_aux_random_search(criterion_4, 100_000, seed=41), math.ceil(reps / 10)))
     result["pairs_per_s"] = 100_000 / result["search_100k_s"]
+    front = sweep_region(criterion_4, SamplerConfig(random_samples=100_000,
+                                                    beta_grid_step=1e-3, seed=40))
+    pairs = RegionBoundary(two_aux_random_search(criterion_4, 100_000, seed=41), front.unit)
+    result["compare_100k_s"] = statistics.median(seconds(
+        lambda: compare_regions(pairs, front), math.ceil(reps / 10)))
+    tracemalloc.start()
+    compare_regions(pairs, front)
+    result["compare_100k_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
     print(json.dumps(result, indent=1))
     return 0
 
