@@ -107,6 +107,13 @@ def _check_same_input(a: Channel, b: Channel):
         )
 
 
+def _check_trials(trials: int):
+    """ValueError unless the sampler's trial count is at least 1; the
+    message names the field that sets it, AuthModel.classifier_trials."""
+    if trials < 1:
+        raise ValueError(f"classifier_trials must be >= 1, got {trials}")
+
+
 def _mi_batch(p: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """I(X;B) = H(B) - H(B|X) in nats for a batch of input distributions
     (rows of p)."""
@@ -440,8 +447,7 @@ def is_less_noisy(better: Channel, worse: Channel, trials: int = DEFAULT_TRIALS,
     counterexample pair; no violation yields statistical evidence only.
     """
     _check_same_input(better, worse)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     k = better.num_inputs
     certainty, witness = _binary_certificate(better, worse) if k == 2 else (None, None)
     if certainty is Certainty.EXACT:
@@ -544,6 +550,7 @@ def classify_ac(ac_y: Channel, ac_z: Channel, trials: int = DEFAULT_TRIALS,
     leaves undecided.
     """
     _check_same_input(ac_y, ac_z)
+    _check_trials(trials)
 
     d_zy = is_stochastically_degraded(ac_z, ac_y)
     d_yz = is_stochastically_degraded(ac_y, ac_z)

@@ -200,11 +200,8 @@ def _binary_params(cfg: dict, grid_step: float = None) -> BinaryModelParams:
 def _classifier_trials(cfg: dict, samples=None) -> int:
     """The classifier's trial count: `samples` (classify --samples) if given,
     else the config's classifier_trials."""
-    trials = _field(cfg, "classifier_trials", "size", AuthModel.classifier_trials,
-                    override=samples)
-    if trials < 1:
-        raise CliError(EXIT_SCHEMA, f"classifier_trials must be >= 1, got {trials}")
-    return trials
+    return _field(cfg, "classifier_trials", "size", AuthModel.classifier_trials,
+                  override=samples)
 
 
 def _auth_model(cfg: dict, form: str, seed: int, command: str, samples=None) -> AuthModel:
@@ -299,7 +296,9 @@ def _region_boundary(cfg: dict, form: str, args, seed: int) -> RegionBoundary:
     if form == "binary":
         _unread(args, "the binary closed-form region", "samples")
         params = _binary_params(cfg, args.grid_step)
-        return closed_form_region(params, _classifier_trials(cfg), seed)
+        trials = _classifier_trials(cfg)
+        with _validated("model"):
+            return closed_form_region(params, trials, seed)
     if form == "gaussian":
         _unread(args, "the Gaussian closed-form region", "samples", "grid_step")
         params = _gaussian_params(cfg)

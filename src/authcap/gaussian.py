@@ -73,12 +73,11 @@ class CovarianceMatrix:
     """Covariance of (U, Xt, X, Y, Z); unit diagonal except the U entry."""
 
     matrix: np.ndarray
-    names: tuple = VAR_NAMES
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (len(self.names), len(self.names)):
-            raise ValueError(f"expected {len(self.names)}x{len(self.names)} matrix")
+        if m.shape != (len(VAR_NAMES), len(VAR_NAMES)):
+            raise ValueError(f"expected {len(VAR_NAMES)}x{len(VAR_NAMES)} matrix")
         if np.max(np.abs(m - m.T)) > 1e-14:
             raise ValueError("covariance must be symmetric")
         if np.min(np.linalg.eigvalsh(m)) < PSD_TOL:
@@ -86,7 +85,7 @@ class CovarianceMatrix:
         self.matrix = m
 
     def index(self, name: str) -> int:
-        return self.names.index(name)
+        return VAR_NAMES.index(name)
 
     def block(self, names) -> np.ndarray:
         idx = [self.index(n) for n in names]

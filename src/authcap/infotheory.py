@@ -260,12 +260,6 @@ def entropy(d: DiscreteDistribution, unit: InfoUnit = InfoUnit.BITS) -> float:
     return unit.from_nats(_entropy_nats(d.probs))
 
 
-def _marginal_entropy_nats(probs: np.ndarray, keep) -> float:
-    drop = tuple(i for i in range(probs.ndim) if i not in keep)
-    p = probs.sum(axis=drop) if drop else probs
-    return _entropy_nats(p)
-
-
 def _clamp_mi(value_nats):
     """A mutual information (a float, or an array of them) clamped at 0;
     MalformedJointError if any is below -NEGATIVE_MI_TOL."""
@@ -294,15 +288,6 @@ def _mi2_nats(j: np.ndarray):
     return _clamp_mi(s_cells - (s_rows + s_cols))
 
 
-def _cmi_nats(probs: np.ndarray, axes_a, axes_b, axes_c) -> float:
-    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) of a joint array, nats."""
-    v = (_marginal_entropy_nats(probs, axes_a + axes_c)
-         + _marginal_entropy_nats(probs, axes_b + axes_c)
-         - _marginal_entropy_nats(probs, axes_a + axes_b + axes_c)
-         - _marginal_entropy_nats(probs, axes_c))
-    return _clamp_mi(v)
-
-
 def mutual_information(j: JointDistribution, axes_a, axes_b,
                        unit: InfoUnit = InfoUnit.BITS) -> float:
     """I(A;B) = H(A) + H(B) - H(A,B) over disjoint axis sets of the joint."""
@@ -310,11 +295,8 @@ def mutual_information(j: JointDistribution, axes_a, axes_b,
     j._check_axes(axes_a + axes_b)
     if set(axes_a) & set(axes_b):
         raise ValueError(f"axis sets {axes_a} and {axes_b} overlap")
-    p = j.probs
-    v = (_marginal_entropy_nats(p, axes_a)
-         + _marginal_entropy_nats(p, axes_b)
-         - _marginal_entropy_nats(p, axes_a + axes_b))
-    return unit.from_nats(_clamp_mi(v))
+    h_a, h_b, h_ab = (_entropy_nats(j.marginal(k)) for k in (axes_a, axes_b, axes_a + axes_b))
+    return unit.from_nats(_clamp_mi(h_a + h_b - h_ab))
 
 
 def conditional_mutual_information(j: JointDistribution, axes_a, axes_b, axes_c,
@@ -325,7 +307,9 @@ def conditional_mutual_information(j: JointDistribution, axes_a, axes_b, axes_c,
     sa, sb, sc = set(axes_a), set(axes_b), set(axes_c)
     if sa & sb or sa & sc or sb & sc:
         raise ValueError("axis sets must be pairwise disjoint")
-    return unit.from_nats(_cmi_nats(j.probs, axes_a, axes_b, axes_c))
+    h_ac, h_bc, h_abc, h_c = (_entropy_nats(j.marginal(k)) for k in (
+        axes_a + axes_c, axes_b + axes_c, axes_a + axes_b + axes_c, axes_c))
+    return unit.from_nats(_clamp_mi(h_ac + h_bc - h_abc - h_c))
 
 
 def compose_channels(first: Channel, second: Channel) -> Channel:

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .infotheory import Channel, LN2, _blocks, _cmi_nats, _entropy_nats, _jsonable, _mi2_nats
+from .infotheory import Channel, LN2, _blocks, _clamp_mi, _entropy_nats, _jsonable, _mi2_nats
 from .regions import AuthModel, _chain_laws, _infos_nats
 
 WILSON_Z_95 = 1.959963984540054
@@ -74,8 +74,9 @@ def _hash_indices(a: int, b: int, count: int, m_s: int) -> np.ndarray:
     return (out & np.uint64(m_s - 1)).astype(np.int64)
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int):
+    """95% Wilson score interval for a binomial proportion."""
+    z = WILSON_Z_95
     if trials <= 0:
         return (0.0, 1.0)
     phat = successes / trials
@@ -115,14 +116,10 @@ class ProtocolTables:
 
         self.nu = test.num_outputs
         laws = _chain_laws(model, t[None])
-        p_xa, p_au, p_xu = laws.p_xa, laws.p_au[0], laws.p_xu[0]
-        self.p_xt = laws.p_xt
+        p_xa, p_xu, p_yu = laws.p_xa, laws.p_xu[0], laws.p_yu[0]
         self.p_u = laws.p_au.sum(axis=1)[0]
 
-        rev_test = _conditional(p_au.T, self.p_u[:, None])
-        rev_ec = _conditional(p_xa.T, self.p_xt[:, None])
-
-        self.ch_y_u = rev_test @ rev_ec @ acy      # P(y|u)
+        self.ch_y_u = _conditional(p_yu.T, self.p_u[:, None])     # P(y|u)
         self.p_y = px @ acy
         self.p_z = px @ acz
         self.p_xtz = p_xa.T @ acz                  # joint (Xt, Z)
@@ -130,10 +127,14 @@ class ProtocolTables:
         self.tn_table = _log_ratio(t, self.p_u[None, :])          # [xt, u]
         self.an_table = _log_ratio(self.ch_y_u, self.p_y[None, :])  # [u, y]
 
-        i_xt_u, i_y_u, i_z_u = (float(v[0])
-                                for v in _infos_nats(laws.p_au, laws.p_yu, laws.p_zu))
+        i_xt_u, i_y_u, i_z_u, i_x_u = (float(v[0]) for v in _infos_nats(
+            laws.p_au, laws.p_yu, laws.p_zu, laws.p_xu))
         self.i_xt_u, self.i_y_u, self.i_z_u, self.i_xz = (
             v / LN2 for v in (i_xt_u, i_y_u, i_z_u, model.i_xz_nats()))
+        # Along U - Xt - X - Z, I(U;Z|X) = 0 and I(U;X|Xt) = 0, so the chain
+        # rule gives I(X;U|Z) = I(U;X) - I(U;Z) and I(Xt;U|X) = I(U;Xt) - I(U;X).
+        self.i_x_u_given_z = _clamp_mi(i_x_u - i_z_u) / LN2
+        self.i_xt_u_given_x = _clamp_mi(i_xt_u - i_x_u) / LN2
 
         # Diagnostic sets: source-vs-auxiliary densities given the
         # eavesdropper's symbol, and enrollment-noise densities.
@@ -141,12 +142,10 @@ class ProtocolTables:
         cond_x_uz = _conditional(p_uxz, p_uxz.sum(axis=1)[:, None, :])
         cond_x_z = _conditional(px[:, None] * acz, self.p_z[None, :])
         self.bn_table = _log_ratio(cond_x_uz, cond_x_z[None, :, :])
-        self.i_x_u_given_z = _cmi_nats(p_uxz, (0,), (1,), (2,)) / LN2
 
-        p_uax = p_au.T[:, :, None] * rev_ec[None, :, :]  # (U, Xt, X)
+        p_uax = t.T[:, :, None] * p_xa.T[None, :, :]     # (U, Xt, X)
         cond_a_ux = _conditional(p_uax, p_uax.sum(axis=1)[:, None, :])
         self.kn_table = _log_ratio(cond_a_ux, ec.T[None, :, :])
-        self.i_xt_u_given_x = _cmi_nats(p_uax, (0,), (1,), (2,)) / LN2
 
 
 @dataclass

@@ -80,8 +80,6 @@ class AuthModel:
         self._p_xt = self._p_xa.sum(axis=0)
         self._p_xt.setflags(write=False)
         self._i_xz = _mi2_nats(self.px.probs[:, None] * self.ac_z.matrix)
-        if self.classifier_trials < 1:
-            raise ValueError(f"classifier_trials={self.classifier_trials} must be >= 1")
         self.verdict = classify_ac(self.ac_y, self.ac_z,
                                    trials=self.classifier_trials, seed=self.classifier_seed)
 

@@ -89,6 +89,11 @@ def test_region_single_point_grid():
     assert any(t == pytest.approx((0.0, 0.0, 1 - hb(0.2)), abs=1e-12) for t in tuples)
 
 
+def test_region_checks_classifier_trials_on_a_degraded_pair():
+    with pytest.raises(ValueError, match="classifier_trials"):
+        closed_form_region(BinaryModelParams(0.1, 0.3, 0.2), classifier_trials=0)
+
+
 def test_region_max_rs_at_zero():
     b = closed_form_region(PARAMS, classifier_trials=2_000)
     best = max(b.corners, key=lambda c: c.rs)

@@ -447,6 +447,14 @@ def test_classify_degraded_pairs_both_roles():
     assert v_swapped.relation is Relation.DEGRADED_Y_WRT_Z
 
 
+def test_trial_count_checked_before_any_verdict():
+    # a degraded pair is decided before the sampler, yet the count is checked
+    with pytest.raises(ValueError, match="classifier_trials"):
+        classify_ac(Channel.bsc(0.1), Channel.bsc(0.26), trials=-3)
+    with pytest.raises(ValueError, match="classifier_trials"):
+        is_less_noisy(Channel.bec(0.5), Channel.bsc(0.2), trials=0)
+
+
 def test_classify_equivalent_channels_tie_break():
     c = Channel.bsc(0.15)
     v = classify_ac(c, c, trials=500, seed=0)

@@ -96,12 +96,14 @@ def test_exit_codes(tmp_path):
     two_forms = write_config(tmp_path, {**BINARY_CFG, **GAUSSIAN_CFG}, "two.json")
     assert run_cli("classify", "--config", two_forms) == 3
 
-    malformed = write_config(tmp_path, {
-        "px": [0.5, 0.5],
-        "ec": [[0.5, 0.4], [0.1, 0.9]],   # row sums 0.9
-        "ac_y": [[1.0, 0.0], [0.0, 1.0]],
-        "ac_z": [[1.0, 0.0], [0.0, 1.0]]}, "stoch.json")
-    assert run_cli("classify", "--config", malformed) == 4
+    stoch = {"px": [0.5, 0.5],
+             "ec": [[0.5, 0.4], [0.1, 0.9]],   # row sums 0.9
+             "ac_y": [[1.0, 0.0], [0.0, 1.0]],
+             "ac_z": [[1.0, 0.0], [0.0, 1.0]]}
+    assert run_cli("classify", "--config", write_config(tmp_path, stoch, "stoch.json")) == 4
+    # the classifier checks its trial count only once the model's arrays are read
+    stoch_zero = write_config(tmp_path, {**stoch, "classifier_trials": 0}, "stoch0.json")
+    assert run_cli("classify", "--config", stoch_zero) == 4
 
     # a regular file where the output directory's parent should be
     blocker = tmp_path / "file"
@@ -552,6 +554,9 @@ MALFORMED = [
     ("simulate", SIM_CFG, "simulator.bijective_bins", "no", "bijective_bins", []),
     ("classify", DEGRADED_CFG, "classifier_trials", -4, "classifier_trials", []),
     ("classify", DEGRADED_CFG, None, None, "classifier_trials", ["--samples", "0"]),
+    # a degraded pair (q <= 2 eps) never reaches the classifier's sampler
+    ("region", {**BINARY_CFG, "binary": {"p": 0.1, "q": 0.3, "eps": 0.2}},
+     "classifier_trials", 0, "classifier_trials", []),
     ("compare", DEGRADED_CFG, "sampler.u_sizes", [9], "u_sizes", []),
     ("simulate", SIM_CFG, "simulator.max_codebook_size", 0, "max_codebook_size", []),
 ] + [

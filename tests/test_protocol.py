@@ -153,11 +153,26 @@ def marg_encoder_j(dist):
 # Codebook generation
 # ---------------------------------------------------------------------------
 
+def _log2_ratio_oracle(cond, marg):
+    """log2 cond - log2 marg straight from numpy: nan where a conditioning
+    marginal is zero, -inf where cond is 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.log2(cond) - np.log2(marg)
+
+
+def _conditional_oracle(joint, axis):
+    """joint / its sum over `axis` (kept), nan where that sum is zero."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return joint / joint.sum(axis=axis, keepdims=True)
+
+
 def test_tables_match_one_aux_inputs():
-    # the simulator's four information rates are the ones the one-auxiliary
-    # evaluator combines: cross-check them against an explicit five-axis
-    # joint and against the corner's rate differences
-    from authcap import DiscreteDistribution, eval_one_aux, mutual_information
+    # the simulator's information rates, conditional informations and
+    # per-symbol tables are the ones the one-auxiliary evaluator's chain
+    # implies: cross-check them against an explicit five-axis joint and
+    # against the corner's rate differences
+    from authcap import (DiscreteDistribution, conditional_mutual_information, eval_one_aux,
+                         mutual_information)
     from authcap.regions import build_joint
 
     rng = np.random.default_rng(29)
@@ -177,6 +192,24 @@ def test_tables_match_one_aux_inputs():
         corner = eval_one_aux(m, test)
         assert corner.extras["rs_unclamped"] == pytest.approx(t.i_y_u - t.i_z_u, abs=1e-12)
         assert corner.rj == pytest.approx(max(0.0, t.i_xt_u - t.i_y_u), abs=1e-12)
+
+        # the diagnostic events' thresholds: I(X;U|Z) and I(Xt;U|X)
+        assert t.i_x_u_given_z == pytest.approx(
+            conditional_mutual_information(j, [2], [0], [4]), abs=1e-12)
+        assert t.i_xt_u_given_x == pytest.approx(
+            conditional_mutual_information(j, [1], [0], [2]), abs=1e-12)
+
+        # P(y|u), and the B_n and K_n densities log2 P(x|u,z)/P(x|z) and
+        # log2 P(xt|u,x)/P(xt|x), where the joint makes them finite
+        np.testing.assert_allclose(t.ch_y_u, _conditional_oracle(j.marginal([0, 3]), 1),
+                                   rtol=0, atol=1e-12)
+        for table, (u_a_c, a_c) in ((t.bn_table, ([0, 2, 4], [2, 4])),
+                                    (t.kn_table, ([0, 1, 2], [1, 2]))):
+            want = _log2_ratio_oracle(_conditional_oracle(j.marginal(u_a_c), 1),
+                                      _conditional_oracle(j.marginal(a_c), 0)[None])
+            finite = np.isfinite(want)
+            np.testing.assert_allclose(table[finite], want[finite], rtol=0, atol=1e-12)
+            assert np.all(table[want == -np.inf] == -np.inf)
 
 
 def test_codebook_size_formula():

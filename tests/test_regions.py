@@ -13,6 +13,7 @@ from authcap import (
     Channel,
     DiscreteDistribution,
     InfoUnit,
+    JointDistribution,
     RateCorner,
     RegionBoundary,
     Relation,
@@ -35,7 +36,7 @@ from authcap.infotheory import (
     _blocks,
     _channel_stack,
     _clamp_mi,
-    _marginal_entropy_nats,
+    _entropy_nats,
     _mi2_nats,
 )
 from authcap.regions import _COMPARE_CELLS, CardinalityError, _beta_grid, _rates, build_joint
@@ -485,10 +486,11 @@ def ref_two_aux_rates_nats(model, tu, tv):
              * model.ac_y.matrix[None, None, :, :, None]
              * model.ac_z.matrix[None, None, :, None, :])
     arr = tv.T[:, :, None, None, None, None] * joint[None]
+    j = JointDistribution(arr)
     V, U, A, X, Y, Z = range(6)
 
     def h(*keep):
-        return _marginal_entropy_nats(arr, keep)
+        return _entropy_nats(j.marginal(keep))
 
     h_v = h(V)
     h_uv = h(V, U)
