@@ -158,9 +158,6 @@ def entropy_convolution_check(model: AuthModel, test: Channel) -> bool:
     what ties the closed-form sweep to the generic evaluator.
     """
     p, eps = _binary_params(model)
-    if test.num_inputs != 2:
-        raise ValueError("test channel must act on the binary enrollment alphabet")
-
     laws = _chain_laws(model, test.matrix[None])
     h_u = _entropy_nats(laws.p_au.sum(axis=1)[0])
     h_x_u, h_z_u, h_a_u = ((_entropy_nats(j[0]) - h_u) / LN2

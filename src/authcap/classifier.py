@@ -578,11 +578,11 @@ def classify_ac(ac_y: Channel, ac_z: Channel, trials: int = DEFAULT_TRIALS,
                                    note=ln_z.note, details=details)
 
     mc_y = is_more_capable(ac_y, ac_z)
-    mc_z = is_more_capable(ac_z, ac_y)
     if mc_y.certainty is Certainty.STATISTICAL_EVIDENCE:
         return ChannelOrderVerdict(Relation.MORE_CAPABLE_Y,
                                    Certainty.STATISTICAL_EVIDENCE,
                                    details=mc_y.details)
+    mc_z = is_more_capable(ac_z, ac_y)
     if mc_z.certainty is Certainty.STATISTICAL_EVIDENCE:
         return ChannelOrderVerdict(Relation.MORE_CAPABLE_Z,
                                    Certainty.STATISTICAL_EVIDENCE,

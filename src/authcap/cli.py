@@ -13,9 +13,9 @@ at _MAX_SIZE.  Every output file embeds the tool version, the sha256 of the
 config file, and the seed, and re-running with identical inputs reproduces
 identical bytes.
 
-Exit codes: 0 ok, 2 I/O, 3 schema (missing field, wrong JSON type, value out
-of range or over its cap), 4 stochasticity, 5 unsupported channel class,
-6 simulator limits.
+Exit codes: 0 ok, 2 I/O, 3 schema (missing or unknown field, wrong JSON type,
+value out of range or over its cap), 4 stochasticity, 5 unsupported channel
+class, 6 simulator limits.
 """
 
 from __future__ import annotations
@@ -69,6 +69,21 @@ _MAX_SIZE = 1_000_000
 
 _DISCRETE_FIELDS = (("px", 1), ("ec", 2), ("ac_y", 2), ("ac_z", 2))
 
+# Every key some command reads, by block ("" is the top level).  Any other key
+# exits 3, so a misspelt optional field cannot fall back to its default; a
+# known key that the running command does not read is accepted.
+_KNOWN_FIELDS = {
+    "": {*(k for k, _ in _DISCRETE_FIELDS), "binary", "gaussian", "unit", "seed",
+         "classifier_trials", "compare_pairs", "sampler", "simulator"},
+    "binary": {"p", "q", "eps", "beta_step"},
+    "gaussian": {"rho1_sq", "rho2_sq", "rho3_sq", "alpha_grid", "alpha_min"},
+    "sampler": {"random_samples", "beta_grid_step", "u_sizes"},
+    "simulator": {"n", "gamma", "trials", "test_channel", "rate_overrides",
+                  "exact_leakage_limit", "max_codebook_size", "bijective_bins", "trace"},
+    "simulator.test_channel": {"bsc"},
+    "simulator.rate_overrides": {"r_j", "r_s"},
+}
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -88,6 +103,13 @@ def _load_config(path: str):
         raise CliError(EXIT_SCHEMA, f"config {path} is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise CliError(EXIT_SCHEMA, "config root must be a JSON object")
+    for name, known in _KNOWN_FIELDS.items():
+        block = cfg
+        for key in filter(None, name.split(".")):
+            block = block.get(key) if type(block) is dict else None
+        for key in block if type(block) is dict else ():
+            if key not in known:
+                raise CliError(EXIT_SCHEMA, f"unknown field {name + '.' if name else ''}{key}")
     return cfg, hashlib.sha256(raw).hexdigest()
 
 
@@ -311,7 +333,7 @@ def _region_boundary(cfg: dict, form: str, args, seed: int) -> RegionBoundary:
         _unread(args, "the zero-key region", "samples", "grid_step")
         return zero_key_region(model)
     with _validated("model"):
-        _require_y_favor(model, "the one-auxiliary region")
+        _require_y_favor(model.verdict, "the one-auxiliary region")
     sampler = _sampler(cfg, seed, args.samples, args.grid_step)
     with _validated("sampler"):
         return sweep_region(model, sampler)
@@ -400,7 +422,7 @@ def _cmd_compare(args) -> int:
     seed = _seed(cfg, args)
     model = _auth_model(cfg, form, seed, "compare")
     with _validated("model"):
-        _require_y_favor(model, "the one-auxiliary vs two-auxiliary comparison")
+        _require_y_favor(model.verdict, "the one-auxiliary vs two-auxiliary comparison")
     if model.n_xt > 4:
         raise CliError(EXIT_SCHEMA, "compare is restricted to tiny alphabets (|Xt| <= 4)")
 

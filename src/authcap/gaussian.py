@@ -21,16 +21,13 @@ import numpy as np
 
 from .classifier import Certainty, ChannelOrderVerdict, Relation
 from .infotheory import InfoUnit
-from .regions import RateCorner, RegionBoundary, UnsupportedClassError, _front, _rate_corner
+from .regions import (Y_FAVOR, RateCorner, RegionBoundary, UnsupportedClassError, _front,
+                      _rate_corner, _require_y_favor)
 
 VAR_NAMES = ("U", "Xt", "X", "Y", "Z")
 
 PSD_TOL = -1e-10
 SINGULAR_TOL = 1e-12
-
-
-class WrongDirectionError(UnsupportedClassError):
-    """The main/eavesdropper strength ordering does not match the formula."""
 
 
 @dataclass
@@ -155,13 +152,6 @@ def closed_form_mis(params: GaussianModelParams, alpha: float) -> dict:
     }
 
 
-def _check_direction(params: GaussianModelParams):
-    if params.verdict().relation is not Relation.DEGRADED_Z_WRT_Y:
-        raise WrongDirectionError(
-            f"rho2_sq={params.rho2_sq} <= rho3_sq={params.rho3_sq}: the eavesdropper "
-            f"dominates, so the key rate is zero and only the zero-key region applies")
-
-
 def _parametric_rates(params: GaussianModelParams, alphas) -> np.ndarray:
     """Parametric rates at the splits `alphas`, in nats, for
     rho2_sq > rho3_sq: a (B, 4) array of (rs, rj, rl, unclamped rs) rows,
@@ -187,7 +177,7 @@ def _parametric_rates(params: GaussianModelParams, alphas) -> np.ndarray:
 def parametric_corner(params: GaussianModelParams, alpha: float) -> RateCorner:
     """Parametric corner at a given alpha, nats, for rho2_sq > rho3_sq (see
     `_parametric_rates`)."""
-    _check_direction(params)
+    _require_y_favor(params.verdict(), "the Gaussian closed form")
     _check_alpha(alpha)
     return _rate_corner(_parametric_rates(params, [alpha])[0].tolist(), param=float(alpha))
 
@@ -195,8 +185,8 @@ def parametric_corner(params: GaussianModelParams, alpha: float) -> RateCorner:
 def zero_key_region_gaussian(params: GaussianModelParams) -> RegionBoundary:
     """Zero-key region in nats for rho2_sq <= rho3_sq: leakage floor
     1/2 log(1/(1 - rho3_sq)) with any nonnegative storage."""
-    if params.verdict().relation is Relation.DEGRADED_Z_WRT_Y:
-        raise WrongDirectionError(
+    if params.verdict().relation in Y_FAVOR:
+        raise UnsupportedClassError(
             f"rho2_sq={params.rho2_sq} > rho3_sq={params.rho3_sq}: the main channel "
             f"dominates; use parametric_region")
     rl = 0.5 * math.log(1.0 / (1.0 - params.rho3_sq))
@@ -207,7 +197,7 @@ def zero_key_region_gaussian(params: GaussianModelParams) -> RegionBoundary:
 
 def parametric_region(params: GaussianModelParams) -> RegionBoundary:
     """Log-spaced alpha sweep on (alpha_min, 1], Pareto-filtered, in nats."""
-    _check_direction(params)
+    _require_y_favor(params.verdict(), "the Gaussian closed form")
     alphas = np.geomspace(params.alpha_min, 1.0, params.alpha_grid)
     meta = {"params": _params_dict(params),
             "alpha_grid": params.alpha_grid, "alpha_min": params.alpha_min}
@@ -218,7 +208,7 @@ def parametric_region(params: GaussianModelParams) -> RegionBoundary:
 def figure_curves(params: GaussianModelParams) -> dict:
     """Per-alpha (rj, rs, rl) curves for the given parameters and their
     noiseless-enrollment overlay, used for the storage-rate projections."""
-    _check_direction(params)
+    _require_y_favor(params.verdict(), "the Gaussian closed form")
     alphas = np.geomspace(params.alpha_min, 1.0, params.alpha_grid)
     out = {"alpha": alphas}
     for tag, prm in (("hsm", params), ("vsm", params.vsm())):

@@ -3,8 +3,9 @@
 This module owns every entropy and mutual-information kernel of the
 package; regions, binary, protocol and classifier call these, not copies.
 Everything is computed in nats internally; unit conversion happens at the
-API boundary.  Probabilities below ``ZERO_EPS`` are treated as exact zeros
-before any logarithm is taken (0 log 0 = 0 by continuity).
+API boundary.  Only exact zeros are dropped before a logarithm is taken
+(0 log 0 = 0 by continuity); every positive mass, however small, keeps its
+term.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 LN2 = math.log(2.0)
-
-# Probabilities below this are exact zeros for entropy purposes.
-ZERO_EPS = 1e-15
 
 # Mass / row-sum validation tolerance.
 MASS_TOL = 1e-12
@@ -74,9 +72,9 @@ def _check_entries(p: np.ndarray, what: str):
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
-    """p log p cell by cell, 0 where p <= ZERO_EPS, in one float temporary
+    """p log p cell by cell, 0 where p <= 0, in one float temporary
     the size of p (the logarithm is taken and multiplied in place)."""
-    t = np.where(p > ZERO_EPS, p, 1.0)
+    t = np.where(p > 0.0, p, 1.0)
     np.log(t, out=t)
     t *= p
     return t
@@ -326,9 +324,9 @@ def binary_entropy(x: float, unit: InfoUnit = InfoUnit.BITS) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"binary entropy argument {x} outside [0, 1]")
     v = 0.0
-    if x > ZERO_EPS:
+    if x > 0.0:
         v -= x * math.log(x)
-    if 1.0 - x > ZERO_EPS:
+    if 1.0 - x > 0.0:
         v -= (1.0 - x) * math.log(1.0 - x)
     return unit.from_nats(v)
 

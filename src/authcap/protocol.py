@@ -106,8 +106,6 @@ class ProtocolTables:
     and a test channel; everything downstream reads these."""
 
     def __init__(self, model: AuthModel, test: Channel):
-        if test.num_inputs != model.n_xt:
-            raise ValueError("test channel must act on the enrollment alphabet")
         px = model.px.probs
         ec = model.ec.matrix
         acy = model.ac_y.matrix
@@ -402,7 +400,8 @@ def _check_exact(codebook: Codebook, config: SimConfig):
     n = codebook.n
     if n > config.exact_leakage_limit:
         raise SimLimitError(f"n={n} exceeds exact enumeration limit "
-                            f"{config.exact_leakage_limit}")
+                            f"{config.exact_leakage_limit}; pass monte_carlo_only=True "
+                            f"to skip exact leakage")
     cells = (codebook.m_s * codebook.m_j) << n
     if cells > _MAX_CELLS:
         raise SimLimitError(f"exact leakage at n={n} needs a table of 2^{math.log2(cells):g} "
@@ -522,12 +521,6 @@ def run_simulation(model: AuthModel, config: SimConfig,
     """Generate a codebook, measure error statistics over Monte-Carlo
     enrollment/authentication trials, and (within the enumeration limit)
     attach exact leakage figures.  Deterministic given config.seed."""
-    _require_binary(model)
-    if config.n > config.exact_leakage_limit and not monte_carlo_only:
-        raise SimLimitError(
-            f"n={config.n} exceeds exact limit {config.exact_leakage_limit}; "
-            f"pass monte_carlo_only=True to skip exact leakage")
-
     codebook = generate_codebook(model, config)
     if not monte_carlo_only:
         _check_exact(codebook, config)

@@ -115,10 +115,10 @@ class AuthModel:
                          Channel.bsc(eps_y), Channel.bsc(eps_z), **kwargs)
 
 
-def _require_y_favor(model: AuthModel, what: str):
+def _require_y_favor(verdict: ChannelOrderVerdict, what: str):
     """Unless the pair is degraded or less noisy in the main channel's favor,
     raise UnsupportedClassError naming the verdict and `what` needs one."""
-    relation = model.verdict.relation
+    relation = verdict.relation
     if relation not in Y_FAVOR:
         raise UnsupportedClassError(
             f"{what} needs a degraded or less-noisy pair in the main channel's favor; "
@@ -139,7 +139,10 @@ class _ChainLaws(NamedTuple):
 
 def _chain_laws(model: AuthModel, tests: np.ndarray) -> _ChainLaws:
     """Close the chain over a stack tests[b, xt, u] of test-channel matrices
-    on the enrollment alphabet."""
+    on the enrollment alphabet; ValueError if they act on another one."""
+    if tests.shape[-2] != model.n_xt:
+        raise ValueError(f"test channel expects {tests.shape[-2]} inputs, "
+                         f"enrollment alphabet has {model.n_xt}")
     p_xa, p_xt = model._p_xa, model._p_xt
     p_au = p_xt[:, None] * tests
     p_xu = p_xa @ tests
@@ -312,13 +315,10 @@ def eval_one_aux(model: AuthModel, test: Channel) -> RateCorner:
     eavesdropper's channel is a degraded version of the main one),
     rj = I(U;Xt) - I(U;Y), rl = I(U;X) - I(U;Y) + I(X;Z).
     """
-    if test.num_inputs != model.n_xt:
-        raise ValueError(f"test channel expects {test.num_inputs} inputs, "
-                         f"enrollment alphabet has {model.n_xt}")
     if test.num_outputs > model.n_xt + 3:
         raise CardinalityError(
             f"|U| = {test.num_outputs} exceeds cap {model.n_xt + 3}")
-    _require_y_favor(model, "one-auxiliary evaluation")
+    _require_y_favor(model.verdict, "one-auxiliary evaluation")
 
     return _rate_corner(_rates(model, test.matrix[None])[0].tolist(), test)
 
@@ -333,8 +333,6 @@ def eval_two_aux(model: AuthModel, test_u: Channel, test_v: Channel,
     `max_u`/`max_v` raise CardinalityError.  With a constant V this
     collapses to eval_one_aux within rounding.
     """
-    if test_u.num_inputs != model.n_xt:
-        raise ValueError("test_u input alphabet does not match enrollment observations")
     if test_v.num_inputs != test_u.num_outputs:
         raise ValueError("test_v input alphabet must equal test_u output alphabet")
     if test_u.num_outputs > max_u or test_v.num_outputs > max_v:
@@ -511,7 +509,7 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
     """
     if config is None:
         config = SamplerConfig()
-    _require_y_favor(model, "region sweep")
+    _require_y_favor(model.verdict, "region sweep")
     sizes = config.sizes_for(model.n_xt)
     cap = model.n_xt + 3
     if any(not 1 <= u <= cap for u in sizes):
@@ -566,7 +564,7 @@ def two_aux_random_search(model: AuthModel, n_pairs: int, seed: int = 0,
     below 1 and ValueError for a negative n_pairs, before anything is
     drawn.
     """
-    _require_y_favor(model, "two-auxiliary search")
+    _require_y_favor(model.verdict, "two-auxiliary search")
     if max_u < 1 or max_v < 1:
         raise CardinalityError(f"auxiliary sizes max_u={max_u}, max_v={max_v} must be >= 1")
     if n_pairs < 0:

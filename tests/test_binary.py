@@ -10,6 +10,7 @@ from authcap import (
     AuthModel,
     BinaryModelParams,
     Channel,
+    DiscreteDistribution,
     eval_one_aux,
     convolution_bounds,
     entropy_convolution_check,
@@ -17,7 +18,7 @@ from authcap import (
     closed_form_region,
 )
 from authcap.binary import _closed_form_rates
-from authcap.infotheory import ZERO_EPS, binary_entropy, convolve
+from authcap.infotheory import binary_entropy, convolve
 from authcap.classifier import Relation
 from authcap.regions import _beta_grid
 
@@ -103,22 +104,16 @@ def test_region_max_rs_at_zero():
     assert b.metadata["verdict"].relation is Relation.LESS_NOISY_Y_OVER_Z
 
 
-MASKED = ZERO_EPS * math.log2(1 / ZERO_EPS)   # 5.0e-14 bits
-
-
 @settings(deadline=None, max_examples=1000)
 @given(p=st.floats(0.0, 0.5), eps=st.floats(0.0, 0.5), share=st.floats(0.0, 1.0),
        beta=st.sampled_from(_beta_grid(1e-3)) | st.floats(0.0, 0.5))
 def test_key_rate_of_a_less_noisy_pair_peaks_at_beta_zero(p, eps, share, beta):
     # BEC(q) is less noisy than BSC(eps) iff q <= 4 eps (1 - eps); then
     # I(Xt;Y|U) >= I(Xt;Z|U), so I(U;Y) - I(U;Z) is largest at U = Xt, and
-    # the beta grid, which holds 0, needs no search off it.  Entropies drop
-    # cells of at most ZERO_EPS (-x log2 x <= MASKED there), so each side may
-    # be off by one masked term besides rounding: p = 0, eps = beta = 1e-15
-    # reads 9.8e-14 above beta = 0.
+    # the beta grid, which holds 0, needs no search off it.
     params = BinaryModelParams(p, share * 4.0 * eps * (1.0 - eps), eps)
     at_zero, at_beta = _closed_form_rates(params, [0.0, beta])[:, 3]
-    assert at_beta <= at_zero + 1e-15 + 2 * MASKED
+    assert at_beta <= at_zero + 1e-15
 
 
 def test_region_noiseless_eavesdropper_degenerates():
@@ -225,6 +220,26 @@ def test_entropy_convolution_check_rejects_nonbinary():
         Channel.bec(0.5), Channel.bsc(0.2), classifier_trials=500)
     with pytest.raises(ValueError):
         entropy_convolution_check(model, Channel.identity(3))
+
+
+SKEWED = Channel(np.array([[0.9, 0.1], [0.2, 0.8]]))
+
+
+@pytest.mark.parametrize("px, ec, ac_z, test, text", [
+    ((0.5, 0.5), Channel.bsc(0.1), Channel.bsc(0.2), Channel.identity(3),
+     "test channel expects 3 inputs, enrollment alphabet has 2"),
+    ((0.4, 0.6), Channel.bsc(0.1), Channel.bsc(0.2), Channel.bsc(0.1),
+     "source must be uniform binary"),
+    ((0.5, 0.5), SKEWED, Channel.bsc(0.2), Channel.bsc(0.1),
+     "enrollment channel must be symmetric"),
+    ((0.5, 0.5), Channel.bsc(0.1), SKEWED, Channel.bsc(0.1),
+     "eavesdropper channel must be symmetric"),
+], ids=["test-on-3-symbols", "skewed-source", "skewed-enrollment", "skewed-eavesdropper"])
+def test_entropy_convolution_check_rejects_a_malformed_input(px, ec, ac_z, test, text):
+    model = AuthModel(DiscreteDistribution(np.array(px)), ec, Channel.bec(0.5), ac_z,
+                      classifier_trials=500)
+    with pytest.raises(ValueError, match=text):
+        entropy_convolution_check(model, test)
 
 
 # ---------------------------------------------------------------------------

@@ -639,12 +639,12 @@ REJECTED = [
     ("compare", {**UNORDERED_CFG, "ac_y": [[0.9, 0.1], [0.1, 0.9]],
                  "ec": [[0.6, 0.1, 0.1, 0.1, 0.1], [0.1, 0.1, 0.1, 0.1, 0.6]]}, [], 3,
      "compare is restricted to tiny alphabets (|Xt| <= 4)"),
-    ("figures", GAUSSIAN_Z_FAVOR_CFG, [], 5, "the eavesdropper dominates"),
+    ("figures", GAUSSIAN_Z_FAVOR_CFG, [], 5, "classifier found degraded_Y_wrt_Z"),
     # the unsupported class wins over a size over its cap and a bad seed
     ("region", UNORDERED_CFG, ["--samples", "2000000"], 5,
      "the one-auxiliary region needs a degraded or less-noisy pair in the main channel's "
      "favor; classifier found unordered"),
-    ("figures", {**GAUSSIAN_Z_FAVOR_CFG, "seed": -1}, [], 5, "the eavesdropper dominates"),
+    ("figures", {**GAUSSIAN_Z_FAVOR_CFG, "seed": -1}, [], 5, "classifier found degraded_Y_wrt_Z"),
 ]
 
 
@@ -655,6 +655,29 @@ REJECTED = [
 def test_rejected_config_exits_with_its_code(tmp_path, capsys, command, cfg, extra, code, text):
     assert run_config(tmp_path, command, cfg, *extra) == code
     assert text in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# A key no command reads, one per block: a misspelt optional field exits 3
+# naming it rather than falling back to its default, under any command,
+# including one that does not read the block.
+SIM_OVERRIDES_CFG = {**SIM_CFG, "simulator": {**SIM_CFG["simulator"],
+                                              "rate_overrides": {"r_j": 0.5, "r_s": 0.25}}}
+UNKNOWN = [
+    ("classify", BINARY_CFG, "classifer_trials"),
+    ("classify", BINARY_CFG, "binary.bogus"),
+    ("figures", GAUSSIAN_CFG, "gaussian.alpha_grd"),
+    ("region", DEGRADED_CFG, "sampler.random_sample"),
+    ("simulate", SIM_CFG, "simulator.exact_leakage_limt"),
+    ("classify", SIM_CFG, "simulator.test_channel.bcs"),
+    ("simulate", SIM_OVERRIDES_CFG, "simulator.rate_overrides.r_k"),
+]
+
+
+@pytest.mark.parametrize("command, base, path", UNKNOWN, ids=[c[2] for c in UNKNOWN])
+def test_unknown_field_exits_3_naming_it(tmp_path, capsys, command, base, path):
+    assert run_config(tmp_path, command, with_field(base, path, 1)) == 3
+    assert f"unknown field {path}\n" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -18,7 +18,7 @@ from authcap import (
     UnsupportedClassError,
     zero_key_region_gaussian,
 )
-from authcap.gaussian import WrongDirectionError, closed_form_mis, figure_curves
+from authcap.gaussian import closed_form_mis, figure_curves
 
 PAPER = GaussianModelParams(7 / 8, 4 / 5, 2 / 3)
 
@@ -28,6 +28,10 @@ def test_params_validation():
         GaussianModelParams(1.0, 0.5, 0.3)
     with pytest.raises(ValueError):
         GaussianModelParams(0.5, -0.1, 0.3)
+    with pytest.raises(ValueError, match="alpha_grid must be >= 1"):
+        GaussianModelParams(0.5, 0.5, 0.3, alpha_grid=0)
+    with pytest.raises(ValueError, match=r"alpha_min=0.0 outside \(0, 1\]"):
+        GaussianModelParams(0.5, 0.5, 0.3, alpha_min=0.0)
     GaussianModelParams(0.0, 0.5, 0.0)
 
 
@@ -136,7 +140,7 @@ def test_corner_matches_chain_recombination():
 
 def test_corner_direction_guard():
     bad = GaussianModelParams(7 / 8, 2 / 3, 4 / 5)
-    with pytest.raises(WrongDirectionError):
+    with pytest.raises(UnsupportedClassError):
         parametric_corner(bad, 0.5)
     with pytest.raises(ValueError):
         parametric_corner(PAPER, 0.0)
@@ -165,7 +169,7 @@ def test_zero_key_region_gaussian():
     zero = GaussianModelParams(7 / 8, 0.0, 0.0)
     assert zero_key_region_gaussian(zero).corners[0].rl == 0.0
 
-    with pytest.raises(WrongDirectionError):
+    with pytest.raises(UnsupportedClassError):
         zero_key_region_gaussian(PAPER)
 
 

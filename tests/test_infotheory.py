@@ -22,7 +22,6 @@ from authcap.infotheory import (
     AlphabetMismatchError,
     MalformedJointError,
     LN2,
-    ZERO_EPS,
     _entropy_nats,
 )
 
@@ -232,14 +231,15 @@ def test_joint_marginal_idempotence():
 
 
 def ref_entropy_nats(p):
-    """The masked whole-array branch `_entropy_nats` had, kept verbatim."""
+    """The masked whole-array branch `_entropy_nats` had, kept verbatim but
+    for its mask, which now drops exact zeros only."""
     p = np.asarray(p, dtype=float)
-    q = p[p > ZERO_EPS]
+    q = p[p > 0.0]
     return float(-(q * np.log(q)).sum())
 
 
-# cells: exact zeros, masses below ZERO_EPS, and ordinary masses
-CELLS = st.one_of(st.just(0.0), st.floats(0.0, ZERO_EPS), st.floats(1e-12, 1.0))
+# cells: exact zeros, masses of at most 1e-15, and ordinary masses
+CELLS = st.one_of(st.just(0.0), st.floats(0.0, 1e-15), st.floats(1e-12, 1.0))
 
 
 @settings(deadline=None, max_examples=300)
@@ -269,16 +269,16 @@ def test_entropy_nats_matches_masked_sum(rows, cells):
 
 def ref_negating_entropy_nats(p, axis=None):
     """`_entropy_nats` as it was, negating every term before the sum, kept
-    verbatim."""
+    verbatim but for its mask, which now drops exact zeros only."""
     p = np.asarray(p, dtype=float)
-    h = np.add.reduce(-(p * np.log(np.where(p > ZERO_EPS, p, 1.0))), axis=axis)
+    h = np.add.reduce(-(p * np.log(np.where(p > 0.0, p, 1.0))), axis=axis)
     return float(h) if axis is None else h
 
 
 def test_entropy_nats_matches_per_term_negation_bit_for_bit():
     # sums of 1 to 1,000 cells (numpy's pairwise blocks start at 8 and 128)
     # over every axis choice, C-ordered and transposed; cells are ordinary
-    # masses, exact +0.0 and -0.0, masses below ZERO_EPS and ones, and some
+    # masses, exact +0.0 and -0.0, masses of at most 1e-15 and ones, and some
     # tables are all zeros of both signs, whose entropy must stay +0.0
     rng = np.random.default_rng(60)
     kinds = np.array([0.0, -0.0, 1.0, 1e-16, 1e-300])

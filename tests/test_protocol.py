@@ -603,6 +603,28 @@ def test_exact_leakage_invariants():
     assert got["privacy_leakage_rate_bits"] >= 0.0
 
 
+def ternary_model():
+    return AuthModel(DiscreteDistribution.uniform(3), Channel.identity(3), Channel.identity(3),
+                     Channel.identity(3), classifier_trials=500)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ProtocolTables(hsm_model(), Channel.identity(3)),
+     "test channel expects 3 inputs, enrollment alphabet has 2"),
+    (lambda: generate_codebook(ternary_model(), SimConfig(n=2, test_channel=Channel.identity(3))),
+     "requires binary source, enrollment, and eavesdropper alphabets"),
+    (lambda: SimConfig(n=0, test_channel=Channel.bsc(0.1)), "blocklength n must be >= 1"),
+    (lambda: SimConfig(n=4, test_channel=Channel.bsc(0.1), trials=0), "trials must be >= 1"),
+    # the blocklength is checked once, by _check_exact, before any trial
+    (lambda: run_simulation(hsm_model(), SimConfig(n=11, test_channel=Channel.bsc(0.1),
+                                                   trials=1, exact_leakage_limit=10)),
+     "n=11 exceeds exact enumeration limit 10; pass monte_carlo_only=True"),
+], ids=["tables-test-on-3-symbols", "ternary-model", "n-0", "trials-0", "n-over-limit"])
+def test_simulator_rejects_a_malformed_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_exact_leakage_limit():
     m = hsm_model()
     cfg = SimConfig(n=11, test_channel=Channel.bsc(0.1), gamma=0.1, seed=12,

@@ -30,7 +30,6 @@ from authcap import (
 )
 from authcap.infotheory import (
     LN2,
-    ZERO_EPS,
     InvalidDistributionError,
     MalformedJointError,
     _blocks,
@@ -744,6 +743,27 @@ def test_two_aux_search_zero_pairs():
     assert two_aux_random_search(degraded_model(), 0) == []
 
 
+# Channels on a 3-symbol alphabet against the binary source and enrollment
+# alphabets of hsm_model; a test channel is checked where the chain is closed.
+@pytest.mark.parametrize("call, match", [
+    (lambda m: eval_one_aux(m, Channel.identity(3)),
+     "test channel expects 3 inputs, enrollment alphabet has 2"),
+    (lambda m: eval_two_aux(m, Channel.identity(3), Channel.constant(3)),
+     "test channel expects 3 inputs, enrollment alphabet has 2"),
+    (lambda m: eval_two_aux(m, Channel.bsc(0.1), Channel.constant(3)),
+     "test_v input alphabet must equal test_u output alphabet"),
+    (lambda m: AuthModel(m.px, Channel.identity(3), m.ac_y, m.ac_z),
+     "ec expects 3 inputs, source has 2"),
+    (lambda m: AuthModel(m.px, m.ec, Channel.identity(3), m.ac_z),
+     "ac_y expects 3 inputs, source has 2"),
+    (lambda m: AuthModel(m.px, m.ec, m.ac_y, Channel.identity(3)),
+     "ac_z expects 3 inputs, source has 2"),
+], ids=["one-aux-test", "two-aux-test-u", "two-aux-test-v", "ec", "ac_y", "ac_z"])
+def test_a_channel_on_the_wrong_alphabet_is_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(hsm_model())
+
+
 def test_auth_model_verdict_is_computed_not_passed():
     args = (DiscreteDistribution.uniform(2), Channel.bsc(0.1), Channel.bsc(0.1),
             Channel.bsc(0.26))
@@ -758,14 +778,15 @@ def test_auth_model_verdict_is_computed_not_passed():
 # The rate kernel, its entropy sum and compare_regions as they were before
 # V's unused joints were dropped, the entropy sum was negated once and a's
 # dominated corners were skipped, kept verbatim (renamed, reading the same
-# private model laws, and with I(X;Z) recomputed through the old entropy
+# private model laws, with the entropy's mask dropping exact zeros only,
+# as the library's does, and with I(X;Z) recomputed through the old entropy
 # rather than read from the model), so that the faster code is pinned to the
 # same bits.
 # ---------------------------------------------------------------------------
 
 def ref_entropy_nats(p, axis=None):
     p = np.asarray(p, dtype=float)
-    h = np.add.reduce(-(p * np.log(np.where(p > ZERO_EPS, p, 1.0))), axis=axis)
+    h = np.add.reduce(-(p * np.log(np.where(p > 0.0, p, 1.0))), axis=axis)
     return float(h) if axis is None else h
 
 
