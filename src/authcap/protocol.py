@@ -4,11 +4,19 @@ leakage accounting.
 
 Blocklengths stay tiny (exact leakage enumerates all binary sequences), so
 measured leakages are finite-n values, not the vanishing asymptotic ones.
-Typicality thresholds are information-density sums in bits per block:
+Typicality tests are sums of the information densities
+i(u;b) = log2 P(u,b)/(P(u)P(b)) of U's joints along U - Xt - X - (Y, Z),
+against thresholds in bits per block:
 
-  encoder set: sum_t log2 P(u_t|xt_t)/P(u_t) <= n (I(Xt;U) + gamma),
+  encoder set: sum_t i(u_t;xt_t) <= n (I(Xt;U) + gamma),
                restricted to codewords of positive posterior probability
-  decoder set: sum_t log2 P(y_t|u_t)/P(y_t)  >= n (I(Y;U) - gamma)
+  decoder set: sum_t i(u_t;y_t)  >= n (I(Y;U) - gamma)
+  B_n:         sum_t i(u_t;x_t) - i(u_t;z_t)  >= n (I(X;U|Z) - gamma)
+  K_n:         sum_t i(u_t;xt_t) - i(u_t;x_t) >= n (I(Xt;U|X) - gamma)
+
+B_n and K_n are diagnostic sets: by the Markov chain their densities equal
+log2 P(x|u,z)/P(x|z) and log2 P(xt|u,x)/P(xt|x), and their thresholds
+I(X;U|Z) = I(U;X) - I(U;Z) and I(Xt;U|X) = I(U;Xt) - I(U;X).
 
 Key extraction hashes the chosen codeword index with an affine map over
 GF(2^64) truncated to log2(M_S) bits, a 2-universal family.
@@ -87,63 +95,40 @@ def wilson_interval(successes: int, trials: int):
     return (min(phat, max(0.0, center - half)), max(phat, min(1.0, center + half)))
 
 
-def _conditional(joint: np.ndarray, marg: np.ndarray) -> np.ndarray:
-    """joint / marg with cells of zero marginal set to 0."""
+def _density(joint: np.ndarray) -> np.ndarray:
+    """Information density log2 P(a,b) / (P(a) P(b)) of a joint [a, b]: -inf
+    where the joint is 0, and 0 where a marginal is 0 (unreachable)."""
+    marg = joint.sum(axis=1)[:, None] * joint.sum(axis=0)[None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(marg > 0, joint / marg, 0.0)
-
-
-def _log_ratio(cond: np.ndarray, marg: np.ndarray) -> np.ndarray:
-    """log2 cond - log2 marg with zero-marginal cells zeroed (unreachable)."""
-    marg = np.broadcast_to(marg, cond.shape)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.log2(cond) - np.log2(marg)
-    return np.where(marg <= 0.0, 0.0, out)
+        return np.where(marg > 0.0, np.log2(joint / marg), 0.0)
 
 
 class ProtocolTables:
-    """Per-symbol laws and information-density tables derived from a model
-    and a test channel; everything downstream reads these."""
+    """Per-symbol laws, and the information densities of U's four joints
+    along the chain, derived from a model and a test channel; everything
+    downstream reads these."""
 
     def __init__(self, model: AuthModel, test: Channel):
-        px = model.px.probs
-        ec = model.ec.matrix
-        acy = model.ac_y.matrix
         acz = model.ac_z.matrix
-        t = test.matrix
-
         self.nu = test.num_outputs
-        laws = _chain_laws(model, t[None])
-        p_xa, p_xu, p_yu = laws.p_xa, laws.p_xu[0], laws.p_yu[0]
-        self.p_u = laws.p_au.sum(axis=1)[0]
+        laws = _chain_laws(model, test.matrix[None])
+        p_au, p_yu, p_zu, p_xu = (j[0] for j in laws)
+        self.p_u = p_au.sum(axis=0)
+        self.p_z = model.px.probs @ acz
+        self.p_xtz = model._p_xa.T @ acz      # joint (Xt, Z)
 
-        self.ch_y_u = _conditional(p_yu.T, self.p_u[:, None])     # P(y|u)
-        self.p_y = px @ acy
-        self.p_z = px @ acz
-        self.p_xtz = p_xa.T @ acz                  # joint (Xt, Z)
+        self.tn_table = _density(p_au)        # [xt, u]
+        self.an_table = _density(p_yu).T      # [u, y]
+        self.x_table = _density(p_xu).T       # [u, x]
+        self.z_table = _density(p_zu).T       # [u, z]
 
-        self.tn_table = _log_ratio(t, self.p_u[None, :])          # [xt, u]
-        self.an_table = _log_ratio(self.ch_y_u, self.p_y[None, :])  # [u, y]
-
-        i_xt_u, i_y_u, i_z_u, i_x_u = (float(v[0]) for v in _infos_nats(
-            laws.p_au, laws.p_yu, laws.p_zu, laws.p_xu))
+        i_xt_u, i_y_u, i_z_u, i_x_u = (float(v[0]) for v in _infos_nats(*laws))
         self.i_xt_u, self.i_y_u, self.i_z_u, self.i_xz = (
             v / LN2 for v in (i_xt_u, i_y_u, i_z_u, model.i_xz_nats()))
         # Along U - Xt - X - Z, I(U;Z|X) = 0 and I(U;X|Xt) = 0, so the chain
         # rule gives I(X;U|Z) = I(U;X) - I(U;Z) and I(Xt;U|X) = I(U;Xt) - I(U;X).
         self.i_x_u_given_z = _clamp_mi(i_x_u - i_z_u) / LN2
         self.i_xt_u_given_x = _clamp_mi(i_xt_u - i_x_u) / LN2
-
-        # Diagnostic sets: source-vs-auxiliary densities given the
-        # eavesdropper's symbol, and enrollment-noise densities.
-        p_uxz = p_xu.T[:, :, None] * acz[None, :, :]     # (U, X, Z)
-        cond_x_uz = _conditional(p_uxz, p_uxz.sum(axis=1)[:, None, :])
-        cond_x_z = _conditional(px[:, None] * acz, self.p_z[None, :])
-        self.bn_table = _log_ratio(cond_x_uz, cond_x_z[None, :, :])
-
-        p_uax = t.T[:, :, None] * p_xa.T[None, :, :]     # (U, Xt, X)
-        cond_a_ux = _conditional(p_uax, p_uax.sum(axis=1)[:, None, :])
-        self.kn_table = _log_ratio(cond_a_ux, ec.T[None, :, :])
 
 
 @dataclass
@@ -548,8 +533,12 @@ def run_simulation(model: AuthModel, config: SimConfig,
     s = np.where(enrolled, codebook.key_of[idx], 0)
     s_hat = np.where(decoded >= 0, codebook.key_of[decoded], 0)
     cws = codebook.codewords[idx[enrolled]]
-    bn = t.bn_table[cws, xs[enrolled], zs[enrolled]].sum(axis=1) >= thr_b
-    kn = t.kn_table[cws, xts[enrolled], xs[enrolled]].sum(axis=1) >= thr_k
+    # Every gathered density is finite: an enrolled codeword has positive
+    # posterior given xt, xt and z are drawn from x, so P(u,xt), P(u,x) and
+    # P(u,z) are positive on each symbol.
+    x_dens = t.x_table[cws, xs[enrolled]]
+    bn = (x_dens - t.z_table[cws, zs[enrolled]]).sum(axis=1) >= thr_b
+    kn = (t.tn_table[xts[enrolled], cws] - x_dens).sum(axis=1) >= thr_k
     errors = int(np.count_nonzero(s_hat != s))
     trace = (np.column_stack((np.arange(trials), j, s, s_hat, ~enrolled, decoded < 0,
                               hits > 1, s_hat != s)).tolist() if config.collect_trace else None)

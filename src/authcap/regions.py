@@ -126,15 +126,14 @@ def _require_y_favor(verdict: ChannelOrderVerdict, what: str):
 
 
 class _ChainLaws(NamedTuple):
-    """Pairwise laws of the chain U - Xt - X - (Y, Z) for a stack of test
-    channels; the laws after p_xt have a leading stack axis."""
+    """The four joints of U with the other variables of the chain
+    U - Xt - X - (Y, Z) for a stack of test channels, each with a leading
+    stack axis, in the order `_infos_nats(*laws)` scores them."""
 
-    p_xa: np.ndarray   # joint (X, Xt)
-    p_xt: np.ndarray   # marginal of Xt
     p_au: np.ndarray   # joints (Xt, U)
-    p_xu: np.ndarray   # joints (X, U)
     p_yu: np.ndarray   # joints (Y, U)
     p_zu: np.ndarray   # joints (Z, U)
+    p_xu: np.ndarray   # joints (X, U)
 
 
 def _chain_laws(model: AuthModel, tests: np.ndarray) -> _ChainLaws:
@@ -143,11 +142,9 @@ def _chain_laws(model: AuthModel, tests: np.ndarray) -> _ChainLaws:
     if tests.shape[-2] != model.n_xt:
         raise ValueError(f"test channel expects {tests.shape[-2]} inputs, "
                          f"enrollment alphabet has {model.n_xt}")
-    p_xa, p_xt = model._p_xa, model._p_xt
-    p_au = p_xt[:, None] * tests
-    p_xu = p_xa @ tests
-    return _ChainLaws(p_xa, p_xt, p_au, p_xu,
-                      model.ac_y.matrix.T @ p_xu, model.ac_z.matrix.T @ p_xu)
+    p_xu = model._p_xa @ tests
+    return _ChainLaws(model._p_xt[:, None] * tests, model.ac_y.matrix.T @ p_xu,
+                      model.ac_z.matrix.T @ p_xu, p_xu)
 
 
 @dataclass
@@ -252,13 +249,12 @@ def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
     lowered and rl raised by d = I(V;Y) - I(V;Z), V being reached from Xt
     through tu @ tv; of V's joints only those with Y and Z are formed.
     """
-    laws = _chain_laws(model, tu)
-    i_u_xt, i_u_y, i_u_z, i_u_x = _infos_nats(laws.p_au, laws.p_yu, laws.p_zu, laws.p_xu)
+    i_u_xt, i_u_y, i_u_z, i_u_x = _infos_nats(*_chain_laws(model, tu))
     rs_raw = i_u_y - i_u_z
     rj = _clamp_mi(i_u_xt - i_u_y)
     rl = i_u_x - i_u_y + model.i_xz_nats()
     if tv is not None:
-        p_xv = laws.p_xa @ (tu @ tv)
+        p_xv = model._p_xa @ (tu @ tv)
         i_v_y, i_v_z = _infos_nats(model.ac_y.matrix.T @ p_xv, model.ac_z.matrix.T @ p_xv)
         d = i_v_y - i_v_z
         rs_raw, rl = rs_raw - d, rl + d

@@ -171,6 +171,24 @@ def test_region_unsupported_class(tmp_path):
     assert run_cli("region", "--config", cfg, "--out", str(tmp_path / "u")) == 5
 
 
+def test_region_more_capable_pair_binary_warns_discrete_exits_5(tmp_path):
+    # BEC(0.95) / BSC(0.05) is more capable in Z's favour only: the binary
+    # closed form is written with a classifier warning, while the discrete
+    # form of the same channels has no region formula
+    binary = {"binary": {"p": 0.1, "q": 0.95, "eps": 0.05}, "classifier_trials": 2000}
+    out = tmp_path / "b"
+    assert run_cli("region", "--config", write_config(tmp_path, binary, "b.json"),
+                   "--out", str(out)) == 0
+    meta = json.loads((out / "region.json").read_text())["metadata"]
+    assert meta["verdict"]["relation"] == "more_capable_Z"
+    assert "more_capable_Z" in meta["classifier_warning"]
+    discrete = {"px": [0.5, 0.5], "ec": [[0.9, 0.1], [0.1, 0.9]],
+                "ac_y": [[0.05, 0.0, 0.95], [0.0, 0.05, 0.95]],
+                "ac_z": [[0.95, 0.05], [0.05, 0.95]], "classifier_trials": 2000}
+    assert run_cli("region", "--config", write_config(tmp_path, discrete, "d.json"),
+                   "--out", str(tmp_path / "d")) == 5
+
+
 Z_FAVOR_CFG = {"px": [0.5, 0.5],
                "ec": [[0.9, 0.1], [0.1, 0.9]],
                "ac_y": [[0.74, 0.26], [0.26, 0.74]],

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from authcap import (
     AuthModel,
@@ -22,8 +23,10 @@ from authcap import (
 )
 from authcap.infotheory import LN2, _entropy_nats, _mi2_nats
 from authcap.protocol import (_MAX_CELLS, ProtocolTables, SimReport, _all_sequences, _blocks,
-                              _check_exact, _encoder_hits, _encoder_kernel, _gf64_mul,
-                              _hash_indices, _product_law, _sample_through, hash_index)
+                              _check_exact, _encoder_hits, _encoder_kernel, _enroll_block,
+                              _gf64_mul, _hash_indices, _product_law, _sample_through,
+                              hash_index)
+from authcap.regions import _chain_laws, _infos_nats, build_joint
 
 
 def hb(x):
@@ -173,7 +176,6 @@ def test_tables_match_one_aux_inputs():
     # against the corner's rate differences
     from authcap import (DiscreteDistribution, conditional_mutual_information, eval_one_aux,
                          mutual_information)
-    from authcap.regions import build_joint
 
     rng = np.random.default_rng(29)
     ternary = AuthModel(DiscreteDistribution(rng.dirichlet(np.ones(2))),
@@ -199,17 +201,82 @@ def test_tables_match_one_aux_inputs():
         assert t.i_xt_u_given_x == pytest.approx(
             conditional_mutual_information(j, [1], [0], [2]), abs=1e-12)
 
-        # P(y|u), and the B_n and K_n densities log2 P(x|u,z)/P(x|z) and
-        # log2 P(xt|u,x)/P(xt|x), where the joint makes them finite
-        np.testing.assert_allclose(t.ch_y_u, _conditional_oracle(j.marginal([0, 3]), 1),
-                                   rtol=0, atol=1e-12)
-        for table, (u_a_c, a_c) in ((t.bn_table, ([0, 2, 4], [2, 4])),
-                                    (t.kn_table, ([0, 1, 2], [1, 2]))):
+        # the four density tables log2 P(b|u)/P(b), and the B_n and K_n
+        # densities log2 P(x|u,z)/P(x|z) and log2 P(xt|u,x)/P(xt|x) as their
+        # differences, where the joint makes them finite
+        for table, b in ((t.tn_table.T, 1), (t.x_table, 2), (t.an_table, 3), (t.z_table, 4)):
+            want = _log2_ratio_oracle(_conditional_oracle(j.marginal([0, b]), 1),
+                                      j.marginal([b])[None])
+            finite = np.isfinite(want)
+            np.testing.assert_allclose(table[finite], want[finite], rtol=0, atol=1e-12)
+            assert np.all(table[want == -np.inf] == -np.inf)
+        bn = t.x_table[:, :, None] - t.z_table[:, None, :]          # [u, x, z]
+        kn = t.tn_table.T[:, :, None] - t.x_table[:, None, :]       # [u, xt, x]
+        for table, (u_a_c, a_c) in ((bn, ([0, 2, 4], [2, 4])), (kn, ([0, 1, 2], [1, 2]))):
             want = _log2_ratio_oracle(_conditional_oracle(j.marginal(u_a_c), 1),
                                       _conditional_oracle(j.marginal(a_c), 0)[None])
             finite = np.isfinite(want)
             np.testing.assert_allclose(table[finite], want[finite], rtol=0, atol=1e-12)
             assert np.all(table[want == -np.inf] == -np.inf)
+
+
+def _weights_channel(inputs, outputs):
+    """`inputs` rows of small integer weights (zeros are common), normalised;
+    an all-zero row becomes uniform."""
+    row = st.lists(st.integers(0, 4), min_size=outputs, max_size=outputs)
+    return st.lists(row, min_size=inputs, max_size=inputs).map(
+        lambda rows: Channel(np.array([[x / sum(r) if sum(r) else 1 / len(r) for x in r]
+                                       for r in rows])))
+
+
+BINARY_MODELS = st.tuples(_weights_channel(1, 2), _weights_channel(2, 2),
+                          st.integers(2, 3).flatmap(lambda ny: _weights_channel(2, ny)),
+                          _weights_channel(2, 2),
+                          st.integers(1, 3).flatmap(lambda nu: _weights_channel(2, nu)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=BINARY_MODELS, seed=st.integers(0, 2 ** 16))
+def test_density_tables_follow_the_markov_identities(case, seed):
+    # B_n's and K_n's densities are differences of the 2-D density tables,
+    # each table averages to its joint's information, and the densities
+    # run_simulation gathers are finite on every enrolled trial
+    px, ec, acy, acz, test = case
+    m = AuthModel(DiscreteDistribution(px.matrix[0]), ec, acy, acz, classifier_trials=50)
+    t = ProtocolTables(m, test)
+    j = build_joint(m, test)          # axes (U, Xt, X, Y, Z)
+    with np.errstate(invalid="ignore"):   # -inf - -inf off the reachable cells
+        bn = t.x_table[:, :, None] - t.z_table[:, None, :]          # [u, x, z]
+        kn = t.tn_table.T[:, :, None] - t.x_table[:, None, :]       # [u, xt, x]
+    for table, (u_a_c, a_c) in ((bn, ([0, 2, 4], [2, 4])), (kn, ([0, 1, 2], [1, 2]))):
+        reachable = j.marginal(u_a_c) > 0
+        want = _log2_ratio_oracle(_conditional_oracle(j.marginal(u_a_c), 1),
+                                  _conditional_oracle(j.marginal(a_c), 0)[None])
+        np.testing.assert_allclose(table[reachable], want[reachable], rtol=0, atol=1e-12)
+
+    laws = [law[0] for law in _chain_laws(m, test.matrix[None])]
+    infos = _infos_nats(*(law[None] for law in laws))
+    for law, table, info in zip(laws, (t.tn_table, t.an_table.T, t.z_table.T, t.x_table.T),
+                                infos):
+        cells = law > 0
+        assert abs(np.sum(law[cells] * table[cells]) - info[0] / LN2) <= 1e-12
+        # -inf on the joint's zeros, 0 where a marginal is zero
+        margins = np.outer(law.sum(axis=1), law.sum(axis=0)) > 0
+        np.testing.assert_array_equal(table == -np.inf, ~cells & margins)
+        assert np.all(table[~margins] == 0.0)
+
+    cfg = SimConfig(n=4, test_channel=test, gamma=0.05, seed=seed, trials=200)
+    book = generate_codebook(m, cfg)
+    rng = np.random.default_rng(seed)
+    xs = _sample_through(rng, m.px.probs[None, :], np.zeros((cfg.trials, cfg.n), dtype=np.int64))
+    xts = _sample_through(rng, m.ec.matrix, xs)
+    zs = _sample_through(rng, m.ac_z.matrix, xs)
+    idx = _enroll_block(book, xts, rng)
+    enrolled = idx >= 0
+    cws = book.codewords[idx[enrolled]]
+    x_dens = t.x_table[cws, xs[enrolled]]
+    assert np.all(np.isfinite((x_dens - t.z_table[cws, zs[enrolled]]).sum(axis=1)))
+    assert np.all(np.isfinite((t.tn_table[xts[enrolled], cws] - x_dens).sum(axis=1)))
 
 
 def test_codebook_size_formula():
@@ -443,6 +510,8 @@ def test_membership_density_forms_agree():
                     trials=1)
     book = generate_codebook(m, cfg)
     t = book.tables
+    p_uy = build_joint(m, cfg.test_channel).marginal([0, 3])
+    ch_y_u, p_y = p_uy / p_uy.sum(axis=1, keepdims=True), p_uy.sum(axis=0)
     rng = np.random.default_rng(7)
     for _ in range(50):
         xt = rng.integers(0, 2, size=6)
@@ -453,8 +522,8 @@ def test_membership_density_forms_agree():
             p_marg = math.prod(t.p_u[cw[i]] for i in range(6))
             if p_cond > 0:
                 assert abs(sum_form - math.log2(p_cond / p_marg) / 6) <= 1e-12
-            py_cond = math.prod(t.ch_y_u[cw[i], y[i]] for i in range(6))
-            py_marg = math.prod(t.p_y[y[i]] for i in range(6))
+            py_cond = math.prod(ch_y_u[cw[i], y[i]] for i in range(6))
+            py_marg = math.prod(p_y[y[i]] for i in range(6))
             if py_cond > 0 and py_marg > 0:
                 sum_a = t.an_table[cw, y].sum() / 6
                 assert abs(sum_a - math.log2(py_cond / py_marg) / 6) <= 1e-12
@@ -754,6 +823,12 @@ def ref_run_simulation(model, config):
 
     thr_b = n * (t.i_x_u_given_z - config.gamma)
     thr_k = n * (t.i_xt_u_given_x - config.gamma)
+    # B_n and K_n densities log2 P(x|u,z)/P(x|z) [u, x, z] and
+    # log2 P(xt|u,x)/P(xt|x) [u, xt, x], from the five-axis joint
+    j5 = build_joint(model, config.test_channel)
+    bn_table, kn_table = (_log2_ratio_oracle(_conditional_oracle(j5.marginal(u_a_c), 1),
+                                             _conditional_oracle(j5.marginal(a_c), 0)[None])
+                          for u_a_c, a_c in (([0, 2, 4], [2, 4]), ([0, 1, 2], [1, 2])))
 
     errors = enc_fail = dec_fail = ambig = cw_err = bn_hits = kn_hits = 0
     trace = [] if config.collect_trace else None
@@ -765,9 +840,9 @@ def ref_run_simulation(model, config):
         else:
             j, s = int(codebook.bin_of[idx]), int(codebook.key_of[idx])
             cw = codebook.codewords[idx]
-            if t.bn_table[cw, xs[i], zs[i]].sum() >= thr_b:
+            if bn_table[cw, xs[i], zs[i]].sum() >= thr_b:
                 bn_hits += 1
-            if t.kn_table[cw, xts[i], xs[i]].sum() >= thr_k:
+            if kn_table[cw, xts[i], xs[i]].sum() >= thr_k:
                 kn_hits += 1
         s_hat, failed, hits, decoded = ref_decode(codebook, ys[i], j)
         if failed:

@@ -21,7 +21,7 @@ untimed call.  Prints one JSON object:
   less_noisy_pairs_us     for |Y| + |Z| = 2 ... 16, the same statistic for
                           is_less_noisy(better, worse) on the degraded pairs
   certificate_us          the same for `_binary_certificate` on the
-                          independent pairs, where the checkout has it
+                          independent pairs
   certificate_bec_bsc_us  median of REPS `_binary_certificate` calls on
                           (BEC(0.5), BSC(0.2)) and on the reverse pair
   search_100k_s           median of ceil(REPS / 10) calls
@@ -52,8 +52,9 @@ import numpy as np
 sys.path.insert(0, str(Path.cwd() / "src"))
 
 from authcap import (AuthModel, Channel, RegionBoundary, SamplerConfig,  # noqa: E402
-                     classifier, compare_regions, is_less_noisy,
-                     is_stochastically_degraded, sweep_region, two_aux_random_search)
+                     compare_regions, is_less_noisy, is_stochastically_degraded,
+                     sweep_region, two_aux_random_search)
+from authcap.classifier import _binary_certificate  # noqa: E402
 
 PAIRS_PER_SIZE = 20
 
@@ -115,12 +116,10 @@ def main(argv) -> int:
     result["degraded_pairs_us"] = per_size_us(degradedness, range(2, 11), True)
     result["independent_pairs_us"] = per_size_us(degradedness, range(2, 11), False)
     result["less_noisy_pairs_us"] = per_size_us(is_less_noisy, range(2, 17), True)
-    certificate = getattr(classifier, "_binary_certificate", None)
-    if certificate is not None:
-        bec, bsc = Channel.bec(0.5), Channel.bsc(0.2)
-        result["certificate_us"] = per_size_us(certificate, range(2, 17), False)
-        result["certificate_bec_bsc_us"] = [median_us(lambda: certificate(*pair))
-                                            for pair in ((bec, bsc), (bsc, bec))]
+    bec, bsc = Channel.bec(0.5), Channel.bsc(0.2)
+    result["certificate_us"] = per_size_us(_binary_certificate, range(2, 17), False)
+    result["certificate_bec_bsc_us"] = [median_us(lambda: _binary_certificate(*pair))
+                                        for pair in ((bec, bsc), (bsc, bec))]
 
     criterion_4 = AuthModel.binary_symmetric(0.1, 0.1, 0.26)
     result["search_100k_s"] = statistics.median(seconds(
