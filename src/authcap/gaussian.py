@@ -217,12 +217,13 @@ def figure_curves(params: GaussianModelParams) -> dict:
     return out
 
 
-def covariance_mc_diagnostic(params: GaussianModelParams, alpha: float,
-                             n_samples: int = 1_000_000, seed: int = 0) -> float:
-    """Max-abs gap between the analytic covariance and an empirical one
-    sampled from the generative equations; a sanity diagnostic only."""
+def covariance_mc_diagnostic(params: GaussianModelParams, alpha: float) -> float:
+    """Max-abs gap between the analytic covariance and an empirical one from
+    10^6 samples (seed 0) of the generative equations; a sanity diagnostic
+    only."""
     _check_alpha(alpha)
-    rng = np.random.default_rng(seed)
+    n_samples = 1_000_000
+    rng = np.random.default_rng(0)
     r1 = math.sqrt(params.rho1_sq)
     r2 = math.sqrt(params.rho2_sq)
     r3 = math.sqrt(params.rho3_sq)

@@ -2,8 +2,8 @@
 
 This module owns every entropy and mutual-information kernel of the
 package; regions, binary, protocol and classifier call these, not copies.
-Everything is computed in nats internally; unit conversion happens at the
-API boundary.  Only exact zeros are dropped before a logarithm is taken
+Everything is computed in nats internally; the public measures return
+bits.  Only exact zeros are dropped before a logarithm is taken
 (0 log 0 = 0 by continuity); every positive mass, however small, keeps its
 term.
 """
@@ -45,9 +45,6 @@ class InfoUnit(enum.Enum):
 
     def from_nats(self, value: float) -> float:
         return value / LN2 if self is InfoUnit.BITS else value
-
-    def to_nats(self, value: float) -> float:
-        return value * LN2 if self is InfoUnit.BITS else value
 
     @staticmethod
     def parse(name: str) -> "InfoUnit":
@@ -199,16 +196,12 @@ class Channel:
         return Channel(np.eye(n))
 
     @staticmethod
-    def constant(num_inputs: int, num_outputs: int = 1, index: int = 0) -> "Channel":
-        """Channel whose output is the fixed symbol `index` regardless of input.
-        Raises InvalidDistributionError for an empty matrix and ValueError
-        for `index` outside [0, num_outputs)."""
-        if num_inputs < 1 or num_outputs < 1:
+    def constant(num_inputs: int) -> "Channel":
+        """Channel with one output symbol: the all-ones column.  Raises
+        InvalidDistributionError for an empty matrix."""
+        if num_inputs < 1:
             raise InvalidDistributionError("channel matrix must be 2-D and nonempty")
-        if not 0 <= index < num_outputs:
-            raise ValueError(f"output index {index} outside [0, {num_outputs})")
-        m = np.zeros((num_inputs, num_outputs))
-        m[:, index] = 1.0
+        m = np.ones((num_inputs, 1))
         m.setflags(write=False)
         return Channel._of_checked(m)
 
@@ -253,9 +246,9 @@ class JointDistribution:
             raise ValueError(f"repeated axis in {tuple(axes)}")
 
 
-def entropy(d: DiscreteDistribution, unit: InfoUnit = InfoUnit.BITS) -> float:
-    """H(d) = -sum p log p, with 0 log 0 = 0."""
-    return unit.from_nats(_entropy_nats(d.probs))
+def entropy(d: DiscreteDistribution) -> float:
+    """H(d) = -sum p log2 p in bits, with 0 log 0 = 0."""
+    return _entropy_nats(d.probs) / LN2
 
 
 def _clamp_mi(value_nats):
@@ -286,20 +279,18 @@ def _mi2_nats(j: np.ndarray):
     return _clamp_mi(s_cells - (s_rows + s_cols))
 
 
-def mutual_information(j: JointDistribution, axes_a, axes_b,
-                       unit: InfoUnit = InfoUnit.BITS) -> float:
-    """I(A;B) = H(A) + H(B) - H(A,B) over disjoint axis sets of the joint."""
+def mutual_information(j: JointDistribution, axes_a, axes_b) -> float:
+    """I(A;B) = H(A) + H(B) - H(A,B) in bits over disjoint axis sets of the joint."""
     axes_a, axes_b = tuple(axes_a), tuple(axes_b)
     j._check_axes(axes_a + axes_b)
     if set(axes_a) & set(axes_b):
         raise ValueError(f"axis sets {axes_a} and {axes_b} overlap")
     h_a, h_b, h_ab = (_entropy_nats(j.marginal(k)) for k in (axes_a, axes_b, axes_a + axes_b))
-    return unit.from_nats(_clamp_mi(h_a + h_b - h_ab))
+    return _clamp_mi(h_a + h_b - h_ab) / LN2
 
 
-def conditional_mutual_information(j: JointDistribution, axes_a, axes_b, axes_c,
-                                   unit: InfoUnit = InfoUnit.BITS) -> float:
-    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C)."""
+def conditional_mutual_information(j: JointDistribution, axes_a, axes_b, axes_c) -> float:
+    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) in bits."""
     axes_a, axes_b, axes_c = tuple(axes_a), tuple(axes_b), tuple(axes_c)
     j._check_axes(axes_a + axes_b + axes_c)
     sa, sb, sc = set(axes_a), set(axes_b), set(axes_c)
@@ -307,7 +298,7 @@ def conditional_mutual_information(j: JointDistribution, axes_a, axes_b, axes_c,
         raise ValueError("axis sets must be pairwise disjoint")
     h_ac, h_bc, h_abc, h_c = (_entropy_nats(j.marginal(k)) for k in (
         axes_a + axes_c, axes_b + axes_c, axes_a + axes_b + axes_c, axes_c))
-    return unit.from_nats(_clamp_mi(h_ac + h_bc - h_abc - h_c))
+    return _clamp_mi(h_ac + h_bc - h_abc - h_c) / LN2
 
 
 def compose_channels(first: Channel, second: Channel) -> Channel:
@@ -319,8 +310,8 @@ def compose_channels(first: Channel, second: Channel) -> Channel:
     return Channel(first.matrix @ second.matrix)
 
 
-def binary_entropy(x: float, unit: InfoUnit = InfoUnit.BITS) -> float:
-    """H_b(x) = -x log x - (1-x) log(1-x)."""
+def binary_entropy(x: float) -> float:
+    """H_b(x) = -x log2 x - (1-x) log2(1-x) in bits."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"binary entropy argument {x} outside [0, 1]")
     v = 0.0
@@ -328,7 +319,7 @@ def binary_entropy(x: float, unit: InfoUnit = InfoUnit.BITS) -> float:
         v -= x * math.log(x)
     if 1.0 - x > 0.0:
         v -= (1.0 - x) * math.log(1.0 - x)
-    return unit.from_nats(v)
+    return v / LN2
 
 
 def binary_entropy_inverse(h: float) -> float:

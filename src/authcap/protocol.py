@@ -230,7 +230,7 @@ def _power_of_two(what: str, exponent: float, cap: int) -> int:
     before the power is formed."""
     e = max(0, round(exponent)) if math.isfinite(exponent) else math.inf
     if e > math.log2(cap):
-        raise SimLimitError(f"{what} 2^{exponent:.2f} exceeds max_codebook_size {cap}")
+        raise SimLimitError(f"{what} 2^{exponent:g} exceeds max_codebook_size {cap}")
     return 1 << e
 
 
@@ -244,7 +244,7 @@ def generate_codebook(model: AuthModel, config: SimConfig) -> Codebook:
     exponent = config.n * (t.i_xt_u + 2.0 * config.gamma)
     cap = min(config.max_codebook_size, _MAX_CELLS // config.n)
     if exponent > math.log2(cap):
-        raise SimLimitError(f"codebook size 2^{exponent:.2f} exceeds cap {cap}")
+        raise SimLimitError(f"codebook size 2^{exponent:g} exceeds cap {cap}")
     size = max(1, math.ceil(2.0 ** exponent))
 
     r_j = t.i_xt_u - t.i_y_u + 4.0 * config.gamma

@@ -37,6 +37,7 @@ from .infotheory import (
 )
 
 DOMINANCE_TOL = 1e-9
+_MAX_U, _MAX_V = 4, 3      # auxiliary caps of the two-auxiliary search
 _COMPARE_CELLS = 1 << 16   # cells per compare_regions buffer: 512 KB of float64
 
 Y_FAVOR = (Relation.DEGRADED_Z_WRT_Y, Relation.LESS_NOISY_Y_OVER_Z)
@@ -320,21 +321,21 @@ def eval_one_aux(model: AuthModel, test: Channel) -> RateCorner:
 
 
 def eval_two_aux(model: AuthModel, test_u: Channel, test_v: Channel,
-                 max_u: int = 4, max_v: int = 3) -> RateCorner:
+                 max_u: int = _MAX_U) -> RateCorner:
     """Rate corner in bits for the two-auxiliary chain V - U - Xt - X - (Y, Z).
 
     rs = I(U;Y|V) - I(U;Z|V), rj = I(U;Xt) - I(U;Y) and
     rl = I(X;U,Y) - I(X;Y|V) + I(X;Z|V): the corner of eval_one_aux(test_u)
     with rs lowered and rl raised by I(V;Y) - I(V;Z).  Alphabets beyond
-    `max_u`/`max_v` raise CardinalityError.  With a constant V this
-    collapses to eval_one_aux within rounding.
+    |U| = `max_u` or |V| = _MAX_V raise CardinalityError.  With a constant
+    V this collapses to eval_one_aux within rounding.
     """
     if test_v.num_inputs != test_u.num_outputs:
         raise ValueError("test_v input alphabet must equal test_u output alphabet")
-    if test_u.num_outputs > max_u or test_v.num_outputs > max_v:
+    if test_u.num_outputs > max_u or test_v.num_outputs > _MAX_V:
         raise CardinalityError(
             f"auxiliary caps exceeded: |U|={test_u.num_outputs} (max {max_u}), "
-            f"|V|={test_v.num_outputs} (max {max_v})")
+            f"|V|={test_v.num_outputs} (max {_MAX_V})")
 
     rates = _rates(model, test_u.matrix[None], test_v.matrix[None])[0]
     return _rate_corner(rates.tolist(), test_u, v_size=test_v.num_outputs,
@@ -410,11 +411,12 @@ def pareto_filter(corners):
     return [corners[i] for i in _pareto_indices(_corner_rates(corners))]
 
 
-def region_contains(boundary: RegionBoundary, point, tol: float = DOMINANCE_TOL) -> bool:
+def region_contains(boundary: RegionBoundary, point) -> bool:
     """Whether (rs, rj, rl), in the boundary's unit (`RegionBoundary.unit`),
-    is achievable per some corner of the boundary."""
+    is achievable per some corner of the boundary, within DOMINANCE_TOL."""
     rs, rj, rl = point
     c = _corner_rates(boundary.corners)
+    tol = DOMINANCE_TOL
     return bool(np.any((rs <= c[:, 0] + tol) & (rj >= c[:, 1] - tol) & (rl >= c[:, 2] - tol)))
 
 
@@ -546,28 +548,25 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
     return RegionBoundary(corners, InfoUnit.BITS, metadata=meta)
 
 
-def two_aux_random_search(model: AuthModel, n_pairs: int, seed: int = 0,
-                          max_u: int = 4, max_v: int = 3):
+def two_aux_random_search(model: AuthModel, n_pairs: int, seed: int = 0):
     """Random (U, V) test-channel pairs for the two-auxiliary region.
 
-    Draw order: every pair's |U| (one `rng.integers` call over the pairs),
-    then every pair's |V| (one more); then, for each (|U|, |V|) that occurs,
-    in ascending order, the U-channels of its pairs (one `rng.dirichlet`
-    call, the pairs in index order) and then their V-channels (one more).
+    Draw order: every pair's |U| in [1, _MAX_U] (one `rng.integers` call
+    over the pairs), then every pair's |V| in [1, _MAX_V] (one more); then,
+    for each (|U|, |V|) that occurs, in ascending order, the U-channels of
+    its pairs (one `rng.dirichlet` call, the pairs in index order) and then
+    their V-channels (one more).
     Each group is evaluated as one stack.  Returns the raw corner list in
     bits, in pair order (not Pareto-filtered) so containment checks can
-    cover every sampled pair.  Raises CardinalityError for max_u or max_v
-    below 1 and ValueError for a negative n_pairs, before anything is
-    drawn.
+    cover every sampled pair.  Raises ValueError for a negative n_pairs,
+    before anything is drawn.
     """
     _require_y_favor(model.verdict, "two-auxiliary search")
-    if max_u < 1 or max_v < 1:
-        raise CardinalityError(f"auxiliary sizes max_u={max_u}, max_v={max_v} must be >= 1")
     if n_pairs < 0:
         raise ValueError(f"n_pairs={n_pairs} is negative")
     rng = np.random.default_rng(seed)
-    us = rng.integers(1, max_u + 1, size=n_pairs)
-    vs = rng.integers(1, max_v + 1, size=n_pairs)
+    us = rng.integers(1, _MAX_U + 1, size=n_pairs)
+    vs = rng.integers(1, _MAX_V + 1, size=n_pairs)
     # pairs by |U|, then |V|, then index; a group starts where either size
     # changes, the first at 0, so np.split's first piece is empty
     order = np.lexsort((vs, us))

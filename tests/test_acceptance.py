@@ -120,7 +120,7 @@ def test_criterion_4_one_aux_vs_two_aux():
                                                 beta_grid_step=1e-3, seed=40))
     front = np.array([[c.rs, c.rj, c.rl] for c in one_aux.corners])
 
-    corners = two_aux_random_search(model, 100_000, seed=41, max_u=4, max_v=3)
+    corners = two_aux_random_search(model, 100_000, seed=41)
     pts = np.array([[c.rs, c.rj, c.rl] for c in corners])
     # chunks of at most 2^16 cells (512 KB) a table stay in cache
     step = max(1, (1 << 16) // len(front))

@@ -385,8 +385,7 @@ def test_compare_embedding_matches_per_corner_loop(tmp_path):
         for corner in front.corners:
             test_u = corner.test_channel
             v_const = Channel.constant(test_u.num_outputs)
-            two = eval_two_aux(model, test_u, v_const,
-                               max_u=max(4, test_u.num_outputs), max_v=3)
+            two = eval_two_aux(model, test_u, v_const, max_u=max(4, test_u.num_outputs))
             one = eval_one_aux(model, test_u)
             ref_gap = max(ref_gap,
                           abs(two.rs - one.rs), abs(two.rj - one.rj),
@@ -645,6 +644,20 @@ def test_simulator_size_over_cap_exits_6(tmp_path, capsys, fields, name, extra):
     cfg = {**SIM_CFG, "simulator": {**SIM_CFG["simulator"], **fields}}
     assert run_config(tmp_path, "simulate", cfg, *extra) == 6
     assert name in capsys.readouterr().err
+
+
+def test_simulator_limit_message_is_short(tmp_path, capsys):
+    # an exponent near the float range is written in :g form, and an
+    # overflowed one as "inf"
+    for fields, text in (({"n": 1, "gamma": 1e300}, "codebook size 2^2e+300 exceeds"),
+                         ({"n": 1, "rate_overrides": {"r_j": 1e308, "r_s": 1e308}},
+                          "key count m_s 2^1e+308 exceeds"),
+                         ({"rate_overrides": {"r_j": 1e308, "r_s": 1e308}},
+                          "key count m_s 2^inf exceeds")):
+        cfg = {**SIM_CFG, "simulator": {**SIM_CFG["simulator"], **fields}}
+        assert run_config(tmp_path, "simulate", cfg) == 6
+        err = capsys.readouterr().err
+        assert text in err and len(err) < 100, err
 
 
 # (command, config, extra argv, exit code, text in stderr)

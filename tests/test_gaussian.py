@@ -220,7 +220,7 @@ def test_identical_overlays_coincide():
 
 
 def test_covariance_monte_carlo_diagnostic():
-    assert covariance_mc_diagnostic(PAPER, 0.5, n_samples=1_000_000, seed=0) <= 5e-3
+    assert covariance_mc_diagnostic(PAPER, 0.5) <= 5e-3
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,16 @@ def ternary_model():
                      classifier_trials=2_000)
 
 
+@pytest.mark.xfail(strict=True, reason="known gap: for |Xt| >= 3 no sampled test "
+                   "channel comes near U = Xt (ROADMAP item 7, step 1)")
+def test_ternary_sweep_reaches_the_u_equals_xt_key_rate():
+    # U = Xt gives rs = 0.5516 bits; 20,000 flat-Dirichlet samples reach 0.3498
+    m = ternary_model()
+    front = sweep_region(m, SamplerConfig(random_samples=20_000, seed=0))
+    best = max(c.rs for c in front.corners)
+    assert best == pytest.approx(eval_one_aux(m, Channel.identity(3)).rs, abs=1e-12, rel=0)
+
+
 def ref_one_aux_rates_nats(model, test_matrix):
     p_xa = model._p_xa
     p_xt = p_xa.sum(axis=0)
@@ -570,16 +580,16 @@ def ref_sweep_region(model, config):
     return RegionBoundary(filtered, InfoUnit.BITS, metadata=meta)
 
 
-def ref_two_aux_random_search(model, n_pairs, seed=0, max_u=4, max_v=3):
-    # the stacked draw order: every |U|, every |V|, then for each (|U|, |V|)
-    # in ascending order the U-channels of its pairs and then their
-    # V-channels, each pair in index order; a size pair no pair has draws
-    # nothing
+def ref_two_aux_random_search(model, n_pairs, seed=0):
+    # the stacked draw order: every |U| in [1, 4], every |V| in [1, 3], then
+    # for each (|U|, |V|) in ascending order the U-channels of its pairs and
+    # then their V-channels, each pair in index order; a size pair no pair
+    # has draws nothing
     rng = np.random.default_rng(seed)
-    us = rng.integers(1, max_u + 1, size=n_pairs).tolist()
-    vs = rng.integers(1, max_v + 1, size=n_pairs).tolist()
+    us = rng.integers(1, 5, size=n_pairs).tolist()
+    vs = rng.integers(1, 4, size=n_pairs).tolist()
     drawn = [None] * n_pairs
-    for u, v in itertools.product(range(1, max_u + 1), range(1, max_v + 1)):
+    for u, v in itertools.product(range(1, 5), range(1, 4)):
         members = [idx for idx in range(n_pairs) if (us[idx], vs[idx]) == (u, v)]
         if not members:
             continue
@@ -626,16 +636,16 @@ def test_batched_two_aux_search_matches_per_pair_reference():
     # the oracle sums the six-axis joint, the library pairwise informations
     # along the chain, so rates agree to rounding (zero-cell models too); the
     # sampled channels and every other field are identical
-    # with 5 pairs and max_u = 5, at most 5 of the 15 size pairs occur; a
-    # draw for an empty one would shift every later group's channels
-    for model, seed, n_pairs, max_u in ((discrete_degraded_model(), 50, 600, 4),
-                                        (degraded_model(), 51, 600, 4),
-                                        (hsm_model(), 52, 300, 5),
-                                        (ternary_model(), 53, 300, 5),
-                                        (discrete_degraded_model(), 55, 5, 5),
-                                        (ternary_model(), 56, 5, 5)):
-        got = two_aux_random_search(model, n_pairs, seed=seed, max_u=max_u)
-        ref = ref_two_aux_random_search(model, n_pairs, seed=seed, max_u=max_u)
+    # with 5 pairs at most 5 of the 12 size pairs occur; a draw for an
+    # empty one would shift every later group's channels
+    for model, seed, n_pairs in ((discrete_degraded_model(), 50, 600),
+                                 (degraded_model(), 51, 600),
+                                 (hsm_model(), 52, 300),
+                                 (ternary_model(), 53, 300),
+                                 (discrete_degraded_model(), 55, 5),
+                                 (ternary_model(), 56, 5)):
+        got = two_aux_random_search(model, n_pairs, seed=seed)
+        ref = ref_two_aux_random_search(model, n_pairs, seed=seed)
         for g, r in zip(got, ref, strict=True):
             assert g.as_tuple() == pytest.approx(r.as_tuple(), abs=1e-14, rel=0)
             assert g.extras["rs_unclamped"] == pytest.approx(r.extras["rs_unclamped"],
@@ -644,9 +654,9 @@ def test_batched_two_aux_search_matches_per_pair_reference():
             assert g.test_channel.matrix.tolist() == r.test_channel.matrix.tolist()
         groups = {(c.test_channel.num_outputs, c.extras["v_size"]) for c in got}
         if n_pairs > 100:
-            assert groups == set(itertools.product(range(1, max_u + 1), range(1, 4)))
+            assert groups == set(itertools.product(range(1, 5), range(1, 4)))
         else:
-            assert len(groups) < max_u * 3
+            assert len(groups) < 4 * 3
 
 
 def test_array_pareto_keeps_reference_corners_in_order():
@@ -696,19 +706,18 @@ def test_region_contains_matches_loop():
     b = sweep_region(m, SamplerConfig(random_samples=200, beta_grid_step=5e-2, seed=55))
     rng = np.random.default_rng(56)
     probes = [tuple(rng.random(3)) for _ in range(300)]
+    tol = 1e-9
     for c in b.corners:
-        for tol in (0.0, 1e-9, 1e-6):
-            # exactly at the tolerance, and one step beyond it
-            probes.append((c.rs + tol, c.rj - tol, c.rl - tol))
-            probes.append((np.nextafter(c.rs + tol, np.inf), c.rj - tol, c.rl - tol))
-            probes.append((c.rs, np.nextafter(c.rj - tol, -np.inf), c.rl))
-            probes.append((c.rs, c.rj, np.nextafter(c.rl - tol, -np.inf)))
+        # exactly at the tolerance, and one step beyond it
+        probes.append((c.rs + tol, c.rj - tol, c.rl - tol))
+        probes.append((np.nextafter(c.rs + tol, np.inf), c.rj - tol, c.rl - tol))
+        probes.append((c.rs, np.nextafter(c.rj - tol, -np.inf), c.rl))
+        probes.append((c.rs, c.rj, np.nextafter(c.rl - tol, -np.inf)))
     outcomes = []
-    for tol in (0.0, 1e-9, 1e-6):
-        for p in probes:
-            got = region_contains(b, p, tol=tol)
-            assert got is ref_region_contains(b, p, tol)
-            outcomes.append(got)
+    for p in probes:
+        got = region_contains(b, p)
+        assert got is ref_region_contains(b, p, tol)
+        outcomes.append(got)
     assert any(outcomes) and not all(outcomes)
     assert region_contains(RegionBoundary([], InfoUnit.BITS), (0.0, 0.0, 0.0)) is False
 
@@ -731,8 +740,6 @@ def test_rates_in_blocks_match_one_pass(monkeypatch):
 
 @pytest.mark.parametrize("kwargs, error, match", [
     ({"n_pairs": -5}, ValueError, "n_pairs"),
-    ({"n_pairs": 10, "max_u": 0}, CardinalityError, "max_u"),
-    ({"n_pairs": 10, "max_v": 0}, CardinalityError, "max_v"),
 ])
 def test_two_aux_search_rejects_bad_sizes(kwargs, error, match):
     with pytest.raises(error, match=match):
@@ -896,7 +903,7 @@ def test_eval_two_aux_constant_v_matches_four_joint_kernel_bit_for_bit(model_fn)
             for v, index in ((1, 0), (2, 1), (3, 0), (3, 2)):
                 one_hot = np.zeros((u, v))
                 one_hot[:, index] = 1.0
-                c = eval_two_aux(m, tu, Channel.constant(u, v, index), max_u=u)
+                c = eval_two_aux(m, tu, Channel(one_hot), max_u=u)
                 got = np.array([*c.as_tuple(), c.extras["rs_unclamped"]])
                 ref = ref_rates(m, tu.matrix[None], one_hot[None])[0]
                 assert got.tobytes() == ref.tobytes()
