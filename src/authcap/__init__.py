@@ -1,8 +1,17 @@
 """Capacity regions (secret-key, storage, privacy-leakage) for
 identifier-based authentication systems with ordered authentication
-channels, plus a desk-scale random-binning protocol simulator."""
+channels, plus a desk-scale random-binning protocol simulator.
+
+`import authcap` loads what a model build runs: the information measures,
+the classifier and the region evaluator.  The binary and Gaussian closed
+forms and the simulator load on first use of one of their names, or of
+`authcap.binary`, `authcap.gaussian` or `authcap.protocol`.
+"""
 
 __version__ = "0.1.0"
+
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .infotheory import (
     Channel,
@@ -41,32 +50,54 @@ from .regions import (
     sweep_region,
     two_aux_random_search,
 )
-from .binary import (
-    BinaryModelParams,
-    convolution_bounds,
-    entropy_convolution_check,
-    closed_form_corner,
-    closed_form_region,
-)
-from .gaussian import (
-    CovarianceMatrix,
-    GaussianModelParams,
-    build_covariance,
-    parametric_corner,
-    parametric_region,
-    covariance_mc_diagnostic,
-    gaussian_mi,
-    zero_key_region_gaussian,
-)
-from .protocol import (
-    Codebook,
-    SimConfig,
-    SimLimitError,
-    SimReport,
-    authenticate,
-    enroll,
-    exact_leakage,
-    generate_codebook,
-    run_simulation,
-    wilson_interval,
-)
+
+# The exports loaded on first use, by home module.
+_LAZY = {
+    "binary": (
+        "BinaryModelParams",
+        "convolution_bounds",
+        "entropy_convolution_check",
+        "closed_form_corner",
+        "closed_form_region",
+    ),
+    "gaussian": (
+        "CovarianceMatrix",
+        "GaussianModelParams",
+        "build_covariance",
+        "parametric_corner",
+        "parametric_region",
+        "covariance_mc_diagnostic",
+        "gaussian_mi",
+        "zero_key_region_gaussian",
+    ),
+    "protocol": (
+        "Codebook",
+        "SimConfig",
+        "SimLimitError",
+        "SimReport",
+        "authenticate",
+        "enroll",
+        "exact_leakage",
+        "generate_codebook",
+        "run_simulation",
+        "wilson_interval",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+# Every public name but the submodules: the imports above and the table.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__ += _HOME
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return _import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(_import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_HOME))

@@ -181,6 +181,15 @@ def _bayes_risk_gap(candidate: Channel, reference: Channel):
     return risk(candidate.matrix) - risk(reference.matrix), prior
 
 
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D float array, by the same sort and adjacent-difference
+    mask, without np.unique's masked-array check, which imports numpy.ma."""
+    s = np.sort(x)
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 def _shadow_post_channel(candidate: Channel, reference: Channel) -> np.ndarray:
     """Post-channel W with reference @ W = candidate for binary inputs, when
     one exists, built as a left-curtain martingale coupling (Beiglboeck &
@@ -212,7 +221,8 @@ def _shadow_post_channel(candidate: Channel, reference: Channel) -> np.ndarray:
         # nondecreasing and piecewise linear in s with kinks at cum and cum - m
         cum = np.concatenate([[0.0], np.cumsum(left)])
         first = np.concatenate([[0.0], np.cumsum(left * pos)])
-        starts = np.unique(np.clip(np.concatenate([cum, cum - m]), 0.0, max(cum[-1] - m, 0.0)))
+        starts = _sorted_distinct(np.clip(np.concatenate([cum, cum - m]), 0.0,
+                                          max(cum[-1] - m, 0.0)))
         means = np.maximum.accumulate(np.interp(starts + m, cum, first)
                                       - np.interp(starts, cum, first))
         s = np.interp(cand[1, c], means, starts)
@@ -465,13 +475,15 @@ def is_less_noisy(better: Channel, worse: Channel, trials: int = DEFAULT_TRIALS,
 
     grid = _simplex_grid(k)
     first, second = np.triu_indices(len(grid), 1)    # itertools.combinations order
-    rng = np.random.default_rng(seed)
 
     def batches():
         # Deterministic grid pairs first so refutations are seed-independent;
         # random pairs are drawn only while no violation has been found.
         if len(first) > 0:
             yield grid[first], grid[second], "grid pair"
+        if trials == 0:
+            return
+        rng = np.random.default_rng(seed)
         for done in range(0, trials, 5000):
             m = min(5000, trials - done)
             p1 = rng.dirichlet(np.ones(k), size=m)

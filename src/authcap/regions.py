@@ -15,7 +15,6 @@ I(V;Y) - I(V;Z), which a less-noisy pair keeps nonnegative for every V.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -93,6 +92,8 @@ class AuthModel:
         return self.ec.num_outputs
 
     def content_hash(self) -> str:
+        import hashlib   # here, not at module level: a model build never hashes
+
         h = hashlib.sha256()
         for a in (self.px.probs, self.ec.matrix, self.ac_y.matrix, self.ac_z.matrix):
             h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())

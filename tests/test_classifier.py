@@ -30,6 +30,7 @@ from authcap.classifier import (
     _info_gap,
     _mi_batch,
     _simplex_grid,
+    _sorted_distinct,
 )
 from authcap.infotheory import (
     LN2,
@@ -383,10 +384,18 @@ def test_lp_free_degradedness_agrees_with_lp(case, swap):
         assert lp.relation is Relation.UNORDERED and lp.details["best_residual"] > 1e-9
 
 
-def test_building_a_binary_input_model_imports_no_scipy():
+# Modules `import authcap` and a shipped model build never run: the LP and the
+# more-capable search (scipy), np.unique's masked-array check (numpy.ma), the
+# sampler of an undecided pair (numpy.random), the content hash (hashlib), and
+# the closed forms and the simulator.
+UNUSED_BY_A_BUILD = ("scipy", "numpy.ma", "numpy.random", "hashlib", "authcap.binary",
+                     "authcap.gaussian", "authcap.protocol")
+
+
+def test_import_and_model_builds_load_only_what_they_use():
     # every shipped binary or discrete config, in a fresh interpreter: the
-    # degradedness test needs no LP for two inputs, and a less-noisy verdict
-    # no more-capable search
+    # degradedness test needs no LP for two inputs, a less-noisy verdict no
+    # more-capable search, and a certificate-decided pair no random draw
     code = """if True:
         import json, sys
         from pathlib import Path
@@ -403,7 +412,7 @@ def test_building_a_binary_input_model_imports_no_scipy():
             else:
                 continue
             built.append(path.stem)
-        print(json.dumps([built, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+        print(json.dumps([built, sorted(sys.modules)]))
     """
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code, str(root / "configs")],
@@ -411,7 +420,36 @@ def test_building_a_binary_input_model_imports_no_scipy():
                           env={**os.environ, "PYTHONPATH": str(root / "src")})
     built, loaded = json.loads(proc.stdout)
     assert built == ["binary", "discrete_degraded", "keyed"]
-    assert loaded == []
+    assert [m for m in loaded
+            if any(m == u or m.startswith(u + ".") for u in UNUSED_BY_A_BUILD)] == []
+
+
+@settings(deadline=None, max_examples=300)
+@given(values=st.lists(st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, 1.0, 1e-300, -1e-300]),
+                       max_size=80),
+       shift=st.sampled_from([0.0, -0.0, 0.1]))
+def test_sorted_distinct_matches_np_unique_byte_for_byte(values, shift):
+    x = np.array(values, dtype=float) + shift
+    got, ref = _sorted_distinct(x), np.unique(x)
+    # tobytes also tells 0.0 from -0.0
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_refuted_binary_pair_draws_nothing(monkeypatch):
+    # the certificate refutes BSC(0.2) over BEC(0.5) (configs/binary.json's
+    # reverse direction), so no random pair is drawn and the seed is moot
+    def no_generator(seed):
+        raise AssertionError("a random generator was created")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    first, second = (is_less_noisy(Channel.bsc(0.2), Channel.bec(0.5), seed=seed)
+                     for seed in (0, 10 ** 6))
+    assert first.relation is Relation.UNORDERED
+    assert first.certainty is Certainty.COUNTEREXAMPLE
+    # verdict, witness and pairs_checked alike
+    assert json.dumps(first.to_json_dict()) == json.dumps(second.to_json_dict())
+
 
 def test_more_capable_examples():
     c = Channel(np.array([[0.8, 0.2], [0.3, 0.7]]))
