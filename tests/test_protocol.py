@@ -473,6 +473,24 @@ def test_enroll_length_check():
         enroll(book, np.array([0, 1]))
 
 
+def test_enroll_authenticate_reject_out_of_alphabet_symbols():
+    # an out-of-alphabet symbol has an all-zero one-hot row, so it adds nothing
+    # to any codeword's encoder density, and the decoder's flat gather would
+    # read a neighbouring table cell: both calls check the alphabets
+    m = AuthModel.binary_hsm(0.02, 0.2, 0.3, classifier_trials=500)
+    book = generate_codebook(m, SimConfig(n=10, test_channel=Channel.identity(2), gamma=0.05,
+                                          seed=0, trials=1))
+    assert (m.n_xt, m.ac_y.num_outputs) == (2, 3)
+    for bad in (5, 2, -1):
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            enroll(book, [bad] + [0] * 9)
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            authenticate(book, [0] * 9 + [bad], 0)
+    enroll(book, [1] * 10)
+    authenticate(book, [2] * 10, 0)
+
+
 def test_encoder_failure_rate_identity_leaning():
     m = hsm_model()
     cfg = SimConfig(n=8, test_channel=Channel.bsc(0.05), gamma=0.1, seed=4,
@@ -571,6 +589,7 @@ def test_encoder_hits_match_gather_sum():
     zero_ternary = Channel(np.array([[0.7, 0.3, 0.0], [0.0, 0.2, 0.8]]))
     rng = np.random.default_rng(17)
     checked = 0
+    shapes = set()   # (one-row block, some pair qualifies)
     for model, test in ((hsm_model(), Channel.identity(2)), (hsm_model(), zero_ternary),
                         (AuthModel.binary_hsm(0.02, 0.2, 0.3, classifier_trials=500),
                          Channel.identity(2))):
@@ -578,12 +597,19 @@ def test_encoder_hits_match_gather_sum():
             book = generate_codebook(model, SimConfig(n=n, test_channel=test, gamma=gamma,
                                                       seed=seed, trials=1))
             assert not np.isfinite(book.tables.tn_table).all()
-            for seqs in (_all_sequences(n), rng.integers(0, 2, size=(300, n))):
+            every = _all_sequences(n)
+            hit = ref_encoder_hits(book, every)[2] > 0
+            # blocks of one row and blocks where no pair qualifies
+            blocks = (every, rng.integers(0, 2, size=(300, n)), every[hit][:1],
+                      every[~hit][:1], every[~hit])
+            for seqs in (b for b in blocks if len(b)):
                 got, ref = _encoder_hits(book, seqs), ref_encoder_hits(book, seqs)
                 for g, r in zip(got, ref):
                     assert np.array_equal(g, r)
                 checked += int(ref[2].sum())
+                shapes.add((len(seqs) == 1, bool(ref[2].sum())))
     assert checked > 0
+    assert shapes >= {(True, True), (True, False), (False, False)}
 
 
 def test_exact_leakage_matches_kronecker_reference():
@@ -725,7 +751,12 @@ def test_exact_leakage_peak_memory_is_a_small_multiple_of_its_table():
 
 def test_product_law_and_encoder_kernel_match_loops():
     # references: per-symbol products over the enumerated sequences, and the
-    # per-sequence encoder law; both fast forms must match them bit for bit
+    # per-sequence encoder law; both fast forms must match them bit for bit.
+    # The sequences are pinned to itertools.product order.
+    for n in range(1, 14):
+        ref = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64)
+        got = _all_sequences(n)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
     m = hsm_model()
     for n in range(1, 11):
         seqs = _all_sequences(n)

@@ -33,6 +33,19 @@ untimed call.  Prints one JSON object:
                           sweep_region(model, 100000 samples, beta step
                           1e-3, seed 40) on the same model
   compare_100k_peak_mb    tracemalloc peak of one such call, in MB
+  simulate_codebook_ms    median of REPS generate_codebook calls on the
+                          simulate workload's code: binary_hsm(0.02, 0.2,
+                          0.3), identity test channel, gamma 0.05, n 10,
+                          seed 0 (2,048 codewords)
+  simulate_enroll_us      per trial, the median of REPS encoder passes over
+                          the 2,000 enrollment sequences run_simulation draws
+                          for that code, in its blocks
+  simulate_decode_us      the same for the decoder pass over the trials'
+                          authentication sequences and the helper bins their
+                          enrollments chose
+  simulate_exact_leakage_s  for n = 8, 10 and 12, the median of
+                          ceil(REPS / 10) exact_leakage calls on the same
+                          model's code at that n
 
 REPS defaults to 31.  Standard library, numpy and authcap only.
 """
@@ -55,6 +68,8 @@ from authcap import (AuthModel, Channel, RegionBoundary, SamplerConfig,  # noqa:
                      compare_regions, is_less_noisy, is_stochastically_degraded,
                      sweep_region, two_aux_random_search)
 from authcap.classifier import _binary_certificate  # noqa: E402
+from authcap.protocol import (SimConfig, _blocks, _decode_block, _enroll_block,  # noqa: E402
+                              _sample_through, exact_leakage, generate_codebook)
 
 PAIRS_PER_SIZE = 20
 
@@ -91,6 +106,44 @@ def per_size_us(test, sizes, degraded: bool) -> dict:
     return {size: statistics.median(min(seconds(lambda: test(b, w), 3))
                                     for b, w in random_pairs(size, degraded)) * 1e6
             for size in sizes}
+
+
+def simulator_layers(reps: int) -> dict:
+    """The simulate_* keys: codebook, per-trial enroll and decode, exact
+    leakage as a function of n."""
+    model = AuthModel.binary_hsm(0.02, 0.2, 0.3)
+
+    def config(n: int) -> SimConfig:
+        return SimConfig(n=n, test_channel=Channel.identity(2), gamma=0.05, seed=0,
+                         trials=2000, exact_leakage_limit=12)
+
+    cfg = config(10)
+    book = generate_codebook(model, cfg)
+    result = {"simulate_codebook_ms": statistics.median(seconds(
+        lambda: generate_codebook(model, cfg), reps)) * 1e3}
+    # the trials' sequences as run_simulation draws them
+    rng = np.random.default_rng([cfg.seed, 1])
+    xs = _sample_through(rng, model.px.probs[None, :], np.zeros((cfg.trials, cfg.n), dtype=int))
+    xts = _sample_through(rng, model.ec.matrix, xs)
+    ys = _sample_through(rng, model.ac_y.matrix, xs)
+    blocks = list(_blocks(cfg.trials, book.size * book.n))
+
+    def enroll_pass():
+        return np.concatenate([_enroll_block(book, xts[blk], rng) for blk in blocks])
+
+    idx = enroll_pass()
+    bins = np.where(idx < 0, 0, book.bin_of[idx])
+    for key, call in (("simulate_enroll_us", enroll_pass),
+                      ("simulate_decode_us",
+                       lambda: [_decode_block(book, ys[blk], bins[blk]) for blk in blocks])):
+        result[key] = statistics.median(seconds(call, reps)) * 1e6 / cfg.trials
+    result["simulate_exact_leakage_s"] = {}
+    for n in (8, 10, 12):
+        cfg_n = config(n)
+        book_n = generate_codebook(model, cfg_n)
+        result["simulate_exact_leakage_s"][n] = statistics.median(seconds(
+            lambda: exact_leakage(book_n, model, cfg_n), math.ceil(reps / 10)))
+    return result
 
 
 def main(argv) -> int:
@@ -134,6 +187,7 @@ def main(argv) -> int:
     compare_regions(pairs, front)
     result["compare_100k_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
+    result.update(simulator_layers(reps))
     print(json.dumps(result, indent=1))
     return 0
 
