@@ -37,6 +37,7 @@ from .classifier import (
 )
 from .regions import (
     AuthModel,
+    BinaryModelParams,
     RateCorner,
     RegionBoundary,
     SamplerConfig,
@@ -54,7 +55,6 @@ from .regions import (
 # The exports loaded on first use, by home module.
 _LAZY = {
     "binary": (
-        "BinaryModelParams",
         "convolution_bounds",
         "entropy_convolution_check",
         "closed_form_corner",

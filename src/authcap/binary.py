@@ -16,8 +16,6 @@ peaks at beta = 0 (U = Xt), a grid point: the region is the beta grid alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .classifier import DEFAULT_TRIALS, classify_ac
@@ -28,10 +26,12 @@ from .infotheory import (
     binary_entropy_inverse,
     convolve,
     _entropy_nats,
+    _positive,
     LN2,
 )
 from .regions import (
     AuthModel,
+    BinaryModelParams,
     RateCorner,
     RegionBoundary,
     Y_FAVOR,
@@ -43,29 +43,6 @@ from .regions import (
 )
 
 ENTROPY_BOUND_SLACK = 1e-9
-
-
-@dataclass
-class BinaryModelParams:
-    """Parameters (p, q, eps) of the binary model plus the beta grid step."""
-
-    p: float
-    q: float
-    eps: float
-    beta_step: float = 1e-3
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 0.5:
-            raise ValueError(f"enrollment crossover p={self.p} outside [0, 1/2]")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"erasure probability q={self.q} outside [0, 1]")
-        if not 0.0 <= self.eps <= 0.5:
-            raise ValueError(f"eavesdropper crossover eps={self.eps} outside [0, 1/2]")
-        if not 0.0 < self.beta_step <= 0.5:
-            raise ValueError(f"beta_step={self.beta_step} outside (0, 1/2]")
-
-    def model(self, **kwargs) -> AuthModel:
-        return AuthModel.binary_hsm(self.p, self.q, self.eps, **kwargs)
 
 
 def _closed_form_rates(params: BinaryModelParams, betas) -> np.ndarray:
@@ -86,8 +63,7 @@ def _closed_form_rates(params: BinaryModelParams, betas) -> np.ndarray:
     rs_raw = h_b(bp * (1.0 - eps) + (1.0 - bp) * eps) - (1.0 - q) * h_bp - q
     rj = q + (1.0 - q) * h_bp - h_b(beta)
     rl = 1.0 + q - q * h_bp - h_b(eps)
-    return np.stack([np.where(rs_raw > 0.0, rs_raw, 0.0), np.where(rj > 0.0, rj, 0.0),
-                     rl, rs_raw], axis=-1)
+    return np.stack([_positive(rs_raw), _positive(rj), rl, rs_raw], axis=-1)
 
 
 def closed_form_corner(params: BinaryModelParams, beta: float) -> RateCorner:

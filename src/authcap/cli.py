@@ -31,17 +31,10 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .binary import BinaryModelParams, closed_form_region
-from .gaussian import (
-    GaussianModelParams,
-    parametric_region,
-    figure_curves,
-    zero_key_region_gaussian,
-)
 from .infotheory import Channel, DiscreteDistribution, InfoUnit
-from .protocol import SimConfig, SimLimitError, run_simulation
 from .regions import (
     AuthModel,
+    BinaryModelParams,
     RegionBoundary,
     SamplerConfig,
     UnsupportedClassError,
@@ -177,11 +170,12 @@ def _validated(what: str):
     simulator-limit and unsupported-class subclasses keep their own codes."""
     try:
         yield
-    except SimLimitError as e:
-        raise CliError(EXIT_SIM_LIMIT, str(e))
     except UnsupportedClassError as e:
         raise CliError(EXIT_UNSUPPORTED, str(e))
     except ValueError as e:
+        from .protocol import SimLimitError   # only a failure loads the simulator here
+        if isinstance(e, SimLimitError):
+            raise CliError(EXIT_SIM_LIMIT, str(e))
         raise CliError(EXIT_SCHEMA, f"{what}: {e}")
 
 
@@ -244,6 +238,7 @@ def _auth_model(cfg: dict, form: str, seed: int, command: str, samples=None) -> 
 
 
 def _gaussian_params(cfg: dict) -> GaussianModelParams:
+    from .gaussian import GaussianModelParams
     blk = _field(cfg, "gaussian", "object")
     rhos = [_field(blk, f"gaussian.{k}", "number") for k in ("rho1_sq", "rho2_sq", "rho3_sq")]
     alpha_grid = _field(blk, "gaussian.alpha_grid", "size", GaussianModelParams.alpha_grid)
@@ -316,12 +311,14 @@ def _region_boundary(cfg: dict, form: str, args, seed: int) -> RegionBoundary:
     # `compare` reads the sampler block too, so it is checked for every region
     _sampler(cfg, seed)
     if form == "binary":
+        from .binary import closed_form_region
         _unread(args, "the binary closed-form region", "samples")
         params = _binary_params(cfg, args.grid_step)
         trials = _classifier_trials(cfg)
         with _validated("model"):
             return closed_form_region(params, trials, seed)
     if form == "gaussian":
+        from .gaussian import parametric_region, zero_key_region_gaussian
         _unread(args, "the Gaussian closed-form region", "samples", "grid_step")
         params = _gaussian_params(cfg)
         if params.verdict().relation in Z_FAVOR:
@@ -357,6 +354,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_figures(args) -> int:
+    from .gaussian import figure_curves
     cfg, cfg_hash = _load_config(args.config)
     if _model_form(cfg) != "gaussian":
         raise CliError(EXIT_SCHEMA, "figures requires a gaussian model config")
@@ -377,6 +375,7 @@ def _cmd_figures(args) -> int:
 
 
 def _sim_config(cfg: dict, seed: int) -> SimConfig:
+    from .protocol import SimConfig
     blk = _field(cfg, "simulator", "object")
     tc = blk.get("test_channel", {"bsc": 0.1})
     with _validated("simulator.test_channel"):
@@ -401,6 +400,7 @@ def _sim_config(cfg: dict, seed: int) -> SimConfig:
 
 
 def _cmd_simulate(args) -> int:
+    from .protocol import run_simulation
     cfg, cfg_hash = _load_config(args.config)
     form = _model_form(cfg)
     seed = _seed(cfg, args)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import Certainty, ChannelOrderVerdict, Relation
-from .infotheory import InfoUnit
+from .infotheory import InfoUnit, _positive
 from .regions import (Y_FAVOR, RateCorner, RegionBoundary, UnsupportedClassError, _front,
                       _rate_corner, _require_y_favor)
 
@@ -171,7 +171,7 @@ def _parametric_rates(params: GaussianModelParams, alphas) -> np.ndarray:
     rj = 0.5 * np.log(top2 / alpha)
     rl = 0.5 * np.log(top2 / ((alpha * params.rho1_sq + 1.0 - params.rho1_sq)
                               * (1.0 - params.rho3_sq)))
-    return np.stack([np.where(rs_raw > 0.0, rs_raw, 0.0), rj, rl, rs_raw], axis=-1)
+    return np.stack([_positive(rs_raw), rj, rl, rs_raw], axis=-1)
 
 
 def parametric_corner(params: GaussianModelParams, alpha: float) -> RateCorner:

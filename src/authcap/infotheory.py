@@ -251,17 +251,24 @@ def entropy(d: DiscreteDistribution) -> float:
     return _entropy_nats(d.probs) / LN2
 
 
+def _positive(x):
+    """x where above 0, else +0.0 (also for -0.0 and NaN): a float for a
+    float (without numpy, in the same bits) or a 0-d array, else an array."""
+    if isinstance(x, float):
+        return float(x) if x > 0.0 else 0.0
+    clamped = np.where(x > 0.0, x, 0.0)
+    return clamped if clamped.ndim else float(clamped)
+
+
 def _clamp_mi(value_nats):
-    """A mutual information (a float, or an array of them) clamped at 0;
-    MalformedJointError if any is below -NEGATIVE_MI_TOL."""
-    value_nats = np.asarray(value_nats)
-    worst = value_nats.min()
+    """A mutual information (a float, or an array of them) clamped at 0 by
+    `_positive`; MalformedJointError if any is below -NEGATIVE_MI_TOL."""
+    worst = value_nats if isinstance(value_nats, float) else np.asarray(value_nats).min()
     if worst < -NEGATIVE_MI_TOL:
         raise MalformedJointError(
             f"mutual information {worst} nats below -{NEGATIVE_MI_TOL}; joint is malformed"
         )
-    clamped = np.where(value_nats > 0.0, value_nats, 0.0)
-    return clamped if clamped.ndim else float(clamped)
+    return _positive(value_nats)
 
 
 def _mi2_nats(j: np.ndarray):

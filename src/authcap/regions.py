@@ -33,6 +33,7 @@ from .infotheory import (
     _clamp_mi,
     _jsonable,
     _mi2_nats,
+    _positive,
 )
 
 DOMINANCE_TOL = 1e-9
@@ -115,6 +116,30 @@ class AuthModel:
         """Uniform binary source with symmetric channels everywhere."""
         return AuthModel(DiscreteDistribution.uniform(2), Channel.bsc(p),
                          Channel.bsc(eps_y), Channel.bsc(eps_z), **kwargs)
+
+
+@dataclass
+class BinaryModelParams:
+    """Parameters (p, q, eps) of `AuthModel.binary_hsm` plus the beta grid
+    step of its closed form, checked without loading `authcap.binary`."""
+
+    p: float
+    q: float
+    eps: float
+    beta_step: float = 1e-3
+
+    def __post_init__(self):
+        if not 0.0 <= self.p <= 0.5:
+            raise ValueError(f"enrollment crossover p={self.p} outside [0, 1/2]")
+        if not 0.0 <= self.q <= 1.0:
+            raise ValueError(f"erasure probability q={self.q} outside [0, 1]")
+        if not 0.0 <= self.eps <= 0.5:
+            raise ValueError(f"eavesdropper crossover eps={self.eps} outside [0, 1/2]")
+        if not 0.0 < self.beta_step <= 0.5:
+            raise ValueError(f"beta_step={self.beta_step} outside (0, 1/2]")
+
+    def model(self, **kwargs) -> AuthModel:
+        return AuthModel.binary_hsm(self.p, self.q, self.eps, **kwargs)
 
 
 def _require_y_favor(verdict: ChannelOrderVerdict, what: str):
@@ -238,9 +263,10 @@ def _infos_nats(*joints):
 
 
 def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
-    """(rs_raw, rj, rl) in nats, each an array over a stack tu[b, xt, u] of
-    test channels, or over pairs of it and a stack tv[b, u, v] of channels
-    from U to a second auxiliary V.
+    """(rs clamped at 0, rj, rl, unclamped rs) in nats, each an array over a
+    stack tu[b, xt, u] of test channels, or over pairs of it and a stack
+    tv[b, u, v] of channels from U to a second auxiliary V; for a stack of
+    one, floats in the same bits, composed without numpy's per-call cost.
 
     Every one-auxiliary quantity reduces to the pairwise mutual
     informations I(U;Xt), I(U;Y), I(U;Z) and I(U;X) along the chain, so
@@ -251,16 +277,20 @@ def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
     lowered and rl raised by d = I(V;Y) - I(V;Z), V being reached from Xt
     through tu @ tv; of V's joints only those with Y and Z are formed.
     """
-    i_u_xt, i_u_y, i_u_z, i_u_x = _infos_nats(*_chain_laws(model, tu))
+    def infos(*joints):
+        mis = _infos_nats(*joints)
+        return [float(mi[0]) for mi in mis] if len(tu) == 1 else mis
+
+    i_u_xt, i_u_y, i_u_z, i_u_x = infos(*_chain_laws(model, tu))
     rs_raw = i_u_y - i_u_z
     rj = _clamp_mi(i_u_xt - i_u_y)
     rl = i_u_x - i_u_y + model.i_xz_nats()
     if tv is not None:
         p_xv = model._p_xa @ (tu @ tv)
-        i_v_y, i_v_z = _infos_nats(model.ac_y.matrix.T @ p_xv, model.ac_z.matrix.T @ p_xv)
+        i_v_y, i_v_z = infos(model.ac_y.matrix.T @ p_xv, model.ac_z.matrix.T @ p_xv)
         d = i_v_y - i_v_z
         rs_raw, rl = rs_raw - d, rl + d
-    return rs_raw, rj, np.where(rl > 0.0, rl, 0.0)
+    return _positive(rs_raw), rj, _positive(rl), rs_raw
 
 
 def _rates(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None) -> np.ndarray:
@@ -274,9 +304,8 @@ def _rates(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None) -> np.ndarra
         model.n_xt + model.ac_y.num_outputs + model.ac_z.num_outputs + model.nx)
     out = np.empty((len(tu), 4))
     for blk in _blocks(len(tu), row_cells):
-        rs_raw, rj, rl = _rates_nats(model, *(s[blk] for s in stacks))
-        out[blk, 0] = np.where(rs_raw > 0.0, rs_raw, 0.0)
-        out[blk, 1], out[blk, 2], out[blk, 3] = rj, rl, rs_raw
+        out[blk, 0], out[blk, 1], out[blk, 2], out[blk, 3] = _rates_nats(
+            model, *(s[blk] for s in stacks))
     return InfoUnit.BITS.from_nats(out)
 
 
@@ -318,7 +347,7 @@ def eval_one_aux(model: AuthModel, test: Channel) -> RateCorner:
             f"|U| = {test.num_outputs} exceeds cap {model.n_xt + 3}")
     _require_y_favor(model.verdict, "one-auxiliary evaluation")
 
-    return _rate_corner(_rates(model, test.matrix[None])[0].tolist(), test)
+    return _rate_corner([r / LN2 for r in _rates_nats(model, test.matrix[None])], test)
 
 
 def eval_two_aux(model: AuthModel, test_u: Channel, test_v: Channel,
@@ -338,8 +367,8 @@ def eval_two_aux(model: AuthModel, test_u: Channel, test_v: Channel,
             f"auxiliary caps exceeded: |U|={test_u.num_outputs} (max {max_u}), "
             f"|V|={test_v.num_outputs} (max {_MAX_V})")
 
-    rates = _rates(model, test_u.matrix[None], test_v.matrix[None])[0]
-    return _rate_corner(rates.tolist(), test_u, v_size=test_v.num_outputs,
+    rates = [r / LN2 for r in _rates_nats(model, test_u.matrix[None], test_v.matrix[None])]
+    return _rate_corner(rates, test_u, v_size=test_v.num_outputs,
                         v_channel=test_v.matrix.tolist())
 
 

@@ -404,6 +404,31 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_fresh_commands_load_only_the_modules_they_run(tmp_path):
+    # `python -m authcap.cli` in a fresh process, its imports read from
+    # -X importtime: classify runs no closed form and no simulator, and a
+    # simulator limit still exits 6 when the simulator is imported only on
+    # that failure
+    root = Path(__file__).resolve().parents[1]
+    unused = {"authcap.binary", "authcap.gaussian", "authcap.protocol"}
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "authcap.cli", *argv],
+                              capture_output=True, text=True, cwd=root,
+                              env={**os.environ, "PYTHONPATH": str(root / "src")})
+        loaded = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        return proc.returncode, proc.stdout, loaded
+
+    for name in ("binary", "discrete_degraded"):
+        code, out, loaded = run("classify", "--config", f"configs/{name}.json")
+        assert code == 0 and "verdict" in json.loads(out)
+        assert "authcap.regions" in loaded and not loaded & unused
+    cfg = write_config(tmp_path, {**BINARY_CFG, "simulator": {"n": 12, "gamma": 0.1}})
+    code, _, loaded = run("simulate", "--config", cfg, "--out", str(tmp_path / "x"))
+    assert code == 6 and "authcap.protocol" in loaded and "authcap.binary" not in loaded
+
+
 def test_no_command_on_a_shipped_config_loads_scipy(tmp_path):
     # in one fresh interpreter, every command on every configs/*.json: none
     # of them reaches the LP or the more-capable search, and the binary

@@ -22,6 +22,8 @@ from authcap.infotheory import (
     AlphabetMismatchError,
     MalformedJointError,
     LN2,
+    NEGATIVE_MI_TOL,
+    _clamp_mi,
     _entropy_nats,
 )
 
@@ -317,3 +319,31 @@ def test_constant_channel_is_read_only_one_hot(shape):
 def test_constant_channel_rejects_empty_matrix(args):
     with pytest.raises(InvalidDistributionError, match="nonempty"):
         Channel.constant(*args)
+
+
+def _clamped(value):
+    """("ok", bytes of the clamped value) or ("raise", the error's message)."""
+    try:
+        return "ok", np.asarray(_clamp_mi(value), dtype=float).tobytes()
+    except MalformedJointError as e:
+        return "raise", str(e)
+
+
+TOL = NEGATIVE_MI_TOL
+
+
+@settings(deadline=None, max_examples=500)
+@given(x=st.one_of(
+    st.floats(),   # NaN, infinities, subnormals and both zeros included
+    st.floats(min_value=-4 * TOL, max_value=4 * TOL),
+    st.sampled_from([0.0, -0.0, math.nan, -math.inf, -TOL, math.nextafter(-TOL, 0.0),
+                     math.nextafter(-TOL, -1.0), -1e-300, 5e-324])))
+def test_clamp_mi_float_and_one_element_array_agree(x):
+    # the float path skips numpy; it must give the array path's bytes, and
+    # its error with the same message, for floats and numpy scalars alike
+    ref = _clamped(np.array([x]))
+    assert _clamped(x) == _clamped(np.float64(x)) == ref
+    assert ref[0] == ("raise" if x < -TOL else "ok")
+    if ref[0] == "ok":
+        assert type(_clamp_mi(x)) is float and type(_clamp_mi(np.float64(x))) is float
+        assert math.copysign(1.0, _clamp_mi(x)) == 1.0   # -0.0 and NaN clamp to +0.0

@@ -24,6 +24,12 @@ untimed call.  Prints one JSON object:
                           independent pairs
   certificate_bec_bsc_us  median of REPS `_binary_certificate` calls on
                           (BEC(0.5), BSC(0.2)) and on the reverse pair
+  eval_one_aux_us         per call, the median of REPS passes of
+                          eval_one_aux over the corners of the two_aux_check
+                          front: sweep_region of configs/discrete_degraded.json's
+                          model, 500 random samples, beta step 1e-3, seed 2
+  eval_two_aux_us         the same for eval_two_aux with a Channel.constant V
+                          (the constant-V embedding)
   search_100k_s           median of ceil(REPS / 10) calls
                           two_aux_random_search(model, 100000, seed=41) on
                           criterion 4's model, binary_symmetric(0.1, 0.1, 0.26)
@@ -64,9 +70,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path.cwd() / "src"))
 
-from authcap import (AuthModel, Channel, RegionBoundary, SamplerConfig,  # noqa: E402
-                     compare_regions, is_less_noisy, is_stochastically_degraded,
-                     sweep_region, two_aux_random_search)
+from authcap import (AuthModel, Channel, DiscreteDistribution, RegionBoundary,  # noqa: E402
+                     SamplerConfig, compare_regions, eval_one_aux, eval_two_aux,
+                     is_less_noisy, is_stochastically_degraded, sweep_region,
+                     two_aux_random_search)
 from authcap.classifier import _binary_certificate  # noqa: E402
 from authcap.protocol import (SimConfig, _blocks, _decode_block, _enroll_block,  # noqa: E402
                               _sample_through, exact_leakage, generate_codebook)
@@ -106,6 +113,26 @@ def per_size_us(test, sizes, degraded: bool) -> dict:
     return {size: statistics.median(min(seconds(lambda: test(b, w), 3))
                                     for b, w in random_pairs(size, degraded)) * 1e6
             for size in sizes}
+
+
+def single_corners(config: dict, reps: int) -> dict:
+    """The eval_*_aux_us keys: per-call cost over the two_aux_check front."""
+    model = AuthModel(DiscreteDistribution(config["px"]), Channel(config["ec"]),
+                      Channel(config["ac_y"]), Channel(config["ac_z"]))
+    tests = [c.test_channel for c in sweep_region(
+        model, SamplerConfig(random_samples=500, seed=2)).corners]
+    constants = [Channel.constant(t.num_outputs) for t in tests]
+
+    def one_aux():
+        for t in tests:
+            eval_one_aux(model, t)
+
+    def two_aux():
+        for t, v in zip(tests, constants):
+            eval_two_aux(model, t, v, max_u=max(4, t.num_outputs))
+
+    return {key: statistics.median(seconds(call, reps)) * 1e6 / len(tests)
+            for key, call in (("eval_one_aux_us", one_aux), ("eval_two_aux_us", two_aux))}
 
 
 def simulator_layers(reps: int) -> dict:
@@ -174,6 +201,7 @@ def main(argv) -> int:
     result["certificate_bec_bsc_us"] = [median_us(lambda: _binary_certificate(*pair))
                                         for pair in ((bec, bsc), (bsc, bec))]
 
+    result.update(single_corners(d, reps))
     criterion_4 = AuthModel.binary_symmetric(0.1, 0.1, 0.26)
     result["search_100k_s"] = statistics.median(seconds(
         lambda: two_aux_random_search(criterion_4, 100_000, seed=41), math.ceil(reps / 10)))
