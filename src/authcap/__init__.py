@@ -20,7 +20,6 @@ from .infotheory import (
     JointDistribution,
     binary_entropy,
     binary_entropy_inverse,
-    compose_channels,
     conditional_mutual_information,
     convolve,
     entropy,
@@ -47,27 +46,17 @@ from .regions import (
     eval_two_aux,
     pareto_filter,
     zero_key_region,
-    region_contains,
     sweep_region,
     two_aux_random_search,
 )
 
 # The exports loaded on first use, by home module.
 _LAZY = {
-    "binary": (
-        "convolution_bounds",
-        "entropy_convolution_check",
-        "closed_form_corner",
-        "closed_form_region",
-    ),
+    "binary": ("closed_form_corner", "closed_form_region"),
     "gaussian": (
-        "CovarianceMatrix",
         "GaussianModelParams",
-        "build_covariance",
         "parametric_corner",
         "parametric_region",
-        "covariance_mc_diagnostic",
-        "gaussian_mi",
         "zero_key_region_gaussian",
     ),
     "protocol": (

@@ -1,4 +1,4 @@
-"""Closed-form rate region for the binary model and its bounding machinery.
+"""Closed-form rate region for the binary model.
 
 Model: uniform binary source, symmetric enrollment noise with crossover p,
 erasure-q main authentication channel, symmetric eavesdropper channel with
@@ -22,27 +22,20 @@ from .classifier import DEFAULT_TRIALS, classify_ac
 from .infotheory import (
     Channel,
     InfoUnit,
-    binary_entropy,
-    binary_entropy_inverse,
-    convolve,
     _entropy_nats,
     _positive,
     LN2,
 )
 from .regions import (
-    AuthModel,
     BinaryModelParams,
     RateCorner,
     RegionBoundary,
     Y_FAVOR,
     _beta_grid,
     _bsc_stack,
-    _chain_laws,
     _front,
     _rate_corner,
 )
-
-ENTROPY_BOUND_SLACK = 1e-9
 
 
 def _closed_form_rates(params: BinaryModelParams, betas) -> np.ndarray:
@@ -104,63 +97,3 @@ def closed_form_region(params: BinaryModelParams, classifier_trials: int = DEFAU
     corners = _front(_closed_form_rates(params, betas), betas, [_bsc_stack(betas)])
     return RegionBoundary(corners, InfoUnit.BITS, metadata=meta)
 
-
-def convolution_bounds(lam: float, p: float, eps: float):
-    """(lower, mid, upper) with lower = (lam*p - eps)/(1-2 eps),
-    mid = lam*p*eps, upper = 1/2; lower <= mid <= upper holds on the stated
-    domain with equality throughout at lam = 1/2."""
-    if not 0.0 <= lam <= 0.5:
-        raise ValueError(f"lam={lam} outside [0, 1/2]")
-    if not 0.0 <= p <= 0.5:
-        raise ValueError(f"p={p} outside [0, 1/2]")
-    if not 0.0 <= eps < 0.5:
-        raise ValueError(f"eps={eps} outside [0, 1/2); the lower bound degenerates at 1/2")
-    lp = convolve(lam, p)
-    lower = (lp - eps) / (1.0 - 2.0 * eps)
-    mid = convolve(lp, eps)
-    return lower, mid, 0.5
-
-
-def entropy_convolution_check(model: AuthModel, test: Channel) -> bool:
-    """Entropy-convolution consistency check for a binary model.
-
-    Computes H(X|U), H(Z|U), H(Xt|U) from the joint and verifies, within
-    1e-9 slack, that (a) H(Z|U) >= H_b(H_b^{-1}(H(X|U)) * eps), and (b) with
-    lam defined through H(X|U) = H_b(lam * p), H(Xt|U) <= H_b(lam).
-
-    Both are the entropy-convolution bound applied along the generative
-    direction of the chain, where the channel noise is independent of the
-    auxiliary; (a) is tight exactly for symmetric test channels, which is
-    what ties the closed-form sweep to the generic evaluator.
-    """
-    p, eps = _binary_params(model)
-    laws = _chain_laws(model, test.matrix[None])
-    h_u = _entropy_nats(laws.p_au.sum(axis=1)[0])
-    h_x_u, h_z_u, h_a_u = ((_entropy_nats(j[0]) - h_u) / LN2
-                           for j in (laws.p_xu, laws.p_zu, laws.p_au))
-
-    m = binary_entropy_inverse(min(1.0, max(0.0, h_x_u)))
-    if h_z_u < binary_entropy(convolve(m, eps)) - ENTROPY_BOUND_SLACK:
-        return False
-
-    if p >= 0.5 - 1e-12:
-        lam = 0.5
-    else:
-        lam = min(0.5, max(0.0, (m - p) / (1.0 - 2.0 * p)))
-    return h_a_u <= binary_entropy(lam) + ENTROPY_BOUND_SLACK
-
-
-def _binary_params(model: AuthModel):
-    """Extract (p, eps) from a binary symmetric-enrollment / symmetric-
-    eavesdropper model, validating the structure."""
-    if model.nx != 2 or model.n_xt != 2 or model.ac_z.num_outputs != 2:
-        raise ValueError("model alphabets must be binary")
-    if np.max(np.abs(model.px.probs - 0.5)) > 1e-12:
-        raise ValueError("source must be uniform binary")
-    ec = model.ec.matrix
-    if abs(ec[0, 1] - ec[1, 0]) > 1e-12:
-        raise ValueError("enrollment channel must be symmetric")
-    acz = model.ac_z.matrix
-    if abs(acz[0, 1] - acz[1, 0]) > 1e-12:
-        raise ValueError("eavesdropper channel must be symmetric")
-    return float(ec[0, 1]), float(acz[0, 1])

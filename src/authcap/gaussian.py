@@ -7,9 +7,6 @@ eavesdropper channels.  The auxiliary variable splits the enrollment
 observation into independent Gaussian parts of variance (1 - alpha) and
 alpha, which turns the region into a one-parameter family over
 alpha in (0, 1].
-
-An independent covariance-determinant oracle for the mutual informations is
-provided so the closed forms can be cross-checked numerically.
 """
 
 from __future__ import annotations
@@ -23,11 +20,6 @@ from .classifier import Certainty, ChannelOrderVerdict, Relation
 from .infotheory import InfoUnit, _positive
 from .regions import (Y_FAVOR, RateCorner, RegionBoundary, UnsupportedClassError, _front,
                       _rate_corner, _require_y_favor)
-
-VAR_NAMES = ("U", "Xt", "X", "Y", "Z")
-
-PSD_TOL = -1e-10
-SINGULAR_TOL = 1e-12
 
 
 @dataclass
@@ -65,91 +57,9 @@ class GaussianModelParams:
                                    self.alpha_grid, self.alpha_min)
 
 
-@dataclass
-class CovarianceMatrix:
-    """Covariance of (U, Xt, X, Y, Z); unit diagonal except the U entry."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (len(VAR_NAMES), len(VAR_NAMES)):
-            raise ValueError(f"expected {len(VAR_NAMES)}x{len(VAR_NAMES)} matrix")
-        if np.max(np.abs(m - m.T)) > 1e-14:
-            raise ValueError("covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(m)) < PSD_TOL:
-            raise ValueError("covariance must be positive semidefinite")
-        self.matrix = m
-
-    def index(self, name: str) -> int:
-        return VAR_NAMES.index(name)
-
-    def block(self, names) -> np.ndarray:
-        idx = [self.index(n) for n in names]
-        return self.matrix[np.ix_(idx, idx)]
-
-
 def _check_alpha(alpha: float):
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha={alpha} outside (0, 1]")
-
-
-def build_covariance(params: GaussianModelParams, alpha: float) -> CovarianceMatrix:
-    """Covariance of (U, Xt, X, Y, Z) with Var(U) = 1 - alpha.
-
-    Xt = U + Theta with independent Theta of variance alpha; X, Y, Z follow
-    with independent unit-filling noises, so Xt, X, Y, Z all have unit
-    variance and the chain U - Xt - X - (Y, Z) holds.
-    """
-    _check_alpha(alpha)
-    r1 = math.sqrt(params.rho1_sq)
-    r2 = math.sqrt(params.rho2_sq)
-    r3 = math.sqrt(params.rho3_sq)
-    vu = 1.0 - alpha
-    m = np.array([
-        [vu,      vu,      r1 * vu, r1 * r2 * vu, r1 * r3 * vu],
-        [vu,      1.0,     r1,      r1 * r2,      r1 * r3],
-        [r1 * vu, r1,      1.0,     r2,           r3],
-        [r1 * r2 * vu, r1 * r2, r2, 1.0,          r2 * r3],
-        [r1 * r3 * vu, r1 * r3, r3, r2 * r3,      1.0],
-    ])
-    return CovarianceMatrix(m)
-
-
-def gaussian_mi(cov: CovarianceMatrix, vars_a, vars_b) -> float:
-    """I(A;B) = 1/2 log(det S_A det S_B / det S_AB) in nats.
-
-    A degenerate block (determinant below tolerance, e.g. the auxiliary at
-    alpha = 1) carries no information and yields 0 rather than an error; a
-    singular joint with nonsingular blocks is reported as an error since the
-    information diverges.
-    """
-    a = list(vars_a)
-    b = list(vars_b)
-    if set(a) & set(b):
-        raise ValueError(f"variable sets {a} and {b} overlap")
-    det_a = np.linalg.det(cov.block(a))
-    det_b = np.linalg.det(cov.block(b))
-    if det_a <= SINGULAR_TOL or det_b <= SINGULAR_TOL:
-        return 0.0
-    det_ab = np.linalg.det(cov.block(a + b))
-    if det_ab <= SINGULAR_TOL:
-        raise ValueError("joint block is singular: mutual information diverges")
-    return max(0.0, 0.5 * math.log(det_a * det_b / det_ab))
-
-
-def closed_form_mis(params: GaussianModelParams, alpha: float) -> dict:
-    """The four chain mutual informations as explicit formulas, nats."""
-    _check_alpha(alpha)
-    r1sq = params.rho1_sq
-    c2 = params.rho1_sq * params.rho2_sq
-    c3 = params.rho1_sq * params.rho3_sq
-    return {
-        "i_xt_u": 0.5 * math.log(1.0 / alpha),
-        "i_x_u": 0.5 * math.log(1.0 / (alpha * r1sq + 1.0 - r1sq)),
-        "i_y_u": 0.5 * math.log(1.0 / (alpha * c2 + 1.0 - c2)),
-        "i_z_u": 0.5 * math.log(1.0 / (alpha * c3 + 1.0 - c3)),
-    }
 
 
 def _parametric_rates(params: GaussianModelParams, alphas) -> np.ndarray:
@@ -215,25 +125,6 @@ def figure_curves(params: GaussianModelParams) -> dict:
         rs, rj, rl, _ = _parametric_rates(prm, alphas).T
         out[tag] = {"rj": rj, "rs": rs, "rl": rl, "rho1_sq": prm.rho1_sq}
     return out
-
-
-def covariance_mc_diagnostic(params: GaussianModelParams, alpha: float) -> float:
-    """Max-abs gap between the analytic covariance and an empirical one from
-    10^6 samples (seed 0) of the generative equations; a sanity diagnostic
-    only."""
-    _check_alpha(alpha)
-    n_samples = 1_000_000
-    rng = np.random.default_rng(0)
-    r1 = math.sqrt(params.rho1_sq)
-    r2 = math.sqrt(params.rho2_sq)
-    r3 = math.sqrt(params.rho3_sq)
-    u = math.sqrt(1.0 - alpha) * rng.standard_normal(n_samples)
-    xt = u + math.sqrt(alpha) * rng.standard_normal(n_samples)
-    x = r1 * xt + math.sqrt(1.0 - params.rho1_sq) * rng.standard_normal(n_samples)
-    y = r2 * x + math.sqrt(1.0 - params.rho2_sq) * rng.standard_normal(n_samples)
-    z = r3 * x + math.sqrt(1.0 - params.rho3_sq) * rng.standard_normal(n_samples)
-    emp = np.cov(np.stack([u, xt, x, y, z]), bias=True)
-    return float(np.max(np.abs(emp - build_covariance(params, alpha).matrix)))
 
 
 def _params_dict(params: GaussianModelParams) -> dict:

@@ -308,15 +308,6 @@ def conditional_mutual_information(j: JointDistribution, axes_a, axes_b, axes_c)
     return _clamp_mi(h_ac + h_bc - h_abc - h_c) / LN2
 
 
-def compose_channels(first: Channel, second: Channel) -> Channel:
-    """Cascade first then second: out(c|a) = sum_b second(c|b) first(b|a)."""
-    if first.num_outputs != second.num_inputs:
-        raise AlphabetMismatchError(
-            f"first has {first.num_outputs} outputs, second expects {second.num_inputs} inputs"
-        )
-    return Channel(first.matrix @ second.matrix)
-
-
 def binary_entropy(x: float) -> float:
     """H_b(x) = -x log2 x - (1-x) log2(1-x) in bits."""
     if not 0.0 <= x <= 1.0:

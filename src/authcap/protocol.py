@@ -62,13 +62,9 @@ def _gf64_mul(a: int, b: int) -> int:
     return r
 
 
-def hash_index(a: int, b: int, index: int, m_s: int) -> int:
-    """Affine GF(2^64) hash of a codeword index truncated to [0, m_s)."""
-    return (_gf64_mul(a, index) ^ b) & (m_s - 1)
-
-
 def _hash_indices(a: int, b: int, count: int, m_s: int) -> np.ndarray:
-    """hash_index(a, b, i, m_s) for i in range(count), as int64.  The product
+    """The affine GF(2^64) hash (a * i) XOR b of each codeword index i in
+    range(count), truncated to its low log2(m_s) bits, as int64.  The product
     a * i is the XOR of the shifts a * x^k (reduced) over the set bits k of i,
     so one pass per index bit covers every index."""
     idx = np.arange(count, dtype=np.uint64)

@@ -26,7 +26,6 @@ from .infotheory import (
     Channel,
     DiscreteDistribution,
     InfoUnit,
-    JointDistribution,
     LN2,
     _blocks,
     _channel_stack,
@@ -36,7 +35,6 @@ from .infotheory import (
     _positive,
 )
 
-DOMINANCE_TOL = 1e-9
 _MAX_U, _MAX_V = 4, 3      # auxiliary caps of the two-auxiliary search
 _COMPARE_CELLS = 1 << 16   # cells per compare_regions buffer: 512 KB of float64
 
@@ -372,24 +370,6 @@ def eval_two_aux(model: AuthModel, test_u: Channel, test_v: Channel,
                         v_channel=test_v.matrix.tolist())
 
 
-def build_joint(model: AuthModel, test: Channel,
-                degraded_witness: Channel = None) -> JointDistribution:
-    """Five-axis joint (U, Xt, X, Y, Z) under the auxiliary chain.
-
-    By default the two authentication observations are coupled independently
-    given the source (the region only sees marginals).  Passing the
-    intermediate channel of a degradedness certificate couples the
-    eavesdropper's observation through the main one instead, which realises
-    the full Markov chain used by degraded-order properties.
-    """
-    z = (model.ac_z.matrix[None, None, :, None, :] if degraded_witness is None
-         else degraded_witness.matrix[None, None, None, :, :])
-    return JointDistribution(test.matrix.T[:, :, None, None, None]
-                             * model._p_xa.T[None, :, :, None, None]
-                             * model.ac_y.matrix[None, None, :, :, None]
-                             * z)
-
-
 def zero_key_region(model: AuthModel) -> RegionBoundary:
     """Degenerate region in bits: zero key, any storage, leakage floor I(X;Z)."""
     i_xz = InfoUnit.BITS.from_nats(model.i_xz_nats())
@@ -439,15 +419,6 @@ def pareto_filter(corners):
     representative.  Idempotent.
     """
     return [corners[i] for i in _pareto_indices(_corner_rates(corners))]
-
-
-def region_contains(boundary: RegionBoundary, point) -> bool:
-    """Whether (rs, rj, rl), in the boundary's unit (`RegionBoundary.unit`),
-    is achievable per some corner of the boundary, within DOMINANCE_TOL."""
-    rs, rj, rl = point
-    c = _corner_rates(boundary.corners)
-    tol = DOMINANCE_TOL
-    return bool(np.any((rs <= c[:, 0] + tol) & (rj >= c[:, 1] - tol) & (rl >= c[:, 2] - tol)))
 
 
 def compare_regions(a: RegionBoundary, b: RegionBoundary) -> float:

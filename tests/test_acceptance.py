@@ -20,17 +20,13 @@ from authcap import (
     SimConfig,
     binary_entropy,
     binary_entropy_inverse,
-    build_covariance,
     classify_ac,
     parametric_corner,
     entropy,
     eval_one_aux,
     eval_two_aux,
-    gaussian_mi,
     is_less_noisy,
     is_stochastically_degraded,
-    convolution_bounds,
-    entropy_convolution_check,
     mutual_information,
     run_simulation,
     sweep_region,
@@ -38,8 +34,9 @@ from authcap import (
     two_aux_random_search,
 )
 from authcap.binary import BinaryModelParams
-from authcap.gaussian import closed_form_mis
 from authcap.infotheory import DiscreteDistribution, JointDistribution
+from oracles import (build_covariance, closed_form_mis, convolution_bounds,
+                     entropy_convolution_check, gaussian_mi)
 
 
 def report(num, desc, ok, detail=""):

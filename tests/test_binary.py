@@ -12,8 +12,6 @@ from authcap import (
     Channel,
     DiscreteDistribution,
     eval_one_aux,
-    convolution_bounds,
-    entropy_convolution_check,
     closed_form_corner,
     closed_form_region,
 )
@@ -21,6 +19,7 @@ from authcap.binary import _closed_form_rates
 from authcap.infotheory import binary_entropy, convolve
 from authcap.classifier import Relation
 from authcap.regions import _beta_grid
+from oracles import convolution_bounds, entropy_convolution_check
 
 
 def hb(x):

@@ -3,8 +3,14 @@
 `import authcap` loads the measures, the classifier and the region
 evaluator; the names of the closed forms and the simulator resolve on first
 use.  Either way a caller sees the same names, bound to the same objects.
+
+Every export has a caller outside the tests, except the library API below:
+single-call measures, corner forms and protocol phases that a user of the
+library calls.  A reference that only the tests call lives in
+`tests/oracles.py`, not in the package.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -18,18 +24,22 @@ import authcap
 
 EXPORTS = {
     "AuthModel", "BinaryModelParams", "Certainty", "Channel", "ChannelOrderVerdict",
-    "Codebook", "CovarianceMatrix", "DiscreteDistribution", "GaussianModelParams",
-    "InfoUnit", "JointDistribution", "RateCorner", "RegionBoundary", "Relation",
-    "SamplerConfig", "SimConfig", "SimLimitError", "SimReport", "UnsupportedClassError",
-    "authenticate", "binary_entropy", "binary_entropy_inverse", "build_covariance",
-    "classify_ac", "closed_form_corner", "closed_form_region", "compare_regions",
-    "compose_channels", "conditional_mutual_information", "convolution_bounds", "convolve",
-    "covariance_mc_diagnostic", "enroll", "entropy", "entropy_convolution_check",
-    "eval_one_aux", "eval_two_aux", "exact_leakage", "gaussian_mi", "generate_codebook",
-    "is_less_noisy", "is_more_capable", "is_stochastically_degraded", "mutual_information",
-    "parametric_corner", "parametric_region", "pareto_filter", "region_contains",
+    "Codebook", "DiscreteDistribution", "GaussianModelParams", "InfoUnit",
+    "JointDistribution", "RateCorner", "RegionBoundary", "Relation", "SamplerConfig",
+    "SimConfig", "SimLimitError", "SimReport", "UnsupportedClassError", "authenticate",
+    "binary_entropy", "binary_entropy_inverse", "classify_ac", "closed_form_corner",
+    "closed_form_region", "compare_regions", "conditional_mutual_information", "convolve",
+    "enroll", "entropy", "eval_one_aux", "eval_two_aux", "exact_leakage",
+    "generate_codebook", "is_less_noisy", "is_more_capable", "is_stochastically_degraded",
+    "mutual_information", "parametric_corner", "parametric_region", "pareto_filter",
     "run_simulation", "sweep_region", "two_aux_random_search", "wilson_interval",
     "zero_key_region", "zero_key_region_gaussian",
+}
+
+LIBRARY_API = {
+    "authenticate", "binary_entropy_inverse", "closed_form_corner",
+    "conditional_mutual_information", "convolve", "enroll", "entropy", "mutual_information",
+    "parametric_corner",
 }
 
 
@@ -67,3 +77,25 @@ def test_fresh_interpreter_resolves_modules_and_star_import():
     modules, star = json.loads(proc.stdout)
     assert modules == ["authcap.binary", "authcap.gaussian", "authcap.protocol"]
     assert star == sorted(EXPORTS)
+
+
+def _identifiers(path):
+    """The names `path` reads, imports or looks up as attributes; a def's or
+    a class's own name is not among them."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    root = Path(__file__).resolve().parents[1]
+    files = [f for f in (root / "src" / "authcap").glob("*.py") if f.name != "__init__.py"]
+    files += [*(root / "tools").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    called = set().union(*map(_identifiers, files))
+    assert EXPORTS - called == LIBRARY_API

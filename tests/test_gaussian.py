@@ -7,18 +7,16 @@ import pytest
 
 from authcap import (
     Certainty,
-    CovarianceMatrix,
     GaussianModelParams,
-    build_covariance,
     parametric_corner,
     parametric_region,
-    covariance_mc_diagnostic,
-    gaussian_mi,
     Relation,
     UnsupportedClassError,
     zero_key_region_gaussian,
 )
-from authcap.gaussian import closed_form_mis, figure_curves
+from authcap.gaussian import figure_curves
+from oracles import (CovarianceMatrix, build_covariance, closed_form_mis,
+                     covariance_mc_diagnostic, gaussian_mi)
 
 PAPER = GaussianModelParams(7 / 8, 4 / 5, 2 / 3)
 

@@ -11,7 +11,6 @@ from authcap import (
     JointDistribution,
     binary_entropy,
     binary_entropy_inverse,
-    compose_channels,
     conditional_mutual_information,
     convolve,
     entropy,
@@ -26,6 +25,7 @@ from authcap.infotheory import (
     _clamp_mi,
     _entropy_nats,
 )
+from oracles import compose_channels
 
 
 def hb(x):

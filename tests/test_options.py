@@ -2,8 +2,10 @@
 
 Every defaulted parameter and every defaulted dataclass field on the names
 `authcap` exports is a settable value.  One is kept only when a caller
-outside the tests sets it; a new one edits OPTIONS below, and its change
-names that caller.
+outside the tests sets it, or when it is on a name of
+`test_exports.LIBRARY_API`, the documented calls that no code outside the
+tests makes; of those only `enroll(rng)`, the encoder's tie-break draw, has
+an option.  A new one edits OPTIONS below, and its change names that caller.
 """
 
 import dataclasses

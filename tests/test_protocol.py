@@ -24,9 +24,9 @@ from authcap import (
 from authcap.infotheory import LN2, _entropy_nats, _mi2_nats
 from authcap.protocol import (_MAX_CELLS, ProtocolTables, SimReport, _all_sequences, _blocks,
                               _check_exact, _encoder_hits, _encoder_kernel, _enroll_block,
-                              _gf64_mul, _hash_indices, _product_law, _sample_through,
-                              hash_index)
-from authcap.regions import _chain_laws, _infos_nats, build_joint
+                              _gf64_mul, _hash_indices, _product_law, _sample_through)
+from authcap.regions import _chain_laws, _infos_nats
+from oracles import build_joint, hash_index
 
 
 def hb(x):

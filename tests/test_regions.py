@@ -24,7 +24,6 @@ from authcap import (
     eval_two_aux,
     pareto_filter,
     zero_key_region,
-    region_contains,
     sweep_region,
     two_aux_random_search,
 )
@@ -38,7 +37,8 @@ from authcap.infotheory import (
     _entropy_nats,
     _mi2_nats,
 )
-from authcap.regions import _COMPARE_CELLS, CardinalityError, _beta_grid, _rates, build_joint
+from authcap.regions import _COMPARE_CELLS, CardinalityError, _beta_grid, _rates
+from oracles import build_joint, region_contains
 
 
 # ---------------------------------------------------------------------------
