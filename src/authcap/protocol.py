@@ -267,14 +267,19 @@ def generate_codebook(model: AuthModel, config: SimConfig) -> Codebook:
 
 
 def _encoder_hits(codebook: Codebook, seqs: np.ndarray):
-    """(rows, cols, hits): the (sequence, codeword) pairs of the block `seqs`
-    that pass the encoder test, in row-major order, and the count per row.
-    Few pairs pass (about 0.1% on the benchmark's code), and reading them as
-    flat indices of the block's test mask split by divmod costs a tenth of a
-    2-D `np.nonzero`."""
-    one_hot = seqs[:, :, None] == np.arange(len(codebook.tables.tn_table))
-    dens = one_hot.reshape(len(seqs), -1) @ codebook._density_matrix
-    rows, cols = np.divmod(np.flatnonzero(dens <= codebook.encoder_threshold()), codebook.size)
+    """(rows, cols, hits): the (sequence, codeword) pairs of `seqs` that pass
+    the encoder test, in row-major order, and the count per row; SimLimitError
+    past _MAX_CELLS pairs.  Few pass (0.1% on the benchmark's code): a block's
+    flat mask indices split by divmod cost a tenth of a 2-D `np.nonzero`."""
+    flat = []
+    for blk in _blocks(len(seqs), codebook.size * codebook.n):
+        one_hot = seqs[blk, :, None] == np.arange(len(codebook.tables.tn_table))
+        dens = one_hot.reshape(len(one_hot), -1) @ codebook._density_matrix
+        flat.append(np.flatnonzero(dens <= codebook.encoder_threshold()) + blk.start * codebook.size)
+        if sum(map(len, flat)) > _MAX_CELLS:
+            raise SimLimitError(f"over {_MAX_CELLS} sequence-codeword pairs pass the encoder test")
+    flat = np.concatenate(flat)   # frees the blocks' indices before the split
+    rows, cols = np.divmod(flat, codebook.size)
     return rows, cols, np.bincount(rows, minlength=len(seqs))
 
 
@@ -288,14 +293,15 @@ def _observation(seq, n: int, alphabet: int) -> np.ndarray:
     return x
 
 
-def _enroll_block(codebook: Codebook, seqs: np.ndarray, rng) -> np.ndarray:
-    """Selected codeword per sequence, -1 where none qualifies.  One draw of
-    rng.integers over the rows with several qualifiers, in row order, takes
-    the same numbers as one rng.choice among the qualifiers per row."""
-    _, cols, hits = _encoder_hits(codebook, seqs)
-    pick = np.cumsum(hits) - hits             # each row's first qualifier
+def _pick(table, rows, rng) -> np.ndarray:
+    """Selected codeword per `_encoder_hits` table row in `rows`, -1 where
+    none qualifies.  One rng.integers draw over the rows with several
+    qualifiers takes the same numbers as one rng.choice among them per row."""
+    hit_rows, cols, hits = table
+    hits = hits[rows]
+    pick = np.searchsorted(hit_rows, rows)     # each row's first qualifier
     pick[hits > 1] += rng.integers(0, hits[hits > 1])
-    idx = np.full(len(seqs), -1)
+    idx = np.full(len(hits), -1)
     idx[hits > 0] = cols[pick[hits > 0]]
     return idx
 
@@ -309,7 +315,8 @@ def enroll(codebook: Codebook, x_tilde_seq, rng=None):
     is bin 0, key 0, flagged as a failure.
     """
     x = _observation(x_tilde_seq, codebook.n, len(codebook.tables.tn_table))
-    idx = _enroll_block(codebook, x[None, :], rng or np.random.default_rng(codebook.seed))[0]
+    idx = _pick(_encoder_hits(codebook, x[None, :]), [0],
+                rng or np.random.default_rng(codebook.seed))[0]
     if idx < 0:
         return 0, 0, True
     return int(codebook.bin_of[idx]), int(codebook.key_of[idx]), False
@@ -354,6 +361,11 @@ def _all_sequences(n: int) -> np.ndarray:
     return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
+def _sequence_index(seqs: np.ndarray) -> np.ndarray:
+    """Row of each binary sequence in `_all_sequences` order: its inverse."""
+    return seqs @ (1 << np.arange(seqs.shape[1] - 1, -1, -1))
+
+
 def _product_law(per_symbol: np.ndarray, n: int) -> np.ndarray:
     """Product law over length-n binary sequences in `_all_sequences` order,
     as the n-fold Kronecker power of `per_symbol`: a vector for a per-symbol
@@ -377,31 +389,27 @@ def _mode_products(table: np.ndarray, per_symbol: np.ndarray, n: int) -> np.ndar
     return out.reshape(table.shape[1], -1)
 
 
-def _encoder_kernel(codebook: Codebook, seqs: np.ndarray) -> np.ndarray:
-    """Exact encoder law P(s, j | xt-sequence), with the uniform choice among
-    qualifying codewords marginalised; rows indexed by sequence, columns by
-    the combined code s * m_j + j."""
-    sj_code = codebook.key_of * codebook.m_j + codebook.bin_of
+def _encoder_kernel(codebook: Codebook, rows, cols, hits) -> np.ndarray:
+    """Exact encoder law P(s, j | xt-sequence) from the `_encoder_hits` table of all
+    sequences, counted straight into floats, with the uniform choice among qualifiers
+    marginalised; rows by sequence, columns by the code s * m_j + j."""
     ncols = codebook.m_s * codebook.m_j
-    out = np.zeros((len(seqs), ncols))
-    for blk in _blocks(len(seqs), codebook.size * codebook.n):
-        rows, cols, hits = _encoder_hits(codebook, seqs[blk])
-        counts = np.bincount(rows * ncols + sj_code[cols],
-                             minlength=hits.size * ncols).reshape(hits.size, ncols)
-        counts[hits == 0, 0] = 1   # fallback (s, j) = (0, 0)
-        out[blk] = counts / np.maximum(hits, 1)[:, None]
+    out = np.bincount(rows * ncols + (codebook.key_of * codebook.m_j + codebook.bin_of)[cols],
+                      np.ones(rows.size), hits.size * ncols).reshape(hits.size, ncols)
+    out[hits == 0, 0] = 1.0   # fallback (s, j) = (0, 0)
+    out /= np.maximum(hits, 1)[:, None]
     return out
 
 
 def _check_exact(codebook: Codebook, config: SimConfig):
     """SimLimitError unless exact leakage is within the enumeration limit and
-    its 2^n x m_s m_j encoder law fits in _MAX_CELLS."""
+    its 2^n x m_s m_j encoder law and 2^n x n sequences fit in _MAX_CELLS."""
     n = codebook.n
     if n > config.exact_leakage_limit:
         raise SimLimitError(f"n={n} exceeds exact enumeration limit "
                             f"{config.exact_leakage_limit}; pass monte_carlo_only=True "
                             f"to skip exact leakage")
-    cells = (codebook.m_s * codebook.m_j) << n
+    cells = max(codebook.m_s * codebook.m_j, n) << n
     if cells > _MAX_CELLS:
         raise SimLimitError(f"exact leakage at n={n} needs a table of 2^{math.log2(cells):g} "
                             f"cells, over the cap of {_MAX_CELLS}")
@@ -423,20 +431,24 @@ def exact_leakage(codebook: Codebook, model: AuthModel, config: SimConfig) -> di
     """
     _require_binary(model)
     _check_exact(codebook, config)
+    return _exact_leakage(codebook, model, _encoder_hits(codebook, _all_sequences(codebook.n)))
+
+
+def _exact_leakage(codebook: Codebook, model: AuthModel, table) -> dict:
+    """exact_leakage from the `_encoder_hits` table of all 2^n sequences."""
     n = codebook.n
     t = codebook.tables
-    seqs = _all_sequences(n)
     m_s, m_j = codebook.m_s, codebook.m_j
     # The encoder law is freed once both its contractions are taken, and
     # mu_n's deviation table is made in place, so fewer tables of the
     # encoder law's size are alive at once.
-    enc = _encoder_kernel(codebook, seqs)
-    enc_j = enc.reshape(len(seqs), m_s, m_j).sum(axis=1)
+    enc = _encoder_kernel(codebook, *table)
+    enc_j = enc.reshape(-1, m_s, m_j).sum(axis=1)
     p_sjz = _mode_products(enc, t.p_xtz, n)     # (m_s * m_j, 2^n)
     del enc
     table_mass = float(p_sjz.sum())
 
-    cube = p_sjz.reshape(m_s, m_j, len(seqs))
+    cube = p_sjz.reshape(m_s, m_j, -1)
     p_jz = cube.sum(axis=0)
     p_z = p_jz.sum(axis=0)
     p_z_product = _product_law(t.p_z, n)
@@ -536,9 +548,11 @@ def run_simulation(model: AuthModel, config: SimConfig,
     thr_b = n * (t.i_x_u_given_z - config.gamma)
     thr_k = n * (t.i_xt_u_given_x - config.gamma)
 
+    table = None if monte_carlo_only else _encoder_hits(codebook, _all_sequences(n))
     blocks = []
     for blk in _blocks(trials, codebook.size * codebook.n):
-        idx = _enroll_block(codebook, xts[blk], rng)
+        idx = (_pick(_encoder_hits(codebook, xts[blk]), np.arange(len(xts[blk])), rng)
+               if table is None else _pick(table, _sequence_index(xts[blk]), rng))
         j = np.where(idx < 0, 0, codebook.bin_of[idx])
         blocks.append((idx, j, *_decode_block(codebook, ys[blk], j)))
     idx, j, decoded, hits = map(np.concatenate, zip(*blocks))
@@ -574,7 +588,7 @@ def run_simulation(model: AuthModel, config: SimConfig,
     )
 
     if not monte_carlo_only:
-        ex = exact_leakage(codebook, model, config)
+        ex = _exact_leakage(codebook, model, table)
         report.exact_computed = True
         report.exact_secrecy_leakage_bits = ex["secrecy_leakage_bits"]
         report.exact_privacy_leakage_rate_bits = ex["privacy_leakage_rate_bits"]

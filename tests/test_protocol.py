@@ -23,8 +23,8 @@ from authcap import (
 )
 from authcap.infotheory import LN2, _entropy_nats, _mi2_nats
 from authcap.protocol import (_MAX_CELLS, ProtocolTables, SimReport, _all_sequences, _blocks,
-                              _check_exact, _encoder_hits, _encoder_kernel, _enroll_block,
-                              _gf64_mul, _hash_indices, _product_law, _sample_through)
+                              _check_exact, _encoder_hits, _encoder_kernel, _gf64_mul,
+                              _hash_indices, _pick, _product_law, _sample_through)
 from authcap.regions import _chain_laws, _infos_nats
 from oracles import build_joint, hash_index
 
@@ -271,7 +271,7 @@ def test_density_tables_follow_the_markov_identities(case, seed):
     xs = _sample_through(rng, m.px.probs[None, :], np.zeros((cfg.trials, cfg.n), dtype=np.int64))
     xts = _sample_through(rng, m.ec.matrix, xs)
     zs = _sample_through(rng, m.ac_z.matrix, xs)
-    idx = _enroll_block(book, xts, rng)
+    idx = _pick(_encoder_hits(book, xts), np.arange(len(xts)), rng)
     enrolled = idx >= 0
     cws = book.codewords[idx[enrolled]]
     x_dens = t.x_table[cws, xs[enrolled]]
@@ -362,6 +362,44 @@ def test_simulator_caps_reject_before_allocating(monkeypatch):
             exact_leakage(generate_codebook(m, cfg), m, cfg)
         with pytest.raises(SimLimitError, match="exact leakage"):
             run_simulation(m, cfg)     # before any trial is sampled
+
+
+def test_exact_check_counts_the_table_of_sequences():
+    # 2-codeword, 1 x 1 codes: the 2^n-cell encoder law fits the cap up to
+    # n = 25, the 2^n x n table of sequences only up to n = 20 (2^25 x 25
+    # int64 is 6.25 GiB); the check itself allocates neither
+    m = hsm_model()
+    for n, fits in ((20, True), (21, False), (25, False)):
+        cfg = SimConfig(n=n, test_channel=Channel.bsc(0.5), gamma=0.01, trials=1,
+                        rate_overrides=(0, 0), exact_leakage_limit=25)
+        book = generate_codebook(m, cfg)
+        assert (book.size, book.m_s, book.m_j) == (2, 1, 1)
+        if fits:
+            _check_exact(book, cfg)
+        else:
+            with pytest.raises(SimLimitError, match=f"exact leakage at n={n}"):
+                _check_exact(book, cfg)
+
+
+def test_encoder_table_is_capped(monkeypatch):
+    # a BSC(0.5) test channel makes every density 0: all 16 x 16 pairs pass.
+    # An exact run holds the table of all 2^n sequences at once; a
+    # Monte-Carlo-only run tests one trial block at a time (here 4 x 16 pairs)
+    m = hsm_model()
+    cfg = SimConfig(n=4, test_channel=Channel.bsc(0.5), gamma=0.5, trials=16,
+                    rate_overrides=(0, 0))
+    book = generate_codebook(m, cfg)
+    assert book.size == 16 and _encoder_hits(book, _all_sequences(4))[2].sum() == 256
+    want = json.dumps(run_simulation(m, cfg, monte_carlo_only=True).to_json_dict())
+    monkeypatch.setattr("authcap.protocol._MAX_CELLS", 256)
+    run_simulation(m, cfg)
+    monkeypatch.setattr("authcap.protocol._MAX_CELLS", 255)
+    monkeypatch.setattr("authcap.protocol._blocks", lambda rows, cells: [
+        slice(lo, lo + 4) for lo in range(0, rows, 4)])
+    with pytest.raises(SimLimitError, match="pairs pass the encoder test"):
+        run_simulation(m, cfg)
+    got = run_simulation(m, cfg, monte_carlo_only=True)
+    assert got.encoder_failure_rate == 0.0 and json.dumps(got.to_json_dict()) == want
 
 
 def test_simulator_rejects_non_finite_settings():
@@ -565,7 +603,7 @@ def ref_exact_leakage(codebook, model):
     n, t = codebook.n, codebook.tables
     m_s, m_j = codebook.m_s, codebook.m_j
     seqs = _all_sequences(n)
-    enc = _encoder_kernel(codebook, seqs)
+    enc = _encoder_kernel(codebook, *_encoder_hits(codebook, seqs))
     p_sjz = enc.T @ _product_law(t.p_xtz, n)
     cube = p_sjz.reshape(m_s, m_j, len(seqs))
     p_jz = cube.sum(axis=0)
@@ -783,7 +821,7 @@ def test_product_law_and_encoder_kernel_match_loops():
                 ref[i, 0] = 1.0
             else:
                 ref[i] = np.bincount(sj_code[q], minlength=ref.shape[1]) / q.size
-        assert np.array_equal(_encoder_kernel(book, seqs), ref)
+        assert np.array_equal(_encoder_kernel(book, *_encoder_hits(book, seqs)), ref)
 
 
 def test_injective_binning_leaks_key():
@@ -904,6 +942,13 @@ def ref_run_simulation(model, config):
 
 
 TERNARY_TEST = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]]))
+EXACT_FIELDS = ("exact_computed", "exact_secrecy_leakage_bits",
+                "exact_privacy_leakage_rate_bits", "mu_n", "checks")
+
+
+def monte_carlo_fields(report) -> str:
+    return json.dumps({k: v for k, v in report.to_json_dict().items()
+                       if k not in EXACT_FIELDS}, sort_keys=True)
 
 
 def test_batched_simulation_matches_per_trial_reference():
@@ -929,6 +974,11 @@ def test_batched_simulation_matches_per_trial_reference():
         assert json.dumps(got.to_json_dict(), sort_keys=True) == \
             json.dumps(ref.to_json_dict(), sort_keys=True)
         assert got.trace_csv_text() == ref.trace_csv_text()
+        # with exact leakage the trials read the table of all 2^n sequences
+        exact = run_simulation(m, cfg)
+        assert exact.exact_computed
+        assert monte_carlo_fields(exact) == monte_carlo_fields(ref)
+        assert exact.trace_csv_text() == ref.trace_csv_text()
 
         book = generate_codebook(m, cfg)
         totals["blocks"] = max(totals["blocks"], len(_blocks(cfg.trials, book.size * book.n)))
@@ -937,6 +987,23 @@ def test_batched_simulation_matches_per_trial_reference():
         totals["ambiguous"] += sum(row[6] for row in ref.trace)
     # every path of the encoder and the decoder was reached
     assert totals["blocks"] >= 2 and min(totals.values()) > 0
+
+
+def test_simulation_exact_fields_equal_a_direct_exact_leakage():
+    # run_simulation reads the encoder table its trials read; a direct
+    # exact_leakage call (perfbench's layer probe) builds its own: both give
+    # the same bits on the simulate benchmark's code and a ternary test channel
+    m = AuthModel.binary_hsm(0.02, 0.2, 0.3, classifier_trials=500)
+    for test in (Channel.identity(2), TERNARY_TEST):
+        for seed in range(3):
+            cfg = SimConfig(n=10, test_channel=test, gamma=0.05, seed=seed, trials=2000)
+            report = run_simulation(m, cfg)
+            ex = exact_leakage(generate_codebook(m, cfg), m, cfg)
+            got = (report.exact_secrecy_leakage_bits, report.exact_privacy_leakage_rate_bits,
+                   report.mu_n, report.checks["table_mass"], report.checks["z_marginal_gap"])
+            want = (ex["secrecy_leakage_bits"], ex["privacy_leakage_rate_bits"], ex["mu_n"],
+                    ex["table_mass"], ex["z_marginal_gap"])
+            assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_enroll_authenticate_match_per_sequence_reference():

@@ -45,7 +45,12 @@ untimed call.  Prints one JSON object:
                           seed 0 (2,048 codewords)
   simulate_enroll_us      per trial, the median of REPS encoder passes over
                           the 2,000 enrollment sequences run_simulation draws
-                          for that code, in its blocks
+                          for that code, in its blocks, as a
+                          Monte-Carlo-only run takes them
+  simulate_exact_enroll_us  the same for the encoder step of a run with
+                          exact leakage: the encoder test of all 2^10
+                          sequences, then the pick of each trial's codeword
+                          by its sequence's index, in the trials' blocks
   simulate_decode_us      the same for the decoder pass over the trials'
                           authentication sequences and the helper bins their
                           enrollments chose
@@ -75,8 +80,9 @@ from authcap import (AuthModel, Channel, DiscreteDistribution, RegionBoundary,  
                      is_less_noisy, is_stochastically_degraded, sweep_region,
                      two_aux_random_search)
 from authcap.classifier import _binary_certificate  # noqa: E402
-from authcap.protocol import (SimConfig, _blocks, _decode_block, _enroll_block,  # noqa: E402
-                              _sample_through, exact_leakage, generate_codebook)
+from authcap.protocol import (SimConfig, _all_sequences, _blocks, _decode_block,  # noqa: E402
+                              _encoder_hits, _pick, _sample_through, _sequence_index,
+                              exact_leakage, generate_codebook)
 
 PAIRS_PER_SIZE = 20
 
@@ -136,8 +142,8 @@ def single_corners(config: dict, reps: int) -> dict:
 
 
 def simulator_layers(reps: int) -> dict:
-    """The simulate_* keys: codebook, per-trial enroll and decode, exact
-    leakage as a function of n."""
+    """The simulate_* keys: codebook, per-trial enroll (as Monte-Carlo-only
+    and exact runs take it) and decode, exact leakage as a function of n."""
     model = AuthModel.binary_hsm(0.02, 0.2, 0.3)
 
     def config(n: int) -> SimConfig:
@@ -154,13 +160,20 @@ def simulator_layers(reps: int) -> dict:
     xts = _sample_through(rng, model.ec.matrix, xs)
     ys = _sample_through(rng, model.ac_y.matrix, xs)
     blocks = list(_blocks(cfg.trials, book.size * book.n))
+    rows = _sequence_index(xts)
 
     def enroll_pass():
-        return np.concatenate([_enroll_block(book, xts[blk], rng) for blk in blocks])
+        return np.concatenate([_pick(_encoder_hits(book, xts[blk]), np.arange(len(xts[blk])), rng)
+                               for blk in blocks])
+
+    def exact_enroll_pass():
+        table = _encoder_hits(book, _all_sequences(cfg.n))
+        return np.concatenate([_pick(table, rows[blk], rng) for blk in blocks])
 
     idx = enroll_pass()
     bins = np.where(idx < 0, 0, book.bin_of[idx])
     for key, call in (("simulate_enroll_us", enroll_pass),
+                      ("simulate_exact_enroll_us", exact_enroll_pass),
                       ("simulate_decode_us",
                        lambda: [_decode_block(book, ys[blk], bins[blk]) for blk in blocks])):
         result[key] = statistics.median(seconds(call, reps)) * 1e6 / cfg.trials
