@@ -33,6 +33,7 @@ from .infotheory import (
     _jsonable,
     _mi2_nats,
     _positive,
+    _xlogx,
 )
 
 _MAX_U, _MAX_V = 4, 3      # auxiliary caps of the two-auxiliary search
@@ -161,15 +162,16 @@ class _ChainLaws(NamedTuple):
     p_xu: np.ndarray   # joints (X, U)
 
 
-def _chain_laws(model: AuthModel, tests: np.ndarray) -> _ChainLaws:
+def _chain_laws(model: AuthModel, tests: np.ndarray, out=_ChainLaws(*[None] * 4)) -> _ChainLaws:
     """Close the chain over a stack tests[b, xt, u] of test-channel matrices
-    on the enrollment alphabet; ValueError if they act on another one."""
+    on the enrollment alphabet (ValueError if not), into `out` where given."""
     if tests.shape[-2] != model.n_xt:
         raise ValueError(f"test channel expects {tests.shape[-2]} inputs, "
                          f"enrollment alphabet has {model.n_xt}")
-    p_xu = model._p_xa @ tests
-    return _ChainLaws(model._p_xt[:, None] * tests, model.ac_y.matrix.T @ p_xu,
-                      model.ac_z.matrix.T @ p_xu, p_xu)
+    p_xu = np.matmul(model._p_xa, tests, out=out.p_xu)
+    return _ChainLaws(np.multiply(model._p_xt[:, None], tests, out=out.p_au),
+                      np.matmul(model.ac_y.matrix.T, p_xu, out=out.p_yu),
+                      np.matmul(model.ac_z.matrix.T, p_xu, out=out.p_zu), p_xu)
 
 
 @dataclass
@@ -260,11 +262,53 @@ def _infos_nats(*joints):
     return infos
 
 
+def _v_joints(model: AuthModel, tu: np.ndarray, tv: np.ndarray, out=(None, None)) -> list:
+    """V's joints with Y and Z for stacks tu[b, xt, u], tv[b, u, v], into `out` if given."""
+    p_xv = model._p_xa @ (tu @ tv)
+    return [np.matmul(ch.matrix.T, p_xv, out=o) for ch, o in zip((model.ac_y, model.ac_z), out)]
+
+
+def _infos_one(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None) -> list:
+    """`_infos_nats` of U's chain laws and, given tv, of V's joints, for a stack
+    of one: floats in the same bits, from one buffer (the joints of each shape
+    as a group of cells, row sums and column sums) and one `_xlogx` pass."""
+    u, ny, nz = tu.shape[2], model.ac_y.num_outputs, model.ac_z.num_outputs
+    shapes = [(model.n_xt, u), (ny, u), (nz, u), (model.nx, u)]
+    shapes += [] if tv is None else [(ny, tv.shape[2]), (nz, tv.shape[2])]
+    groups = {}
+    for k, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(k)
+    buf = np.empty(sum(r * c + r + c for r, c in shapes))
+    joints, spans, lo = [None] * len(shapes), [], 0
+    for (r, c), ks in groups.items():
+        n = len(ks)
+        a, b = lo + n * r * c, lo + n * (r * c + r)   # where its row and column sums start
+        cells = buf[lo:a].reshape(n, r, c)
+        for i, k in enumerate(ks):
+            joints[k] = cells[i:i + 1]
+        lo = b + n * c
+        spans.append((ks, cells, buf[a:b].reshape(n, r), buf[b:lo].reshape(n, c)))
+    _chain_laws(model, tu, out=_ChainLaws(*joints[:4]))
+    if tv is not None:
+        _v_joints(model, tu, tv, out=joints[4:])
+    for _, cells, rows, cols in spans:
+        np.add.reduce(cells, axis=-1, out=rows)
+        np.add.reduce(cells, axis=-2, out=cols)
+    buf[:] = _xlogx(buf)   # the group views now hold p log p
+    infos = [None] * len(shapes)
+    for ks, cells, rows, cols in spans:
+        s_cells = np.add.reduce(cells.reshape(len(ks), -1), axis=-1).tolist()
+        s_rows, s_cols = (np.add.reduce(m, axis=-1).tolist() for m in (rows, cols))
+        for k, s_cell, s_row, s_col in zip(ks, s_cells, s_rows, s_cols):
+            infos[k] = _clamp_mi(s_cell - (s_row + s_col))
+    return infos
+
+
 def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
     """(rs clamped at 0, rj, rl, unclamped rs) in nats, each an array over a
     stack tu[b, xt, u] of test channels, or over pairs of it and a stack
     tv[b, u, v] of channels from U to a second auxiliary V; for a stack of
-    one, floats in the same bits, composed without numpy's per-call cost.
+    one, floats in the same bits, from `_infos_one`.
 
     Every one-auxiliary quantity reduces to the pairwise mutual
     informations I(U;Xt), I(U;Y), I(U;Z) and I(U;X) along the chain, so
@@ -275,18 +319,18 @@ def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
     lowered and rl raised by d = I(V;Y) - I(V;Z), V being reached from Xt
     through tu @ tv; of V's joints only those with Y and Z are formed.
     """
-    def infos(*joints):
-        mis = _infos_nats(*joints)
-        return [float(mi[0]) for mi in mis] if len(tu) == 1 else mis
-
-    i_u_xt, i_u_y, i_u_z, i_u_x = infos(*_chain_laws(model, tu))
+    if len(tu) == 1:
+        infos = _infos_one(model, tu, tv)
+    else:
+        infos = list(_infos_nats(*_chain_laws(model, tu)))
+        if tv is not None:
+            infos.extend(_infos_nats(*_v_joints(model, tu, tv)))
+    i_u_xt, i_u_y, i_u_z, i_u_x = infos[:4]
     rs_raw = i_u_y - i_u_z
     rj = _clamp_mi(i_u_xt - i_u_y)
     rl = i_u_x - i_u_y + model.i_xz_nats()
     if tv is not None:
-        p_xv = model._p_xa @ (tu @ tv)
-        i_v_y, i_v_z = infos(model.ac_y.matrix.T @ p_xv, model.ac_z.matrix.T @ p_xv)
-        d = i_v_y - i_v_z
+        d = infos[4] - infos[5]
         rs_raw, rl = rs_raw - d, rl + d
     return _positive(rs_raw), rj, _positive(rl), rs_raw
 

@@ -466,6 +466,18 @@ def ternary_model():
                      classifier_trials=2_000)
 
 
+def four_row_counts_model():
+    # |Xt| = 2, |X| = 3, |Y| = 4, |Z| = 5: U's joints with Xt, Y, Z and X
+    # have four row counts, so no two share a shape; Z is Y through w, so
+    # the pair is degraded in Y's favour
+    ac_y = np.array([[0.7, 0.1, 0.1, 0.1], [0.1, 0.6, 0.2, 0.1], [0.1, 0.1, 0.2, 0.6]])
+    w = np.array([[0.6, 0.1, 0.1, 0.1, 0.1], [0.1, 0.6, 0.1, 0.1, 0.1],
+                  [0.1, 0.1, 0.6, 0.1, 0.1], [0.1, 0.1, 0.1, 0.1, 0.6]])
+    return AuthModel(DiscreteDistribution([0.3, 0.3, 0.4]),
+                     Channel([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]), Channel(ac_y),
+                     Channel(ac_y @ w), classifier_trials=2_000)
+
+
 @pytest.mark.xfail(strict=True, reason="known gap: for |Xt| >= 3 no sampled test "
                    "channel comes near U = Xt (ROADMAP item 7, step 1)")
 def test_ternary_sweep_reaches_the_u_equals_xt_key_rate():
@@ -683,6 +695,12 @@ def test_batched_kernels_reject_malformed_stacks():
     with pytest.raises(MalformedJointError):
         _rates(m, np.stack([good, mass_two]), np.ones((2, 2, 1)))
     with pytest.raises(MalformedJointError):
+        _rates(m, mass_two[None])
+    with pytest.raises(MalformedJointError):
+        _rates(m, mass_two[None], np.ones((1, 2, 1)))
+    with pytest.raises(MalformedJointError):     # U's joints are fine, V's have mass 2
+        _rates(m, good[None], mass_two[None])
+    with pytest.raises(MalformedJointError):
         _mi2_nats(np.stack([np.full((2, 2), 0.25), np.full((2, 2), 0.5)]))
 
     for bad, what in ((mass_two, "do not sum"), (np.array([[1.5, -0.5], [0.5, 0.5]]), "negative"),
@@ -864,7 +882,8 @@ def ref_compare_regions(a, b):
     return max(0.0, worst)
 
 
-BIT_MODELS = [hsm_model, degraded_model, discrete_degraded_model, ternary_model]
+BIT_MODELS = [hsm_model, degraded_model, discrete_degraded_model, ternary_model,
+              four_row_counts_model]
 
 
 def _channels_with_one_hot_rows(rng, n, inputs, outputs):

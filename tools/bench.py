@@ -34,10 +34,13 @@ untimed call.  Prints one JSON object:
                           two_aux_random_search(model, 100000, seed=41) on
                           criterion 4's model, binary_symmetric(0.1, 0.1, 0.26)
   pairs_per_s             100000 / search_100k_s
+  sweep_100k_s            median of ceil(REPS / 10) calls sweep_region(model,
+                          100000 samples (the CLI's default), beta step
+                          1e-3, seed 40) on the same model: the batched
+                          one-auxiliary kernel
   compare_100k_s          median of ceil(REPS / 10) calls compare_regions(pairs,
-                          front): the corners of that search against
-                          sweep_region(model, 100000 samples, beta step
-                          1e-3, seed 40) on the same model
+                          front): the corners of that search against the
+                          region of that sweep
   compare_100k_peak_mb    tracemalloc peak of one such call, in MB
   simulate_codebook_ms    median of REPS generate_codebook calls on the
                           simulate workload's code: binary_hsm(0.02, 0.2,
@@ -219,8 +222,10 @@ def main(argv) -> int:
     result["search_100k_s"] = statistics.median(seconds(
         lambda: two_aux_random_search(criterion_4, 100_000, seed=41), math.ceil(reps / 10)))
     result["pairs_per_s"] = 100_000 / result["search_100k_s"]
-    front = sweep_region(criterion_4, SamplerConfig(random_samples=100_000,
-                                                    beta_grid_step=1e-3, seed=40))
+    sweep_100k = SamplerConfig(random_samples=100_000, beta_grid_step=1e-3, seed=40)
+    result["sweep_100k_s"] = statistics.median(seconds(
+        lambda: sweep_region(criterion_4, sweep_100k), math.ceil(reps / 10)))
+    front = sweep_region(criterion_4, sweep_100k)
     pairs = RegionBoundary(two_aux_random_search(criterion_4, 100_000, seed=41), front.unit)
     result["compare_100k_s"] = statistics.median(seconds(
         lambda: compare_regions(pairs, front), math.ceil(reps / 10)))
