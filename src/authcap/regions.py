@@ -38,6 +38,7 @@ from .infotheory import (
 
 _MAX_U, _MAX_V = 4, 3      # auxiliary caps of the two-auxiliary search
 _COMPARE_CELLS = 1 << 16   # cells per compare_regions buffer: 512 KB of float64
+_CHAIN_MEMO = 256          # test channels a model's chain memo holds before it is cleared
 
 Y_FAVOR = (Relation.DEGRADED_Z_WRT_Y, Relation.LESS_NOISY_Y_OVER_Z)
 Z_FAVOR = (Relation.DEGRADED_Y_WRT_Z, Relation.LESS_NOISY_Z_OVER_Y)
@@ -59,7 +60,9 @@ class AuthModel:
     them, so no joint main/eavesdropper conditional is accepted.  The
     channel-pair ordering is classified once at construction, and the
     source-side laws every corner reuses (joint of source and enrollment
-    observation, marginal of the latter, I(X;Z)) are computed once.
+    observation, marginal of the latter, I(X;Z)) are computed once.  A
+    private memo keeps the chain informations of recent single test
+    channels (`_chain_infos`).
     """
 
     px: DiscreteDistribution
@@ -80,6 +83,7 @@ class AuthModel:
         self._p_xt = self._p_xa.sum(axis=0)
         self._p_xt.setflags(write=False)
         self._i_xz = _mi2_nats(self.px.probs[:, None] * self.ac_z.matrix)
+        self._chain_memo = {}
         self.verdict = classify_ac(self.ac_y, self.ac_z,
                                    trials=self.classifier_trials, seed=self.classifier_seed)
 
@@ -262,19 +266,19 @@ def _infos_nats(*joints):
     return infos
 
 
-def _v_joints(model: AuthModel, tu: np.ndarray, tv: np.ndarray, out=(None, None)) -> list:
-    """V's joints with Y and Z for stacks tu[b, xt, u], tv[b, u, v], into `out` if given."""
+def _v_joints(model: AuthModel, tu: np.ndarray, tv: np.ndarray) -> list:
+    """V's joints with Y and Z for stacks tu[b, xt, u], tv[b, u, v]."""
     p_xv = model._p_xa @ (tu @ tv)
-    return [np.matmul(ch.matrix.T, p_xv, out=o) for ch, o in zip((model.ac_y, model.ac_z), out)]
+    return [ch.matrix.T @ p_xv for ch in (model.ac_y, model.ac_z)]
 
 
-def _infos_one(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None) -> list:
-    """`_infos_nats` of U's chain laws and, given tv, of V's joints, for a stack
-    of one: floats in the same bits, from one buffer (the joints of each shape
-    as a group of cells, row sums and column sums) and one `_xlogx` pass."""
-    u, ny, nz = tu.shape[2], model.ac_y.num_outputs, model.ac_z.num_outputs
-    shapes = [(model.n_xt, u), (ny, u), (nz, u), (model.nx, u)]
-    shapes += [] if tv is None else [(ny, tv.shape[2]), (nz, tv.shape[2])]
+def _infos_one(model: AuthModel, t: np.ndarray) -> list:
+    """`_infos_nats` of the chain laws of a stack of one test channel: floats
+    in the same bits, from one buffer (the joints of each shape as a group
+    of cells, row sums and column sums) and one `_xlogx` pass."""
+    u = t.shape[2]
+    shapes = [(model.n_xt, u), (model.ac_y.num_outputs, u), (model.ac_z.num_outputs, u),
+              (model.nx, u)]
     groups = {}
     for k, shape in enumerate(shapes):
         groups.setdefault(shape, []).append(k)
@@ -288,9 +292,7 @@ def _infos_one(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None) -> list:
             joints[k] = cells[i:i + 1]
         lo = b + n * c
         spans.append((ks, cells, buf[a:b].reshape(n, r), buf[b:lo].reshape(n, c)))
-    _chain_laws(model, tu, out=_ChainLaws(*joints[:4]))
-    if tv is not None:
-        _v_joints(model, tu, tv, out=joints[4:])
+    _chain_laws(model, t, out=_ChainLaws(*joints))
     for _, cells, rows, cols in spans:
         np.add.reduce(cells, axis=-1, out=rows)
         np.add.reduce(cells, axis=-2, out=cols)
@@ -304,11 +306,28 @@ def _infos_one(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None) -> list:
     return infos
 
 
+def _chain_infos(model: AuthModel, t: np.ndarray) -> tuple:
+    """`_infos_one(model, t)` as a tuple, kept in the model's memo under t's
+    shape and bytes (the shape, so a byte twin on the wrong alphabet still
+    meets `_chain_laws`' check).  A kernel that raises stores nothing; a
+    full memo is cleared whole rather than evicted entry by entry, so no
+    call iterates over it and concurrent callers cannot make one raise."""
+    key = (t.shape, t.tobytes())
+    memo = model._chain_memo
+    infos = memo.get(key)
+    if infos is None:
+        infos = tuple(_infos_one(model, t))
+        if len(memo) >= _CHAIN_MEMO:
+            memo.clear()
+        memo[key] = infos
+    return infos
+
+
 def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
     """(rs clamped at 0, rj, rl, unclamped rs) in nats, each an array over a
     stack tu[b, xt, u] of test channels, or over pairs of it and a stack
     tv[b, u, v] of channels from U to a second auxiliary V; for a stack of
-    one, floats in the same bits, from `_infos_one`.
+    one, floats in the same bits, from the model's memo (`_chain_infos`).
 
     Every one-auxiliary quantity reduces to the pairwise mutual
     informations I(U;Xt), I(U;Y), I(U;Z) and I(U;X) along the chain, so
@@ -317,10 +336,14 @@ def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
     I(X;U,Y) = I(X;Y) + I(U;X) - I(U;Y), and the same with Z in place of Y.
     So a two-auxiliary corner is the one-auxiliary corner of its U with rs
     lowered and rl raised by d = I(V;Y) - I(V;Z), V being reached from Xt
-    through tu @ tv; of V's joints only those with Y and Z are formed.
+    through the composite test channel tu @ tv: a stack scores only V's
+    joints with Y and Z, a single pair reads them from the memo entry of
+    tu @ tv, whose joints are formed in the same bits.
     """
     if len(tu) == 1:
-        infos = _infos_one(model, tu, tv)
+        infos = _chain_infos(model, tu)
+        if tv is not None:
+            infos += _chain_infos(model, tu @ tv)[1:3]
     else:
         infos = list(_infos_nats(*_chain_laws(model, tu)))
         if tv is not None:
@@ -398,9 +421,12 @@ def eval_two_aux(model: AuthModel, test_u: Channel, test_v: Channel,
 
     rs = I(U;Y|V) - I(U;Z|V), rj = I(U;Xt) - I(U;Y) and
     rl = I(X;U,Y) - I(X;Y|V) + I(X;Z|V): the corner of eval_one_aux(test_u)
-    with rs lowered and rl raised by I(V;Y) - I(V;Z).  Alphabets beyond
-    |U| = `max_u` or |V| = _MAX_V raise CardinalityError.  With a constant
-    V this collapses to eval_one_aux within rounding.
+    with rs lowered and rl raised by I(V;Y) - I(V;Z), V's informations being
+    those of the composite test channel Xt -> V, test_u @ test_v.  Both
+    channels' informations come from the model's memo, so a corner that
+    repeats a channel skips its kernel.  Alphabets beyond |U| = `max_u` or
+    |V| = _MAX_V raise CardinalityError.  With a constant V this collapses
+    to eval_one_aux within rounding.
     """
     if test_v.num_inputs != test_u.num_outputs:
         raise ValueError("test_v input alphabet must equal test_u output alphabet")

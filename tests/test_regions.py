@@ -2,6 +2,8 @@ import bisect
 import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -37,7 +39,8 @@ from authcap.infotheory import (
     _entropy_nats,
     _mi2_nats,
 )
-from authcap.regions import _COMPARE_CELLS, CardinalityError, _beta_grid, _rates
+from authcap.regions import (_CHAIN_MEMO, _COMPARE_CELLS, CardinalityError, _beta_grid,
+                             _chain_infos, _rates)
 from oracles import build_joint, region_contains
 
 
@@ -694,12 +697,13 @@ def test_batched_kernels_reject_malformed_stacks():
         _rates(m, np.stack([good, good, mass_two]))
     with pytest.raises(MalformedJointError):
         _rates(m, np.stack([good, mass_two]), np.ones((2, 2, 1)))
-    with pytest.raises(MalformedJointError):
-        _rates(m, mass_two[None])
-    with pytest.raises(MalformedJointError):
-        _rates(m, mass_two[None], np.ones((1, 2, 1)))
-    with pytest.raises(MalformedJointError):     # U's joints are fine, V's have mass 2
-        _rates(m, good[None], mass_two[None])
+    for _ in range(2):   # a stack of one raises on every call: the memo stores no failure
+        with pytest.raises(MalformedJointError):
+            _rates(m, mass_two[None])
+        with pytest.raises(MalformedJointError):
+            _rates(m, mass_two[None], np.ones((1, 2, 1)))
+        with pytest.raises(MalformedJointError):     # U's joints are fine, V's have mass 2
+            _rates(m, good[None], mass_two[None])
     with pytest.raises(MalformedJointError):
         _mi2_nats(np.stack([np.full((2, 2), 0.25), np.full((2, 2), 0.5)]))
 
@@ -960,6 +964,125 @@ def test_eval_two_aux_dirichlet_v_matches_four_joint_kernel_bit_for_bit(model_fn
                 assert _corner_bytes(c) == ref.tobytes()
                 assert (c.extras["u_size"], c.extras["v_size"]) == (u, v)
                 assert c.extras["v_channel"] == Channel(tv).matrix.tolist()
+
+
+def ternary_degraded_model():
+    # |X| = |Xt| = |Y| = |Z| = 3 with no noiseless channel, so every joint is
+    # dense; Z is Y through a symmetric channel, so the pair is degraded in
+    # Y's favour
+    ac_y = np.array([[0.7, 0.15, 0.15], [0.15, 0.7, 0.15], [0.15, 0.15, 0.7]])
+    w = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+    return AuthModel(DiscreteDistribution([0.3, 0.3, 0.4]),
+                     Channel([[0.85, 0.1, 0.05], [0.1, 0.8, 0.1], [0.05, 0.15, 0.8]]),
+                     Channel(ac_y), Channel(ac_y @ w), classifier_trials=2_000)
+
+
+MEMO_MODELS = BIT_MODELS + [ternary_degraded_model]
+
+
+def _record(c):
+    return _corner_bytes(c), [c.extras.get(k) for k in ("u_size", "v_size", "v_channel")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, len(MEMO_MODELS) - 1), u=st.integers(1, 4), v=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_call_history_does_not_change_a_bit(k, u, v, seed):
+    # the same (U, V) pairs, some U repeated, on a fresh model in one call
+    # order, on a fresh model in the other, and through the stacked kernel,
+    # which has no memo; |V| = 1 is the constant V
+    model_fn = MEMO_MODELS[k]
+    rng = np.random.default_rng(seed)
+    m = model_fn()
+    tus = _channels_with_one_hot_rows(rng, 6, m.n_xt, u)
+    tus = [Channel(t) for t in np.concatenate([tus, tus[:3]])]
+    tvs = [Channel(t) for t in rng.dirichlet(np.ones(v), size=(len(tus), u))]
+
+    def records(model, two_first):
+        out = []
+        for tu, tv in zip(tus, tvs):
+            if two_first:
+                two = eval_two_aux(model, tu, tv, max_u=u)
+            one = eval_one_aux(model, tu)
+            if not two_first:
+                two = eval_two_aux(model, tu, tv, max_u=u)
+            out += [_record(one), _record(two)]
+        return out
+
+    fresh = records(m, two_first=False)
+    assert records(model_fn(), two_first=True) == fresh
+    su, sv = (np.stack([c.matrix for c in cs]) for cs in (tus, tvs))
+    stacked = zip(_rates(m, su), _rates(m, su, sv))
+    assert [r.tobytes() for pair in stacked for r in pair] == [b for b, _ in fresh]
+
+
+def test_chain_memo_keeps_every_check():
+    m = hsm_model()   # |Xt| = 2
+    wide = Channel([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
+    eval_one_aux(m, wide)
+    twin = wide.matrix.reshape(1, 3, 2)   # the bytes of the memoized 2 x 3 channel
+    assert twin.tobytes() == wide.matrix.tobytes()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="enrollment alphabet has 2"):
+            _rates(m, twin)
+
+
+def test_chain_memo_is_bounded():
+    m = hsm_model()
+    rng = np.random.default_rng(73)
+    tests = [np.ones((1, m.n_xt, 1))] + [
+        t[None] for u in range(2, 6)
+        for t in _channel_stack(rng.dirichlet(np.ones(u), size=(5_000, m.n_xt)))]
+    sizes = set()
+    for t in tests:
+        _chain_infos(m, t)
+        sizes.add(len(m._chain_memo))
+    assert max(sizes) == _CHAIN_MEMO
+    # a full memo of |U| = 5 channels, the longest keys
+    fresh = hsm_model()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t in tests[-_CHAIN_MEMO:]:
+            _chain_infos(fresh, t)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(fresh._chain_memo) == _CHAIN_MEMO
+    assert held < 0.2 * 2**20
+
+
+def test_chain_memo_shared_by_threads():
+    # four threads share one model's memo, each through more channels than
+    # it holds, so clears interleave with lookups and stores; every corner
+    # must still be the one a fresh model gives
+    rng = np.random.default_rng(74)
+    stack = _channel_stack(rng.dirichlet(np.ones(3), size=(300, 2)))
+    expected = [r.tobytes() for r in _rates(hsm_model(), stack)]   # the stacked kernel: no memo
+    tests = [Channel(t) for t in stack]
+    shared, results, errors = hsm_model(), {}, []
+
+    def work(k):
+        try:
+            order = [*range(k, len(tests), 2), *range(len(tests))]
+            results[k] = [(i, _corner_bytes(eval_one_aux(shared, tests[i]))) for i in order]
+        except Exception as e:   # surfaced by the assertion below
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and errors == []
+    for k in range(4):
+        assert len(results[k]) == len(tests[k::2]) + len(tests)
+        assert all(got == expected[i] for i, got in results[k])
 
 
 def test_compare_regions_matches_dense_pass_bit_for_bit():

@@ -27,9 +27,15 @@ untimed call.  Prints one JSON object:
   eval_one_aux_us         per call, the median of REPS passes of
                           eval_one_aux over the corners of the two_aux_check
                           front: sweep_region of configs/discrete_degraded.json's
-                          model, 500 random samples, beta step 1e-3, seed 2
+                          model, 500 random samples, beta step 1e-3, seed 2;
+                          each pass on a model built just before it, untimed,
+                          so the model's chain memo starts empty and every
+                          call runs the kernel
   eval_two_aux_us         the same for eval_two_aux with a Channel.constant V
-                          (the constant-V embedding)
+                          (the constant-V embedding; V's composite channel
+                          repeats, so after the first corner it is a memo hit)
+  eval_one_aux_hit_us     the same for a second eval_one_aux on each corner,
+                          right after the first: a memo hit
   search_100k_s           median of ceil(REPS / 10) calls
                           two_aux_random_search(model, 100000, seed=41) on
                           criterion 4's model, binary_symmetric(0.1, 0.1, 0.26)
@@ -125,23 +131,45 @@ def per_size_us(test, sizes, degraded: bool) -> dict:
 
 
 def single_corners(config: dict, reps: int) -> dict:
-    """The eval_*_aux_us keys: per-call cost over the two_aux_check front."""
-    model = AuthModel(DiscreteDistribution(config["px"]), Channel(config["ec"]),
-                      Channel(config["ac_y"]), Channel(config["ac_z"]))
+    """The eval_*_aux_us keys: per-call cost over the two_aux_check front.
+    Every pass runs on a model built just before it, untimed, so its chain
+    memo starts empty and eval_one_aux_us / eval_two_aux_us time the kernel."""
+    def build():
+        return AuthModel(DiscreteDistribution(config["px"]), Channel(config["ec"]),
+                         Channel(config["ac_y"]), Channel(config["ac_z"]))
+
     tests = [c.test_channel for c in sweep_region(
-        model, SamplerConfig(random_samples=500, seed=2)).corners]
+        build(), SamplerConfig(random_samples=500, seed=2)).corners]
     constants = [Channel.constant(t.num_outputs) for t in tests]
 
-    def one_aux():
+    def one_aux(model):
+        start = time.perf_counter()
         for t in tests:
             eval_one_aux(model, t)
+        return time.perf_counter() - start
 
-    def two_aux():
+    def two_aux(model):
+        start = time.perf_counter()
         for t, v in zip(tests, constants):
             eval_two_aux(model, t, v, max_u=max(4, t.num_outputs))
+        return time.perf_counter() - start
 
-    return {key: statistics.median(seconds(call, reps)) * 1e6 / len(tests)
-            for key, call in (("eval_one_aux_us", one_aux), ("eval_two_aux_us", two_aux))}
+    def one_aux_hit(model):
+        elapsed = 0.0
+        for t in tests:
+            eval_one_aux(model, t)
+            start = time.perf_counter()
+            eval_one_aux(model, t)
+            elapsed += time.perf_counter() - start
+        return elapsed
+
+    def per_call_us(timed_pass) -> float:
+        timed_pass(build())
+        return statistics.median(timed_pass(build()) for _ in range(reps)) * 1e6 / len(tests)
+
+    return {key: per_call_us(timed_pass)
+            for key, timed_pass in (("eval_one_aux_us", one_aux), ("eval_two_aux_us", two_aux),
+                                    ("eval_one_aux_hit_us", one_aux_hit))}
 
 
 def simulator_layers(reps: int) -> dict:
