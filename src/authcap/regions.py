@@ -62,7 +62,9 @@ class AuthModel:
     source-side laws every corner reuses (joint of source and enrollment
     observation, marginal of the latter, I(X;Z)) are computed once.  A
     private memo keeps the chain informations of recent single test
-    channels (`_chain_infos`).
+    channels, and a private record those of the last `sweep_region`
+    front's channels, as the sweep's batched pass computed them; both serve
+    `_chain_infos`.
     """
 
     px: DiscreteDistribution
@@ -84,6 +86,7 @@ class AuthModel:
         self._p_xt.setflags(write=False)
         self._i_xz = _mi2_nats(self.px.probs[:, None] * self.ac_z.matrix)
         self._chain_memo = {}
+        self._sweep_infos = None
         self.verdict = classify_ac(self.ac_y, self.ac_z,
                                    trials=self.classifier_trials, seed=self.classifier_seed)
 
@@ -306,28 +309,62 @@ def _infos_one(model: AuthModel, t: np.ndarray) -> list:
     return infos
 
 
+class _SweepInfos:
+    """The chain informations of a sweep's front rows, as its batched pass
+    computed them: column k of `infos` for row rows[k] of its stacks laid
+    end to end.  `index` (a row's bytes to its column) is built on the
+    first lookup and set only once complete, so a concurrent lookup sees
+    all of it or builds its own."""
+
+    __slots__ = ("infos", "stacks", "rows", "index")
+
+    def __init__(self, infos: np.ndarray, stacks: list, rows: np.ndarray):
+        self.infos, self.stacks, self.rows, self.index = infos, stacks, rows, None
+
+    def lookup(self, row: bytes):
+        """The informations of the front row with these bytes, as a tuple of
+        floats, or None."""
+        index = self.index
+        if index is None:
+            index = self.index = {t.tobytes(): k for k, t in
+                                  enumerate(_stack_rows(self.stacks, self.rows.tolist()))}
+        k = index.get(row)
+        return None if k is None else tuple(self.infos[:, k].tolist())
+
+
 def _chain_infos(model: AuthModel, t: np.ndarray) -> tuple:
-    """`_infos_one(model, t)` as a tuple, kept in the model's memo under t's
+    """`_infos_one(model, t)` as a tuple.  Kept in the model's memo under t's
     shape and bytes (the shape, so a byte twin on the wrong alphabet still
-    meets `_chain_laws`' check).  A kernel that raises stores nothing; a
-    full memo is cleared whole rather than evicted entry by entry, so no
-    call iterates over it and concurrent callers cannot make one raise."""
-    key = (t.shape, t.tobytes())
+    meets `_chain_laws`' check); on a miss, a channel on the enrollment
+    alphabet is looked up among the last sweep's front rows
+    (`model._sweep_infos`), whose batched pass gave the same bits, and only
+    then scored.  A kernel that raises stores nothing; a full memo is
+    cleared whole rather than evicted entry by entry, so no call iterates
+    over it and concurrent callers cannot make one raise."""
+    row = t.tobytes()
+    key = (t.shape, row)
     memo = model._chain_memo
     infos = memo.get(key)
     if infos is None:
-        infos = tuple(_infos_one(model, t))
-        if len(memo) >= _CHAIN_MEMO:
-            memo.clear()
-        memo[key] = infos
+        swept = model._sweep_infos
+        if swept is not None and t.shape[1] == model.n_xt:
+            infos = swept.lookup(row)
+        if infos is None:
+            infos = tuple(_infos_one(model, t))
+            if len(memo) >= _CHAIN_MEMO:
+                memo.clear()
+            memo[key] = infos
     return infos
 
 
-def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
+def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None,
+                keep: list = None):
     """(rs clamped at 0, rj, rl, unclamped rs) in nats, each an array over a
     stack tu[b, xt, u] of test channels, or over pairs of it and a stack
     tv[b, u, v] of channels from U to a second auxiliary V; for a stack of
-    one, floats in the same bits, from the model's memo (`_chain_infos`).
+    one, floats in the same bits, from `_chain_infos`.  Given a list `keep`,
+    U's four informations are appended to it as they were computed: a
+    tuple of floats for a stack of one, else `_infos_nats`' result.
 
     Every one-auxiliary quantity reduces to the pairwise mutual
     informations I(U;Xt), I(U;Y), I(U;Z) and I(U;X) along the chain, so
@@ -341,13 +378,16 @@ def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
     tu @ tv, whose joints are formed in the same bits.
     """
     if len(tu) == 1:
-        infos = _chain_infos(model, tu)
+        infos = u_infos = _chain_infos(model, tu)
         if tv is not None:
             infos += _chain_infos(model, tu @ tv)[1:3]
     else:
-        infos = list(_infos_nats(*_chain_laws(model, tu)))
+        u_infos = _infos_nats(*_chain_laws(model, tu))
+        infos = list(u_infos)
         if tv is not None:
             infos.extend(_infos_nats(*_v_joints(model, tu, tv)))
+    if keep is not None:
+        keep.append(u_infos)
     i_u_xt, i_u_y, i_u_z, i_u_x = infos[:4]
     rs_raw = i_u_y - i_u_z
     rj = _clamp_mi(i_u_xt - i_u_y)
@@ -358,19 +398,21 @@ def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
     return _positive(rs_raw), rj, _positive(rl), rs_raw
 
 
-def _rates(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None) -> np.ndarray:
+def _rates(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None,
+           keep: list = None) -> np.ndarray:
     """Rates of a stack tu[b, xt, u] of test channels, one-auxiliary, or
     two-auxiliary with tv[b, u, v] the channels to V: a (B, 4) array of
     (rs clamped at 0, rj, rl, unclamped rs) in bits.  Evaluated in blocks
     of at most 2^22 cells of the pairwise joints a row needs: those of U,
-    and of V if given, with Xt, Y, Z and X."""
+    and of V if given, with Xt, Y, Z and X; given a list `keep`, each
+    block's informations of U go into it (see `_rates_nats`)."""
     stacks = (tu,) if tv is None else (tu, tv)
     row_cells = sum(s.shape[2] for s in stacks) * (
         model.n_xt + model.ac_y.num_outputs + model.ac_z.num_outputs + model.nx)
     out = np.empty((len(tu), 4))
     for blk in _blocks(len(tu), row_cells):
         out[blk, 0], out[blk, 1], out[blk, 2], out[blk, 3] = _rates_nats(
-            model, *(s[blk] for s in stacks))
+            model, *(s[blk] for s in stacks), keep=keep)
     return InfoUnit.BITS.from_nats(out)
 
 
@@ -384,20 +426,26 @@ def _rate_corner(rates, test_channel: Channel = None, **extras) -> RateCorner:
                       extras={"rs_unclamped": rs_raw, **sizes, **extras})
 
 
-def _front(rates: np.ndarray, params, stacks=()) -> list:
-    """Corners of the rows of a (B, 4) `_rates` array that no other row
-    dominates, in `_pareto_indices` order.  Row i gets param params[i] and,
-    if `stacks` is given, the test channel of row i of the `_channel_stack`
-    results `stacks` laid end to end; only kept rows get a Channel."""
+def _stack_rows(stacks, rows):
+    """Row i of the stacks laid end to end, for each i in `rows`."""
     starts = list(itertools.accumulate((len(s) for s in stacks), initial=0))
-
-    def test_channel(i):
+    for i in rows:
         g = bisect.bisect_right(starts, i) - 1
-        return Channel._of_checked(stacks[g][i - starts[g]])
+        yield stacks[g][i - starts[g]]
 
-    return [_rate_corner(rates[i].tolist(), test_channel(i) if stacks else None,
-                         param=params[i])
-            for i in _pareto_indices(rates)]
+
+def _front(rates: np.ndarray, params, stacks=(), kept: list = None) -> list:
+    """Corners of the rows of a (B, 4) `_rates` array that no other row
+    dominates, in `_pareto_indices` order (`kept`, if the caller has it).
+    Row i gets param params[i] and, if `stacks` is given, the test channel
+    of row i of the `_channel_stack` results `stacks` laid end to end; only
+    kept rows get a Channel."""
+    if kept is None:
+        kept = _pareto_indices(rates)
+    channels = (map(Channel._of_checked, _stack_rows(stacks, kept)) if stacks
+                else itertools.repeat(None))
+    return [_rate_corner(rates[i].tolist(), channel, param=params[i])
+            for i, channel in zip(kept, channels)]
 
 
 def eval_one_aux(model: AuthModel, test: Channel) -> RateCorner:
@@ -575,6 +623,13 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
     for auxiliary sizes outside [1, |Xt| + 3], and ValueError for a negative
     sample count, random samples with no auxiliary size, or a plan with
     neither a beta grid row nor a random one, before anything is sampled.
+
+    The model keeps the four chain informations the batched pass computed
+    for the front's rows, gathered into one (4, front) array, with the
+    stacks and the rows' indices (`_SweepInfos`), in place of the previous
+    sweep's; `eval_one_aux` and `eval_two_aux` on a front corner's test
+    channel read them there (`_chain_infos`) instead of running the kernel
+    again.
     """
     if config is None:
         config = SamplerConfig()
@@ -591,6 +646,7 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
     if not (beta_grid or config.random_samples):
         raise ValueError("the plan samples nothing: no beta grid and no random samples")
 
+    model._sweep_infos = None   # the last front's record goes before this sweep allocates
     # One checked stack of test channels per group (the beta grid, then each
     # |U|) and the param of each row; the draws take the numbers one
     # rng.dirichlet per sample would.
@@ -607,8 +663,14 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
                 stacks.append(_channel_stack(rng.dirichlet(np.ones(u), size=(k, model.n_xt))))
         params += range(config.random_samples)
 
-    rates = np.concatenate([_rates(model, tests) for tests in stacks])
-    corners = _front(rates, params, stacks)
+    blocks = []
+    rates = np.concatenate([_rates(model, tests, keep=blocks) for tests in stacks])
+    kept = _pareto_indices(rates)
+    corners = _front(rates, params, stacks, kept)
+    # the record outlives this call, so it holds the front's columns and an
+    # index array, not every row's informations or the list of kept rows
+    infos = np.concatenate([np.reshape(b, (4, -1)) for b in blocks], axis=1)[:, kept]
+    model._sweep_infos = _SweepInfos(infos, stacks, np.array(kept, dtype=np.intp))
 
     meta = {"model_hash": model.content_hash(), "seed": config.seed,
             "sampler": {"random_samples": config.random_samples,

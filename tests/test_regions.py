@@ -984,23 +984,36 @@ def _record(c):
     return _corner_bytes(c), [c.extras.get(k) for k in ("u_size", "v_size", "v_channel")]
 
 
+def _sweep_config(u, seed):
+    return SamplerConfig(random_samples=40, beta_grid_step=0.05, u_sizes=(u,), seed=seed)
+
+
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(0, len(MEMO_MODELS) - 1), u=st.integers(1, 4), v=st.integers(1, 3),
-       seed=st.integers(0, 2**32 - 1))
-def test_call_history_does_not_change_a_bit(k, u, v, seed):
-    # the same (U, V) pairs, some U repeated, on a fresh model in one call
-    # order, on a fresh model in the other, and through the stacked kernel,
-    # which has no memo; |V| = 1 is the constant V
+       seed=st.integers(0, 2**32 - 1),
+       sweeps=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 1)), max_size=3))
+@example(k=0, u=2, v=2, seed=0, sweeps=[(0, 0), (10, 1)])
+def test_call_history_does_not_change_a_bit(k, u, v, seed, sweeps):
+    # the same (U, V) pairs, some U repeated and up to six from a seed-0
+    # sweep's front, on a fresh model in one call order, on a fresh model in
+    # the other with sweeps run before the drawn calls (seed 0 sweeps that
+    # front, seed 1 another, so a second sweep replaces the first one's
+    # front record), and through the stacked kernel, which has no memo and
+    # no front record; |V| = 1 is the constant V
     model_fn = MEMO_MODELS[k]
     rng = np.random.default_rng(seed)
     m = model_fn()
+    front = [c.test_channel.matrix for c in sweep_region(model_fn(), _sweep_config(u, 0)).corners
+             if c.test_channel.num_outputs == u][:6]
     tus = _channels_with_one_hot_rows(rng, 6, m.n_xt, u)
-    tus = [Channel(t) for t in np.concatenate([tus, tus[:3]])]
+    tus = [Channel(t) for t in [*tus, *tus[:3], *front]]
     tvs = [Channel(t) for t in rng.dirichlet(np.ones(v), size=(len(tus), u))]
 
-    def records(model, two_first):
+    def records(model, two_first, sweeps=()):
         out = []
-        for tu, tv in zip(tus, tvs):
+        for i, (tu, tv) in enumerate(zip(tus, tvs)):
+            for _, sweep_seed in (s for s in sweeps if s[0] == i):
+                sweep_region(model, _sweep_config(u, sweep_seed))
             if two_first:
                 two = eval_two_aux(model, tu, tv, max_u=u)
             one = eval_one_aux(model, tu)
@@ -1010,10 +1023,48 @@ def test_call_history_does_not_change_a_bit(k, u, v, seed):
         return out
 
     fresh = records(m, two_first=False)
-    assert records(model_fn(), two_first=True) == fresh
+    assert records(model_fn(), two_first=True, sweeps=sweeps) == fresh
     su, sv = (np.stack([c.matrix for c in cs]) for cs in (tus, tvs))
     stacked = zip(_rates(m, su), _rates(m, su, sv))
     assert [r.tobytes() for pair in stacked for r in pair] == [b for b, _ in fresh]
+
+
+def _hex_record(c):
+    return ([r.hex() for r in (*c.as_tuple(), c.extras["rs_unclamped"])],
+            [c.extras.get(k) for k in ("u_size", "v_size", "v_channel")])
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(0, len(MEMO_MODELS) - 1), beta_grid=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_front_corners_on_the_sweeping_model_match_a_fresh_model(k, beta_grid, seed):
+    # each front corner of a sweep over |U| = 1 ... |Xt| + 3, scored on the
+    # model that swept (its front record) and on a fresh model (the kernel):
+    # eval_one_aux, then eval_two_aux with a constant V and a Dirichlet V
+    model_fn = MEMO_MODELS[k]
+    m, fresh = model_fn(), model_fn()
+    config = SamplerConfig(random_samples=120, beta_grid_step=0.01 if beta_grid else 0.0,
+                           seed=seed)
+    tests = [c.test_channel for c in sweep_region(m, config).corners]
+    assert {t.num_outputs for t in tests} <= set(config.sizes_for(m.n_xt))
+    rng = np.random.default_rng(seed)
+    vs = [Channel(rng.dirichlet(np.ones(v), size=t.num_outputs))
+          for t, v in zip(tests, rng.integers(1, 4, size=len(tests)).tolist())]
+
+    def records(model):
+        out = []
+        for tu, tv in zip(tests, vs):
+            u = tu.num_outputs
+            out.append(_hex_record(eval_one_aux(model, tu)))
+            out += [_hex_record(eval_two_aux(model, tu, v, max_u=max(4, u)))
+                    for v in (Channel.constant(u), tv)]
+        return out
+
+    assert records(m) == records(fresh)
+    # the sweeping model read every front channel from its record: none
+    # went into its memo, where a kernel run would have put it
+    assert not any((t.matrix[None].shape, t.matrix.tobytes()) in m._chain_memo for t in tests)
+    assert fresh._sweep_infos is None
 
 
 def test_chain_memo_keeps_every_check():
@@ -1083,6 +1134,85 @@ def test_chain_memo_shared_by_threads():
     for k in range(4):
         assert len(results[k]) == len(tests[k::2]) + len(tests)
         assert all(got == expected[i] for i, got in results[k])
+
+
+def test_front_record_keeps_every_check():
+    m = hsm_model()   # |Xt| = 2
+    front = sweep_region(m, SamplerConfig(random_samples=200, beta_grid_step=0.0,
+                                          u_sizes=(3,), seed=7))
+    wide = front.corners[0].test_channel.matrix   # 2 x 3, a front row
+    eval_one_aux(m, Channel(wide))
+    assert m._sweep_infos.index is not None and not m._chain_memo   # read from the record
+    twin = wide.reshape(1, 3, 2)   # the bytes of that front row
+    assert twin.tobytes() == wide.tobytes()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="enrollment alphabet has 2"):
+            _rates(m, twin)
+
+
+def test_a_model_keeps_only_the_last_sweeps_record():
+    # a sweep's record holds its stacks (0.98 MB for 20,501 rows) and its
+    # front's informations; the next sweep drops it before it allocates, so
+    # that sweep peaks no higher than the first, and after a 50-sample sweep
+    # the model holds under 0.1 MB more than before any sweep
+    m = hsm_model()
+    sweep_region(hsm_model(), SamplerConfig(random_samples=50, seed=1))   # warm-up
+    big = SamplerConfig(random_samples=20_000, beta_grid_step=1e-3, seed=2)
+    small = SamplerConfig(random_samples=50, beta_grid_step=0.0, seed=3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sweep_region(m, big)   # the region goes, the record stays
+        held_big, peak_big = (x - before for x in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        sweep_region(m, big)
+        peak_again = tracemalloc.get_traced_memory()[1] - before
+        small_front = sweep_region(m, small).corners
+        held_small = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held_big > 0.9 * 2**20
+    assert peak_again < peak_big + held_big / 2
+    assert held_small < 0.1 * 2**20
+    assert sum(map(len, m._sweep_infos.stacks)) == 50
+    assert m._sweep_infos.infos.shape == (4, len(small_front))
+
+
+def test_front_record_shared_by_threads():
+    # for each of three fresh fronts, four threads score its corners on the
+    # model that swept it, in different orders, racing to build its index;
+    # every corner must be the one the stacked kernel gives on a fresh model
+    m = hsm_model()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(3):
+            tests = [c.test_channel for c in sweep_region(m, SamplerConfig(
+                random_samples=600, beta_grid_step=0.0, u_sizes=(3,), seed=seed)).corners]
+            stack = np.stack([t.matrix for t in tests])
+            expected = [r.tobytes() for r in _rates(hsm_model(), stack)]
+            results, errors = {}, []
+
+            def work(k):
+                try:
+                    order = [*range(k, len(tests), 4), *range(len(tests))]
+                    results[k] = [(i, _corner_bytes(eval_one_aux(m, tests[i]))) for i in order]
+                except Exception as e:   # surfaced by the assertion below
+                    errors.append(e)
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads) and errors == []
+            for k in range(4):
+                assert len(results[k]) == len(tests[k::4]) + len(tests)
+                assert all(got == expected[i] for i, got in results[k])
+            assert not m._chain_memo   # every corner came from the front record
+    finally:
+        sys.setswitchinterval(interval)
+    assert sys.getswitchinterval() == interval
 
 
 def test_compare_regions_matches_dense_pass_bit_for_bit():

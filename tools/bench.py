@@ -33,9 +33,18 @@ untimed call.  Prints one JSON object:
                           call runs the kernel
   eval_two_aux_us         the same for eval_two_aux with a Channel.constant V
                           (the constant-V embedding; V's composite channel
-                          repeats, so after the first corner it is a memo hit)
+                          Xt -> V is not one channel but, since a Dirichlet
+                          row need not sum to exactly 1.0, takes 12 byte
+                          patterns over the 618 corners, so all but about 12
+                          corners read it from the memo)
   eval_one_aux_hit_us     the same for a second eval_one_aux on each corner,
                           right after the first: a memo hit
+  embedding_loop_us       per corner, the median of REPS passes of
+                          eval_two_aux with a Channel.constant V, then
+                          eval_one_aux, over the same corners, each pass on
+                          a model that has just swept that front, untimed:
+                          two_aux_check's embedding loop, whose U channels
+                          come from the sweep's front record, not the kernel
   search_100k_s           median of ceil(REPS / 10) calls
                           two_aux_random_search(model, 100000, seed=41) on
                           criterion 4's model, binary_symmetric(0.1, 0.1, 0.26)
@@ -131,15 +140,22 @@ def per_size_us(test, sizes, degraded: bool) -> dict:
 
 
 def single_corners(config: dict, reps: int) -> dict:
-    """The eval_*_aux_us keys: per-call cost over the two_aux_check front.
-    Every pass runs on a model built just before it, untimed, so its chain
-    memo starts empty and eval_one_aux_us / eval_two_aux_us time the kernel."""
+    """The eval_*_aux_us and embedding_loop_us keys: per-call cost over the
+    two_aux_check front.  Every pass runs on a model built just before it,
+    untimed, so its chain memo starts empty and eval_one_aux_us /
+    eval_two_aux_us time the kernel; embedding_loop_us's model has also
+    swept the front, so the loop reads U's informations from its record."""
     def build():
         return AuthModel(DiscreteDistribution(config["px"]), Channel(config["ec"]),
                          Channel(config["ac_y"]), Channel(config["ac_z"]))
 
-    tests = [c.test_channel for c in sweep_region(
-        build(), SamplerConfig(random_samples=500, seed=2)).corners]
+    def swept():
+        model = build()
+        sweep_region(model, front)
+        return model
+
+    front = SamplerConfig(random_samples=500, seed=2)
+    tests = [c.test_channel for c in sweep_region(build(), front).corners]
     constants = [Channel.constant(t.num_outputs) for t in tests]
 
     def one_aux(model):
@@ -163,13 +179,22 @@ def single_corners(config: dict, reps: int) -> dict:
             elapsed += time.perf_counter() - start
         return elapsed
 
-    def per_call_us(timed_pass) -> float:
-        timed_pass(build())
-        return statistics.median(timed_pass(build()) for _ in range(reps)) * 1e6 / len(tests)
+    def embedding_loop(model):
+        start = time.perf_counter()
+        for t, v in zip(tests, constants):
+            eval_two_aux(model, t, v, max_u=max(4, t.num_outputs))
+            eval_one_aux(model, t)
+        return time.perf_counter() - start
 
-    return {key: per_call_us(timed_pass)
-            for key, timed_pass in (("eval_one_aux_us", one_aux), ("eval_two_aux_us", two_aux),
-                                    ("eval_one_aux_hit_us", one_aux_hit))}
+    def per_call_us(timed_pass, model) -> float:
+        timed_pass(model())
+        return statistics.median(timed_pass(model()) for _ in range(reps)) * 1e6 / len(tests)
+
+    return {key: per_call_us(timed_pass, model)
+            for key, timed_pass, model in (("eval_one_aux_us", one_aux, build),
+                                           ("eval_two_aux_us", two_aux, build),
+                                           ("eval_one_aux_hit_us", one_aux_hit, build),
+                                           ("embedding_loop_us", embedding_loop, swept))}
 
 
 def simulator_layers(reps: int) -> dict:
