@@ -42,6 +42,21 @@ _GF64_REDUCTION = 0x1B  # x^64 = x^4 + x^3 + x + 1
 # sequences, codewords, exact-leakage laws): 256 MB of float64.
 _MAX_CELLS = 1 << 25
 
+# The encoder's density buffer, reused block to block, holds four density
+# matrices (so the matmul's packing of that matrix, once per block, stays a
+# small share of its work), but at least _ENCODER_CELLS (1 MB of float64,
+# half the per-core L2 of the 2-vCPU Xeon VM it was tuned on) and at most
+# 2^22 cells.
+_ENCODER_CELLS = 1 << 17
+# Cap on each side of a decoder tile (trials and members against the one-hot
+# width, and trials against members): 512 KB of float64.
+_TILE_CELLS = 1 << 16
+# Expected cells of a decoder tile, trials against the members of their
+# bins: a group of g trials spans about g * size / trials members, so g is
+# the square root of _GROUP_CELLS * trials / size (126 trials, two bins, on
+# the simulate benchmark's code).
+_GROUP_CELLS = 1 << 14
+
 
 class SimLimitError(ValueError):
     """A configured simulator cap (blocklength, codebook size) or the cell
@@ -203,6 +218,16 @@ class Codebook:
         b = np.where(finite, tn, penalty)[:, self.codewords]        # (a, c, t)
         return b.transpose(2, 0, 1).reshape(-1, self.size)
 
+    @cached_property
+    def _decoder_table(self) -> np.ndarray:
+        """an_table with each zero-probability pair (-inf) replaced by a finite
+        penalty that alone puts any row containing it below the decoder
+        threshold."""
+        an = self.tables.an_table
+        finite = np.isfinite(an)
+        penalty = min(self.decoder_threshold(), 0.0) - self.n * np.abs(an[finite]).max() - 1.0
+        return np.where(finite, an, penalty)
+
     def bin_members(self, j: int) -> np.ndarray:
         order, edges = self._bin_index
         return order[edges[j]:edges[j + 1]]
@@ -269,28 +294,43 @@ def generate_codebook(model: AuthModel, config: SimConfig) -> Codebook:
 def _encoder_hits(codebook: Codebook, seqs: np.ndarray):
     """(rows, cols, hits): the (sequence, codeword) pairs of `seqs` that pass
     the encoder test, in row-major order, and the count per row; SimLimitError
-    past _MAX_CELLS pairs.  Few pass (0.1% on the benchmark's code): a block's
-    flat mask indices split by divmod cost a tenth of a 2-D `np.nonzero`."""
-    flat = []
-    for blk in _blocks(len(seqs), codebook.size * codebook.n):
-        one_hot = seqs[blk, :, None] == np.arange(len(codebook.tables.tn_table))
-        dens = one_hot.reshape(len(one_hot), -1) @ codebook._density_matrix
-        flat.append(np.flatnonzero(dens <= codebook.encoder_threshold()) + blk.start * codebook.size)
-        if sum(map(len, flat)) > _MAX_CELLS:
+    past _MAX_CELLS pairs.  The densities of each block of rows go into one
+    buffer (see _ENCODER_CELLS) and its test into one mask, both reused.
+    Few pairs pass (0.1% on the benchmark's code): a block's flat mask indices
+    split by divmod cost a tenth of a 2-D `np.nonzero`."""
+    size = codebook.size
+    cells = min(max(_ENCODER_CELLS, 4 * codebook._density_matrix.size), 1 << 22)
+    step = max(1, cells // size)
+    dens = np.empty((min(step, len(seqs)), size))
+    mask = np.empty(dens.shape, dtype=bool)
+    eye = np.eye(len(codebook.tables.tn_table), dtype=bool)   # one-hot rows by symbol
+    flat, count = [], 0
+    for lo in range(0, len(seqs), step):
+        one_hot = np.take(eye, seqs[lo:lo + step], axis=0)
+        rows = len(one_hot)
+        np.matmul(one_hot.reshape(rows, -1), codebook._density_matrix, out=dens[:rows])
+        np.less_equal(dens[:rows], codebook.encoder_threshold(), out=mask[:rows])
+        flat.append(np.flatnonzero(mask[:rows]) + lo * size)
+        count += len(flat[-1])
+        if count > _MAX_CELLS:
             raise SimLimitError(f"over {_MAX_CELLS} sequence-codeword pairs pass the encoder test")
+    del dens, mask
     flat = np.concatenate(flat)   # frees the blocks' indices before the split
-    rows, cols = np.divmod(flat, codebook.size)
+    rows, cols = np.divmod(flat, size)
     return rows, cols, np.bincount(rows, minlength=len(seqs))
 
 
 def _observation(seq, n: int, alphabet: int) -> np.ndarray:
-    """`seq` as an array; ValueError unless it holds n symbols in [0, alphabet)."""
+    """`seq` as an int64 array; ValueError unless it holds n integral
+    symbols (integers, or floats with integral values) in [0, alphabet)."""
     x = np.asarray(seq)
     if x.shape != (n,):
         raise ValueError(f"expected a length-{n} sequence")
+    if not (x.dtype.kind in "biu" or x.dtype.kind == "f" and np.array_equal(x, np.trunc(x))):
+        raise ValueError(f"symbols must be integers, got non-integral {x.dtype} values")
     if not (0 <= x.min() and x.max() < alphabet):
         raise ValueError(f"symbols must lie in [0, {alphabet}), got {x.min()} to {x.max()}")
-    return x
+    return x.astype(np.int64)
 
 
 def _pick(table, rows, rng) -> np.ndarray:
@@ -324,24 +364,54 @@ def enroll(codebook: Codebook, x_tilde_seq, rng=None):
 
 def _decode_block(codebook: Codebook, ys: np.ndarray, bins: np.ndarray):
     """(decoded codeword or -1, count of in-bin codewords passing the decoder
-    test) per observation `ys` with helper bin `bins`; decoded when unique."""
+    test) per observation `ys` with helper bin `bins`; decoded when unique.
+
+    The trials are taken in bin order, in groups cut at bin boundaries (a bin
+    with more trials than a group is cut into several); each trial is decoded
+    on its own, so their order within a bin does not matter.  A group's bins
+    hold contiguous members in the bin index, scored in tiles capped at
+    _TILE_CELLS on every side: one matmul of the trials' one-hot y rows by
+    the members' per-symbol decoder-table rows, with the cells that pair a
+    trial with another bin's member masked out."""
     order, edges = codebook._bin_index
-    sizes = edges[bins + 1] - edges[bins]
-    trial = np.repeat(np.arange(len(bins)), sizes)
-    shift = edges[bins] - (np.cumsum(sizes) - sizes)  # bin start less the trial's first slot
-    members = order[np.arange(trial.size) + shift[trial]]
-    # one flat gather of an_table[u, y] per member symbol; building the flat
-    # index in place saves 0.5 MB of peak RSS on the simulate benchmark
-    an = codebook.tables.an_table
-    flat = codebook.codewords[members]
-    flat *= an.shape[1]
-    flat += ys[trial]
-    dens = np.take(an, flat).sum(axis=1)
-    typical = dens >= codebook.decoder_threshold()
-    hits = np.bincount(trial[typical], minlength=len(bins))
-    decoded = np.full(len(bins), -1)
-    decoded[trial[typical]] = members[typical]    # kept where the member is unique
-    return np.where(hits == 1, decoded, -1), hits
+    table = codebook._decoder_table
+    width = codebook.n * table.shape[1]
+    threshold = codebook.decoder_threshold()
+    group = max(1, min(math.isqrt(_GROUP_CELLS * len(bins) // codebook.size), _TILE_CELLS // width))
+    tile = max(1, _TILE_CELLS // max(width, group))
+
+    by_bin = np.argsort(bins)
+    sorted_bins = bins[by_bin]
+    one_hot = np.take(np.eye(table.shape[1], dtype=bool), ys[by_bin], axis=0).reshape(len(bins), -1)
+    hits = np.zeros(len(bins), dtype=np.int64)
+    found = np.full(len(bins), -1)    # a passing member, kept where it is the only one
+    start = 0
+    while start < len(bins):
+        stop = min(start + group, len(bins))
+        if stop < len(bins):          # cut at the start of the bin the group ends in
+            cut = np.searchsorted(sorted_bins, sorted_bins[stop])
+            stop = cut if cut > start else stop
+        rows = slice(start, stop)
+        first, last = sorted_bins[start], sorted_bins[stop - 1]
+        lo, hi = edges[first], edges[last + 1]
+        for c0 in range(lo, hi, tile):
+            members = order[c0:min(c0 + tile, hi)]
+            dens = one_hot[rows] @ table[codebook.codewords[members]].reshape(len(members), -1).T
+            passed = dens >= threshold
+            if first != last:
+                passed &= codebook.bin_of[members] == sorted_bins[rows, None]
+            count = passed.sum(axis=1)
+            pick = members[passed.argmax(axis=1)]
+            if c0 > lo:                # keep an earlier tile's pick where this one has none
+                pick = np.where(count > 0, pick, found[rows])
+                count += hits[rows]
+            hits[rows], found[rows] = count, pick
+        start = stop
+    decoded = np.empty_like(found)
+    decoded[by_bin] = np.where(hits == 1, found, -1)
+    out = np.empty_like(hits)
+    out[by_bin] = hits
+    return decoded, out
 
 
 def authenticate(codebook: Codebook, y_seq, j: int):
@@ -381,12 +451,16 @@ def _product_law(per_symbol: np.ndarray, n: int) -> np.ndarray:
 def _mode_products(table: np.ndarray, per_symbol: np.ndarray, n: int) -> np.ndarray:
     """sum over a^n of table[a^n, c] * prod_t per_symbol[a_t, b_t], as a
     (c, b^n) matrix: `table` has rows indexed by sequences in `_all_sequences`
-    order, and each of the n symbols is contracted with the per-symbol law in
-    turn, so the n-fold product law is never formed."""
-    out = table
+    order, and each of the n symbols is contracted with the square per-symbol
+    law in turn, so the n-fold product law is never formed.  The contractions
+    go back and forth between `table`, which is overwritten, and one buffer
+    of its size; the result is a view of one of the two."""
+    src, dst = table, np.empty_like(table)
     for _ in range(n):   # contracts the leading symbol, appends its image last
-        out = out.reshape(len(per_symbol), -1).T @ per_symbol
-    return out.reshape(table.shape[1], -1)
+        np.matmul(src.reshape(len(per_symbol), -1).T, per_symbol,
+                  out=dst.reshape(-1, len(per_symbol)))
+        src, dst = dst, src
+    return src.reshape(table.shape[1], -1)
 
 
 def _encoder_kernel(codebook: Codebook, rows, cols, hits) -> np.ndarray:
@@ -439,12 +513,12 @@ def _exact_leakage(codebook: Codebook, model: AuthModel, table) -> dict:
     n = codebook.n
     t = codebook.tables
     m_s, m_j = codebook.m_s, codebook.m_j
-    # The encoder law is freed once both its contractions are taken, and
-    # mu_n's deviation table is made in place, so fewer tables of the
-    # encoder law's size are alive at once.
+    # The encoder law is contracted in place (its one buffer is freed on
+    # return), and mu_n's deviation table is made in place, so at most two
+    # tables of the encoder law's size are alive at once.
     enc = _encoder_kernel(codebook, *table)
     enc_j = enc.reshape(-1, m_s, m_j).sum(axis=1)
-    p_sjz = _mode_products(enc, t.p_xtz, n)     # (m_s * m_j, 2^n)
+    p_sjz = _mode_products(enc, t.p_xtz, n)     # (m_s * m_j, 2^n), overwrites enc
     del enc
     table_mass = float(p_sjz.sum())
 
@@ -549,13 +623,12 @@ def run_simulation(model: AuthModel, config: SimConfig,
     thr_k = n * (t.i_xt_u_given_x - config.gamma)
 
     table = None if monte_carlo_only else _encoder_hits(codebook, _all_sequences(n))
-    blocks = []
-    for blk in _blocks(trials, codebook.size * codebook.n):
-        idx = (_pick(_encoder_hits(codebook, xts[blk]), np.arange(len(xts[blk])), rng)
-               if table is None else _pick(table, _sequence_index(xts[blk]), rng))
-        j = np.where(idx < 0, 0, codebook.bin_of[idx])
-        blocks.append((idx, j, *_decode_block(codebook, ys[blk], j)))
-    idx, j, decoded, hits = map(np.concatenate, zip(*blocks))
+    idx = np.concatenate([
+        _pick(_encoder_hits(codebook, xts[blk]), np.arange(len(xts[blk])), rng)
+        if table is None else _pick(table, _sequence_index(xts[blk]), rng)
+        for blk in _blocks(trials, codebook.size * codebook.n)])
+    j = np.where(idx < 0, 0, codebook.bin_of[idx])
+    decoded, hits = _decode_block(codebook, ys, j)
 
     enrolled = idx >= 0
     s = np.where(enrolled, codebook.key_of[idx], 0)

@@ -69,9 +69,15 @@ untimed call.  Prints one JSON object:
                           exact leakage: the encoder test of all 2^10
                           sequences, then the pick of each trial's codeword
                           by its sequence's index, in the trials' blocks
-  simulate_decode_us      the same for the decoder pass over the trials'
-                          authentication sequences and the helper bins their
-                          enrollments chose
+  simulate_decode_us      per trial, the median of REPS decoder calls over
+                          the trials' authentication sequences and the helper
+                          bins their enrollments chose, all 2,000 trials in
+                          one call as run_simulation makes it
+  simulate_minor_faults   the median over REPS run_simulation calls (exact
+                          leakage on) on that code of the minor page faults
+                          (getrusage ru_minflt) each one takes, in a fresh
+                          process after one untimed run, as perfbench's
+                          simulate jobs run
   simulate_exact_leakage_s  for n = 8, 10 and 12, the median of
                           ceil(REPS / 10) exact_leakage calls on the same
                           model's code at that n
@@ -83,10 +89,13 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import resource
 import statistics
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +109,7 @@ from authcap import (AuthModel, Channel, DiscreteDistribution, RegionBoundary,  
 from authcap.classifier import _binary_certificate  # noqa: E402
 from authcap.protocol import (SimConfig, _all_sequences, _blocks, _decode_block,  # noqa: E402
                               _encoder_hits, _pick, _sample_through, _sequence_index,
-                              exact_leakage, generate_codebook)
+                              exact_leakage, generate_codebook, run_simulation)
 
 PAIRS_PER_SIZE = 20
 
@@ -197,16 +206,32 @@ def single_corners(config: dict, reps: int) -> dict:
                                            ("embedding_loop_us", embedding_loop, swept))}
 
 
-def simulator_layers(reps: int) -> dict:
-    """The simulate_* keys: codebook, per-trial enroll (as Monte-Carlo-only
-    and exact runs take it) and decode, exact leakage as a function of n."""
+def simulate_config(n: int) -> SimConfig:
+    """The simulate workload's settings at blocklength n, seed 0, 2,000 trials."""
+    return SimConfig(n=n, test_channel=Channel.identity(2), gamma=0.05, seed=0, trials=2000,
+                     exact_leakage_limit=12)
+
+
+def run_faults(reps: int) -> float:
+    """Median minor page faults of REPS run_simulation calls on the simulate
+    workload's code, after one untimed call."""
     model = AuthModel.binary_hsm(0.02, 0.2, 0.3)
 
-    def config(n: int) -> SimConfig:
-        return SimConfig(n=n, test_channel=Channel.identity(2), gamma=0.05, seed=0,
-                         trials=2000, exact_leakage_limit=12)
+    def faults() -> int:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_simulation(model, simulate_config(10))
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
-    cfg = config(10)
+    faults()
+    return statistics.median(faults() for _ in range(reps))
+
+
+def simulator_layers(reps: int) -> dict:
+    """The simulate_* keys: codebook, per-trial enroll (as Monte-Carlo-only
+    and exact runs take it) and decode, the page faults of a whole run, and
+    exact leakage as a function of n."""
+    model = AuthModel.binary_hsm(0.02, 0.2, 0.3)
+    cfg = simulate_config(10)
     book = generate_codebook(model, cfg)
     result = {"simulate_codebook_ms": statistics.median(seconds(
         lambda: generate_codebook(model, cfg), reps)) * 1e3}
@@ -230,12 +255,13 @@ def simulator_layers(reps: int) -> dict:
     bins = np.where(idx < 0, 0, book.bin_of[idx])
     for key, call in (("simulate_enroll_us", enroll_pass),
                       ("simulate_exact_enroll_us", exact_enroll_pass),
-                      ("simulate_decode_us",
-                       lambda: [_decode_block(book, ys[blk], bins[blk]) for blk in blocks])):
+                      ("simulate_decode_us", lambda: _decode_block(book, ys, bins))):
         result[key] = statistics.median(seconds(call, reps)) * 1e6 / cfg.trials
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        result["simulate_minor_faults"] = pool.submit(run_faults, reps).result()
     result["simulate_exact_leakage_s"] = {}
     for n in (8, 10, 12):
-        cfg_n = config(n)
+        cfg_n = simulate_config(n)
         book_n = generate_codebook(model, cfg_n)
         result["simulate_exact_leakage_s"][n] = statistics.median(seconds(
             lambda: exact_leakage(book_n, model, cfg_n), math.ceil(reps / 10)))
