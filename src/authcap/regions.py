@@ -15,7 +15,6 @@ I(V;Y) - I(V;Z), which a less-noisy pair keeps nonnegative for every V.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -37,7 +36,14 @@ from .infotheory import (
 )
 
 _MAX_U, _MAX_V = 4, 3      # auxiliary caps of the two-auxiliary search
-_COMPARE_CELLS = 1 << 16   # cells per compare_regions buffer: 512 KB of float64
+# compare_regions bounds each front corner's smallest slack by the corners of
+# b nearest it in rs, and compares exactly, block by block in descending bound
+# order, only until a block's largest bound is at most the running maximum (or
+# 0): a bound is a minimum of the same slack floats over part of b, so no later
+# corner can raise the result.  So few rows are compared that two buffers of
+# 2^14 cells (128 KB of float64 each) do.
+_COMPARE_CELLS = 1 << 14   # cells per compare_regions buffer
+_COMPARE_NEAR = 8          # corners of b on each side of a corner's rs that bound its slack
 _CHAIN_MEMO = 256          # test channels a model's chain memo holds before it is cleared
 
 Y_FAVOR = (Relation.DEGRADED_Z_WRT_Y, Relation.LESS_NOISY_Y_OVER_Z)
@@ -327,7 +333,7 @@ class _SweepInfos:
         index = self.index
         if index is None:
             index = self.index = {t.tobytes(): k for k, t in
-                                  enumerate(_stack_rows(self.stacks, self.rows.tolist()))}
+                                  enumerate(_stack_rows(self.stacks, self.rows))}
         k = index.get(row)
         return None if k is None else tuple(self.infos[:, k].tolist())
 
@@ -426,12 +432,38 @@ def _rate_corner(rates, test_channel: Channel = None, **extras) -> RateCorner:
                       extras={"rs_unclamped": rs_raw, **sizes, **extras})
 
 
-def _stack_rows(stacks, rows):
-    """Row i of the stacks laid end to end, for each i in `rows`."""
-    starts = list(itertools.accumulate((len(s) for s in stacks), initial=0))
-    for i in rows:
-        g = bisect.bisect_right(starts, i) - 1
-        yield stacks[g][i - starts[g]]
+def _corners(rows: list, params, tests=None, v_size: int = None) -> list:
+    """`_rate_corner` of each row (rs, rj, rl, unclamped rs) of a `_rates`
+    array's `.tolist()`, row k with param params[k] and, given `tests`, the
+    test channel over read-only matrix tests[k] and, given `v_size`, that
+    |V|: the same corners, extras in the same key order, built in one pass."""
+    if tests is None:
+        return [RateCorner(rs, rj, rl, None, {"rs_unclamped": raw, "param": p})
+                for (rs, rj, rl, raw), p in zip(rows, params)]
+    if v_size is None:
+        return [RateCorner(rs, rj, rl, Channel._of_checked(t),
+                           {"rs_unclamped": raw, "u_size": t.shape[1], "param": p})
+                for (rs, rj, rl, raw), p, t in zip(rows, params, tests)]
+    return [RateCorner(rs, rj, rl, Channel._of_checked(t),
+                       {"rs_unclamped": raw, "u_size": t.shape[1], "param": p, "v_size": v_size})
+            for (rs, rj, rl, raw), p, t in zip(rows, params, tests)]
+
+
+def _stack_rows(stacks, rows) -> list:
+    """Row i of the stacks laid end to end, for each i in `rows`, as
+    read-only matrices: one gather per stack that holds any of them."""
+    rows = np.asarray(rows, dtype=np.intp)
+    out = [None] * len(rows)
+    lo = 0
+    for s in stacks:
+        hit = np.flatnonzero((rows >= lo) & (rows < lo + len(s)))
+        if len(hit):
+            got = s[rows[hit] - lo]
+            got.setflags(write=False)
+            for k, m in zip(hit.tolist(), got):
+                out[k] = m
+        lo += len(s)
+    return out
 
 
 def _front(rates: np.ndarray, params, stacks=(), kept: list = None) -> list:
@@ -442,10 +474,8 @@ def _front(rates: np.ndarray, params, stacks=(), kept: list = None) -> list:
     kept rows get a Channel."""
     if kept is None:
         kept = _pareto_indices(rates)
-    channels = (map(Channel._of_checked, _stack_rows(stacks, kept)) if stacks
-                else itertools.repeat(None))
-    return [_rate_corner(rates[i].tolist(), channel, param=params[i])
-            for i, channel in zip(kept, channels)]
+    return _corners(rates[kept].tolist(), [params[i] for i in kept],
+                    _stack_rows(stacks, kept) if stacks else None)
 
 
 def eval_one_aux(model: AuthModel, test: Channel) -> RateCorner:
@@ -539,17 +569,40 @@ def pareto_filter(corners):
     return [corners[i] for i in _pareto_indices(_corner_rates(corners))]
 
 
+def _slack_bounds(pa: np.ndarray, rs: np.ndarray, rj: np.ndarray, rl: np.ndarray):
+    """For each corner (rs, rj, rl) of pa, the smallest dominance slack the
+    2 x _COMPARE_NEAR corners of b nearest it in rs leave, b's columns given
+    sorted by rs: one `searchsorted` and one gather.  A minimum over part of
+    b, so never below the corner's smallest slack over all of b."""
+    near = np.searchsorted(rs, pa[:, 0])[:, None] + np.arange(-_COMPARE_NEAR, _COMPARE_NEAR)
+    np.clip(near, 0, len(rs) - 1, out=near)
+    slack = np.subtract(rj[near], pa[:, 1, None])
+    np.maximum(slack, np.subtract(rl[near], pa[:, 2, None]), out=slack)
+    np.maximum(slack, np.subtract(pa[:, 0, None], rs[near]), out=slack)
+    return slack.min(axis=1)
+
+
 def compare_regions(a: RegionBoundary, b: RegionBoundary) -> float:
     """One-sided excess of region a over region b.
 
     For each corner of a, the smallest dominance slack any corner of b
     leaves; the maximum of those (clamped at 0) is returned.  0 means every
     corner of a is dominated by b within floating tolerance; a non-finite
-    rate in either region raises ValueError.  Only the corners of a's own
-    Pareto front are compared, which is exact: fl(x - y) is monotone in each
-    argument, so a corner that another corner of a dominates never leaves a
-    larger smallest slack.  They are compared in blocks of at most
-    _COMPARE_CELLS slacks, so memory does not grow with |a| x |b|.
+    rate in either region raises ValueError.
+
+    Only the corners of a's own Pareto front are compared, and only those
+    that can set the maximum.  Both are exact:
+    - fl(x - y) is monotone in each argument, so a corner that another
+      corner of a dominates never leaves a larger smallest slack;
+    - each front corner's smallest slack over the 2 x _COMPARE_NEAR corners
+      of b nearest it in rs (`_slack_bounds`) bounds its exact one from
+      above, since every slack is the same float however it is reached.  The exact
+      pass takes the corners in descending bound order and stops at the
+      first block whose largest bound is at most max(running maximum, 0):
+      no later corner can raise the clamped result.  A corner whose bound is
+      at most 0 is never compared.
+    The exact pass runs in blocks of at most _COMPARE_CELLS slacks, in two
+    buffers allocated once, so memory does not grow with |a| x |b|.
     """
     if a.unit != b.unit:
         raise ValueError(f"unit mismatch: {a.unit.value} vs {b.unit.value}")
@@ -562,12 +615,19 @@ def compare_regions(a: RegionBoundary, b: RegionBoundary) -> float:
     if not len(pb):
         return float("inf")
     pa = pa[_pareto_indices(pa)]
-    rs, rj, rl = pb.T.copy()
-    # blocks of a's front against all of b, in two reused cache-sized buffers
+    rs, rj, rl = pb[np.argsort(pb[:, 0])].T.copy()   # b's columns in rs order
+    bound = _slack_bounds(pa, rs, rj, rl)
+    live = np.argsort(-bound)[:np.count_nonzero(bound > 0.0)]
+    if not len(live):
+        return 0.0
+    pa, bound = pa[live], bound[live].tolist()
+    # blocks of a's live corners against all of b, in two reused cache-sized buffers
     rows = max(1, _COMPARE_CELLS // len(rs))
     s, t = np.empty((2, min(rows, len(pa)), len(rs)))
     worst = -np.inf
     for lo in range(0, len(pa), rows):
+        if bound[lo] <= max(worst, 0.0):
+            break
         blk = pa[lo:lo + rows]
         sb, tb = s[:len(blk)], t[:len(blk)]
         np.subtract(rj, blk[:, 1, None], out=sb)
@@ -709,7 +769,7 @@ def two_aux_random_search(model: AuthModel, n_pairs: int, seed: int = 0):
         u, v = int(us[indices[0]]), int(vs[indices[0]])
         tu = _channel_stack(rng.dirichlet(np.ones(u), size=(len(indices), model.n_xt)))
         tv = _channel_stack(rng.dirichlet(np.ones(v), size=(len(indices), u)))
-        for idx, test, rates in zip(indices.tolist(), tu, _rates(model, tu, tv).tolist()):
-            corners[idx] = _rate_corner(rates, Channel._of_checked(test),
-                                        param=idx, v_size=v)
+        indices = indices.tolist()
+        for idx, corner in zip(indices, _corners(_rates(model, tu, tv).tolist(), indices, tu, v)):
+            corners[idx] = corner
     return corners

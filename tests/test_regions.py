@@ -39,8 +39,9 @@ from authcap.infotheory import (
     _entropy_nats,
     _mi2_nats,
 )
-from authcap.regions import (_CHAIN_MEMO, _COMPARE_CELLS, CardinalityError, _beta_grid,
-                             _chain_infos, _rates)
+from authcap.regions import (_CHAIN_MEMO, _COMPARE_CELLS, _COMPARE_NEAR, CardinalityError,
+                             _beta_grid, _chain_infos, _corner_rates, _pareto_indices, _rate_corner,
+                             _rates, _slack_bounds)
 from oracles import build_joint, region_contains
 
 
@@ -1268,13 +1269,68 @@ def _bits(points):
 def test_compare_regions_in_blocks_matches_dense_oracle(a, b, cells):
     # a block budget of `cells` gives one row a block once |b| exceeds it,
     # and leaves a last short block when |front of a| is not a multiple of
-    # the row count
+    # the row count; b moved to one rs makes which 2 x _COMPARE_NEAR of its
+    # corners bound a corner's slack say nothing about how close they come
+    one_rs = _bits([(b[0][0], rj, rl) for _, rj, rl in b])
     a, b = _bits(a), _bits(b)
     union = RegionBoundary(a.corners + b.corners, InfoUnit.BITS)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("authcap.regions._COMPARE_CELLS", cells)
-        for x, y in ((a, b), (b, a), (a, a), (a, union)):
+        for x, y in ((a, b), (b, a), (a, a), (a, union), (a, one_rs), (one_rs, a)):
             assert compare_regions(x, y).hex() == ref_compare_regions(x, y).hex()
+
+
+def _sorted_bounds(a, b):
+    """`_slack_bounds` of a's front against b, as compare_regions takes them."""
+    pa, pb = _corner_rates(a.corners), _corner_rates(b.corners)
+    pb = pb[np.argsort(pb[:, 0])]
+    return _slack_bounds(pa[_pareto_indices(pa)], *pb.T.copy())
+
+
+def test_compare_regions_exact_where_the_bound_is_loose_ties_or_rules_out_all():
+    rng = np.random.default_rng(67)
+    x = np.round(rng.random(40), 2)
+    # a's 40-corner front lies below 17 decoys in rs that leave it 4 bits
+    # of slack; only b's last corner, outside every window, dominates it
+    front = _bits(np.stack([x, x, np.full(40, 0.5)], axis=1).tolist())
+    decoys = np.stack([np.linspace(1.5, 1.9, 17), np.full(17, 5.0), rng.random(17)], axis=1)
+    behind = _bits([*decoys.tolist(), (2.0, -1.0, -1.0)])
+    assert len(behind.corners) > 2 * _COMPARE_NEAR
+    assert (_sorted_bounds(front, behind) > 3.0).all()
+    assert ref_compare_regions(front, behind) == 0.0
+    # the same, plus a corner above all of b: its exact slack, 1 bit, is
+    # the result and is met only after every loose row
+    above = _bits([*np.stack([x, x, np.full(40, 0.5)], axis=1).tolist(), (3.0, 0.0, 0.0)])
+    assert ref_compare_regions(above, behind) == 1.0
+    # a loose row first, whose exact slack, 0.25, the next row's tight bound
+    # exceeds by one ulp of 2.25
+    edge = _bits([*decoys.tolist(), (2.0, 0.75, 0.75)])
+    ulp_above = _bits([(0.1, 0.5, 0.5), (np.nextafter(2.25, 3.0), 0.75, 0.75)])
+    tight, loose = sorted(_sorted_bounds(ulp_above, edge).tolist())
+    assert tight == 0.25 + 2**-51 and loose > 4.0
+    assert ref_compare_regions(ulp_above, edge) == 0.25 + 2**-51
+    # two front corners with the same exact slack as their bound: the second
+    # block's bound equals the running maximum
+    tie = _bits([(1.0, 0.5, 0.25), (1.0, 0.25, 0.5)])
+    one = _bits([(0.75, 0.5, 0.5)])
+    assert _sorted_bounds(tie, one).tolist() == [0.25, 0.25]
+    # every corner of b dominates every corner of a, some with zero slacks:
+    # every bound is at most 0, so no block is compared
+    low = np.round(rng.random((30, 3)) * 0.5, 1) * [1, -1, -1] + [0, 1, 1]
+    high = np.round(rng.random((30, 3)) * 0.5, 1) * [1, -1, -1] + [0.5, 0.5, 0.5]
+    below, over = _bits(low.tolist()), _bits(high.tolist())
+    assert (_sorted_bounds(below, over) <= 0.0).all()
+    # b at one rs, far more corners than a window holds
+    flat = _bits(np.stack([np.full(60, 0.5), *rng.random((2, 60))], axis=1).tolist())
+    scattered = _bits(np.round(rng.random((50, 3)), 1).tolist())
+    pairs = ((front, behind), (above, behind), (behind, front), (ulp_above, edge),
+             (tie, one), (one, tie),
+             (below, over), (over, below), (scattered, flat), (flat, scattered))
+    for cells in (1, 2, 3, 5, 16, 40, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("authcap.regions._COMPARE_CELLS", cells)
+            for a, b in pairs:
+                assert compare_regions(a, b).hex() == ref_compare_regions(a, b).hex()
 
 
 def test_compare_regions_edge_rules():
@@ -1310,3 +1366,85 @@ def test_compare_regions_memory_does_not_grow_with_both_sizes():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# Corners built in one batch against the per-row code they replaced
+# ---------------------------------------------------------------------------
+
+def ref_front(rates, params, stacks=(), kept=None):
+    # `_front` as it built corners one row at a time: a bisect over the
+    # stacks' starts for each kept row's channel, and one `_rate_corner` each
+    if kept is None:
+        kept = _pareto_indices(rates)
+    starts = list(itertools.accumulate((len(s) for s in stacks), initial=0))
+    corners = []
+    for i in kept:
+        channel = None
+        if stacks:
+            g = bisect.bisect_right(starts, i) - 1
+            channel = Channel._of_checked(stacks[g][i - starts[g]])
+        corners.append(_rate_corner(rates[i].tolist(), channel, param=params[i]))
+    return corners
+
+
+def _fields(c):
+    """A corner's rates, its extras in key order (floats as hex, with each
+    value's type) and its test channel's shape, dtype, bytes and write flag."""
+    def value(v):
+        return (type(v), v.hex() if type(v) is float else v)
+
+    channel = None
+    if c.test_channel is not None:
+        m = c.test_channel.matrix
+        channel = (m.shape, m.dtype.str, m.tobytes(), m.flags.writeable)
+    return ([value(r) for r in c.as_tuple()], [(k, value(v)) for k, v in c.extras.items()],
+            channel)
+
+
+def test_front_builds_the_corners_of_the_per_row_code():
+    import authcap.binary as binary_module
+    import authcap.gaussian as gaussian_module
+    import authcap.regions as regions_module
+
+    fronts = []
+
+    def checked(front):
+        def check(rates, params, stacks=(), kept=None):
+            got = front(rates, params, stacks, kept)
+            ref = ref_front(rates, params, stacks, kept)
+            assert [_fields(c) for c in got] == [_fields(c) for c in ref]
+            fronts.append(len(got))
+            return got
+        return check
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (regions_module, binary_module, gaussian_module):
+            mp.setattr(module, "_front", checked(module._front))
+        for model_fn in BIT_MODELS:
+            for step in (1e-2, None):
+                sweep_region(model_fn(), SamplerConfig(random_samples=400, beta_grid_step=step,
+                                                       seed=71))
+        binary_module.closed_form_region(binary_module.BinaryModelParams(0.1, 0.5, 0.2))
+        gaussian_module.parametric_region(gaussian_module.GaussianModelParams(7 / 8, 4 / 5, 2 / 3))
+    assert len(fronts) == 2 * len(BIT_MODELS) + 2 and min(fronts) > 1
+
+
+def test_two_aux_search_builds_the_corners_of_the_per_pair_code():
+    # the same draws, each group's rates from `_rates`, and one
+    # `_rate_corner` per pair as the search built them before
+    for model, seed, n_pairs in ((discrete_degraded_model(), 72, 400), (ternary_model(), 73, 200)):
+        rng = np.random.default_rng(seed)
+        us = rng.integers(1, 5, size=n_pairs)
+        vs = rng.integers(1, 4, size=n_pairs)
+        ref = [None] * n_pairs
+        for u, v in itertools.product(range(1, 5), range(1, 4)):
+            members = [idx for idx in range(n_pairs) if (us[idx], vs[idx]) == (u, v)]
+            if not members:
+                continue
+            tu = _channel_stack(rng.dirichlet(np.ones(u), size=(len(members), model.n_xt)))
+            tv = _channel_stack(rng.dirichlet(np.ones(v), size=(len(members), u)))
+            for idx, test, rates in zip(members, tu, _rates(model, tu, tv).tolist()):
+                ref[idx] = _rate_corner(rates, Channel._of_checked(test), param=idx, v_size=v)
+        got = two_aux_random_search(model, n_pairs, seed=seed)
+        assert [_fields(c) for c in got] == [_fields(c) for c in ref]

@@ -56,7 +56,15 @@ untimed call.  Prints one JSON object:
   compare_100k_s          median of ceil(REPS / 10) calls compare_regions(pairs,
                           front): the corners of that search against the
                           region of that sweep
-  compare_100k_peak_mb    tracemalloc peak of one such call, in MB
+  compare_100k_reverse_s  the same for compare_regions(front, pairs): the
+                          sweep's region against the search's corners
+  compare_100k_peak_mb    tracemalloc peak of one compare_regions(pairs,
+                          front) call, in MB
+  compare_workload_ms     median of REPS calls compare_regions(closed, sweep)
+                          at the region_sweep workload's scale: the closed
+                          form of configs/binary.json against a sweep_region
+                          of its model, 2,000 random samples, beta step
+                          1e-3, seed 1
   simulate_codebook_ms    median of REPS generate_codebook calls on the
                           simulate workload's code: binary_hsm(0.02, 0.2,
                           0.3), identity test channel, gamma 0.05, n 10,
@@ -102,10 +110,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path.cwd() / "src"))
 
-from authcap import (AuthModel, Channel, DiscreteDistribution, RegionBoundary,  # noqa: E402
-                     SamplerConfig, compare_regions, eval_one_aux, eval_two_aux,
-                     is_less_noisy, is_stochastically_degraded, sweep_region,
-                     two_aux_random_search)
+from authcap import (AuthModel, BinaryModelParams, Channel, DiscreteDistribution,  # noqa: E402
+                     RegionBoundary, SamplerConfig, closed_form_region, compare_regions,
+                     eval_one_aux, eval_two_aux, is_less_noisy, is_stochastically_degraded,
+                     sweep_region, two_aux_random_search)
 from authcap.classifier import _binary_certificate  # noqa: E402
 from authcap.protocol import (SimConfig, _all_sequences, _blocks, _decode_block,  # noqa: E402
                               _encoder_hits, _pick, _sample_through, _sequence_index,
@@ -306,12 +314,19 @@ def main(argv) -> int:
         lambda: sweep_region(criterion_4, sweep_100k), math.ceil(reps / 10)))
     front = sweep_region(criterion_4, sweep_100k)
     pairs = RegionBoundary(two_aux_random_search(criterion_4, 100_000, seed=41), front.unit)
-    result["compare_100k_s"] = statistics.median(seconds(
-        lambda: compare_regions(pairs, front), math.ceil(reps / 10)))
+    for key, x, y in (("compare_100k_s", pairs, front), ("compare_100k_reverse_s", front, pairs)):
+        result[key] = statistics.median(seconds(
+            lambda: compare_regions(x, y), math.ceil(reps / 10)))
     tracemalloc.start()
     compare_regions(pairs, front)
     result["compare_100k_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
+    params = BinaryModelParams(b["p"], b["q"], b["eps"], beta_step=b["beta_step"])
+    closed = closed_form_region(params)
+    sweep = sweep_region(params.model(), SamplerConfig(random_samples=2000,
+                                                       beta_grid_step=params.beta_step, seed=1))
+    result["compare_workload_ms"] = statistics.median(seconds(
+        lambda: compare_regions(closed, sweep), reps)) * 1e3
     result.update(simulator_layers(reps))
     print(json.dumps(result, indent=1))
     return 0
