@@ -32,7 +32,6 @@ from .infotheory import (
     _jsonable,
     _mi2_nats,
     _positive,
-    _xlogx,
 )
 
 _MAX_U, _MAX_V = 4, 3      # auxiliary caps of the two-auxiliary search
@@ -45,6 +44,7 @@ _MAX_U, _MAX_V = 4, 3      # auxiliary caps of the two-auxiliary search
 _COMPARE_CELLS = 1 << 14   # cells per compare_regions buffer
 _COMPARE_NEAR = 8          # corners of b on each side of a corner's rs that bound its slack
 _CHAIN_MEMO = 256          # test channels a model's chain memo holds before it is cleared
+_PARETO_ROWS = 1 << 12     # sorted rows _pareto_indices turns into Python floats at once
 
 Y_FAVOR = (Relation.DEGRADED_Z_WRT_Y, Relation.LESS_NOISY_Y_OVER_Z)
 Z_FAVOR = (Relation.DEGRADED_Y_WRT_Z, Relation.LESS_NOISY_Z_OVER_Y)
@@ -70,7 +70,8 @@ class AuthModel:
     private memo keeps the chain informations of recent single test
     channels, and a private record those of the last `sweep_region`
     front's channels, as the sweep's batched pass computed them; both serve
-    `_chain_infos`.
+    `_chain_infos`, which scores a channel in neither with the one stacked
+    kernel, `_infos_nats` over `_chain_laws`.
     """
 
     px: DiscreteDistribution
@@ -175,16 +176,17 @@ class _ChainLaws(NamedTuple):
     p_xu: np.ndarray   # joints (X, U)
 
 
-def _chain_laws(model: AuthModel, tests: np.ndarray, out=_ChainLaws(*[None] * 4)) -> _ChainLaws:
+def _chain_laws(model: AuthModel, tests: np.ndarray) -> _ChainLaws:
     """Close the chain over a stack tests[b, xt, u] of test-channel matrices
-    on the enrollment alphabet (ValueError if not), into `out` where given."""
+    on the enrollment alphabet (ValueError if not): the one builder of the
+    chain laws, for a sweep's stacks, a single corner's stack of one, V's
+    composite channels and the simulator's tables alike."""
     if tests.shape[-2] != model.n_xt:
         raise ValueError(f"test channel expects {tests.shape[-2]} inputs, "
                          f"enrollment alphabet has {model.n_xt}")
-    p_xu = np.matmul(model._p_xa, tests, out=out.p_xu)
-    return _ChainLaws(np.multiply(model._p_xt[:, None], tests, out=out.p_au),
-                      np.matmul(model.ac_y.matrix.T, p_xu, out=out.p_yu),
-                      np.matmul(model.ac_z.matrix.T, p_xu, out=out.p_zu), p_xu)
+    p_xu = model._p_xa @ tests
+    return _ChainLaws(model._p_xt[:, None] * tests, model.ac_y.matrix.T @ p_xu,
+                      model.ac_z.matrix.T @ p_xu, p_xu)
 
 
 @dataclass
@@ -275,46 +277,6 @@ def _infos_nats(*joints):
     return infos
 
 
-def _v_joints(model: AuthModel, tu: np.ndarray, tv: np.ndarray) -> list:
-    """V's joints with Y and Z for stacks tu[b, xt, u], tv[b, u, v]."""
-    p_xv = model._p_xa @ (tu @ tv)
-    return [ch.matrix.T @ p_xv for ch in (model.ac_y, model.ac_z)]
-
-
-def _infos_one(model: AuthModel, t: np.ndarray) -> list:
-    """`_infos_nats` of the chain laws of a stack of one test channel: floats
-    in the same bits, from one buffer (the joints of each shape as a group
-    of cells, row sums and column sums) and one `_xlogx` pass."""
-    u = t.shape[2]
-    shapes = [(model.n_xt, u), (model.ac_y.num_outputs, u), (model.ac_z.num_outputs, u),
-              (model.nx, u)]
-    groups = {}
-    for k, shape in enumerate(shapes):
-        groups.setdefault(shape, []).append(k)
-    buf = np.empty(sum(r * c + r + c for r, c in shapes))
-    joints, spans, lo = [None] * len(shapes), [], 0
-    for (r, c), ks in groups.items():
-        n = len(ks)
-        a, b = lo + n * r * c, lo + n * (r * c + r)   # where its row and column sums start
-        cells = buf[lo:a].reshape(n, r, c)
-        for i, k in enumerate(ks):
-            joints[k] = cells[i:i + 1]
-        lo = b + n * c
-        spans.append((ks, cells, buf[a:b].reshape(n, r), buf[b:lo].reshape(n, c)))
-    _chain_laws(model, t, out=_ChainLaws(*joints))
-    for _, cells, rows, cols in spans:
-        np.add.reduce(cells, axis=-1, out=rows)
-        np.add.reduce(cells, axis=-2, out=cols)
-    buf[:] = _xlogx(buf)   # the group views now hold p log p
-    infos = [None] * len(shapes)
-    for ks, cells, rows, cols in spans:
-        s_cells = np.add.reduce(cells.reshape(len(ks), -1), axis=-1).tolist()
-        s_rows, s_cols = (np.add.reduce(m, axis=-1).tolist() for m in (rows, cols))
-        for k, s_cell, s_row, s_col in zip(ks, s_cells, s_rows, s_cols):
-            infos[k] = _clamp_mi(s_cell - (s_row + s_col))
-    return infos
-
-
 class _SweepInfos:
     """The chain informations of a sweep's front rows, as its batched pass
     computed them: column k of `infos` for row rows[k] of its stacks laid
@@ -339,14 +301,15 @@ class _SweepInfos:
 
 
 def _chain_infos(model: AuthModel, t: np.ndarray) -> tuple:
-    """`_infos_one(model, t)` as a tuple.  Kept in the model's memo under t's
-    shape and bytes (the shape, so a byte twin on the wrong alphabet still
-    meets `_chain_laws`' check); on a miss, a channel on the enrollment
-    alphabet is looked up among the last sweep's front rows
-    (`model._sweep_infos`), whose batched pass gave the same bits, and only
-    then scored.  A kernel that raises stores nothing; a full memo is
-    cleared whole rather than evicted entry by entry, so no call iterates
-    over it and concurrent callers cannot make one raise."""
+    """The four chain informations of a stack t of one test channel, as a
+    tuple of floats: `_infos_nats` over `_chain_laws`, the stacked kernel.
+    Kept in the model's memo under t's shape and bytes (the shape, so a
+    byte twin on the wrong alphabet still meets `_chain_laws`' check); on a
+    miss, a channel on the enrollment alphabet is looked up among the last
+    sweep's front rows (`model._sweep_infos`), whose batched pass gave the
+    same bits, and only then scored.  A kernel that raises stores nothing;
+    a full memo is cleared whole rather than evicted entry by entry, so no
+    call iterates over it and concurrent callers cannot make one raise."""
     row = t.tobytes()
     key = (t.shape, row)
     memo = model._chain_memo
@@ -356,7 +319,7 @@ def _chain_infos(model: AuthModel, t: np.ndarray) -> tuple:
         if swept is not None and t.shape[1] == model.n_xt:
             infos = swept.lookup(row)
         if infos is None:
-            infos = tuple(_infos_one(model, t))
+            infos = tuple(float(i[0]) for i in _infos_nats(*_chain_laws(model, t)))
             if len(memo) >= _CHAIN_MEMO:
                 memo.clear()
             memo[key] = infos
@@ -368,7 +331,8 @@ def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None,
     """(rs clamped at 0, rj, rl, unclamped rs) in nats, each an array over a
     stack tu[b, xt, u] of test channels, or over pairs of it and a stack
     tv[b, u, v] of channels from U to a second auxiliary V; for a stack of
-    one, floats in the same bits, from `_chain_infos`.  Given a list `keep`,
+    one, floats in the same bits, from `_chain_infos`.  Every information
+    is `_infos_nats` over `_chain_laws`, memoised or not.  Given a list `keep`,
     U's four informations are appended to it as they were computed: a
     tuple of floats for a stack of one, else `_infos_nats`' result.
 
@@ -379,9 +343,9 @@ def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None,
     I(X;U,Y) = I(X;Y) + I(U;X) - I(U;Y), and the same with Z in place of Y.
     So a two-auxiliary corner is the one-auxiliary corner of its U with rs
     lowered and rl raised by d = I(V;Y) - I(V;Z), V being reached from Xt
-    through the composite test channel tu @ tv: a stack scores only V's
-    joints with Y and Z, a single pair reads them from the memo entry of
-    tu @ tv, whose joints are formed in the same bits.
+    through the composite test channel tu @ tv, whose chain laws give V's
+    joints with Y and Z: a stack scores those two, a single pair reads
+    them from the memo entry of tu @ tv.
     """
     if len(tu) == 1:
         infos = u_infos = _chain_infos(model, tu)
@@ -391,7 +355,7 @@ def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None,
         u_infos = _infos_nats(*_chain_laws(model, tu))
         infos = list(u_infos)
         if tv is not None:
-            infos.extend(_infos_nats(*_v_joints(model, tu, tv)))
+            infos.extend(_infos_nats(*_chain_laws(model, tu @ tv)[1:3]))
     if keep is not None:
         keep.append(u_infos)
     i_u_xt, i_u_y, i_u_z, i_u_x = infos[:4]
@@ -536,22 +500,26 @@ def zero_key_region(model: AuthModel) -> RegionBoundary:
 def _pareto_indices(rates: np.ndarray) -> list:
     """Indices of the rows (rs, rj, rl, ...) of `rates` that no other row
     dominates in (higher rs, lower rj, lower rl), in (-rs, rj, rl) order;
-    of exact ties, the first row is kept."""
+    of exact ties, the first row is kept.  The sorted rows are read as
+    Python floats _PARETO_ROWS at a time, so the lists live at once stay
+    that small however many rows there are."""
     order = np.lexsort((rates[:, 2], rates[:, 1], -rates[:, 0]))
     kept = []
     stair_rj = []   # strictly increasing
     stair_rl = []   # strictly decreasing
-    for i, (rs, rj, rl) in zip(order.tolist(), rates[order, :3].tolist()):
-        pos = bisect.bisect_right(stair_rj, rj) - 1
-        if pos >= 0 and stair_rl[pos] <= rl:
-            continue
-        kept.append(i)
-        j = bisect.bisect_left(stair_rj, rj)
-        while j < len(stair_rj) and stair_rl[j] >= rl:
-            stair_rj.pop(j)
-            stair_rl.pop(j)
-        stair_rj.insert(j, rj)
-        stair_rl.insert(j, rl)
+    for lo in range(0, len(order), _PARETO_ROWS):
+        chunk = order[lo:lo + _PARETO_ROWS]
+        for i, (rj, rl) in zip(chunk.tolist(), rates[chunk, 1:3].tolist()):
+            pos = bisect.bisect_right(stair_rj, rj) - 1
+            if pos >= 0 and stair_rl[pos] <= rl:
+                continue
+            kept.append(i)
+            j = bisect.bisect_left(stair_rj, rj)
+            while j < len(stair_rj) and stair_rl[j] >= rl:
+                stair_rj.pop(j)
+                stair_rl.pop(j)
+            stair_rj.insert(j, rj)
+            stair_rl.insert(j, rl)
     return kept
 
 

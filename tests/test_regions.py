@@ -350,9 +350,12 @@ def test_pareto_filter_idempotent_and_order_independent():
             assert not dominates
 
 
-def test_pareto_filter_matches_quadratic_reference():
+@pytest.mark.parametrize("chunk_rows", [None, 1, 7])
+def test_pareto_filter_matches_quadratic_reference(monkeypatch, chunk_rows):
     # staircase implementation vs a direct all-pairs scan; coarse rounding
-    # forces plenty of exact ties
+    # forces plenty of exact ties, and small chunks put them across chunk edges
+    if chunk_rows is not None:
+        monkeypatch.setattr("authcap.regions._PARETO_ROWS", chunk_rows)
     rng = np.random.default_rng(23)
     for _ in range(30):
         n = int(rng.integers(5, 80))
@@ -370,6 +373,20 @@ def test_pareto_filter_matches_quadratic_reference():
             if not dominated:
                 ref.append(tuple(arr[i]))
         assert [c.as_tuple() for c in kept] == ref
+
+
+def test_pareto_indices_peak_memory_does_not_grow_with_the_rows():
+    # 100,000 rows with many exact ties: the sorted rows are read a chunk at
+    # a time, not as one list of 100,000 Python rows (22 MB)
+    rates = np.round(np.random.default_rng(29).random((100_000, 3)), 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = _pareto_indices(rates)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert kept and peak < 8 * 2**20
 
 
 def test_contains_closed_form_corner():

@@ -30,9 +30,11 @@ untimed call.  Prints one JSON object:
                           model, 500 random samples, beta step 1e-3, seed 2;
                           each pass on a model built just before it, untimed,
                           so the model's chain memo starts empty and every
-                          call runs the kernel
+                          call runs the kernel: the stacked `_infos_nats`
+                          over `_chain_laws`, on a stack of one
   eval_two_aux_us         the same for eval_two_aux with a Channel.constant V
-                          (the constant-V embedding; V's composite channel
+                          (the constant-V embedding: U's channel runs the
+                          same kernel, and V's composite channel
                           Xt -> V is not one channel but, since a Dirichlet
                           row need not sum to exactly 1.0, takes 12 byte
                           patterns over the 618 corners, so all but about 12
@@ -59,7 +61,9 @@ untimed call.  Prints one JSON object:
   compare_100k_reverse_s  the same for compare_regions(front, pairs): the
                           sweep's region against the search's corners
   compare_100k_peak_mb    tracemalloc peak of one compare_regions(pairs,
-                          front) call, in MB
+                          front) call, in MB: mostly `_corner_rates`' tuple
+                          per corner, since `_pareto_indices` reads its
+                          sorted rows as floats 4,096 at a time
   compare_workload_ms     median of REPS calls compare_regions(closed, sweep)
                           at the region_sweep workload's scale: the closed
                           form of configs/binary.json against a sweep_region
