@@ -221,11 +221,6 @@ class JointDistribution:
         self.probs = _as_readonly(np.clip(p, 0.0, None))
 
     @property
-    def axes(self) -> tuple:
-        """Alphabet size of each axis."""
-        return self.probs.shape
-
-    @property
     def ndim(self) -> int:
         return self.probs.ndim
 

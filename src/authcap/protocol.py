@@ -228,10 +228,6 @@ class Codebook:
         penalty = min(self.decoder_threshold(), 0.0) - self.n * np.abs(an[finite]).max() - 1.0
         return np.where(finite, an, penalty)
 
-    def bin_members(self, j: int) -> np.ndarray:
-        order, edges = self._bin_index
-        return order[edges[j]:edges[j + 1]]
-
     def encoder_threshold(self) -> float:
         return self.n * (self.rates["i_xt_u"] + self.gamma)
 

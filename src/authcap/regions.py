@@ -35,7 +35,7 @@ from .infotheory import (
 )
 
 _MAX_U, _MAX_V = 4, 3      # auxiliary caps of the two-auxiliary search
-# compare_regions bounds each front corner's smallest slack by the corners of
+# compare_regions bounds each corner of a's smallest slack by the corners of
 # b nearest it in rs, and compares exactly, block by block in descending bound
 # order, only until a block's largest bound is at most the running maximum (or
 # 0): a bound is a minimum of the same slack floats over part of b, so no later
@@ -279,23 +279,22 @@ def _infos_nats(*joints):
 
 class _SweepInfos:
     """The chain informations of a sweep's front rows, as its batched pass
-    computed them: column k of `infos` for row rows[k] of its stacks laid
-    end to end.  `index` (a row's bytes to its column) is built on the
-    first lookup and set only once complete, so a concurrent lookup sees
-    all of it or builds its own."""
+    computed them: column k of `infos` for read-only matrix tests[k], the
+    test channel of the front's corner k.  `index` (a row's bytes to its
+    column) is built on the first lookup and set only once complete, so a
+    concurrent lookup sees all of it or builds its own."""
 
-    __slots__ = ("infos", "stacks", "rows", "index")
+    __slots__ = ("infos", "tests", "index")
 
-    def __init__(self, infos: np.ndarray, stacks: list, rows: np.ndarray):
-        self.infos, self.stacks, self.rows, self.index = infos, stacks, rows, None
+    def __init__(self, infos: np.ndarray, tests: list):
+        self.infos, self.tests, self.index = infos, tests, None
 
     def lookup(self, row: bytes):
         """The informations of the front row with these bytes, as a tuple of
         floats, or None."""
         index = self.index
         if index is None:
-            index = self.index = {t.tobytes(): k for k, t in
-                                  enumerate(_stack_rows(self.stacks, self.rows))}
+            index = self.index = {t.tobytes(): k for k, t in enumerate(self.tests)}
         k = index.get(row)
         return None if k is None else tuple(self.infos[:, k].tolist())
 
@@ -430,14 +429,12 @@ def _stack_rows(stacks, rows) -> list:
     return out
 
 
-def _front(rates: np.ndarray, params, stacks=(), kept: list = None) -> list:
+def _front(rates: np.ndarray, params, stacks=()) -> list:
     """Corners of the rows of a (B, 4) `_rates` array that no other row
-    dominates, in `_pareto_indices` order (`kept`, if the caller has it).
-    Row i gets param params[i] and, if `stacks` is given, the test channel
-    of row i of the `_channel_stack` results `stacks` laid end to end; only
-    kept rows get a Channel."""
-    if kept is None:
-        kept = _pareto_indices(rates)
+    dominates, in `_pareto_indices` order.  Row i gets param params[i] and,
+    if `stacks` is given, the test channel of row i of the `_channel_stack`
+    results `stacks` laid end to end; only kept rows get a Channel."""
+    kept = _pareto_indices(rates)
     return _corners(rates[kept].tolist(), [params[i] for i in kept],
                     _stack_rows(stacks, kept) if stacks else None)
 
@@ -523,8 +520,13 @@ def _pareto_indices(rates: np.ndarray) -> list:
     return kept
 
 
-def _corner_rates(corners) -> np.ndarray:
-    return np.array([c.as_tuple() for c in corners], dtype=float).reshape(-1, 3)
+def _corner_rates(corners, what: str) -> np.ndarray:
+    """The (rs, rj, rl) rows of `corners`; ValueError naming `what` if a rate
+    is not finite (a NaN breaks the Pareto order and every slack)."""
+    rates = np.array([c.as_tuple() for c in corners], dtype=float).reshape(-1, 3)
+    if not np.isfinite(rates).all():
+        raise ValueError(f"{what} has a non-finite rate")
+    return rates
 
 
 def pareto_filter(corners):
@@ -532,9 +534,9 @@ def pareto_filter(corners):
 
     Deterministic: corners are sorted by (-rs, rj, rl) first, so the result
     does not depend on input order; exact ties collapse to the first sorted
-    representative.  Idempotent.
+    representative.  Idempotent.  A non-finite rate raises ValueError.
     """
-    return [corners[i] for i in _pareto_indices(_corner_rates(corners))]
+    return [corners[i] for i in _pareto_indices(_corner_rates(corners, "the corner list"))]
 
 
 def _slack_bounds(pa: np.ndarray, rs: np.ndarray, rj: np.ndarray, rl: np.ndarray):
@@ -558,33 +560,30 @@ def compare_regions(a: RegionBoundary, b: RegionBoundary) -> float:
     corner of a is dominated by b within floating tolerance; a non-finite
     rate in either region raises ValueError.
 
-    Only the corners of a's own Pareto front are compared, and only those
-    that can set the maximum.  Both are exact:
-    - fl(x - y) is monotone in each argument, so a corner that another
-      corner of a dominates never leaves a larger smallest slack;
-    - each front corner's smallest slack over the 2 x _COMPARE_NEAR corners
-      of b nearest it in rs (`_slack_bounds`) bounds its exact one from
-      above, since every slack is the same float however it is reached.  The exact
-      pass takes the corners in descending bound order and stops at the
-      first block whose largest bound is at most max(running maximum, 0):
-      no later corner can raise the clamped result.  A corner whose bound is
-      at most 0 is never compared.
+    Every corner of a is bounded, and only those that can set the maximum
+    are compared exactly.  Both steps are exact:
+    - each corner's smallest slack over the 2 x _COMPARE_NEAR corners of b
+      nearest it in rs (`_slack_bounds`, in blocks of a quarter of
+      _COMPARE_CELLS slacks) bounds its exact one from above, since every
+      slack is the same float however it is reached;
+    - the exact pass takes the corners in descending bound order and stops
+      at the first block whose largest bound is at most max(running
+      maximum, 0): no later corner can raise the clamped result.  A corner
+      whose bound is at most 0 is never compared.
     The exact pass runs in blocks of at most _COMPARE_CELLS slacks, in two
-    buffers allocated once, so memory does not grow with |a| x |b|.
+    buffers allocated once, so no slack table grows with |a| or |a| x |b|.
     """
     if a.unit != b.unit:
         raise ValueError(f"unit mismatch: {a.unit.value} vs {b.unit.value}")
-    pa, pb = _corner_rates(a.corners), _corner_rates(b.corners)
-    for name, p in (("a", pa), ("b", pb)):
-        if not np.isfinite(p).all():
-            raise ValueError(f"region {name} has a non-finite rate")
+    pa, pb = _corner_rates(a.corners, "region a"), _corner_rates(b.corners, "region b")
     if not len(pa):
         return 0.0
     if not len(pb):
         return float("inf")
-    pa = pa[_pareto_indices(pa)]
     rs, rj, rl = pb[np.argsort(pb[:, 0])].T.copy()   # b's columns in rs order
-    bound = _slack_bounds(pa, rs, rj, rl)
+    rows = max(1, _COMPARE_CELLS // 4 // (2 * _COMPARE_NEAR))
+    bound = np.concatenate([_slack_bounds(pa[lo:lo + rows], rs, rj, rl)
+                            for lo in range(0, len(pa), rows)])
     live = np.argsort(-bound)[:np.count_nonzero(bound > 0.0)]
     if not len(live):
         return 0.0
@@ -652,12 +651,12 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
     sample count, random samples with no auxiliary size, or a plan with
     neither a beta grid row nor a random one, before anything is sampled.
 
-    The model keeps the four chain informations the batched pass computed
-    for the front's rows, gathered into one (4, front) array, with the
-    stacks and the rows' indices (`_SweepInfos`), in place of the previous
-    sweep's; `eval_one_aux` and `eval_two_aux` on a front corner's test
-    channel read them there (`_chain_infos`) instead of running the kernel
-    again.
+    In place of the previous sweep's record, the model keeps the four chain
+    informations the batched pass computed for the front's rows, as one
+    (4, front) array, with the rows' read-only matrices, which the front's
+    test channels wrap (`_SweepInfos`); `eval_one_aux` and `eval_two_aux` on
+    a front corner's test channel read them there (`_chain_infos`) instead
+    of running the kernel again.
     """
     if config is None:
         config = SamplerConfig()
@@ -694,11 +693,12 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
     blocks = []
     rates = np.concatenate([_rates(model, tests, keep=blocks) for tests in stacks])
     kept = _pareto_indices(rates)
-    corners = _front(rates, params, stacks, kept)
-    # the record outlives this call, so it holds the front's columns and an
-    # index array, not every row's informations or the list of kept rows
+    tests = _stack_rows(stacks, kept)
+    corners = _corners(rates[kept].tolist(), [params[i] for i in kept], tests)
+    # the record outlives this call, so it holds the front's columns and
+    # matrices (its corners' own), not every row's informations or stacks
     infos = np.concatenate([np.reshape(b, (4, -1)) for b in blocks], axis=1)[:, kept]
-    model._sweep_infos = _SweepInfos(infos, stacks, np.array(kept, dtype=np.intp))
+    model._sweep_infos = _SweepInfos(infos, tests)
 
     meta = {"model_hash": model.content_hash(), "seed": config.seed,
             "sampler": {"random_samples": config.random_samples,

@@ -46,7 +46,7 @@ def region_contains(boundary: RegionBoundary, point) -> bool:
     """Whether (rs, rj, rl), in the boundary's unit (`RegionBoundary.unit`),
     is achievable per some corner of the boundary, within DOMINANCE_TOL."""
     rs, rj, rl = point
-    c = _corner_rates(boundary.corners)
+    c = _corner_rates(boundary.corners, "the boundary")
     tol = DOMINANCE_TOL
     return bool(np.any((rs <= c[:, 0] + tol) & (rj >= c[:, 1] - tol) & (rl >= c[:, 2] - tol)))
 

@@ -7,11 +7,14 @@ use.  Either way a caller sees the same names, bound to the same objects.
 Every export has a caller outside the tests, except the library API below:
 single-call measures, corner forms and protocol phases that a user of the
 library calls.  A reference that only the tests call lives in
-`tests/oracles.py`, not in the package.
+`tests/oracles.py`, not in the package.  The same holds for the public
+methods and properties of the exported classes.
 """
 
 import ast
+import functools
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -41,6 +44,10 @@ LIBRARY_API = {
     "conditional_mutual_information", "convolve", "enroll", "entropy", "mutual_information",
     "parametric_corner",
 }
+
+# Public methods and properties of exported classes that only a user of the
+# library calls; none today.
+MEMBER_API = set()
 
 
 def test_lazy_exports_are_their_home_modules_objects():
@@ -93,9 +100,36 @@ def _identifiers(path):
     return names
 
 
-def test_every_export_has_a_caller_outside_the_tests():
+def _callers():
+    """The package's modules but `__init__.py`, and the scripts in `tools/`
+    and `perfbench/`: the code outside the tests that may call an export."""
     root = Path(__file__).resolve().parents[1]
     files = [f for f in (root / "src" / "authcap").glob("*.py") if f.name != "__init__.py"]
-    files += [*(root / "tools").glob("*.py"), *(root / "perfbench").glob("*.py")]
-    called = set().union(*map(_identifiers, files))
+    return files + [*(root / "tools").glob("*.py"), *(root / "perfbench").glob("*.py")]
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    called = set().union(*map(_identifiers, _callers()))
     assert EXPORTS - called == LIBRARY_API
+
+
+def _attributes(path):
+    """The names `path` looks up as attributes, as every call of a method or
+    property is written; a bare name of the same spelling is not a call."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+
+
+def _public_members(cls):
+    """The public methods and properties `cls` defines itself."""
+    kinds = (property, staticmethod, classmethod, functools.cached_property)
+    return {k for k, v in vars(cls).items()
+            if not k.startswith("_") and (inspect.isfunction(v) or isinstance(v, kinds))}
+
+
+def test_every_public_member_of_an_export_has_a_caller_outside_the_tests():
+    called = set().union(*map(_attributes, _callers()))
+    classes = {name: getattr(authcap, name) for name in EXPORTS}
+    uncalled = {f"{name}.{member}" for name, cls in classes.items() if inspect.isclass(cls)
+                for member in _public_members(cls) - called}
+    assert uncalled == MEMBER_API

@@ -45,6 +45,12 @@ def noiseless_model():
                      Channel.bsc(0.5), classifier_trials=500)
 
 
+def _bin_members(book, j):
+    """Indices of the codewords in bin j, from the codebook's bin index."""
+    order, edges = book._bin_index
+    return order[edges[j]:edges[j + 1]]
+
+
 def hand_codebook(model, test, codewords, bins, m_s, m_j, gamma, hash_a=3, hash_b=5):
     t = ProtocolTables(model, test)
     codewords = np.asarray(codewords)
@@ -311,7 +317,7 @@ def test_bijective_binning():
     assert book.m_j == book.size
     assert np.array_equal(book.bin_of, np.arange(book.size))
     # each bin holds exactly one codeword
-    assert all(book.bin_members(j).size == 1 for j in range(book.m_j))
+    assert all(_bin_members(book, j).size == 1 for j in range(book.m_j))
 
 
 def test_uniform_bin_expected_occupancy():
@@ -890,7 +896,7 @@ def ref_enroll_index(codebook, x_tilde_seq, rng) -> int:
 def ref_decode(codebook, y_seq, j):
     """(key, failed, hit_count, decoded_index or -1)."""
     t = codebook.tables
-    members = codebook.bin_members(j)
+    members = _bin_members(codebook, j)
     if members.size == 0:
         return 0, True, 0, -1
     dens = t.an_table[codebook.codewords[members], np.asarray(y_seq)[None, :]].sum(axis=1)
@@ -948,7 +954,7 @@ def test_decode_block_matches_per_trial_reference(budgets, monkeypatch):
         for i in range(len(bins)):
             _, _, ref_hits, ref_idx = ref_decode(book, ys[i], bins[i])
             assert (hits[i], decoded[i]) == (ref_hits, ref_idx), (cfg, i)
-            seen.add("empty bin" if book.bin_members(bins[i]).size == 0
+            seen.add("empty bin" if _bin_members(book, bins[i]).size == 0
                      else f"{min(ref_hits, 2)} typical")
         if book.m_j == book.size:
             seen.add("bijective")
@@ -974,7 +980,7 @@ def test_decode_block_peak_memory_follows_its_tiles():
                          np.zeros(1 << 15, dtype=np.int64), m_s=2, m_j=1, gamma=0.1)
     ys = rng.integers(0, 3, size=(300, 16))
     bins = np.zeros(300, dtype=np.int64)
-    book.bin_members(0), book._decoder_table
+    book._bin_index, book._decoder_table
     tile_bytes = _TILE_CELLS * 8
     tracemalloc.start()
     try:
@@ -1092,7 +1098,7 @@ def test_batched_simulation_matches_per_trial_reference():
         book = generate_codebook(m, cfg)
         totals["blocks"] = max(totals["blocks"], len(_blocks(cfg.trials, book.size * book.n)))
         totals["fallback"] += sum(row[4] for row in ref.trace)
-        totals["empty"] += sum(book.bin_members(row[1]).size == 0 for row in ref.trace)
+        totals["empty"] += sum(_bin_members(book, row[1]).size == 0 for row in ref.trace)
         totals["ambiguous"] += sum(row[6] for row in ref.trace)
     # every path of the encoder and the decoder was reached
     assert totals["blocks"] >= 2 and min(totals.values()) > 0
@@ -1140,7 +1146,7 @@ def test_enroll_authenticate_match_per_sequence_reference():
 
             s_hat, failed, hits, _ = ref_decode(book, y, j)
             assert authenticate(book, y, j) == (s_hat, failed)
-            seen.add("empty bin" if book.bin_members(j).size == 0 else f"{min(hits, 2)} typical")
+            seen.add("empty bin" if _bin_members(book, j).size == 0 else f"{min(hits, 2)} typical")
     assert seen == {"drawn", "fallback", "single", "empty bin", "0 typical", "1 typical",
                     "2 typical"}
 

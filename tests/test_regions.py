@@ -350,6 +350,24 @@ def test_pareto_filter_idempotent_and_order_independent():
             assert not dominates
 
 
+# Rate triples with a NaN or an infinite rate, which every corner reader rejects.
+NON_FINITE = ((math.nan,) * 3, (0.1, math.nan, 0.5), (0.1, 0.5, math.inf), (-math.inf, 0.0, 0.0))
+
+
+def test_pareto_filter_rejects_a_non_finite_rate():
+    # a NaN rj in the staircase's sorted rj list sends bisect astray: the
+    # two corners no other corner dominates, (0.4, 0.1, 0.3) and
+    # (0.3, 0.05, 0.2), were dropped and the NaN corner kept
+    points = [(0.5, 0.2, 0.3), (0.4, 0.1, 0.3), (0.45, math.nan, 0.1), (0.3, 0.05, 0.2),
+              (0.2, 0.01, 0.05)]
+    for bad in ((0.45, math.nan, 0.1), *NON_FINITE):
+        for corners in ([bad], [*points[:2], bad, *points[3:]]):
+            with pytest.raises(ValueError, match="the corner list has a non-finite rate"):
+                pareto_filter([_corner(*p) for p in corners])
+    finite = [_corner(*p) for p in points if not math.isnan(p[1])]
+    assert [c.as_tuple() for c in pareto_filter(finite)] == [points[k] for k in (0, 1, 3, 4)]
+
+
 @pytest.mark.parametrize("chunk_rows", [None, 1, 7])
 def test_pareto_filter_matches_quadratic_reference(monkeypatch, chunk_rows):
     # staircase implementation vs a direct all-pairs scan; coarse rounding
@@ -1169,10 +1187,10 @@ def test_front_record_keeps_every_check():
 
 
 def test_a_model_keeps_only_the_last_sweeps_record():
-    # a sweep's record holds its stacks (0.98 MB for 20,501 rows) and its
-    # front's informations; the next sweep drops it before it allocates, so
-    # that sweep peaks no higher than the first, and after a 50-sample sweep
-    # the model holds under 0.1 MB more than before any sweep
+    # a sweep's record holds its front's matrices and informations (1.0 MB
+    # for the front of 20,501 rows); the next sweep drops it before it
+    # allocates, so that sweep peaks no higher than the first, and after a
+    # 50-sample sweep the model holds under 0.1 MB more than before any sweep
     m = hsm_model()
     sweep_region(hsm_model(), SamplerConfig(random_samples=50, seed=1))   # warm-up
     big = SamplerConfig(random_samples=20_000, beta_grid_step=1e-3, seed=2)
@@ -1192,8 +1210,21 @@ def test_a_model_keeps_only_the_last_sweeps_record():
     assert held_big > 0.9 * 2**20
     assert peak_again < peak_big + held_big / 2
     assert held_small < 0.1 * 2**20
-    assert sum(map(len, m._sweep_infos.stacks)) == 50
+    # the record's matrices are its front's own, not copies or stacks
+    assert len(m._sweep_infos.tests) == len(small_front)
+    assert all(t is c.test_channel.matrix for t, c in zip(m._sweep_infos.tests, small_front))
     assert m._sweep_infos.infos.shape == (4, len(small_front))
+    # after a 100,000-sample sweep whose region is dropped, the model keeps
+    # only its front's record (1.8 MB), not every sampled test channel (5 MB)
+    m = degraded_model()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sweep_region(m, SamplerConfig(random_samples=100_000, beta_grid_step=1e-3, seed=40))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2.5 * 2**20, f"held {held / 2**20:.2f} MB"
 
 
 def test_front_record_shared_by_threads():
@@ -1298,10 +1329,10 @@ def test_compare_regions_in_blocks_matches_dense_oracle(a, b, cells):
 
 
 def _sorted_bounds(a, b):
-    """`_slack_bounds` of a's front against b, as compare_regions takes them."""
-    pa, pb = _corner_rates(a.corners), _corner_rates(b.corners)
+    """`_slack_bounds` of a's corners against b, as compare_regions takes them."""
+    pa, pb = _corner_rates(a.corners, "a"), _corner_rates(b.corners, "b")
     pb = pb[np.argsort(pb[:, 0])]
-    return _slack_bounds(pa[_pareto_indices(pa)], *pb.T.copy())
+    return _slack_bounds(pa, *pb.T.copy())
 
 
 def test_compare_regions_exact_where_the_bound_is_loose_ties_or_rules_out_all():
@@ -1360,7 +1391,7 @@ def test_compare_regions_edge_rules():
         compare_regions(a, RegionBoundary([], InfoUnit.NATS))
     # a NaN slack makes its row's minimum NaN, which max() then drops, so a
     # pair with a non-finite corner would read as contained
-    for bad in ((math.nan,) * 3, (0.1, math.nan, 0.5), (0.1, 0.5, math.inf), (-math.inf, 0.0, 0.0)):
+    for bad in NON_FINITE:
         with pytest.raises(ValueError, match="region b has a non-finite rate"):
             compare_regions(a, _bits([(0.1, 0.5, 0.5), bad]))
         with pytest.raises(ValueError, match="region a has a non-finite rate"):
@@ -1371,29 +1402,37 @@ def test_compare_regions_edge_rules():
 
 def test_compare_regions_memory_does_not_grow_with_both_sizes():
     # one full 300 x 50,000 slack table is 114 MB; the blocked pass peaks at
-    # about 6 MB
+    # about 6 MB.  Bounding all of a 100,000-row a in one pass would peak
+    # near 50 MB; in blocks, a's rates and their `_corner_rates` tuples set
+    # the peak
     rng = np.random.default_rng(0)
     x = np.sort(rng.random(300))
-    a = _bits(np.stack([x, x, x], axis=1).tolist())
-    b = _bits(rng.random((50_000, 3)).tolist())
-    tracemalloc.start()
-    try:
-        compare_regions(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    line = _bits(np.stack([x, x, x], axis=1).tolist())
+    wide = _bits(rng.random((50_000, 3)).tolist())
+    # mostly dominated: each of the 20 corners of `few` dominates all but
+    # the first 100 corners of `many`
+    low = rng.random((100_000, 3)) * [0.5, -0.5, -0.5] + [0.0, 1.0, 1.0]
+    low[:100] = rng.random((100, 3))
+    many = _bits(low.tolist())
+    few = _bits((rng.random((20, 3)) * [0.5, -0.5, -0.5] + [0.5, 0.5, 0.5]).tolist())
+    for a, b in ((line, wide), (many, few)):
+        tracemalloc.start()
+        try:
+            compare_regions(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
 # Corners built in one batch against the per-row code they replaced
 # ---------------------------------------------------------------------------
 
-def ref_front(rates, params, stacks=(), kept=None):
+def ref_front(rates, params, stacks=()):
     # `_front` as it built corners one row at a time: a bisect over the
     # stacks' starts for each kept row's channel, and one `_rate_corner` each
-    if kept is None:
-        kept = _pareto_indices(rates)
+    kept = _pareto_indices(rates)
     starts = list(itertools.accumulate((len(s) for s in stacks), initial=0))
     corners = []
     for i in kept:
@@ -1427,21 +1466,37 @@ def test_front_builds_the_corners_of_the_per_row_code():
     fronts = []
 
     def checked(front):
-        def check(rates, params, stacks=(), kept=None):
-            got = front(rates, params, stacks, kept)
-            ref = ref_front(rates, params, stacks, kept)
+        def check(rates, params, stacks=()):
+            got = front(rates, params, stacks)
+            ref = ref_front(rates, params, stacks)
             assert [_fields(c) for c in got] == [_fields(c) for c in ref]
             fronts.append(len(got))
             return got
         return check
 
+    def recorded(rates):
+        def record(model, tests, **kw):
+            out = rates(model, tests, **kw)
+            swept.append((tests, out))
+            return out
+        return record
+
     with pytest.MonkeyPatch.context() as mp:
-        for module in (regions_module, binary_module, gaussian_module):
+        for module in (binary_module, gaussian_module):
             mp.setattr(module, "_front", checked(module._front))
+        # a sweep builds its front's corners itself, from the stacks it
+        # hands `_rates` and the rates it gets back
+        mp.setattr(regions_module, "_rates", recorded(regions_module._rates))
         for model_fn in BIT_MODELS:
             for step in (1e-2, None):
-                sweep_region(model_fn(), SamplerConfig(random_samples=400, beta_grid_step=step,
-                                                       seed=71))
+                model, swept = model_fn(), []
+                got = sweep_region(model, SamplerConfig(random_samples=400, beta_grid_step=step,
+                                                        seed=71)).corners
+                params = (_beta_grid(step) if step and model.n_xt == 2 else []) + [*range(400)]
+                ref = ref_front(np.concatenate([r for _, r in swept]), params,
+                                [t for t, _ in swept])
+                assert [_fields(c) for c in got] == [_fields(c) for c in ref]
+                fronts.append(len(got))
         binary_module.closed_form_region(binary_module.BinaryModelParams(0.1, 0.5, 0.2))
         gaussian_module.parametric_region(gaussian_module.GaussianModelParams(7 / 8, 4 / 5, 2 / 3))
     assert len(fronts) == 2 * len(BIT_MODELS) + 2 and min(fronts) > 1

@@ -55,6 +55,10 @@ untimed call.  Prints one JSON object:
                           100000 samples (the CLI's default), beta step
                           1e-3, seed 40) on the same model: the batched
                           one-auxiliary kernel
+  sweep_record_mb         tracemalloc bytes, in MB, that the same model (no
+                          sweep before) keeps after one such sweep whose
+                          region is dropped: the front's record of its test
+                          channels and chain informations
   compare_100k_s          median of ceil(REPS / 10) calls compare_regions(pairs,
                           front): the corners of that search against the
                           region of that sweep
@@ -62,8 +66,9 @@ untimed call.  Prints one JSON object:
                           sweep's region against the search's corners
   compare_100k_peak_mb    tracemalloc peak of one compare_regions(pairs,
                           front) call, in MB: mostly `_corner_rates`' tuple
-                          per corner, since `_pareto_indices` reads its
-                          sorted rows as floats 4,096 at a time
+                          per corner, since every corner of pairs is
+                          bounded in blocks of 256 rows and none is
+                          Pareto-filtered
   compare_workload_ms     median of REPS calls compare_regions(closed, sweep)
                           at the region_sweep workload's scale: the closed
                           form of configs/binary.json against a sweep_region
@@ -314,6 +319,11 @@ def main(argv) -> int:
         lambda: two_aux_random_search(criterion_4, 100_000, seed=41), math.ceil(reps / 10)))
     result["pairs_per_s"] = 100_000 / result["search_100k_s"]
     sweep_100k = SamplerConfig(random_samples=100_000, beta_grid_step=1e-3, seed=40)
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    sweep_region(criterion_4, sweep_100k)   # the region goes, the model keeps its record
+    result["sweep_record_mb"] = (tracemalloc.get_traced_memory()[0] - before) / 2**20
+    tracemalloc.stop()
     result["sweep_100k_s"] = statistics.median(seconds(
         lambda: sweep_region(criterion_4, sweep_100k), math.ceil(reps / 10)))
     front = sweep_region(criterion_4, sweep_100k)
