@@ -77,6 +77,52 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return t
 
 
+def _running_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = x[0] + x[1] + ... over x's leading axis, elementwise, left to
+    right from numpy's identity 0.0 (so an all -0.0 sum comes out +0.0),
+    as np.add.reduce sums an axis that is not its innermost loop.  Under 8
+    terms that is one np.add.reduce over the leading axis: it sums left to
+    right whichever loop numpy picks (a contiguous axis of fewer than 8
+    terms too)."""
+    if len(x) < 8:
+        return np.add.reduce(x, axis=0, out=out)
+    np.add(x[0], 0.0, out=out)
+    for t in x[1:]:
+        out += t
+    return out
+
+
+def _pairwise_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = the sum over x's leading axis of k terms, elementwise, in the
+    order np.add.reduce sums a contiguous last axis of k terms, so in the
+    same bits: left to right for k < 8; for k <= 128 eight interleaved
+    partial sums r0..r7, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the k mod 8 leftover terms in order; above 128 the sum of the two
+    halves numpy splits at (k // 2 rounded down to a multiple of 8)."""
+    k = len(x)
+    if k < 8:
+        return np.add.reduce(x, axis=0, out=out)   # left to right, as _running_sum
+    if k > 128:
+        h = k // 2 - k // 2 % 8
+        _pairwise_sum(x[:h], out)
+        out += _pairwise_sum(x[h:], np.empty_like(out))
+        return out
+    tail = k - k % 8
+    r = x[:8] if tail == 8 else x[:8] + x[8:16]
+    for lo in range(16, tail, 8):
+        r += x[lo:lo + 8]
+    # r0+r1, r2+r3, r4+r5, r6+r7, then their pairs, as two-term reduces,
+    # which start from 0.0 as numpy's sum does
+    r = np.add.reduce(r.reshape(4, 2, *r.shape[1:]), axis=1)
+    r = np.add.reduce(r.reshape(2, 2, *r.shape[1:]), axis=1)
+    if tail == k:
+        return np.add(r[0], r[1], out=out)
+    terms = np.empty((1 + k - tail, *out.shape))
+    np.add(r[0], r[1], out=terms[0])
+    terms[1:] = x[tail:]
+    return _running_sum(terms, out)
+
+
 def _entropy_nats(p: np.ndarray, axis: int = None):
     """Shannon entropy in nats of the whole array (a float), or of each
     slice along ``axis`` (an array: the batched form).  The sum is negated
@@ -117,10 +163,10 @@ def _channel_stack(matrices) -> np.ndarray:
     return _as_readonly(np.clip(m, 0.0, None))
 
 
-def _blocks(rows: int, row_cells: int) -> list:
-    """Slices of `rows` rows in blocks of at most 2^22 cells (32 MB of
-    float64) when each row takes `row_cells` cells."""
-    step = max(1, (1 << 22) // row_cells)
+def _blocks(rows: int, row_cells: int, cells: int = 1 << 22) -> list:
+    """Slices of `rows` rows in blocks of at most `cells` cells (by default
+    2^22, 32 MB of float64) when each row takes `row_cells` cells."""
+    step = max(1, cells // row_cells)
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
@@ -274,7 +320,9 @@ def _mi2_nats(j: np.ndarray):
     bits of H(rows) + H(cols) - H(cells) once clamped, as negating every
     operand of a rounded sum or difference negates its result.  The cells
     are summed over the flattened trailing axes, a view of a contiguous
-    stack, so no temporary beyond `_xlogx`'s is made."""
+    stack, so no temporary beyond `_xlogx`'s is made.  The package scores
+    stacks with `regions._infos_nats`, in the same bits; the tests hold it
+    to this function."""
     s_rows = np.add.reduce(_xlogx(np.add.reduce(j, axis=-1)), axis=-1)
     s_cols = np.add.reduce(_xlogx(np.add.reduce(j, axis=-2)), axis=-1)
     s_cells = np.add.reduce(_xlogx(j.reshape(*j.shape[:-2], -1)), axis=-1)

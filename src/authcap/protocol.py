@@ -591,10 +591,16 @@ class SimReport:
 
 
 def _sample_through(rng, rows: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Per-symbol categorical sampling of channel outputs given inputs."""
+    """Per-symbol categorical sampling of channel outputs given inputs: one
+    uniform draw per symbol, whose output is the number of the input row's
+    cdf boundaries (all but the last) at or below it, counted boundary by
+    boundary rather than over a gathered table of every boundary."""
     cdf = np.cumsum(rows, axis=1)
     r = rng.random(inputs.shape)
-    return (r[..., None] >= cdf[inputs][..., :-1]).sum(axis=-1)
+    out = np.zeros(inputs.shape, dtype=np.intp)
+    for bound in cdf[:, :-1].T:
+        out += r >= bound[inputs]
+    return out
 
 
 def run_simulation(model: AuthModel, config: SimConfig,

@@ -15,6 +15,7 @@ I(V;Y) - I(V;Z), which a less-noisy pair keeps nonnegative for every V.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -31,7 +32,10 @@ from .infotheory import (
     _clamp_mi,
     _jsonable,
     _mi2_nats,
+    _pairwise_sum,
     _positive,
+    _running_sum,
+    _xlogx,
 )
 
 _MAX_U, _MAX_V = 4, 3      # auxiliary caps of the two-auxiliary search
@@ -45,6 +49,11 @@ _COMPARE_CELLS = 1 << 14   # cells per compare_regions buffer
 _COMPARE_NEAR = 8          # corners of b on each side of a corner's rs that bound its slack
 _CHAIN_MEMO = 256          # test channels a model's chain memo holds before it is cleared
 _PARETO_ROWS = 1 << 12     # sorted rows _pareto_indices turns into Python floats at once
+# _rates scores a stack in blocks of 2^16 cells of chain joints (512 KB of
+# float64).  While it runs, `_infos_nats` holds a buffer of a block's cells
+# and marginals and their p log p, up to about five times the joints, so a
+# cache-sized block keeps it in cache and its memory off the stack's size.
+_RATE_CELLS = 1 << 16
 
 Y_FAVOR = (Relation.DEGRADED_Z_WRT_Y, Relation.LESS_NOISY_Y_OVER_Z)
 Z_FAVOR = (Relation.DEGRADED_Y_WRT_Z, Relation.LESS_NOISY_Z_OVER_Y)
@@ -262,19 +271,51 @@ class RegionBoundary:
 
 def _infos_nats(*joints):
     """Mutual information in nats between the row and column variables of
-    each stack of joints j[b, rows, cols], an array over the stack per
-    argument; stacks with the same number of rows go through one
-    `_mi2_nats` call, so when all share it (the usual case) the joints are
-    stacked once and the result is one array with a row per argument."""
-    row_counts = {j.shape[1] for j in joints}
-    if len(row_counts) == 1:
-        return _mi2_nats(np.array(joints))
-    infos = [None] * len(joints)
-    for rows in row_counts:
-        which = [k for k, j in enumerate(joints) if j.shape[1] == rows]
-        for k, mi in zip(which, _mi2_nats(np.array([joints[k] for k in which]))):
-            infos[k] = mi
-    return infos
+    each stack of joints j[b, rows, cols] (all with the same B), as an
+    array with a row per argument, in the bits `_mi2_nats` gives the
+    joints of one shape stacked.
+
+    Each group of S joints of one shape, r rows by c columns, is copied
+    once into a buffer with the stack innermost: r*c cells, then the r row
+    marginals, then the c column marginals, each an S*B vector.  `_xlogx`
+    runs once over every group's buffer, and every sum is an elementwise
+    add of whole vectors along the leading axis, in the order np.add.reduce
+    takes over the stack-major joints: `_pairwise_sum` for the row
+    marginals, the cells and the three sums of p log p (numpy reduces a
+    contiguous last axis), `_running_sum` for the column marginals (a
+    strided axis, row by row), except at c = 1, where that axis is
+    contiguous too.  So numpy's cost per joint row becomes a cost per
+    term, and one path serves every shape."""
+    b = len(joints[0])
+    groups = {}
+    for k, j in enumerate(joints):
+        groups.setdefault(j.shape[1:], []).append(k)
+    infos = np.empty((len(joints), b))   # rows in group order
+    row = 0
+    for (r, c), ks in groups.items():
+        n = len(ks) * b
+        buf = np.empty((r * c + r + c, n))
+        cells = buf[:r * c].reshape(r, c, len(ks), b)
+        for at, k in enumerate(ks):
+            cells[:, :, at] = joints[k].transpose(1, 2, 0)
+        cells = cells.reshape(r, c, n)
+        _pairwise_sum(cells.swapaxes(0, 1), buf[r * c:r * c + r])
+        (_pairwise_sum if c == 1 else _running_sum)(cells, buf[r * c + r:])
+        x = _xlogx(buf)
+        del buf, cells   # p is spent; freeing it makes room for the sums' partials
+        mi = infos[row:row + len(ks)].reshape(n)
+        s_rows, s_cols = np.empty((2, n))
+        _pairwise_sum(x[:r * c], mi)
+        _pairwise_sum(x[r * c:r * c + r], s_rows)
+        _pairwise_sum(x[r * c + r:], s_cols)
+        s_rows += s_cols
+        mi -= s_rows
+        row += len(ks)
+        del x            # before the next group's buffer is allocated
+    infos = _clamp_mi(infos)
+    if len(groups) == 1:
+        return infos
+    return infos[np.argsort([k for ks in groups.values() for k in ks])]
 
 
 class _SweepInfos:
@@ -372,14 +413,14 @@ def _rates(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None,
     """Rates of a stack tu[b, xt, u] of test channels, one-auxiliary, or
     two-auxiliary with tv[b, u, v] the channels to V: a (B, 4) array of
     (rs clamped at 0, rj, rl, unclamped rs) in bits.  Evaluated in blocks
-    of at most 2^22 cells of the pairwise joints a row needs: those of U,
-    and of V if given, with Xt, Y, Z and X; given a list `keep`, each
-    block's informations of U go into it (see `_rates_nats`)."""
+    of at most `_RATE_CELLS` cells of the pairwise joints a row needs:
+    those of U, and of V if given, with Xt, Y, Z and X; given a list
+    `keep`, each block's informations of U go into it (see `_rates_nats`)."""
     stacks = (tu,) if tv is None else (tu, tv)
     row_cells = sum(s.shape[2] for s in stacks) * (
         model.n_xt + model.ac_y.num_outputs + model.ac_z.num_outputs + model.nx)
     out = np.empty((len(tu), 4))
-    for blk in _blocks(len(tu), row_cells):
+    for blk in _blocks(len(tu), row_cells, _RATE_CELLS):
         out[blk, 0], out[blk, 1], out[blk, 2], out[blk, 3] = _rates_nats(
             model, *(s[blk] for s in stacks), keep=keep)
     return InfoUnit.BITS.from_nats(out)
@@ -523,7 +564,8 @@ def _pareto_indices(rates: np.ndarray) -> list:
 def _corner_rates(corners, what: str) -> np.ndarray:
     """The (rs, rj, rl) rows of `corners`; ValueError naming `what` if a rate
     is not finite (a NaN breaks the Pareto order and every slack)."""
-    rates = np.array([c.as_tuple() for c in corners], dtype=float).reshape(-1, 3)
+    rates = np.fromiter(itertools.chain.from_iterable(c.as_tuple() for c in corners),
+                        float, count=3 * len(corners)).reshape(-1, 3)
     if not np.isfinite(rates).all():
         raise ValueError(f"{what} has a non-finite rate")
     return rates

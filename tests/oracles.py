@@ -1,8 +1,8 @@
 """Independent references that only the tests call, in the order of their
 old homes in `authcap`: the chain joint and region membership (regions), the
 covariance oracle (gaussian), the convolution bounds and entropy-convolution
-check (binary), the channel cascade (infotheory) and the scalar key hash
-(protocol)."""
+check (binary), the channel cascade (infotheory), and the scalar key hash
+and the gathered-table sampler (protocol)."""
 
 from __future__ import annotations
 
@@ -225,3 +225,12 @@ def compose_channels(first: Channel, second: Channel) -> Channel:
 def hash_index(a: int, b: int, index: int, m_s: int) -> int:
     """Affine GF(2^64) hash of a codeword index truncated to [0, m_s)."""
     return (_gf64_mul(a, index) ^ b) & (m_s - 1)
+
+
+def ref_sample_through(rng, rows: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Per-symbol categorical sampling of channel outputs given inputs, as
+    `protocol._sample_through` did it: a (..., |out| - 1) table of each
+    symbol's cdf boundaries, compared with its draw and summed."""
+    cdf = np.cumsum(rows, axis=1)
+    r = rng.random(inputs.shape)
+    return (r[..., None] >= cdf[inputs][..., :-1]).sum(axis=-1)

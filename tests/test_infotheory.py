@@ -24,6 +24,8 @@ from authcap.infotheory import (
     NEGATIVE_MI_TOL,
     _clamp_mi,
     _entropy_nats,
+    _pairwise_sum,
+    _running_sum,
 )
 from oracles import compose_channels
 
@@ -301,6 +303,46 @@ def test_entropy_nats_matches_per_term_negation_bit_for_bit():
     for p in ([1.0, 0.0], [1.0, -0.0], [0.0, 1.0, 0.0], [1.0]):
         assert math.copysign(1.0, _entropy_nats(p)) == 1.0
         assert math.copysign(1.0, entropy(DiscreteDistribution(p))) == 1.0
+
+
+def _signed_terms(rng, k, n):
+    """A (k, n) table of terms: signed values over 60 orders of magnitude
+    with exact +0.0 and -0.0 mixed in, a column of -0.0 only, a column of
+    zeros of both signs, and a column whose terms cancel in pairs."""
+    x = rng.standard_normal((k, n)) * np.exp(rng.uniform(-70.0, 70.0, (k, n)))
+    x[rng.random((k, n)) < 0.3] = 0.0
+    x[rng.random((k, n)) < 0.2] = -0.0
+    if n > 1:
+        x[:, 0] = -0.0
+        x[:, 1] = np.where(rng.random(k) < 0.5, -0.0, 0.0)
+    if n > 2:
+        x[:, 2] = rng.random(k)
+        x[1::2, 2] = -x[0:k - 1:2, 2]
+    return x
+
+
+def test_pairwise_sum_follows_add_reduce_over_a_contiguous_axis():
+    # every k from 1 to 300 crosses numpy's orders: left to right below 8
+    # terms, eight interleaved partial sums up to 128, halving above; the
+    # terms lie along the leading axis, numpy's along a contiguous last one
+    rng = np.random.default_rng(70)
+    for k in range(1, 301):
+        for n in (1, 2, 5):
+            x = _signed_terms(rng, k, n)
+            want = np.add.reduce(np.ascontiguousarray(x.T), axis=-1)
+            got = _pairwise_sum(x, np.empty(n))
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (k, n)
+
+
+def test_running_sum_follows_add_reduce_over_a_strided_axis():
+    # numpy sums an axis that is not its innermost loop row by row
+    rng = np.random.default_rng(71)
+    for k in range(1, 301):
+        for n in (2, 5):
+            x = _signed_terms(rng, k, n)
+            want = np.add.reduce(x, axis=0)
+            got = _running_sum(x, np.empty(n))
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (k, n)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (3, 1), (4, 1), (7, 1)])

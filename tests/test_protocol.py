@@ -27,7 +27,7 @@ from authcap.protocol import (_MAX_CELLS, _TILE_CELLS, ProtocolTables, SimReport
                               _encoder_hits, _encoder_kernel, _gf64_mul, _hash_indices, _pick,
                               _product_law, _sample_through)
 from authcap.regions import _chain_laws, _infos_nats
-from oracles import build_joint, hash_index
+from oracles import build_joint, hash_index, ref_sample_through
 
 
 def hb(x):
@@ -284,6 +284,24 @@ def test_density_tables_follow_the_markov_identities(case, seed):
     x_dens = t.x_table[cws, xs[enrolled]]
     assert np.all(np.isfinite((x_dens - t.z_table[cws, zs[enrolled]]).sum(axis=1)))
     assert np.all(np.isfinite((t.tn_table[xts[enrolled], cws] - x_dens).sum(axis=1)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 40), st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+def test_sample_through_matches_the_gathered_table_sampler(n_in, n_out, trials, n, seed):
+    # the per-boundary count against the old (trials, n, |out| - 1) table:
+    # the same draws, the same outputs and dtype, and the generator left in
+    # the same state
+    g = np.random.default_rng(seed)
+    rows = g.dirichlet(np.ones(n_out), size=n_in)
+    rows[g.random(n_in) < 0.3] = np.eye(n_out)[g.integers(0, n_out)]   # one-hot rows
+    inputs = g.integers(0, n_in, size=(trials, n))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = _sample_through(rng, rows, inputs), ref_sample_through(ref_rng, rows, inputs)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert rng.random() == ref_rng.random()
 
 
 def test_codebook_size_formula():

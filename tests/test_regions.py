@@ -40,8 +40,8 @@ from authcap.infotheory import (
     _mi2_nats,
 )
 from authcap.regions import (_CHAIN_MEMO, _COMPARE_CELLS, _COMPARE_NEAR, CardinalityError,
-                             _beta_grid, _chain_infos, _corner_rates, _pareto_indices, _rate_corner,
-                             _rates, _slack_bounds)
+                             _beta_grid, _chain_infos, _corner_rates, _infos_nats, _pareto_indices,
+                             _rate_corner, _rates, _slack_bounds)
 from oracles import build_joint, region_contains
 
 
@@ -787,7 +787,7 @@ def test_rates_in_blocks_match_one_pass(monkeypatch):
     tv = _channel_stack(rng.dirichlet(np.ones(2), size=(10, 3)))
     whole = (_rates(m, tu), _rates(m, tu, tv))
     monkeypatch.setattr("authcap.regions._blocks",
-                        lambda rows, row_cells: [slice(lo, lo + 3) for lo in range(0, rows, 3)])
+                        lambda rows, row_cells, cells: [slice(lo, lo + 3) for lo in range(0, rows, 3)])
     # the last block has one row, which `_rates_nats` composes on floats
     assert _rates(m, tu).tobytes() == whole[0].tobytes()
     assert _rates(m, tu, tv).tobytes() == whole[1].tobytes()
@@ -795,6 +795,24 @@ def test_rates_in_blocks_match_one_pass(monkeypatch):
     assert _blocks(5, 1 << 21) == [slice(0, 2), slice(2, 4), slice(4, 6)]
     assert _blocks(2, 1 << 23) == [slice(0, 1), slice(1, 2)]
     assert _blocks(0, 8) == []
+
+
+def test_rates_memory_does_not_grow_with_the_stack():
+    # 20,000 rows score in cache-sized blocks: the kernel's buffers are a
+    # block's, not the stack's (scored whole, |U| = 5 peaked at 21 MB)
+    m = hsm_model()
+    rng = np.random.default_rng(58)
+    for u in (1, 5):
+        tu = rng.dirichlet(np.ones(u), size=(20_000, 2))
+        tv = rng.dirichlet(np.ones(3), size=(20_000, u))
+        for stacks in ((tu,), (tu, tv)):
+            tracemalloc.start()
+            try:
+                _rates(m, *stacks)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * 2**20, f"|U| = {u}, {len(stacks)} stacks: {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("kwargs, error, match", [
@@ -968,6 +986,36 @@ def test_eval_two_aux_constant_v_matches_four_joint_kernel_bit_for_bit(model_fn)
                 ref = ref_rates(m, tu.matrix[None], one_hot[None])[0]
                 assert got.tobytes() == ref.tobytes()
                 assert c.extras["v_channel"] == one_hot.tolist()
+
+
+def _joint_stack(rng, b, r, c, zeros):
+    """b random joints over r x c cells with about a `zeros` share of exact
+    zero cells (a row left all zero keeps its first cell)."""
+    j = rng.dirichlet(np.ones(r * c), size=b)
+    j[rng.random(j.shape) < zeros] = 0.0
+    j[:, 0] += j.sum(axis=1) == 0.0
+    return (j / j.sum(axis=1, keepdims=True)).reshape(b, r, c)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 4), st.integers(1, 300), st.integers(1, 20),
+       st.lists(st.integers(1, 20), min_size=4, max_size=4), st.sampled_from([0.0, 0.3, 0.8]),
+       st.integers(0, 2**32 - 1))
+@example(s=3, b=5, c=1, rows=[8, 20, 8, 1], zeros=0.3, seed=0)      # c = 1, r >= 8
+@example(s=4, b=2, c=20, rows=[7, 20, 1, 7], zeros=0.3, seed=1)     # r * c above 128
+@example(s=2, b=1, c=3, rows=[2, 9, 1, 1], zeros=0.0, seed=2)       # 6 and 27 cells
+def test_infos_nats_matches_mi2_nats_per_row_count_group(s, b, c, rows, zeros, seed):
+    # the stack-innermost kernel against the stack-major reduce it replaced,
+    # bit for bit: r * c spans numpy's < 8, 8-128 and halving orders
+    rng = np.random.default_rng(seed)
+    rows = rows[:s]
+    joints = [_joint_stack(rng, b, r, c, zeros) for r in rows]
+    got = _infos_nats(*joints)
+    assert got.shape == (s, b)
+    for r in set(rows):
+        which = [k for k in range(s) if rows[k] == r]
+        want = _mi2_nats(np.array([joints[k] for k in which]))
+        assert got[which].view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def _corner_bytes(c) -> bytes:
@@ -1403,8 +1451,8 @@ def test_compare_regions_edge_rules():
 def test_compare_regions_memory_does_not_grow_with_both_sizes():
     # one full 300 x 50,000 slack table is 114 MB; the blocked pass peaks at
     # about 6 MB.  Bounding all of a 100,000-row a in one pass would peak
-    # near 50 MB; in blocks, a's rates and their `_corner_rates` tuples set
-    # the peak
+    # near 50 MB; in blocks, a's 100,000 x 3 rate array (2.3 MB) is about
+    # half of the 4.6 MB peak
     rng = np.random.default_rng(0)
     x = np.sort(rng.random(300))
     line = _bits(np.stack([x, x, x], axis=1).tolist())

@@ -47,6 +47,12 @@ untimed call.  Prints one JSON object:
                           a model that has just swept that front, untimed:
                           two_aux_check's embedding loop, whose U channels
                           come from the sweep's front record, not the kernel
+  rates_400_us            for |U| = 1 ... 5, the median of REPS `_rates`
+                          calls on a stack of 400 Dirichlet test channels
+                          (seeded by |U|) on the region_sweep workload's
+                          model (configs/binary.json's binary_hsm(0.1, 0.5,
+                          0.2)): the stacked `_infos_nats` at the size of
+                          region_sweep's random groups
   search_100k_s           median of ceil(REPS / 10) calls
                           two_aux_random_search(model, 100000, seed=41) on
                           criterion 4's model, binary_symmetric(0.1, 0.1, 0.26)
@@ -65,10 +71,12 @@ untimed call.  Prints one JSON object:
   compare_100k_reverse_s  the same for compare_regions(front, pairs): the
                           sweep's region against the search's corners
   compare_100k_peak_mb    tracemalloc peak of one compare_regions(pairs,
-                          front) call, in MB: mostly `_corner_rates`' tuple
-                          per corner, since every corner of pairs is
-                          bounded in blocks of 256 rows and none is
-                          Pareto-filtered
+                          front) call, in MB: mostly arrays over the
+                          100,000 corners of pairs (their rates, which
+                          `_corner_rates` fills straight from the corners'
+                          floats, and their slack bounds), since every
+                          corner of pairs is bounded in blocks of 256 rows
+                          and none is Pareto-filtered
   compare_workload_ms     median of REPS calls compare_regions(closed, sweep)
                           at the region_sweep workload's scale: the closed
                           form of configs/binary.json against a sweep_region
@@ -127,6 +135,7 @@ from authcap.classifier import _binary_certificate  # noqa: E402
 from authcap.protocol import (SimConfig, _all_sequences, _blocks, _decode_block,  # noqa: E402
                               _encoder_hits, _pick, _sample_through, _sequence_index,
                               exact_leakage, generate_codebook, run_simulation)
+from authcap.regions import _rates  # noqa: E402
 
 PAIRS_PER_SIZE = 20
 
@@ -314,6 +323,11 @@ def main(argv) -> int:
                                         for pair in ((bec, bsc), (bsc, bec))]
 
     result.update(single_corners(d, reps))
+    sweep_model = BinaryModelParams(b["p"], b["q"], b["eps"]).model()
+    result["rates_400_us"] = {}
+    for u in range(1, 6):
+        tu = np.random.default_rng(u).dirichlet(np.ones(u), size=(400, 2))
+        result["rates_400_us"][u] = median_us(lambda: _rates(sweep_model, tu))
     criterion_4 = AuthModel.binary_symmetric(0.1, 0.1, 0.26)
     result["search_100k_s"] = statistics.median(seconds(
         lambda: two_aux_random_search(criterion_4, 100_000, seed=41), math.ceil(reps / 10)))
