@@ -47,7 +47,6 @@ _MAX_U, _MAX_V = 4, 3      # auxiliary caps of the two-auxiliary search
 # 2^14 cells (128 KB of float64 each) do.
 _COMPARE_CELLS = 1 << 14   # cells per compare_regions buffer
 _COMPARE_NEAR = 8          # corners of b on each side of a corner's rs that bound its slack
-_CHAIN_MEMO = 256          # test channels a model's chain memo holds before it is cleared
 _PARETO_ROWS = 1 << 12     # sorted rows _pareto_indices turns into Python floats at once
 # _rates scores a stack in blocks of 2^16 cells of chain joints (512 KB of
 # float64).  While it runs, `_infos_nats` holds a buffer of a block's cells
@@ -76,10 +75,9 @@ class AuthModel:
     channel-pair ordering is classified once at construction, and the
     source-side laws every corner reuses (joint of source and enrollment
     observation, marginal of the latter, I(X;Z)) are computed once.  A
-    private memo keeps the chain informations of recent single test
-    channels, and a private record those of the last `sweep_region`
-    front's channels, as the sweep's batched pass computed them; both serve
-    `_chain_infos`, which scores a channel in neither with the one stacked
+    private record keeps the chain informations of the last `sweep_region`
+    front's channels, as the sweep's batched pass computed them; it serves
+    `_chain_infos`, which scores any other channel with the one stacked
     kernel, `_infos_nats` over `_chain_laws`.
     """
 
@@ -101,7 +99,6 @@ class AuthModel:
         self._p_xt = self._p_xa.sum(axis=0)
         self._p_xt.setflags(write=False)
         self._i_xz = _mi2_nats(self.px.probs[:, None] * self.ac_z.matrix)
-        self._chain_memo = {}
         self._sweep_infos = None
         self.verdict = classify_ac(self.ac_y, self.ac_z,
                                    trials=self.classifier_trials, seed=self.classifier_seed)
@@ -342,28 +339,17 @@ class _SweepInfos:
 
 def _chain_infos(model: AuthModel, t: np.ndarray) -> tuple:
     """The four chain informations of a stack t of one test channel, as a
-    tuple of floats: `_infos_nats` over `_chain_laws`, the stacked kernel.
-    Kept in the model's memo under t's shape and bytes (the shape, so a
-    byte twin on the wrong alphabet still meets `_chain_laws`' check); on a
-    miss, a channel on the enrollment alphabet is looked up among the last
-    sweep's front rows (`model._sweep_infos`), whose batched pass gave the
-    same bits, and only then scored.  A kernel that raises stores nothing;
-    a full memo is cleared whole rather than evicted entry by entry, so no
-    call iterates over it and concurrent callers cannot make one raise."""
-    row = t.tobytes()
-    key = (t.shape, row)
-    memo = model._chain_memo
-    infos = memo.get(key)
-    if infos is None:
-        swept = model._sweep_infos
-        if swept is not None and t.shape[1] == model.n_xt:
-            infos = swept.lookup(row)
-        if infos is None:
-            infos = tuple(float(i[0]) for i in _infos_nats(*_chain_laws(model, t)))
-            if len(memo) >= _CHAIN_MEMO:
-                memo.clear()
-            memo[key] = infos
-    return infos
+    tuple of floats: a channel on the enrollment alphabet (so a byte twin
+    of another shape still meets `_chain_laws`' check) is looked up among
+    the last sweep's front rows (`model._sweep_infos`), whose batched pass
+    gave the same bits; any other is scored by the stacked kernel,
+    `_infos_nats` over `_chain_laws`.  Nothing is stored."""
+    swept = model._sweep_infos
+    if swept is not None and t.shape[1] == model.n_xt:
+        infos = swept.lookup(t.tobytes())
+        if infos is not None:
+            return infos
+    return tuple(float(i[0]) for i in _infos_nats(*_chain_laws(model, t)))
 
 
 def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None,
@@ -372,9 +358,10 @@ def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None,
     stack tu[b, xt, u] of test channels, or over pairs of it and a stack
     tv[b, u, v] of channels from U to a second auxiliary V; for a stack of
     one, floats in the same bits, from `_chain_infos`.  Every information
-    is `_infos_nats` over `_chain_laws`, memoised or not.  Given a list `keep`,
-    U's four informations are appended to it as they were computed: a
-    tuple of floats for a stack of one, else `_infos_nats`' result.
+    is `_infos_nats` over `_chain_laws`, or the front record's copy of it.
+    Given a list `keep`, U's four informations are appended to it as they
+    were computed: a tuple of floats for a stack of one, else
+    `_infos_nats`' result.
 
     Every one-auxiliary quantity reduces to the pairwise mutual
     informations I(U;Xt), I(U;Y), I(U;Z) and I(U;X) along the chain, so
@@ -384,9 +371,13 @@ def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None,
     So a two-auxiliary corner is the one-auxiliary corner of its U with rs
     lowered and rl raised by d = I(V;Y) - I(V;Z), V being reached from Xt
     through the composite test channel tu @ tv, whose chain laws give V's
-    joints with Y and Z: a stack scores those two, a single pair reads
-    them from the memo entry of tu @ tv.
+    joints with Y and Z: a stack scores those two, a single pair takes them
+    from `_chain_infos` of tu @ tv.  A V with one symbol is constant, so
+    I(V;Y) = I(V;Z) = 0 and d is exactly 0: its rows are U's one-auxiliary
+    rows, and no kernel runs for V.
     """
+    if tv is not None and tv.shape == (len(tu), tu.shape[2], 1):
+        tv = None
     if len(tu) == 1:
         infos = u_infos = _chain_infos(model, tu)
         if tv is not None:
@@ -502,11 +493,12 @@ def eval_two_aux(model: AuthModel, test_u: Channel, test_v: Channel,
     rs = I(U;Y|V) - I(U;Z|V), rj = I(U;Xt) - I(U;Y) and
     rl = I(X;U,Y) - I(X;Y|V) + I(X;Z|V): the corner of eval_one_aux(test_u)
     with rs lowered and rl raised by I(V;Y) - I(V;Z), V's informations being
-    those of the composite test channel Xt -> V, test_u @ test_v.  Both
-    channels' informations come from the model's memo, so a corner that
-    repeats a channel skips its kernel.  Alphabets beyond |U| = `max_u` or
-    |V| = _MAX_V raise CardinalityError.  With a constant V this collapses
-    to eval_one_aux within rounding.
+    those of the composite test channel Xt -> V, test_u @ test_v.  A
+    channel on the last sweep's front reads its informations from the
+    model's record instead of running the kernel.  Alphabets beyond
+    |U| = `max_u` or |V| = _MAX_V raise CardinalityError.  A V with one
+    symbol carries no information, so with it this is eval_one_aux(test_u)
+    exactly, bit for bit.
     """
     if test_v.num_inputs != test_u.num_outputs:
         raise ValueError("test_v input alphabet must equal test_u output alphabet")
@@ -696,9 +688,10 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
     In place of the previous sweep's record, the model keeps the four chain
     informations the batched pass computed for the front's rows, as one
     (4, front) array, with the rows' read-only matrices, which the front's
-    test channels wrap (`_SweepInfos`); `eval_one_aux` and `eval_two_aux` on
-    a front corner's test channel read them there (`_chain_infos`) instead
-    of running the kernel again.
+    test channels wrap (`_SweepInfos`): the model's one cache.
+    `eval_one_aux` and `eval_two_aux` on a front corner's test channel read
+    U's informations there (`_chain_infos`) instead of running the kernel
+    again.
     """
     if config is None:
         config = SamplerConfig()

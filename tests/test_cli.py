@@ -353,6 +353,16 @@ def test_compare_degraded_binary(tmp_path):
     assert data["verdict"]["relation"] == "degraded_Z_wrt_Y"
 
 
+@pytest.mark.parametrize("name", ["binary", "discrete_degraded", "keyed"])
+def test_compare_embedding_is_exact_on_shipped_configs(tmp_path, name):
+    # a constant V carries no information, so each front corner's
+    # constant-V corner is the corner itself, not a rounding away from it
+    config = Path(__file__).parents[1] / "configs" / f"{name}.json"
+    assert run_cli("compare", "--config", str(config), "--out", str(tmp_path)) == 0
+    data = json.loads((tmp_path / "comparison.json").read_text())
+    assert data["one_aux_excess_over_two_aux_with_embedding"] == 0.0
+
+
 def test_compare_unsupported(tmp_path, capsys):
     cfg = write_config(tmp_path, UNORDERED_CFG)
     assert run_cli("compare", "--config", cfg, "--out", str(tmp_path / "c")) == 5

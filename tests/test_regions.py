@@ -1,4 +1,5 @@
 import bisect
+import contextlib
 import itertools
 import json
 import math
@@ -39,9 +40,9 @@ from authcap.infotheory import (
     _entropy_nats,
     _mi2_nats,
 )
-from authcap.regions import (_CHAIN_MEMO, _COMPARE_CELLS, _COMPARE_NEAR, CardinalityError,
-                             _beta_grid, _chain_infos, _corner_rates, _infos_nats, _pareto_indices,
-                             _rate_corner, _rates, _slack_bounds)
+from authcap.regions import (_COMPARE_CELLS, _COMPARE_NEAR, CardinalityError, _beta_grid,
+                             _corner_rates, _infos_nats, _pareto_indices, _rate_corner, _rates,
+                             _slack_bounds)
 from oracles import build_joint, region_contains
 
 
@@ -157,9 +158,7 @@ def test_two_aux_constant_v_collapse():
         tu = Channel(rng.dirichlet(np.ones(u), size=2))
         one = eval_one_aux(m, tu)
         two = eval_two_aux(m, tu, Channel.constant(u))
-        assert abs(one.rs - two.rs) <= 1e-12
-        assert abs(one.rj - two.rj) <= 1e-12
-        assert abs(one.rl - two.rl) <= 1e-12
+        assert (one.rs, one.rj, one.rl) == (two.rs, two.rj, two.rl)
 
 
 def test_two_aux_constant_u():
@@ -733,7 +732,7 @@ def test_batched_kernels_reject_malformed_stacks():
         _rates(m, np.stack([good, good, mass_two]))
     with pytest.raises(MalformedJointError):
         _rates(m, np.stack([good, mass_two]), np.ones((2, 2, 1)))
-    for _ in range(2):   # a stack of one raises on every call: the memo stores no failure
+    for _ in range(2):   # a stack of one raises on every call
         with pytest.raises(MalformedJointError):
             _rates(m, mass_two[None])
         with pytest.raises(MalformedJointError):
@@ -963,10 +962,13 @@ def test_rates_match_four_joint_kernel_bit_for_bit(model_fn):
             assert _rates(m, one).tobytes() == ref_rates(m, one).tobytes()
         for v in (1, 2, 3):
             tv = _channels_with_one_hot_rows(rng, 2_000, u, v)
-            assert _rates(m, tu, tv).tobytes() == ref_rates(m, tu, tv).tobytes()
+            # a constant V (v = 1) gives U's one-auxiliary rows
+            ref = ref_rates(m, tu, None if v == 1 else tv)
+            assert _rates(m, tu, tv).tobytes() == ref.tobytes()
             for i in range(4):
                 pair = tu[i:i + 1], tv[i:i + 1]
-                assert _rates(m, *pair).tobytes() == ref_rates(m, *pair).tobytes()
+                ref = ref_rates(m, pair[0], None if v == 1 else pair[1])
+                assert _rates(m, *pair).tobytes() == ref.tobytes()
     assert np.asarray(m.i_xz_nats()).tobytes() == np.asarray(
         ref_mi2_nats(m.px.probs[:, None] * m.ac_z.matrix)).tobytes()
 
@@ -983,7 +985,7 @@ def test_eval_two_aux_constant_v_matches_four_joint_kernel_bit_for_bit(model_fn)
                 one_hot[:, index] = 1.0
                 c = eval_two_aux(m, tu, Channel(one_hot), max_u=u)
                 got = np.array([*c.as_tuple(), c.extras["rs_unclamped"]])
-                ref = ref_rates(m, tu.matrix[None], one_hot[None])[0]
+                ref = ref_rates(m, tu.matrix[None], None if v == 1 else one_hot[None])[0]
                 assert got.tobytes() == ref.tobytes()
                 assert c.extras["v_channel"] == one_hot.tolist()
 
@@ -1044,10 +1046,36 @@ def test_eval_two_aux_dirichlet_v_matches_four_joint_kernel_bit_for_bit(model_fn
             for v in (1, 2, 3):
                 tv = rng.dirichlet(np.ones(v), size=u)
                 c = eval_two_aux(m, Channel(matrix), Channel(tv), max_u=u)
-                ref = ref_rates(m, matrix[None], Channel(tv).matrix[None])[0]
+                ref = ref_rates(m, matrix[None], None if v == 1 else Channel(tv).matrix[None])[0]
                 assert _corner_bytes(c) == ref.tobytes()
                 assert (c.extras["u_size"], c.extras["v_size"]) == (u, v)
                 assert c.extras["v_channel"] == Channel(tv).matrix.tolist()
+
+
+@pytest.mark.parametrize("model_fn", BIT_MODELS)
+def test_constant_v_gives_the_one_aux_rates_bit_for_bit(model_fn):
+    # I(V;Y) = I(V;Z) = 0 for a V with one symbol: its corners are U's own,
+    # for single pairs and stacks, one-hot rows included
+    m = model_fn()
+    rng = np.random.default_rng(66)
+    for u in range(1, m.n_xt + 4):
+        tu = _channels_with_one_hot_rows(rng, 300, m.n_xt, u)
+        assert _rates(m, tu, np.ones((len(tu), u, 1))).tobytes() == _rates(m, tu).tobytes()
+        for matrix in tu[:12]:
+            one = eval_one_aux(m, Channel(matrix))
+            two = eval_two_aux(m, Channel(matrix), Channel.constant(u), max_u=u)
+            assert _hex_record(two)[0] == _hex_record(one)[0]
+
+
+def test_two_aux_search_constant_v_corners_are_their_u_rows():
+    # the |V| = 1 groups of a search give their U's one-auxiliary rows
+    m = AuthModel.binary_symmetric(0.1, 0.1, 0.26)
+    constant = [c for c in two_aux_random_search(m, 20_000, seed=41) if c.extras["v_size"] == 1]
+    assert len(constant) == 6_676
+    for u in range(1, 5):
+        group = [c for c in constant if c.extras["u_size"] == u]
+        rows = _rates(m, np.stack([c.test_channel.matrix for c in group]))
+        assert [_corner_bytes(c) for c in group] == [r.tobytes() for r in rows]
 
 
 def ternary_degraded_model():
@@ -1082,8 +1110,8 @@ def test_call_history_does_not_change_a_bit(k, u, v, seed, sweeps):
     # sweep's front, on a fresh model in one call order, on a fresh model in
     # the other with sweeps run before the drawn calls (seed 0 sweeps that
     # front, seed 1 another, so a second sweep replaces the first one's
-    # front record), and through the stacked kernel, which has no memo and
-    # no front record; |V| = 1 is the constant V
+    # front record), and through the stacked kernel, which reads no front
+    # record; |V| = 1 is the constant V
     model_fn = MEMO_MODELS[k]
     rng = np.random.default_rng(seed)
     m = model_fn()
@@ -1145,55 +1173,52 @@ def test_front_corners_on_the_sweeping_model_match_a_fresh_model(k, beta_grid, s
         return out
 
     assert records(m) == records(fresh)
-    # the sweeping model read every front channel from its record: none
-    # went into its memo, where a kernel run would have put it
-    assert not any((t.matrix[None].shape, t.matrix.tobytes()) in m._chain_memo for t in tests)
+    # the sweeping model reads every front channel from its record, and a
+    # constant V runs no kernel: no stack of one is scored, where a fresh
+    # model scores U once per call
+    for model, runs in ((m, 0), (fresh, 2 * len(tests))):
+        with _single_kernel_runs() as calls:
+            for t in tests:
+                eval_one_aux(model, t)
+                eval_two_aux(model, t, Channel.constant(t.num_outputs),
+                             max_u=max(4, t.num_outputs))
+        assert len(calls) == runs
     assert fresh._sweep_infos is None
+
+
+@contextlib.contextmanager
+def _single_kernel_runs():
+    """A list that gets one entry per `_infos_nats` call on a stack of one
+    while the block runs: each single channel the kernel scores."""
+    calls, kernel = [], _infos_nats
+
+    def counted(*joints):
+        if len(joints[0]) == 1:
+            calls.append(joints[0].shape)
+        return kernel(*joints)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("authcap.regions._infos_nats", counted)
+        yield calls
 
 
 def test_chain_memo_keeps_every_check():
     m = hsm_model()   # |Xt| = 2
     wide = Channel([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
     eval_one_aux(m, wide)
-    twin = wide.matrix.reshape(1, 3, 2)   # the bytes of the memoized 2 x 3 channel
+    twin = wide.matrix.reshape(1, 3, 2)   # the bytes of the scored 2 x 3 channel
     assert twin.tobytes() == wide.matrix.tobytes()
     for _ in range(2):
         with pytest.raises(ValueError, match="enrollment alphabet has 2"):
             _rates(m, twin)
 
 
-def test_chain_memo_is_bounded():
-    m = hsm_model()
-    rng = np.random.default_rng(73)
-    tests = [np.ones((1, m.n_xt, 1))] + [
-        t[None] for u in range(2, 6)
-        for t in _channel_stack(rng.dirichlet(np.ones(u), size=(5_000, m.n_xt)))]
-    sizes = set()
-    for t in tests:
-        _chain_infos(m, t)
-        sizes.add(len(m._chain_memo))
-    assert max(sizes) == _CHAIN_MEMO
-    # a full memo of |U| = 5 channels, the longest keys
-    fresh = hsm_model()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for t in tests[-_CHAIN_MEMO:]:
-            _chain_infos(fresh, t)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert len(fresh._chain_memo) == _CHAIN_MEMO
-    assert held < 0.2 * 2**20
-
-
 def test_chain_memo_shared_by_threads():
-    # four threads share one model's memo, each through more channels than
-    # it holds, so clears interleave with lookups and stores; every corner
-    # must still be the one a fresh model gives
+    # four threads score the same channels on one model, in different
+    # orders; every corner must still be the one a fresh model gives
     rng = np.random.default_rng(74)
     stack = _channel_stack(rng.dirichlet(np.ones(3), size=(300, 2)))
-    expected = [r.tobytes() for r in _rates(hsm_model(), stack)]   # the stacked kernel: no memo
+    expected = [r.tobytes() for r in _rates(hsm_model(), stack)]   # the stacked kernel
     tests = [Channel(t) for t in stack]
     shared, results, errors = hsm_model(), {}, []
 
@@ -1225,8 +1250,9 @@ def test_front_record_keeps_every_check():
     front = sweep_region(m, SamplerConfig(random_samples=200, beta_grid_step=0.0,
                                           u_sizes=(3,), seed=7))
     wide = front.corners[0].test_channel.matrix   # 2 x 3, a front row
-    eval_one_aux(m, Channel(wide))
-    assert m._sweep_infos.index is not None and not m._chain_memo   # read from the record
+    with _single_kernel_runs() as calls:
+        eval_one_aux(m, Channel(wide))
+    assert m._sweep_infos.index is not None and calls == []   # read from the record
     twin = wide.reshape(1, 3, 2)   # the bytes of that front row
     assert twin.tobytes() == wide.tobytes()
     for _ in range(2):
@@ -1298,15 +1324,16 @@ def test_front_record_shared_by_threads():
                     errors.append(e)
 
             threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
+            with _single_kernel_runs() as calls:
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
             assert not any(th.is_alive() for th in threads) and errors == []
             for k in range(4):
                 assert len(results[k]) == len(tests[k::4]) + len(tests)
                 assert all(got == expected[i] for i, got in results[k])
-            assert not m._chain_memo   # every corner came from the front record
+            assert calls == []   # every corner came from the front record
     finally:
         sys.setswitchinterval(interval)
     assert sys.getswitchinterval() == interval

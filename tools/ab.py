@@ -11,12 +11,15 @@ configs/binary.json's binary_hsm(0.1, 0.5, 0.2).  For each |U| = 1 ... 5
 and each stack size B in 1, 10, 100, 400 and 4,000, a stack of B
 Dirichlet test channels (seeded by |U| and B) is scored by `_rates`; each
 round times max(1, 100 // B) calls of parent then change, or change then
-parent on odd rounds, with each side's chain memo cleared before every
-call, so a stack of one runs the kernel rather than a memo hit.  A last
-row times passes of `eval_one_aux` over the test channels of the
-two_aux_check front (configs/discrete_degraded.json's model, 500 random
-samples, seed 2, as tools/bench.py's eval_one_aux_us), the memo cleared
-before each pass: stack-of-one scoring on a fresh model.
+parent on odd rounds.  A last row times passes of `eval_one_aux` over the
+test channels of the two_aux_check front (configs/discrete_degraded.json's
+model, 500 random samples, seed 2, as tools/bench.py's eval_one_aux_us):
+stack-of-one scoring.  Every timed call or pass runs on its own model,
+built before the round's clock starts, so no state a model keeps from
+earlier calls (such as a sweep's front record, or a cache of single
+channels' informations in older checkouts) spares it a kernel run.  The
+binary model takes about 2 ms to build on a 2-vCPU Xeon VM, so there a
+31-round run spends about a minute building models.
 
 Prints one JSON object: per case the median microseconds per call of each
 side over ROUNDS rounds (default 31), change / parent - 1, and the number
@@ -52,23 +55,26 @@ def load(checkout: Path, name: str):
     return package
 
 
-def timed(call, calls: int) -> float:
-    """Seconds per call over `calls` back-to-back calls."""
+def timed(build, call, calls: int) -> float:
+    """Seconds per call over `calls` back-to-back calls call(model), each on
+    its own model, all returned by build() before the clock starts."""
+    models = [build() for _ in range(calls)]
     start = time.perf_counter()
-    for _ in range(calls):
-        call()
+    for model in models:
+        call(model)
     return (time.perf_counter() - start) / calls
 
 
-def race(calls: dict, per_round: int, rounds: int) -> dict:
-    """Alternate the two sides' calls for `rounds` rounds, after one untimed
-    call each; medians in microseconds and the change's wins."""
-    for call in calls.values():
-        call()
+def race(cases: dict, per_round: int, rounds: int) -> dict:
+    """Alternate the two sides' (build, call) cases for `rounds` rounds of
+    `per_round` timed calls, after one untimed call each; medians in
+    microseconds and the change's wins."""
+    for build, call in cases.values():
+        call(build())
     times = {"parent": [], "change": []}
     for k in range(rounds):
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-            times[side].append(timed(calls[side], per_round))
+            times[side].append(timed(*cases[side], per_round))
     parent, change = (statistics.median(times[s]) * 1e6 for s in ("parent", "change"))
     return {"parent_us": round(parent, 2), "change_us": round(change, 2),
             "change_vs_parent": round(change / parent - 1.0, 4),
@@ -83,11 +89,10 @@ def main(argv) -> int:
     rounds = int(argv[1]) if len(argv) > 1 else 31
     sides = {"parent": load(Path(argv[0]).resolve(), "ab_parent"),
              "change": load(Path.cwd(), "ab_change")}
-    models = {s: pkg.AuthModel.binary_hsm(0.1, 0.5, 0.2) for s, pkg in sides.items()}
 
     def scorer(side, tu):
-        rates, memo = sides[side].regions._rates, models[side]._chain_memo
-        return lambda: (memo.clear(), rates(models[side], tu))
+        pkg = sides[side]
+        return lambda: pkg.AuthModel.binary_hsm(0.1, 0.5, 0.2), lambda m: pkg.regions._rates(m, tu)
 
     result = {"machine": {"python": platform.python_version(), "numpy": np.__version__,
                           "processor": platform.machine(), "system": platform.system()},
@@ -102,21 +107,18 @@ def main(argv) -> int:
 
     def one_aux_pass(side):
         pkg = sides[side]
-        model = pkg.AuthModel(pkg.DiscreteDistribution(d["px"]), pkg.Channel(d["ec"]),
-                              pkg.Channel(d["ac_y"]), pkg.Channel(d["ac_z"]))
-        front = pkg.sweep_region(model, pkg.SamplerConfig(random_samples=500, seed=2))
-        tests = [c.test_channel for c in front.corners]
 
-        def run():
-            model._chain_memo.clear()
-            model._sweep_infos = None
-            for t in tests:
-                pkg.eval_one_aux(model, t)
-        return run, len(tests)
+        def build():
+            return pkg.AuthModel(pkg.DiscreteDistribution(d["px"]), pkg.Channel(d["ec"]),
+                                 pkg.Channel(d["ac_y"]), pkg.Channel(d["ac_z"]))
+
+        front = pkg.sweep_region(build(), pkg.SamplerConfig(random_samples=500, seed=2))
+        tests = [c.test_channel for c in front.corners]
+        return build, lambda m: [pkg.eval_one_aux(m, t) for t in tests], len(tests)
 
     passes = {s: one_aux_pass(s) for s in sides}
-    row = race({s: run for s, (run, _) in passes.items()}, 1, rounds)
-    corners = passes["change"][1]
+    row = race({s: p[:2] for s, p in passes.items()}, 1, rounds)
+    corners = passes["change"][2]
     result["eval_one_aux_fresh_us"] = {
         **row, "corners": corners, "parent_us": round(row["parent_us"] / corners, 2),
         "change_us": round(row["change_us"] / corners, 2)}

@@ -29,18 +29,13 @@ untimed call.  Prints one JSON object:
                           front: sweep_region of configs/discrete_degraded.json's
                           model, 500 random samples, beta step 1e-3, seed 2;
                           each pass on a model built just before it, untimed,
-                          so the model's chain memo starts empty and every
-                          call runs the kernel: the stacked `_infos_nats`
-                          over `_chain_laws`, on a stack of one
+                          so it holds no sweep's front record and every call
+                          runs the kernel: the stacked `_infos_nats` over
+                          `_chain_laws`, on a stack of one
   eval_two_aux_us         the same for eval_two_aux with a Channel.constant V
                           (the constant-V embedding: U's channel runs the
-                          same kernel, and V's composite channel
-                          Xt -> V is not one channel but, since a Dirichlet
-                          row need not sum to exactly 1.0, takes 12 byte
-                          patterns over the 618 corners, so all but about 12
-                          corners read it from the memo)
-  eval_one_aux_hit_us     the same for a second eval_one_aux on each corner,
-                          right after the first: a memo hit
+                          same kernel, and V, which carries no information,
+                          runs none)
   embedding_loop_us       per corner, the median of REPS passes of
                           eval_two_aux with a Channel.constant V, then
                           eval_one_aux, over the same corners, each pass on
@@ -177,9 +172,9 @@ def per_size_us(test, sizes, degraded: bool) -> dict:
 def single_corners(config: dict, reps: int) -> dict:
     """The eval_*_aux_us and embedding_loop_us keys: per-call cost over the
     two_aux_check front.  Every pass runs on a model built just before it,
-    untimed, so its chain memo starts empty and eval_one_aux_us /
-    eval_two_aux_us time the kernel; embedding_loop_us's model has also
-    swept the front, so the loop reads U's informations from its record."""
+    untimed, with no front record, so eval_one_aux_us / eval_two_aux_us
+    time the kernel; embedding_loop_us's model has also swept the front, so
+    the loop reads U's informations from its record."""
     def build():
         return AuthModel(DiscreteDistribution(config["px"]), Channel(config["ec"]),
                          Channel(config["ac_y"]), Channel(config["ac_z"]))
@@ -205,15 +200,6 @@ def single_corners(config: dict, reps: int) -> dict:
             eval_two_aux(model, t, v, max_u=max(4, t.num_outputs))
         return time.perf_counter() - start
 
-    def one_aux_hit(model):
-        elapsed = 0.0
-        for t in tests:
-            eval_one_aux(model, t)
-            start = time.perf_counter()
-            eval_one_aux(model, t)
-            elapsed += time.perf_counter() - start
-        return elapsed
-
     def embedding_loop(model):
         start = time.perf_counter()
         for t, v in zip(tests, constants):
@@ -228,7 +214,6 @@ def single_corners(config: dict, reps: int) -> dict:
     return {key: per_call_us(timed_pass, model)
             for key, timed_pass, model in (("eval_one_aux_us", one_aux, build),
                                            ("eval_two_aux_us", two_aux, build),
-                                           ("eval_one_aux_hit_us", one_aux_hit, build),
                                            ("embedding_loop_us", embedding_loop, swept))}
 
 
