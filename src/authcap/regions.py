@@ -75,10 +75,8 @@ class AuthModel:
     channel-pair ordering is classified once at construction, and the
     source-side laws every corner reuses (joint of source and enrollment
     observation, marginal of the latter, I(X;Z)) are computed once.  A
-    private record keeps the chain informations of the last `sweep_region`
-    front's channels, as the sweep's batched pass computed them; it serves
-    `_chain_infos`, which scores any other channel with the one stacked
-    kernel, `_infos_nats` over `_chain_laws`.
+    private record keeps the rates of the last `sweep_region` front's
+    corners with their test channels (`_FrontRates`).
     """
 
     px: DiscreteDistribution
@@ -99,7 +97,7 @@ class AuthModel:
         self._p_xt = self._p_xa.sum(axis=0)
         self._p_xt.setflags(write=False)
         self._i_xz = _mi2_nats(self.px.probs[:, None] * self.ac_z.matrix)
-        self._sweep_infos = None
+        self._front_rates = None
         self.verdict = classify_ac(self.ac_y, self.ac_z,
                                    trials=self.classifier_trials, seed=self.classifier_seed)
 
@@ -315,53 +313,33 @@ def _infos_nats(*joints):
     return infos[np.argsort([k for ks in groups.values() for k in ks])]
 
 
-class _SweepInfos:
-    """The chain informations of a sweep's front rows, as its batched pass
-    computed them: column k of `infos` for read-only matrix tests[k], the
-    test channel of the front's corner k.  `index` (a row's bytes to its
-    column) is built on the first lookup and set only once complete, so a
-    concurrent lookup sees all of it or builds its own."""
+class _FrontRates:
+    """The rates of a sweep's front: row k of the (K, 4) bit array `rates`
+    for read-only matrix tests[k], the test channel of the front's corner
+    k.  `index` (a row's bytes to its row) is built on the first lookup and
+    set only once complete, so a concurrent lookup sees all of it or builds
+    its own."""
 
-    __slots__ = ("infos", "tests", "index")
+    __slots__ = ("rates", "tests", "index")
 
-    def __init__(self, infos: np.ndarray, tests: list):
-        self.infos, self.tests, self.index = infos, tests, None
+    def __init__(self, rates: np.ndarray, tests: list):
+        self.rates, self.tests, self.index = rates, tests, None
 
     def lookup(self, row: bytes):
-        """The informations of the front row with these bytes, as a tuple of
-        floats, or None."""
+        """The rates of the front row with these bytes, as a list of floats,
+        or None."""
         index = self.index
         if index is None:
             index = self.index = {t.tobytes(): k for k, t in enumerate(self.tests)}
         k = index.get(row)
-        return None if k is None else tuple(self.infos[:, k].tolist())
+        return None if k is None else self.rates[k].tolist()
 
 
-def _chain_infos(model: AuthModel, t: np.ndarray) -> tuple:
-    """The four chain informations of a stack t of one test channel, as a
-    tuple of floats: a channel on the enrollment alphabet (so a byte twin
-    of another shape still meets `_chain_laws`' check) is looked up among
-    the last sweep's front rows (`model._sweep_infos`), whose batched pass
-    gave the same bits; any other is scored by the stacked kernel,
-    `_infos_nats` over `_chain_laws`.  Nothing is stored."""
-    swept = model._sweep_infos
-    if swept is not None and t.shape[1] == model.n_xt:
-        infos = swept.lookup(t.tobytes())
-        if infos is not None:
-            return infos
-    return tuple(float(i[0]) for i in _infos_nats(*_chain_laws(model, t)))
-
-
-def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None,
-                keep: list = None):
+def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
     """(rs clamped at 0, rj, rl, unclamped rs) in nats, each an array over a
     stack tu[b, xt, u] of test channels, or over pairs of it and a stack
-    tv[b, u, v] of channels from U to a second auxiliary V; for a stack of
-    one, floats in the same bits, from `_chain_infos`.  Every information
-    is `_infos_nats` over `_chain_laws`, or the front record's copy of it.
-    Given a list `keep`, U's four informations are appended to it as they
-    were computed: a tuple of floats for a stack of one, else
-    `_infos_nats`' result.
+    tv[b, u, v] of channels from U to a second auxiliary V.  Every
+    information is `_infos_nats` over `_chain_laws`.
 
     Every one-auxiliary quantity reduces to the pairwise mutual
     informations I(U;Xt), I(U;Y), I(U;Z) and I(U;X) along the chain, so
@@ -371,50 +349,54 @@ def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None,
     So a two-auxiliary corner is the one-auxiliary corner of its U with rs
     lowered and rl raised by d = I(V;Y) - I(V;Z), V being reached from Xt
     through the composite test channel tu @ tv, whose chain laws give V's
-    joints with Y and Z: a stack scores those two, a single pair takes them
-    from `_chain_infos` of tu @ tv.  A V with one symbol is constant, so
+    joints with Y and Z.  A V with one symbol is constant, so
     I(V;Y) = I(V;Z) = 0 and d is exactly 0: its rows are U's one-auxiliary
     rows, and no kernel runs for V.
     """
     if tv is not None and tv.shape == (len(tu), tu.shape[2], 1):
         tv = None
-    if len(tu) == 1:
-        infos = u_infos = _chain_infos(model, tu)
-        if tv is not None:
-            infos += _chain_infos(model, tu @ tv)[1:3]
-    else:
-        u_infos = _infos_nats(*_chain_laws(model, tu))
-        infos = list(u_infos)
-        if tv is not None:
-            infos.extend(_infos_nats(*_chain_laws(model, tu @ tv)[1:3]))
-    if keep is not None:
-        keep.append(u_infos)
-    i_u_xt, i_u_y, i_u_z, i_u_x = infos[:4]
+    i_u_xt, i_u_y, i_u_z, i_u_x = _infos_nats(*_chain_laws(model, tu))
     rs_raw = i_u_y - i_u_z
     rj = _clamp_mi(i_u_xt - i_u_y)
     rl = i_u_x - i_u_y + model.i_xz_nats()
     if tv is not None:
-        d = infos[4] - infos[5]
+        i_v_y, i_v_z = _infos_nats(*_chain_laws(model, tu @ tv)[1:3])
+        d = i_v_y - i_v_z
         rs_raw, rl = rs_raw - d, rl + d
     return _positive(rs_raw), rj, _positive(rl), rs_raw
 
 
-def _rates(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None,
-           keep: list = None) -> np.ndarray:
+def _rates(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None) -> np.ndarray:
     """Rates of a stack tu[b, xt, u] of test channels, one-auxiliary, or
     two-auxiliary with tv[b, u, v] the channels to V: a (B, 4) array of
     (rs clamped at 0, rj, rl, unclamped rs) in bits.  Evaluated in blocks
     of at most `_RATE_CELLS` cells of the pairwise joints a row needs:
-    those of U, and of V if given, with Xt, Y, Z and X; given a list
-    `keep`, each block's informations of U go into it (see `_rates_nats`)."""
+    those of U, and of V if given, with Xt, Y, Z and X."""
     stacks = (tu,) if tv is None else (tu, tv)
     row_cells = sum(s.shape[2] for s in stacks) * (
         model.n_xt + model.ac_y.num_outputs + model.ac_z.num_outputs + model.nx)
     out = np.empty((len(tu), 4))
     for blk in _blocks(len(tu), row_cells, _RATE_CELLS):
         out[blk, 0], out[blk, 1], out[blk, 2], out[blk, 3] = _rates_nats(
-            model, *(s[blk] for s in stacks), keep=keep)
+            model, *(s[blk] for s in stacks))
     return InfoUnit.BITS.from_nats(out)
+
+
+def _single_rates(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None) -> list:
+    """The rates (rs clamped at 0, rj, rl, unclamped rs) in bits of one test
+    channel tu, or of it with a channel tv from U to V, as floats.  With no
+    V or a constant one, a channel on the enrollment alphabet (so a byte
+    twin of another shape still meets `_chain_laws`' check) is looked up
+    among the last sweep's front rows (`model._front_rates`), which the
+    batched pass gave in the same bits; any other is `_rates_nats` on a
+    stack of one."""
+    front = model._front_rates
+    if front is not None and tu.shape[0] == model.n_xt and (tv is None or tv.shape[1] == 1):
+        rates = front.lookup(tu.tobytes())
+        if rates is not None:
+            return rates
+    rates = _rates_nats(model, tu[None], None if tv is None else tv[None])
+    return [float(r[0]) / LN2 for r in rates]
 
 
 def _rate_corner(rates, test_channel: Channel = None, **extras) -> RateCorner:
@@ -483,7 +465,7 @@ def eval_one_aux(model: AuthModel, test: Channel) -> RateCorner:
             f"|U| = {test.num_outputs} exceeds cap {model.n_xt + 3}")
     _require_y_favor(model.verdict, "one-auxiliary evaluation")
 
-    return _rate_corner([r / LN2 for r in _rates_nats(model, test.matrix[None])], test)
+    return _rate_corner(_single_rates(model, test.matrix), test)
 
 
 def eval_two_aux(model: AuthModel, test_u: Channel, test_v: Channel,
@@ -493,12 +475,11 @@ def eval_two_aux(model: AuthModel, test_u: Channel, test_v: Channel,
     rs = I(U;Y|V) - I(U;Z|V), rj = I(U;Xt) - I(U;Y) and
     rl = I(X;U,Y) - I(X;Y|V) + I(X;Z|V): the corner of eval_one_aux(test_u)
     with rs lowered and rl raised by I(V;Y) - I(V;Z), V's informations being
-    those of the composite test channel Xt -> V, test_u @ test_v.  A
-    channel on the last sweep's front reads its informations from the
-    model's record instead of running the kernel.  Alphabets beyond
-    |U| = `max_u` or |V| = _MAX_V raise CardinalityError.  A V with one
-    symbol carries no information, so with it this is eval_one_aux(test_u)
-    exactly, bit for bit.
+    those of the composite test channel Xt -> V, test_u @ test_v.  Alphabets
+    beyond |U| = `max_u` or |V| = _MAX_V raise CardinalityError.  A V with
+    one symbol carries no information, so with it this is
+    eval_one_aux(test_u) exactly, bit for bit, read from the model's record
+    for a channel on the last sweep's front.
     """
     if test_v.num_inputs != test_u.num_outputs:
         raise ValueError("test_v input alphabet must equal test_u output alphabet")
@@ -507,9 +488,8 @@ def eval_two_aux(model: AuthModel, test_u: Channel, test_v: Channel,
             f"auxiliary caps exceeded: |U|={test_u.num_outputs} (max {max_u}), "
             f"|V|={test_v.num_outputs} (max {_MAX_V})")
 
-    rates = [r / LN2 for r in _rates_nats(model, test_u.matrix[None], test_v.matrix[None])]
-    return _rate_corner(rates, test_u, v_size=test_v.num_outputs,
-                        v_channel=test_v.matrix.tolist())
+    return _rate_corner(_single_rates(model, test_u.matrix, test_v.matrix), test_u,
+                        v_size=test_v.num_outputs, v_channel=test_v.matrix.tolist())
 
 
 def zero_key_region(model: AuthModel) -> RegionBoundary:
@@ -685,13 +665,11 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
     sample count, random samples with no auxiliary size, or a plan with
     neither a beta grid row nor a random one, before anything is sampled.
 
-    In place of the previous sweep's record, the model keeps the four chain
-    informations the batched pass computed for the front's rows, as one
-    (4, front) array, with the rows' read-only matrices, which the front's
-    test channels wrap (`_SweepInfos`): the model's one cache.
-    `eval_one_aux` and `eval_two_aux` on a front corner's test channel read
-    U's informations there (`_chain_infos`) instead of running the kernel
-    again.
+    In place of the previous sweep's record, the model keeps the front's
+    (K, 4) rate rows with their read-only matrices, which the front's test
+    channels wrap (`_FrontRates`): the model's one cache.  `eval_one_aux`,
+    and `eval_two_aux` with a constant V, on a front corner's test channel
+    read its rates there instead of running the kernel again.
     """
     if config is None:
         config = SamplerConfig()
@@ -708,7 +686,7 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
     if not (beta_grid or config.random_samples):
         raise ValueError("the plan samples nothing: no beta grid and no random samples")
 
-    model._sweep_infos = None   # the last front's record goes before this sweep allocates
+    model._front_rates = None   # the last front's record goes before this sweep allocates
     # One checked stack of test channels per group (the beta grid, then each
     # |U|) and the param of each row; the draws take the numbers one
     # rng.dirichlet per sample would.
@@ -725,15 +703,14 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
                 stacks.append(_channel_stack(rng.dirichlet(np.ones(u), size=(k, model.n_xt))))
         params += range(config.random_samples)
 
-    blocks = []
-    rates = np.concatenate([_rates(model, tests, keep=blocks) for tests in stacks])
+    rates = np.concatenate([_rates(model, tests) for tests in stacks])
     kept = _pareto_indices(rates)
     tests = _stack_rows(stacks, kept)
-    corners = _corners(rates[kept].tolist(), [params[i] for i in kept], tests)
-    # the record outlives this call, so it holds the front's columns and
-    # matrices (its corners' own), not every row's informations or stacks
-    infos = np.concatenate([np.reshape(b, (4, -1)) for b in blocks], axis=1)[:, kept]
-    model._sweep_infos = _SweepInfos(infos, tests)
+    # the record outlives this call, so it holds the front's rows and
+    # matrices (its corners' own), not every sampled row or stack
+    front = rates[kept]
+    corners = _corners(front.tolist(), [params[i] for i in kept], tests)
+    model._front_rates = _FrontRates(front, tests)
 
     meta = {"model_hash": model.content_hash(), "seed": config.seed,
             "sampler": {"random_samples": config.random_samples,

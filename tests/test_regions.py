@@ -42,7 +42,7 @@ from authcap.infotheory import (
 )
 from authcap.regions import (_COMPARE_CELLS, _COMPARE_NEAR, CardinalityError, _beta_grid,
                              _corner_rates, _infos_nats, _pareto_indices, _rate_corner, _rates,
-                             _slack_bounds)
+                             _single_rates, _slack_bounds)
 from oracles import build_joint, region_contains
 
 
@@ -787,7 +787,7 @@ def test_rates_in_blocks_match_one_pass(monkeypatch):
     whole = (_rates(m, tu), _rates(m, tu, tv))
     monkeypatch.setattr("authcap.regions._blocks",
                         lambda rows, row_cells, cells: [slice(lo, lo + 3) for lo in range(0, rows, 3)])
-    # the last block has one row, which `_rates_nats` composes on floats
+    # the last block has one row, which goes through the same array path
     assert _rates(m, tu).tobytes() == whole[0].tobytes()
     assert _rates(m, tu, tv).tobytes() == whole[1].tobytes()
     # at most 2^22 cells a block, and at least one row
@@ -1089,7 +1089,7 @@ def ternary_degraded_model():
                      Channel(ac_y), Channel(ac_y @ w), classifier_trials=2_000)
 
 
-MEMO_MODELS = BIT_MODELS + [ternary_degraded_model]
+HISTORY_MODELS = BIT_MODELS + [ternary_degraded_model]
 
 
 def _record(c):
@@ -1101,7 +1101,7 @@ def _sweep_config(u, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(k=st.integers(0, len(MEMO_MODELS) - 1), u=st.integers(1, 4), v=st.integers(1, 3),
+@given(k=st.integers(0, len(HISTORY_MODELS) - 1), u=st.integers(1, 4), v=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1),
        sweeps=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 1)), max_size=3))
 @example(k=0, u=2, v=2, seed=0, sweeps=[(0, 0), (10, 1)])
@@ -1112,7 +1112,7 @@ def test_call_history_does_not_change_a_bit(k, u, v, seed, sweeps):
     # front, seed 1 another, so a second sweep replaces the first one's
     # front record), and through the stacked kernel, which reads no front
     # record; |V| = 1 is the constant V
-    model_fn = MEMO_MODELS[k]
+    model_fn = HISTORY_MODELS[k]
     rng = np.random.default_rng(seed)
     m = model_fn()
     front = [c.test_channel.matrix for c in sweep_region(model_fn(), _sweep_config(u, 0)).corners
@@ -1147,17 +1147,18 @@ def _hex_record(c):
 
 
 @settings(max_examples=30, deadline=None)
-@given(k=st.integers(0, len(MEMO_MODELS) - 1), beta_grid=st.booleans(),
+@given(k=st.integers(0, len(HISTORY_MODELS) - 1), beta_grid=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_front_corners_on_the_sweeping_model_match_a_fresh_model(k, beta_grid, seed):
     # each front corner of a sweep over |U| = 1 ... |Xt| + 3, scored on the
     # model that swept (its front record) and on a fresh model (the kernel):
     # eval_one_aux, then eval_two_aux with a constant V and a Dirichlet V
-    model_fn = MEMO_MODELS[k]
+    model_fn = HISTORY_MODELS[k]
     m, fresh = model_fn(), model_fn()
     config = SamplerConfig(random_samples=120, beta_grid_step=0.01 if beta_grid else 0.0,
                            seed=seed)
-    tests = [c.test_channel for c in sweep_region(m, config).corners]
+    front = sweep_region(m, config).corners
+    tests = [c.test_channel for c in front]
     assert {t.num_outputs for t in tests} <= set(config.sizes_for(m.n_xt))
     rng = np.random.default_rng(seed)
     vs = [Channel(rng.dirichlet(np.ones(v), size=t.num_outputs))
@@ -1173,6 +1174,14 @@ def test_front_corners_on_the_sweeping_model_match_a_fresh_model(k, beta_grid, s
         return out
 
     assert records(m) == records(fresh)
+    # on the sweeping model each corner's own rates come back from both
+    # single-corner evaluators, bit for bit
+    for c in front:
+        u = c.test_channel.num_outputs
+        own = _hex_record(c)[0]
+        assert _hex_record(eval_one_aux(m, c.test_channel))[0] == own
+        assert _hex_record(eval_two_aux(m, c.test_channel, Channel.constant(u),
+                                        max_u=max(4, u)))[0] == own
     # the sweeping model reads every front channel from its record, and a
     # constant V runs no kernel: no stack of one is scored, where a fresh
     # model scores U once per call
@@ -1183,7 +1192,7 @@ def test_front_corners_on_the_sweeping_model_match_a_fresh_model(k, beta_grid, s
                 eval_two_aux(model, t, Channel.constant(t.num_outputs),
                              max_u=max(4, t.num_outputs))
         assert len(calls) == runs
-    assert fresh._sweep_infos is None
+    assert fresh._front_rates is None
 
 
 @contextlib.contextmanager
@@ -1202,7 +1211,9 @@ def _single_kernel_runs():
         yield calls
 
 
-def test_chain_memo_keeps_every_check():
+def test_kernel_path_keeps_the_enrollment_alphabet_check():
+    # a channel scored by the kernel leaves nothing behind that would let a
+    # byte twin of another shape skip `_chain_laws`' alphabet check
     m = hsm_model()   # |Xt| = 2
     wide = Channel([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
     eval_one_aux(m, wide)
@@ -1213,7 +1224,7 @@ def test_chain_memo_keeps_every_check():
             _rates(m, twin)
 
 
-def test_chain_memo_shared_by_threads():
+def test_threads_sharing_a_fresh_model_get_its_bits():
     # four threads score the same channels on one model, in different
     # orders; every corner must still be the one a fresh model gives
     rng = np.random.default_rng(74)
@@ -1252,16 +1263,18 @@ def test_front_record_keeps_every_check():
     wide = front.corners[0].test_channel.matrix   # 2 x 3, a front row
     with _single_kernel_runs() as calls:
         eval_one_aux(m, Channel(wide))
-    assert m._sweep_infos.index is not None and calls == []   # read from the record
+    assert m._front_rates.index is not None and calls == []   # read from the record
     twin = wide.reshape(1, 3, 2)   # the bytes of that front row
     assert twin.tobytes() == wide.tobytes()
     for _ in range(2):
         with pytest.raises(ValueError, match="enrollment alphabet has 2"):
             _rates(m, twin)
+        with pytest.raises(ValueError, match="enrollment alphabet has 2"):
+            _single_rates(m, twin[0])   # the single-corner path skips no check for it
 
 
 def test_a_model_keeps_only_the_last_sweeps_record():
-    # a sweep's record holds its front's matrices and informations (1.0 MB
+    # a sweep's record holds its front's matrices and rates (1.0 MB
     # for the front of 20,501 rows); the next sweep drops it before it
     # allocates, so that sweep peaks no higher than the first, and after a
     # 50-sample sweep the model holds under 0.1 MB more than before any sweep
@@ -1285,9 +1298,10 @@ def test_a_model_keeps_only_the_last_sweeps_record():
     assert peak_again < peak_big + held_big / 2
     assert held_small < 0.1 * 2**20
     # the record's matrices are its front's own, not copies or stacks
-    assert len(m._sweep_infos.tests) == len(small_front)
-    assert all(t is c.test_channel.matrix for t, c in zip(m._sweep_infos.tests, small_front))
-    assert m._sweep_infos.infos.shape == (4, len(small_front))
+    assert len(m._front_rates.tests) == len(small_front)
+    assert all(t is c.test_channel.matrix for t, c in zip(m._front_rates.tests, small_front))
+    # and its (K, 4) rows are the front corners' rates
+    assert m._front_rates.rates.tobytes() == b"".join(_corner_bytes(c) for c in small_front)
     # after a 100,000-sample sweep whose region is dropped, the model keeps
     # only its front's record (1.8 MB), not every sampled test channel (5 MB)
     m = degraded_model()

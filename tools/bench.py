@@ -30,8 +30,8 @@ untimed call.  Prints one JSON object:
                           model, 500 random samples, beta step 1e-3, seed 2;
                           each pass on a model built just before it, untimed,
                           so it holds no sweep's front record and every call
-                          runs the kernel: the stacked `_infos_nats` over
-                          `_chain_laws`, on a stack of one
+                          runs `_rates_nats`, the stacked kernel, on a stack
+                          of one
   eval_two_aux_us         the same for eval_two_aux with a Channel.constant V
                           (the constant-V embedding: U's channel runs the
                           same kernel, and V, which carries no information,
@@ -40,8 +40,9 @@ untimed call.  Prints one JSON object:
                           eval_two_aux with a Channel.constant V, then
                           eval_one_aux, over the same corners, each pass on
                           a model that has just swept that front, untimed:
-                          two_aux_check's embedding loop, whose U channels
-                          come from the sweep's front record, not the kernel
+                          two_aux_check's embedding loop, where both calls
+                          read the corner's rate row from the sweep's front
+                          record and no kernel runs
   rates_400_us            for |U| = 1 ... 5, the median of REPS `_rates`
                           calls on a stack of 400 Dirichlet test channels
                           (seeded by |U|) on the region_sweep workload's
@@ -59,7 +60,7 @@ untimed call.  Prints one JSON object:
   sweep_record_mb         tracemalloc bytes, in MB, that the same model (no
                           sweep before) keeps after one such sweep whose
                           region is dropped: the front's record of its test
-                          channels and chain informations
+                          channels and (K, 4) rate rows
   compare_100k_s          median of ceil(REPS / 10) calls compare_regions(pairs,
                           front): the corners of that search against the
                           region of that sweep
@@ -174,7 +175,7 @@ def single_corners(config: dict, reps: int) -> dict:
     two_aux_check front.  Every pass runs on a model built just before it,
     untimed, with no front record, so eval_one_aux_us / eval_two_aux_us
     time the kernel; embedding_loop_us's model has also swept the front, so
-    the loop reads U's informations from its record."""
+    the loop reads each corner's rates from its record."""
     def build():
         return AuthModel(DiscreteDistribution(config["px"]), Channel(config["ec"]),
                          Channel(config["ac_y"]), Channel(config["ac_z"]))
