@@ -80,47 +80,17 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
 def _running_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = x[0] + x[1] + ... over x's leading axis, elementwise, left to
     right from numpy's identity 0.0 (so an all -0.0 sum comes out +0.0),
-    as np.add.reduce sums an axis that is not its innermost loop.  Under 8
-    terms that is one np.add.reduce over the leading axis: it sums left to
-    right whichever loop numpy picks (a contiguous axis of fewer than 8
-    terms too)."""
-    if len(x) < 8:
+    as np.add.reduce sums an axis that is not its innermost loop.  So it is
+    one np.add.reduce over the leading axis under 8 terms, where numpy sums
+    left to right whichever loop it picks, or when each term has more than
+    one element, where the leading axis is the outer loop; only a column's
+    8 or more terms, which numpy would sum pairwise, are added one by one."""
+    if len(x) < 8 or x[0].size > 1:
         return np.add.reduce(x, axis=0, out=out)
     np.add(x[0], 0.0, out=out)
     for t in x[1:]:
         out += t
     return out
-
-
-def _pairwise_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = the sum over x's leading axis of k terms, elementwise, in the
-    order np.add.reduce sums a contiguous last axis of k terms, so in the
-    same bits: left to right for k < 8; for k <= 128 eight interleaved
-    partial sums r0..r7, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the k mod 8 leftover terms in order; above 128 the sum of the two
-    halves numpy splits at (k // 2 rounded down to a multiple of 8)."""
-    k = len(x)
-    if k < 8:
-        return np.add.reduce(x, axis=0, out=out)   # left to right, as _running_sum
-    if k > 128:
-        h = k // 2 - k // 2 % 8
-        _pairwise_sum(x[:h], out)
-        out += _pairwise_sum(x[h:], np.empty_like(out))
-        return out
-    tail = k - k % 8
-    r = x[:8] if tail == 8 else x[:8] + x[8:16]
-    for lo in range(16, tail, 8):
-        r += x[lo:lo + 8]
-    # r0+r1, r2+r3, r4+r5, r6+r7, then their pairs, as two-term reduces,
-    # which start from 0.0 as numpy's sum does
-    r = np.add.reduce(r.reshape(4, 2, *r.shape[1:]), axis=1)
-    r = np.add.reduce(r.reshape(2, 2, *r.shape[1:]), axis=1)
-    if tail == k:
-        return np.add(r[0], r[1], out=out)
-    terms = np.empty((1 + k - tail, *out.shape))
-    np.add(r[0], r[1], out=terms[0])
-    terms[1:] = x[tail:]
-    return _running_sum(terms, out)
 
 
 def _entropy_nats(p: np.ndarray, axis: int = None):
@@ -130,6 +100,33 @@ def _entropy_nats(p: np.ndarray, axis: int = None):
     from 0.0 rather than negating keeps a zero entropy at +0.0."""
     h = 0.0 - np.add.reduce(_xlogx(np.asarray(p, dtype=float)), axis=axis)
     return float(h) if axis is None else h
+
+
+def _entropies_nats(*joints) -> np.ndarray:
+    """Shannon entropy in nats of every joint of each stack j[b, ...] (all
+    with the same B), as an array with a row per argument.  The stacks are
+    grouped by cells per joint, and each group is copied once into a buffer
+    with the stack innermost, a row per cell; `_xlogx` runs once over it and
+    `_running_sum` adds its rows left to right from 0.0.  So a joint gets
+    the same bits in a stack of any size, alone or grouped with any other,
+    and numpy's cost per joint becomes a cost per cell."""
+    b = len(joints[0])
+    groups = {}
+    for k, j in enumerate(joints):
+        groups.setdefault(math.prod(j.shape[1:]), []).append(k)
+    h = np.empty((len(joints), b))   # rows in group order
+    row = 0
+    for n, ks in groups.items():
+        buf = np.empty((n, len(ks), b))
+        for at, k in enumerate(ks):
+            buf[:, at] = joints[k].reshape(b, n).T
+        out = h[row:row + len(ks)].reshape(-1)
+        _running_sum(_xlogx(buf.reshape(n, -1)), out)
+        np.subtract(0.0, out, out=out)
+        row += len(ks)
+    if len(groups) == 1:
+        return h
+    return h[np.argsort([k for ks in groups.values() for k in ks])]
 
 
 def _jsonable(v):
@@ -320,9 +317,10 @@ def _mi2_nats(j: np.ndarray):
     bits of H(rows) + H(cols) - H(cells) once clamped, as negating every
     operand of a rounded sum or difference negates its result.  The cells
     are summed over the flattened trailing axes, a view of a contiguous
-    stack, so no temporary beyond `_xlogx`'s is made.  The package scores
-    stacks with `regions._infos_nats`, in the same bits; the tests hold it
-    to this function."""
+    stack, so no temporary beyond `_xlogx`'s is made.  It scores I(X;Z)
+    and the simulator's four chain informations; the rate kernel takes its
+    informations from `_entropies_nats`, and the tests hold it to this
+    function within a bound."""
     s_rows = np.add.reduce(_xlogx(np.add.reduce(j, axis=-1)), axis=-1)
     s_cols = np.add.reduce(_xlogx(np.add.reduce(j, axis=-2)), axis=-1)
     s_cells = np.add.reduce(_xlogx(j.reshape(*j.shape[:-2], -1)), axis=-1)

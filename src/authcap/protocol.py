@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .infotheory import Channel, LN2, _blocks, _clamp_mi, _entropy_nats, _jsonable, _mi2_nats
-from .regions import AuthModel, _chain_laws, _infos_nats
+from .regions import AuthModel, _chain_laws
 
 WILSON_Z_95 = 1.959963984540054
 
@@ -132,7 +132,7 @@ class ProtocolTables:
         self.x_table = _density(p_xu).T       # [u, x]
         self.z_table = _density(p_zu).T       # [u, z]
 
-        i_xt_u, i_y_u, i_z_u, i_x_u = (float(v[0]) for v in _infos_nats(*laws))
+        i_xt_u, i_y_u, i_z_u, i_x_u = map(_mi2_nats, (p_au, p_yu, p_zu, p_xu))
         self.i_xt_u, self.i_y_u, self.i_z_u, self.i_xz = (
             v / LN2 for v in (i_xt_u, i_y_u, i_z_u, model.i_xz_nats()))
         # Along U - Xt - X - Z, I(U;Z|X) = 0 and I(U;X|Xt) = 0, so the chain

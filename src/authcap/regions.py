@@ -30,12 +30,10 @@ from .infotheory import (
     _blocks,
     _channel_stack,
     _clamp_mi,
+    _entropies_nats,
     _jsonable,
     _mi2_nats,
-    _pairwise_sum,
     _positive,
-    _running_sum,
-    _xlogx,
 )
 
 _MAX_U, _MAX_V = 4, 3      # auxiliary caps of the two-auxiliary search
@@ -49,9 +47,9 @@ _COMPARE_CELLS = 1 << 14   # cells per compare_regions buffer
 _COMPARE_NEAR = 8          # corners of b on each side of a corner's rs that bound its slack
 _PARETO_ROWS = 1 << 12     # sorted rows _pareto_indices turns into Python floats at once
 # _rates scores a stack in blocks of 2^16 cells of chain joints (512 KB of
-# float64).  While it runs, `_infos_nats` holds a buffer of a block's cells
-# and marginals and their p log p, up to about five times the joints, so a
-# cache-sized block keeps it in cache and its memory off the stack's size.
+# float64).  While it runs, `_entropies_nats` holds a copy of a block's cells
+# and their p log p, about twice the joints, so a cache-sized block keeps it
+# in cache and its memory off the stack's size.
 _RATE_CELLS = 1 << 16
 
 Y_FAVOR = (Relation.DEGRADED_Z_WRT_Y, Relation.LESS_NOISY_Y_OVER_Z)
@@ -74,9 +72,10 @@ class AuthModel:
     them, so no joint main/eavesdropper conditional is accepted.  The
     channel-pair ordering is classified once at construction, and the
     source-side laws every corner reuses (joint of source and enrollment
-    observation, marginal of the latter, I(X;Z)) are computed once.  A
-    private record keeps the rates of the last `sweep_region` front's
-    corners with their test channels (`_FrontRates`).
+    observation, marginal of the latter, I(X;Z), and the entropies H(A) of
+    A = Xt, Y, Z, X that `_aux_infos` reads) are computed once.  A private
+    record keeps the rates of the last `sweep_region` front's corners with
+    their test channels (`_FrontRates`).
     """
 
     px: DiscreteDistribution
@@ -97,6 +96,9 @@ class AuthModel:
         self._p_xt = self._p_xa.sum(axis=0)
         self._p_xt.setflags(write=False)
         self._i_xz = _mi2_nats(self.px.probs[:, None] * self.ac_z.matrix)
+        # H(Xt), H(Y), H(Z), H(X): the joints of a constant U, scored as a stack's
+        self._h_chain = _entropies_nats(*_chain_laws(self, np.ones((1, self.n_xt, 1))))[:, 0]
+        self._h_chain.setflags(write=False)
         self._front_rates = None
         self.verdict = classify_ac(self.ac_y, self.ac_z,
                                    trials=self.classifier_trials, seed=self.classifier_seed)
@@ -172,7 +174,7 @@ def _require_y_favor(verdict: ChannelOrderVerdict, what: str):
 class _ChainLaws(NamedTuple):
     """The four joints of U with the other variables of the chain
     U - Xt - X - (Y, Z) for a stack of test channels, each with a leading
-    stack axis, in the order `_infos_nats(*laws)` scores them."""
+    stack axis, in the order of `AuthModel._h_chain`."""
 
     p_au: np.ndarray   # joints (Xt, U)
     p_yu: np.ndarray   # joints (Y, U)
@@ -264,53 +266,21 @@ class RegionBoundary:
 # Rate evaluation
 # ---------------------------------------------------------------------------
 
-def _infos_nats(*joints):
-    """Mutual information in nats between the row and column variables of
-    each stack of joints j[b, rows, cols] (all with the same B), as an
-    array with a row per argument, in the bits `_mi2_nats` gives the
-    joints of one shape stacked.
-
-    Each group of S joints of one shape, r rows by c columns, is copied
-    once into a buffer with the stack innermost: r*c cells, then the r row
-    marginals, then the c column marginals, each an S*B vector.  `_xlogx`
-    runs once over every group's buffer, and every sum is an elementwise
-    add of whole vectors along the leading axis, in the order np.add.reduce
-    takes over the stack-major joints: `_pairwise_sum` for the row
-    marginals, the cells and the three sums of p log p (numpy reduces a
-    contiguous last axis), `_running_sum` for the column marginals (a
-    strided axis, row by row), except at c = 1, where that axis is
-    contiguous too.  So numpy's cost per joint row becomes a cost per
-    term, and one path serves every shape."""
-    b = len(joints[0])
-    groups = {}
-    for k, j in enumerate(joints):
-        groups.setdefault(j.shape[1:], []).append(k)
-    infos = np.empty((len(joints), b))   # rows in group order
-    row = 0
-    for (r, c), ks in groups.items():
-        n = len(ks) * b
-        buf = np.empty((r * c + r + c, n))
-        cells = buf[:r * c].reshape(r, c, len(ks), b)
-        for at, k in enumerate(ks):
-            cells[:, :, at] = joints[k].transpose(1, 2, 0)
-        cells = cells.reshape(r, c, n)
-        _pairwise_sum(cells.swapaxes(0, 1), buf[r * c:r * c + r])
-        (_pairwise_sum if c == 1 else _running_sum)(cells, buf[r * c + r:])
-        x = _xlogx(buf)
-        del buf, cells   # p is spent; freeing it makes room for the sums' partials
-        mi = infos[row:row + len(ks)].reshape(n)
-        s_rows, s_cols = np.empty((2, n))
-        _pairwise_sum(x[:r * c], mi)
-        _pairwise_sum(x[r * c:r * c + r], s_rows)
-        _pairwise_sum(x[r * c + r:], s_cols)
-        s_rows += s_cols
-        mi -= s_rows
-        row += len(ks)
-        del x            # before the next group's buffer is allocated
-    infos = _clamp_mi(infos)
-    if len(groups) == 1:
-        return infos
-    return infos[np.argsort([k for ks in groups.values() for k in ks])]
+def _aux_infos(model: AuthModel, tests: np.ndarray, pick: slice = slice(None)):
+    """I(W;A) in nats, clamped, for a stack tests[b, xt, w] of channels from
+    Xt to an auxiliary W and each A of Xt, Y, Z and X that `pick` selects,
+    an array with a row per A: (H(A) - H(A,W)) + H(W), with H(A) the
+    model's and H(A,W) and H(W) from one `_entropies_nats` call over W's
+    chain laws and its law, the column sums of its joint with Xt.  The law
+    is laid in the first row of an array of that joint's shape, so it
+    shares that joint's group and the zeros below it add nothing.  A
+    constant W's H(A,W) is H(A) to the bit, so each I(W;A) is its H(W)
+    (clamped): the same for every A, and every rate difference is 0.0."""
+    laws = _chain_laws(model, tests)
+    p_w = np.zeros_like(laws.p_au)
+    np.add.reduce(laws.p_au, axis=1, out=p_w[:, 0])
+    h = _entropies_nats(*laws[pick], p_w)
+    return _clamp_mi((model._h_chain[pick, None] - h[:-1]) + h[-1])
 
 
 class _FrontRates:
@@ -339,7 +309,7 @@ def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
     """(rs clamped at 0, rj, rl, unclamped rs) in nats, each an array over a
     stack tu[b, xt, u] of test channels, or over pairs of it and a stack
     tv[b, u, v] of channels from U to a second auxiliary V.  Every
-    information is `_infos_nats` over `_chain_laws`.
+    information is `_aux_infos`' (one kernel call for U, one for V).
 
     Every one-auxiliary quantity reduces to the pairwise mutual
     informations I(U;Xt), I(U;Y), I(U;Z) and I(U;X) along the chain, so
@@ -355,12 +325,12 @@ def _rates_nats(model: AuthModel, tu: np.ndarray, tv: np.ndarray = None):
     """
     if tv is not None and tv.shape == (len(tu), tu.shape[2], 1):
         tv = None
-    i_u_xt, i_u_y, i_u_z, i_u_x = _infos_nats(*_chain_laws(model, tu))
+    i_u_xt, i_u_y, i_u_z, i_u_x = _aux_infos(model, tu)
     rs_raw = i_u_y - i_u_z
     rj = _clamp_mi(i_u_xt - i_u_y)
     rl = i_u_x - i_u_y + model.i_xz_nats()
     if tv is not None:
-        i_v_y, i_v_z = _infos_nats(*_chain_laws(model, tu @ tv)[1:3])
+        i_v_y, i_v_z = _aux_infos(model, tu @ tv, slice(1, 3))
         d = i_v_y - i_v_z
         rs_raw, rl = rs_raw - d, rl + d
     return _positive(rs_raw), rj, _positive(rl), rs_raw

@@ -24,7 +24,6 @@ from authcap.infotheory import (
     NEGATIVE_MI_TOL,
     _clamp_mi,
     _entropy_nats,
-    _pairwise_sum,
     _running_sum,
 )
 from oracles import compose_channels
@@ -321,27 +320,20 @@ def _signed_terms(rng, k, n):
     return x
 
 
-def test_pairwise_sum_follows_add_reduce_over_a_contiguous_axis():
-    # every k from 1 to 300 crosses numpy's orders: left to right below 8
-    # terms, eight interleaved partial sums up to 128, halving above; the
-    # terms lie along the leading axis, numpy's along a contiguous last one
-    rng = np.random.default_rng(70)
-    for k in range(1, 301):
-        for n in (1, 2, 5):
-            x = _signed_terms(rng, k, n)
-            want = np.add.reduce(np.ascontiguousarray(x.T), axis=-1)
-            got = _pairwise_sum(x, np.empty(n))
-            assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (k, n)
-
-
 def test_running_sum_follows_add_reduce_over_a_strided_axis():
-    # numpy sums an axis that is not its innermost loop row by row
+    # numpy sums an axis that is not its innermost loop row by row, and
+    # every sum, a single column's too, goes left to right from 0.0
     rng = np.random.default_rng(71)
     for k in range(1, 301):
-        for n in (2, 5):
+        for n in (1, 2, 5, 64):
             x = _signed_terms(rng, k, n)
-            want = np.add.reduce(x, axis=0)
             got = _running_sum(x, np.empty(n))
+            if n > 1:
+                want = np.add.reduce(x, axis=0)
+                assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (k, n)
+            want = np.zeros(n)
+            for t in x:
+                want = want + t
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (k, n)
 
 

@@ -13,18 +13,21 @@ Dirichlet test channels (seeded by |U| and B) is scored by `_rates`; each
 round times max(1, 100 // B) calls of parent then change, or change then
 parent on odd rounds.  A last row times passes of `eval_one_aux` over the
 test channels of the two_aux_check front (configs/discrete_degraded.json's
-model, 500 random samples, seed 2, as tools/bench.py's eval_one_aux_us):
-stack-of-one scoring.  Every timed call or pass runs on its own model,
-built before the round's clock starts, so no state a model keeps from
-earlier calls (such as a sweep's front record, or a cache of single
-channels' informations in older checkouts) spares it a kernel run.  The
+model, 500 random samples, seed 2, as tools/bench.py's eval_one_aux_us,
+swept by the change and given to both sides): stack-of-one scoring.
+Every timed call or pass runs on its own model, built before the round's
+clock starts, so no state a model keeps from earlier calls (such as a
+sweep's front record, or a cache of single channels' informations in
+older checkouts) spares it a kernel run.  The
 binary model takes about 2 ms to build on a 2-vCPU Xeon VM, so there a
 31-round run spends about a minute building models.
 
 Prints one JSON object: per case the median microseconds per call of each
-side over ROUNDS rounds (default 31), change / parent - 1, and the number
-of rounds the change was faster.  Standard library, numpy and the two
-checkouts only.
+side over ROUNDS rounds (default 31), change / parent - 1, the number of
+rounds the change was faster, and the largest |change - parent| of the
+rates (rs, rj, rl, unclamped rs) in bits, so a run states how far the two
+kernels agree (0.0 when they give the same bits).  Standard library,
+numpy and the two checkouts only.
 """
 
 from __future__ import annotations
@@ -65,12 +68,13 @@ def timed(build, call, calls: int) -> float:
     return (time.perf_counter() - start) / calls
 
 
-def race(cases: dict, per_round: int, rounds: int) -> dict:
+def race(cases: dict, per_round: int, rounds: int, rates=np.asarray) -> dict:
     """Alternate the two sides' (build, call) cases for `rounds` rounds of
     `per_round` timed calls, after one untimed call each; medians in
-    microseconds and the change's wins."""
-    for build, call in cases.values():
-        call(build())
+    microseconds, the change's wins, and the largest |change - parent| of
+    the untimed calls' results, as `rates` turns them into arrays of rates
+    in bits."""
+    first = {side: rates(call(build())) for side, (build, call) in cases.items()}
     times = {"parent": [], "change": []}
     for k in range(rounds):
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
@@ -79,7 +83,8 @@ def race(cases: dict, per_round: int, rounds: int) -> dict:
     return {"parent_us": round(parent, 2), "change_us": round(change, 2),
             "change_vs_parent": round(change / parent - 1.0, 4),
             "change_wins": sum(c < p for p, c in zip(times["parent"], times["change"])),
-            "rounds": rounds}
+            "rounds": rounds,
+            "max_diff_bits": float(np.abs(first["change"] - first["parent"]).max())}
 
 
 def main(argv) -> int:
@@ -105,20 +110,24 @@ def main(argv) -> int:
                                             max(1, 100 // b), rounds)
     d = json.loads(Path("configs", "discrete_degraded.json").read_text())
 
+    def builder(pkg):
+        return lambda: pkg.AuthModel(pkg.DiscreteDistribution(d["px"]), pkg.Channel(d["ec"]),
+                                     pkg.Channel(d["ac_y"]), pkg.Channel(d["ac_z"]))
+
+    change = sides["change"]
+    front = change.sweep_region(builder(change)(), change.SamplerConfig(random_samples=500, seed=2))
+    matrices = [c.test_channel.matrix for c in front.corners]
+
     def one_aux_pass(side):
         pkg = sides[side]
+        tests = [pkg.Channel(t) for t in matrices]
+        return builder(pkg), lambda m: [pkg.eval_one_aux(m, t) for t in tests]
 
-        def build():
-            return pkg.AuthModel(pkg.DiscreteDistribution(d["px"]), pkg.Channel(d["ec"]),
-                                 pkg.Channel(d["ac_y"]), pkg.Channel(d["ac_z"]))
+    def corner_rates(corners):
+        return np.array([[*c.as_tuple(), c.extras["rs_unclamped"]] for c in corners])
 
-        front = pkg.sweep_region(build(), pkg.SamplerConfig(random_samples=500, seed=2))
-        tests = [c.test_channel for c in front.corners]
-        return build, lambda m: [pkg.eval_one_aux(m, t) for t in tests], len(tests)
-
-    passes = {s: one_aux_pass(s) for s in sides}
-    row = race({s: p[:2] for s, p in passes.items()}, 1, rounds)
-    corners = passes["change"][2]
+    row = race({s: one_aux_pass(s) for s in sides}, 1, rounds, corner_rates)
+    corners = len(matrices)
     result["eval_one_aux_fresh_us"] = {
         **row, "corners": corners, "parent_us": round(row["parent_us"] / corners, 2),
         "change_us": round(row["change_us"] / corners, 2)}

@@ -47,8 +47,10 @@ untimed call.  Prints one JSON object:
                           calls on a stack of 400 Dirichlet test channels
                           (seeded by |U|) on the region_sweep workload's
                           model (configs/binary.json's binary_hsm(0.1, 0.5,
-                          0.2)): the stacked `_infos_nats` at the size of
-                          region_sweep's random groups
+                          0.2)): `_chain_laws` and the joint-entropy kernel
+                          `_entropies_nats` (one call for U's four joints
+                          and its law) at the size of region_sweep's
+                          random groups
   search_100k_s           median of ceil(REPS / 10) calls
                           two_aux_random_search(model, 100000, seed=41) on
                           criterion 4's model, binary_symmetric(0.1, 0.1, 0.26)
