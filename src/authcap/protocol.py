@@ -56,6 +56,9 @@ _TILE_CELLS = 1 << 16
 # the square root of _GROUP_CELLS * trials / size (126 trials, two bins, on
 # the simulate benchmark's code).
 _GROUP_CELLS = 1 << 14
+# Enrollment symbols contracted per pass of exact leakage's mode products:
+# one product with the 2^5 x 2^5 Kronecker power of the per-symbol law.
+_MODE_BLOCK = 5
 
 
 class SimLimitError(ValueError):
@@ -447,26 +450,28 @@ def _product_law(per_symbol: np.ndarray, n: int) -> np.ndarray:
 def _mode_products(table: np.ndarray, per_symbol: np.ndarray, n: int) -> np.ndarray:
     """sum over a^n of table[a^n, c] * prod_t per_symbol[a_t, b_t], as a
     (c, b^n) matrix: `table` has rows indexed by sequences in `_all_sequences`
-    order, and each of the n symbols is contracted with the square per-symbol
-    law in turn, so the n-fold product law is never formed.  The contractions
-    go back and forth between `table`, which is overwritten, and one buffer
-    of its size; the result is a view of one of the two."""
+    order.  The symbols are contracted in blocks of up to _MODE_BLOCK, each
+    with the Kronecker power of the square per-symbol law over its block
+    (`_product_law`), the last block taking the n mod _MODE_BLOCK symbols
+    left, so the n-fold product law is never formed.  The contractions go
+    back and forth between `table`, which is overwritten, and one buffer of
+    its size; the result is a view of one of the two."""
     src, dst = table, np.empty_like(table)
-    for _ in range(n):   # contracts the leading symbol, appends its image last
-        np.matmul(src.reshape(len(per_symbol), -1).T, per_symbol,
-                  out=dst.reshape(-1, len(per_symbol)))
+    for lo in range(0, n, _MODE_BLOCK):   # contracts the leading block, appends its image last
+        law = _product_law(per_symbol, min(_MODE_BLOCK, n - lo))
+        np.matmul(src.reshape(len(law), -1).T, law, out=dst.reshape(-1, len(law)))
         src, dst = dst, src
     return src.reshape(table.shape[1], -1)
 
 
-def _encoder_kernel(codebook: Codebook, rows, cols, hits) -> np.ndarray:
-    """Exact encoder law P(s, j | xt-sequence) from the `_encoder_hits` table of all
-    sequences, counted straight into floats, with the uniform choice among qualifiers
-    marginalised; rows by sequence, columns by the code s * m_j + j."""
-    ncols = codebook.m_s * codebook.m_j
-    out = np.bincount(rows * ncols + (codebook.key_of * codebook.m_j + codebook.bin_of)[cols],
-                      np.ones(rows.size), hits.size * ncols).reshape(hits.size, ncols)
-    out[hits == 0, 0] = 1.0   # fallback (s, j) = (0, 0)
+def _encoder_kernel(code: np.ndarray, width: int, rows, cols, hits) -> np.ndarray:
+    """Exact encoder law P(code[codeword] | xt-sequence) from the `_encoder_hits`
+    table of all sequences, counted straight into floats, with the uniform choice
+    among qualifiers marginalised; rows by sequence, `width` columns, and a
+    sequence with no qualifier falls back to column 0 (the pair (s, j) = (0, 0))."""
+    out = np.bincount(rows * width + code[cols], np.ones(rows.size),
+                      hits.size * width).reshape(hits.size, width)
+    out[hits == 0, 0] = 1.0
     out /= np.maximum(hits, 1)[:, None]
     return out
 
@@ -493,7 +498,9 @@ def exact_leakage(codebook: Codebook, model: AuthModel, config: SimConfig) -> di
     Secrecy side: P(s, j, z^n) = sum over xt-sequences of the pair law
     P(xt^n, z^n) (per-symbol joint, since the eavesdropper's observation is
     conditionally independent of the enrollment one given the source) times
-    the exact encoder law, taken one symbol at a time (`_mode_products`).
+    the exact encoder law, taken _MODE_BLOCK enrollment symbols per pass
+    with the Kronecker power of the per-symbol law over the block
+    (`_mode_products`), as is P(j | x^n) from P(j | xt^n).
     Privacy side uses
     I(X^n; J, Z^n) = n I(X;Z) + H(J|Z^n) - H(J|X^n), valid because the
     helper is conditionally independent of the eavesdropper's sequence given
@@ -510,12 +517,12 @@ def _exact_leakage(codebook: Codebook, model: AuthModel, table) -> dict:
     t = codebook.tables
     m_s, m_j = codebook.m_s, codebook.m_j
     # The encoder law is contracted in place (its one buffer is freed on
-    # return), and mu_n's deviation table is made in place, so at most two
-    # tables of the encoder law's size are alive at once.
-    enc = _encoder_kernel(codebook, *table)
-    enc_j = enc.reshape(-1, m_s, m_j).sum(axis=1)
-    p_sjz = _mode_products(enc, t.p_xtz, n)     # (m_s * m_j, 2^n), overwrites enc
-    del enc
+    # return), and mu_n's deviation is taken in place of the contracted law
+    # once nothing else reads it, so at most two tables of the encoder law's
+    # size are alive at once.  P(j | xt^n) is counted from the hit table, by
+    # bin alone, once the contracted law is gone.
+    p_sjz = _mode_products(_encoder_kernel(codebook.key_of * m_j + codebook.bin_of,
+                                           m_s * m_j, *table), t.p_xtz, n)   # (m_s * m_j, 2^n)
     table_mass = float(p_sjz.sum())
 
     cube = p_sjz.reshape(m_s, m_j, -1)
@@ -525,12 +532,13 @@ def _exact_leakage(codebook: Codebook, model: AuthModel, table) -> dict:
     z_marginal_gap = float(np.max(np.abs(p_z - p_z_product)))
 
     secrecy = _mi2_nats(cube.reshape(m_s, -1)) / LN2
-    dev = cube - p_jz[None, :, :] / m_s
-    np.abs(dev, out=dev)
-    mu_n = float(dev.sum())
-    del dev
+    cube -= p_jz[None, :, :] / m_s
+    np.abs(cube, out=cube)
+    mu_n = float(cube.sum())
+    del p_sjz, cube
 
-    p_j_given_x = _mode_products(enc_j, model.ec.matrix.T, n)   # (m_j, 2^n)
+    p_j_given_x = _mode_products(_encoder_kernel(codebook.bin_of, m_j, *table),
+                                 model.ec.matrix.T, n)   # (m_j, 2^n)
     p_x_seq = _product_law(model.px.probs, n)
     h_j_given_x = float(np.sum(p_x_seq * _entropy_nats(p_j_given_x, axis=0)))
     h_j_given_z = _entropy_nats(p_jz) - _entropy_nats(p_z)

@@ -51,6 +51,12 @@ _PARETO_ROWS = 1 << 12     # sorted rows _pareto_indices turns into Python float
 # and their p log p, about twice the joints, so a cache-sized block keeps it
 # in cache and its memory off the stack's size.
 _RATE_CELLS = 1 << 16
+# A sweep on |Xt| >= 3 scores the merge test channel of every set partition
+# of Xt's alphabet up to |Xt| = 5 (52 of them); past that only the partitions
+# into 1, 2 and |Xt| blocks, and past |Xt| = 17 (2^16 - 1 partitions into 2
+# blocks) none into 2 blocks, so the group holds at most 2^16 + 1 rows.
+_ALL_PARTITIONS_XT = 5
+_TWO_BLOCK_XT = 17
 
 Y_FAVOR = (Relation.DEGRADED_Z_WRT_Y, Relation.LESS_NOISY_Y_OVER_Z)
 Z_FAVOR = (Relation.DEGRADED_Y_WRT_Z, Relation.LESS_NOISY_Z_OVER_Y)
@@ -599,6 +605,37 @@ def _beta_grid(step: float) -> list:
     return betas
 
 
+def _partitions(n: int) -> np.ndarray:
+    """Set partitions of range(n), one row of block labels each (blocks
+    numbered in order of their least symbol), in lexicographic order: every
+    partition for n <= _ALL_PARTITIONS_XT, else those into 1, 2 (for n <=
+    _TWO_BLOCK_XT) and n blocks."""
+    if n <= _ALL_PARTITIONS_XT:
+        rows = [[0]]
+        for _ in range(n - 1):
+            rows = [r + [b] for r in rows for b in range(max(r) + 2)]
+        return np.array(rows)
+    two = np.arange(1, 1 << (n - 1) if n <= _TWO_BLOCK_XT else 1)[:, None]
+    two = two >> np.arange(n - 1, -1, -1) & 1    # leading bit 0: symbol 0 is in block 0
+    return np.concatenate([np.zeros((1, n), dtype=int), two, np.arange(n)[None]])
+
+
+def _merge_groups(n_xt: int, sizes) -> list:
+    """(stack, params) for each block count in `sizes` that a `_partitions(n_xt)`
+    row has, ascending: the deterministic test channels sending each symbol of
+    Xt to its block, and their names, such as "0+2|1" (symbols 0 and 2 in one
+    block, 1 in the other)."""
+    labels = _partitions(n_xt)
+    counts = labels.max(axis=1) + 1
+    groups = []
+    for b in sorted(set(sizes) & set(counts.tolist())):
+        rows = labels[counts == b]
+        names = ["|".join("+".join(map(str, np.flatnonzero(r == k).tolist())) for k in range(b))
+                 for r in rows]
+        groups.append((_channel_stack(np.eye(b)[rows]), names))
+    return groups
+
+
 def _bsc_stack(betas) -> np.ndarray:
     """Checked stack of the binary symmetric test channels of crossovers `betas`."""
     b = np.asarray(betas, dtype=float)
@@ -612,7 +649,9 @@ class SamplerConfig:
     The structured family (symmetric test channels on a beta grid) only
     applies to binary enrollment alphabets, and a `beta_grid_step` of 0 or
     less (or None) turns it off; random samples draw each channel row from
-    the flat Dirichlet measure, sweeping the auxiliary size.
+    the flat Dirichlet measure, sweeping the auxiliary size.  On |Xt| >= 3 a
+    plan with random samples also scores the deterministic merges of Xt's
+    alphabet (see sweep_region).
     """
 
     random_samples: int = 100_000
@@ -634,6 +673,17 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
     for auxiliary sizes outside [1, |Xt| + 3], and ValueError for a negative
     sample count, random samples with no auxiliary size, or a plan with
     neither a beta grid row nor a random one, before anything is sampled.
+
+    For |Xt| >= 3, a plan that draws random rows also scores one
+    deterministic group before them: the test channel that merges Xt's
+    symbols by each set partition of its alphabet, whose blocks are U's
+    symbols (5 rows for |Xt| = 3, 15 for |Xt| = 4, 52 for |Xt| = 5; for
+    |Xt| >= 6 only the partitions into 1, 2 and |Xt| blocks, none into 2
+    past |Xt| = 17), for each block count in `u_sizes`, ascending.  Flat
+    Dirichlet rows almost never come near such a channel, U = Xt among
+    them.  Each row's param names its partition, such as "0+2|1", and the
+    rows count in `corners_sampled`.  The random rows and their stream are
+    the same with or without the group.
 
     In place of the previous sweep's record, the model keeps the front's
     (K, 4) rate rows with their read-only matrices, which the front's test
@@ -666,6 +716,10 @@ def sweep_region(model: AuthModel, config: SamplerConfig = None) -> RegionBounda
         stacks.append(_bsc_stack(params))
     rng = np.random.default_rng(config.seed)
     if config.random_samples:
+        if model.n_xt >= 3:
+            for stack, names in _merge_groups(model.n_xt, sizes):
+                stacks.append(stack)
+                params += names
         per, rem = divmod(config.random_samples, len(sizes))
         for si, u in enumerate(sizes):
             k = per + (1 if si < rem else 0)

@@ -1,8 +1,9 @@
 """Independent references that only the tests call, in the order of their
 old homes in `authcap`: the chain joint and region membership (regions), the
 covariance oracle (gaussian), the convolution bounds and entropy-convolution
-check (binary), the channel cascade (infotheory), and the scalar key hash
-and the gathered-table sampler (protocol)."""
+check (binary), the channel cascade (infotheory), and the scalar key hash,
+the gathered-table sampler and the one-symbol-per-pass mode products
+(protocol)."""
 
 from __future__ import annotations
 
@@ -234,3 +235,15 @@ def ref_sample_through(rng, rows: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(rows, axis=1)
     r = rng.random(inputs.shape)
     return (r[..., None] >= cdf[inputs][..., :-1]).sum(axis=-1)
+
+
+def ref_mode_products(table: np.ndarray, per_symbol: np.ndarray, n: int) -> np.ndarray:
+    """sum over a^n of table[a^n, c] * prod_t per_symbol[a_t, b_t], as a
+    (c, b^n) matrix, as `protocol._mode_products` took it before it worked in
+    blocks: one symbol per pass, each pass contracting the leading symbol of
+    a copy of `table` (rows in `_all_sequences` order) with the square
+    per-symbol law and appending its image last."""
+    src = np.array(table, dtype=float)
+    for _ in range(n):
+        src = (src.reshape(len(per_symbol), -1).T @ per_symbol).reshape(-1)
+    return src.reshape(table.shape[1], -1)

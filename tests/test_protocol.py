@@ -24,10 +24,10 @@ from authcap import (
 from authcap.infotheory import LN2, _entropy_nats, _mi2_nats
 from authcap.protocol import (_MAX_CELLS, _TILE_CELLS, ProtocolTables, SimReport,
                               _all_sequences, _blocks, _check_exact, _decode_block,
-                              _encoder_hits, _encoder_kernel, _gf64_mul, _hash_indices, _pick,
-                              _product_law, _sample_through)
+                              _encoder_hits, _encoder_kernel, _gf64_mul, _hash_indices,
+                              _mode_products, _pick, _product_law, _sample_through)
 from authcap.regions import _chain_laws
-from oracles import build_joint, hash_index, ref_sample_through
+from oracles import build_joint, hash_index, ref_mode_products, ref_sample_through
 
 
 def hb(x):
@@ -649,7 +649,8 @@ def ref_exact_leakage(codebook, model):
     n, t = codebook.n, codebook.tables
     m_s, m_j = codebook.m_s, codebook.m_j
     seqs = _all_sequences(n)
-    enc = _encoder_kernel(codebook, *_encoder_hits(codebook, seqs))
+    enc = _encoder_kernel(codebook.key_of * m_j + codebook.bin_of, m_s * m_j,
+                          *_encoder_hits(codebook, seqs))
     p_sjz = enc.T @ _product_law(t.p_xtz, n)
     cube = p_sjz.reshape(m_s, m_j, len(seqs))
     p_jz = cube.sum(axis=0)
@@ -696,20 +697,41 @@ def test_encoder_hits_match_gather_sum():
     assert shapes >= {(True, True), (True, False), (False, False)}
 
 
+def asymmetric_model():
+    # non-symmetric per-symbol laws, so a transposed law in the mode products shows
+    return AuthModel(DiscreteDistribution(np.array([0.3, 0.7])),
+                     Channel(np.array([[0.9, 0.1], [0.2, 0.8]])), Channel.bsc(0.1),
+                     Channel(np.array([[0.8, 0.2], [0.35, 0.65]])), classifier_trials=500)
+
+
+def test_mode_products_match_one_symbol_per_pass():
+    # n = 1 ... 13 covers one, two and three blocks and every remainder of the
+    # block size; random tables, so no structure of an encoder law hides an error
+    m = asymmetric_model()
+    p_xtz = ProtocolTables(m, Channel.bsc(0.1)).p_xtz
+    assert not np.allclose(p_xtz, p_xtz.T) and not np.allclose(m.ec.matrix, m.ec.matrix.T)
+    rng = np.random.default_rng(39)
+    for n in range(1, 14):
+        for law in (p_xtz, m.ec.matrix.T):
+            table = rng.random((1 << n, 3))
+            ref = ref_mode_products(table, law, n)
+            got = _mode_products(table.copy(), law, n)
+            assert got.shape == ref.shape == (3, 1 << n)
+            assert np.abs(got - ref).max() <= 1e-14 * ref.max(), n
+
+
 def test_exact_leakage_matches_kronecker_reference():
-    # the asymmetric model has non-symmetric per-symbol laws, so a transposed
-    # law in the mode products shows
+    # n up to 11: a third, partial block of mode products (4^11-cell, 32 MB
+    # reference tables)
     workload = AuthModel.binary_hsm(0.02, 0.2, 0.3, classifier_trials=500)
-    asymmetric = AuthModel(DiscreteDistribution(np.array([0.3, 0.7])),
-                           Channel(np.array([[0.9, 0.1], [0.2, 0.8]])), Channel.bsc(0.1),
-                           Channel(np.array([[0.8, 0.2], [0.35, 0.65]])), classifier_trials=500)
+    asymmetric = asymmetric_model()
     p_xtz = ProtocolTables(asymmetric, Channel.bsc(0.1)).p_xtz
     assert not np.allclose(p_xtz, p_xtz.T)
     for m in (workload, asymmetric):
-        for n in range(1, 11):
+        for n in range(1, 12):
             for test, ro in ((Channel.identity(2), None), (Channel.bsc(0.1), (0.5, 2.0 / n))):
                 cfg = SimConfig(n=n, test_channel=test, gamma=0.05, seed=n, trials=1,
-                                rate_overrides=ro)
+                                rate_overrides=ro, exact_leakage_limit=11)
                 book = generate_codebook(m, cfg)
                 got, ref = exact_leakage(book, m, cfg), ref_exact_leakage(book, m)
                 for key, value in ref.items():
@@ -819,7 +841,9 @@ def test_exact_leakage_peak_memory_is_a_small_multiple_of_its_table():
     # encoder law lived to the end and mu_n took two deviation tables, 3.27
     # once it was freed after its two contractions and the deviation was taken
     # in place, and 2.50 since the contractions overwrite the encoder law and
-    # one buffer of its size; the bound sits a quarter table above that.
+    # one buffer of its size; the bound sits a quarter table above that.  With
+    # the j law counted from the hit table after the contracted law is gone
+    # and mu_n's deviation taken in place of that law, the peak reads 2.27.
     m = AuthModel.binary_hsm(0.02, 0.2, 0.3, classifier_trials=500)
     cfg = SimConfig(n=12, test_channel=Channel.identity(2), gamma=0.05, seed=0, trials=1,
                     exact_leakage_limit=12)
@@ -861,14 +885,17 @@ def test_product_law_and_encoder_kernel_match_loops():
         seqs = _all_sequences(book.n)
         dens = book.tables.tn_table[seqs[:, None, :], book.codewords[None, :, :]].sum(axis=2)
         sj_code = book.key_of * book.m_j + book.bin_of
-        ref = np.zeros((len(seqs), book.m_s * book.m_j))
-        for i in range(len(seqs)):
-            q = np.flatnonzero(np.isfinite(dens[i]) & (dens[i] <= book.encoder_threshold()))
-            if q.size == 0:
-                ref[i, 0] = 1.0
-            else:
-                ref[i] = np.bincount(sj_code[q], minlength=ref.shape[1]) / q.size
-        assert np.array_equal(_encoder_kernel(book, *_encoder_hits(book, seqs)), ref)
+        hits = _encoder_hits(book, seqs)
+        # the (s, j) law, and the j law that exact leakage counts by bin alone
+        for code, width in ((sj_code, book.m_s * book.m_j), (book.bin_of, book.m_j)):
+            ref = np.zeros((len(seqs), width))
+            for i in range(len(seqs)):
+                q = np.flatnonzero(np.isfinite(dens[i]) & (dens[i] <= book.encoder_threshold()))
+                if q.size == 0:
+                    ref[i, 0] = 1.0
+                else:
+                    ref[i] = np.bincount(code[q], minlength=width) / q.size
+            assert np.array_equal(_encoder_kernel(code, width, *hits), ref)
 
 
 def test_injective_binning_leaks_key():

@@ -42,7 +42,7 @@ from authcap.infotheory import (
     _mi2_nats,
 )
 from authcap.regions import (_COMPARE_CELLS, _COMPARE_NEAR, CardinalityError, _beta_grid,
-                             _corner_rates, _pareto_indices, _rate_corner, _rates,
+                             _corner_rates, _pareto_indices, _partitions, _rate_corner, _rates,
                              _single_rates, _slack_bounds)
 from oracles import build_joint, region_contains
 
@@ -517,14 +517,33 @@ def four_row_counts_model():
                      Channel(ac_y @ w), classifier_trials=2_000)
 
 
-@pytest.mark.xfail(strict=True, reason="known gap: for |Xt| >= 3 no sampled test "
-                   "channel comes near U = Xt (ROADMAP item 7, step 1)")
 def test_ternary_sweep_reaches_the_u_equals_xt_key_rate():
-    # U = Xt gives rs = 0.5516 bits; 20,000 flat-Dirichlet samples reach 0.3498
+    # U = Xt gives rs = 0.5516 bits; 20,000 flat-Dirichlet samples alone reach
+    # 0.3498, and the sweep's merge rows hold U = Xt itself
     m = ternary_model()
     front = sweep_region(m, SamplerConfig(random_samples=20_000, seed=0))
     best = max(c.rs for c in front.corners)
     assert best == pytest.approx(eval_one_aux(m, Channel.identity(3)).rs, abs=1e-12, rel=0)
+
+
+def test_sweep_merge_rows_are_the_set_partitions(monkeypatch):
+    # Bell numbers 1, 2, 5, 15, 52 up to |Xt| = 5, then 1 + (2^(n-1) - 1) + 1
+    for n, count in zip(range(1, 8), (1, 2, 5, 15, 52, 33, 65)):
+        labels = _partitions(n)
+        assert len(labels) == count
+        assert labels.tolist() == sorted(labels.tolist())
+        if n <= 6:   # the reference scans n^n labellings
+            assert labels.tolist() == sorted((r[1] for r in ref_partitions(n)), key=tuple)
+    assert _partitions(18).tolist() == [[0] * 18, list(range(18))]
+    # only the partitions of the plan's block counts, each named, before the random rows
+    m = ternary_model()
+    front = sweep_region(m, SamplerConfig(random_samples=6, u_sizes=(2, 3), seed=1))
+    assert front.metadata["corners_sampled"] == 4 + 6
+    merged = {c.extras["param"] for c in front.corners if isinstance(c.extras["param"], str)}
+    assert merged <= {"0+1|2", "0+2|1", "0|1+2", "0|1|2"} and "0|1|2" in merged
+    # binary models never build the group
+    monkeypatch.setattr("authcap.regions._merge_groups", None)
+    assert sweep_region(hsm_model(), SamplerConfig(random_samples=50, seed=1)).corners
 
 
 def ref_one_aux_rates_nats(model, test_matrix):
@@ -595,6 +614,24 @@ def ref_pareto_filter(corners):
     return kept
 
 
+def ref_partitions(n):
+    """(block count, block labels, name) of the set partitions of range(n)
+    that a sweep scores, by block count and then in lexicographic order of
+    their labels: every labelling in itertools.product order that numbers
+    its blocks by their least symbol; past n = 5 only those into 1, 2 and n
+    blocks, and past n = 17 none into 2."""
+    out = []
+    for labels in itertools.product(range(n), repeat=n):
+        if any(x > max(labels[:i], default=-1) + 1 for i, x in enumerate(labels)):
+            continue
+        b = max(labels) + 1
+        if n > 5 and b not in (1, n) and not (b == 2 and n <= 17):
+            continue
+        blocks = [[i for i, x in enumerate(labels) if x == k] for k in range(b)]
+        out.append((b, list(labels), "|".join("+".join(map(str, blk)) for blk in blocks)))
+    return sorted(out, key=lambda row: row[0])
+
+
 def ref_sweep_region(model, config):
     sizes = config.sizes_for(model.n_xt)
 
@@ -606,6 +643,10 @@ def ref_sweep_region(model, config):
     if model.n_xt == 2 and config.beta_grid_step:
         corners = [corner(np.array([[1.0 - b, b], [b, 1.0 - b]]), float(b))
                    for b in _beta_grid(config.beta_grid_step)]
+
+    if config.random_samples and sizes and model.n_xt >= 3:
+        corners += [corner(np.eye(b)[labels], name)
+                    for b, labels, name in ref_partitions(model.n_xt) if b in sizes]
 
     rng = np.random.default_rng(config.seed)
     if config.random_samples and sizes:
@@ -1673,7 +1714,9 @@ def test_front_builds_the_corners_of_the_per_row_code():
                 model, swept = model_fn(), []
                 got = sweep_region(model, SamplerConfig(random_samples=400, beta_grid_step=step,
                                                         seed=71)).corners
-                params = (_beta_grid(step) if step and model.n_xt == 2 else []) + [*range(400)]
+                merges = [name for _, _, name in ref_partitions(model.n_xt) if model.n_xt >= 3]
+                params = ((_beta_grid(step) if step and model.n_xt == 2 else [])
+                          + merges + [*range(400)])
                 ref = ref_front(np.concatenate([r for _, r in swept]), params,
                                 [t for t, _ in swept])
                 assert [_fields(c) for c in got] == [_fields(c) for c in ref]

@@ -1,4 +1,5 @@
-"""In-process A/B timing of the stacked rate kernel against another checkout.
+"""In-process A/B timing of the stacked rate kernel and of exact leakage
+against another checkout.
 
     cd CHECKOUT && python path/to/tools/ab.py PARENT_CHECKOUT [ROUNDS]
 
@@ -20,14 +21,19 @@ clock starts, so no state a model keeps from earlier calls (such as a
 sweep's front record, or a cache of single channels' informations in
 older checkouts) spares it a kernel run.  The
 binary model takes about 2 ms to build on a 2-vCPU Xeon VM, so there a
-31-round run spends about a minute building models.
+31-round run spends about a minute building models.  The last case,
+`exact_leakage_ms`, times `exact_leakage` on the simulate workload's code
+(binary_hsm(0.02, 0.2, 0.3), identity test channel, gamma 0.05, seed 0)
+at n = 8, 10 and 12: each round times 2^(12 - n) calls, each on its own
+codebook and model, generated before the clock starts.
 
-Prints one JSON object: per case the median microseconds per call of each
-side over ROUNDS rounds (default 31), change / parent - 1, the number of
-rounds the change was faster, and the largest |change - parent| of the
-rates (rs, rj, rl, unclamped rs) in bits, so a run states how far the two
-kernels agree (0.0 when they give the same bits).  Standard library,
-numpy and the two checkouts only.
+Prints one JSON object: per case the median microseconds (milliseconds
+for exact leakage) per call of each side over ROUNDS rounds (default 31),
+change / parent - 1, the number of rounds the change was faster, and the
+largest |change - parent| of the rates (rs, rj, rl, unclamped rs) in bits,
+or of each exact-leakage figure, so a run states how far the two sides
+agree (0.0 when they give the same bits).  Standard library, numpy and the
+two checkouts only.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ import numpy as np
 
 SIZES = (1, 10, 100, 400, 4000)
 U_SIZES = (1, 2, 3, 4, 5)
+LEAKAGE_NS = (8, 10, 12)
 
 
 def load(checkout: Path, name: str):
@@ -68,23 +75,34 @@ def timed(build, call, calls: int) -> float:
     return (time.perf_counter() - start) / calls
 
 
-def race(cases: dict, per_round: int, rounds: int, rates=np.asarray) -> dict:
+def race(cases: dict, per_round: int, rounds: int, diff, unit: str = "us") -> dict:
     """Alternate the two sides' (build, call) cases for `rounds` rounds of
-    `per_round` timed calls, after one untimed call each; medians in
-    microseconds, the change's wins, and the largest |change - parent| of
-    the untimed calls' results, as `rates` turns them into arrays of rates
-    in bits."""
-    first = {side: rates(call(build())) for side, (build, call) in cases.items()}
+    `per_round` timed calls, after one untimed call each; medians in `unit`
+    ("us" or "ms"), the change's wins, and diff(change, parent) of the
+    untimed calls' results."""
+    first = {side: call(build()) for side, (build, call) in cases.items()}
     times = {"parent": [], "change": []}
     for k in range(rounds):
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
             times[side].append(timed(*cases[side], per_round))
-    parent, change = (statistics.median(times[s]) * 1e6 for s in ("parent", "change"))
-    return {"parent_us": round(parent, 2), "change_us": round(change, 2),
+    scale, digits = {"us": (1e6, 2), "ms": (1e3, 4)}[unit]
+    parent, change = (statistics.median(times[s]) * scale for s in ("parent", "change"))
+    return {f"parent_{unit}": round(parent, digits), f"change_{unit}": round(change, digits),
             "change_vs_parent": round(change / parent - 1.0, 4),
             "change_wins": sum(c < p for p, c in zip(times["parent"], times["change"])),
-            "rounds": rounds,
-            "max_diff_bits": float(np.abs(first["change"] - first["parent"]).max())}
+            "rounds": rounds, **diff(first["change"], first["parent"])}
+
+
+def rate_diff(rates=np.asarray):
+    """diff for `race`: the largest |change - parent| of the results, as
+    `rates` turns them into arrays of rates in bits."""
+    return lambda change, parent: {
+        "max_diff_bits": float(np.abs(rates(change) - rates(parent)).max())}
+
+
+def figure_diff(change: dict, parent: dict) -> dict:
+    """diff for `race`: |change - parent| of each exact-leakage figure."""
+    return {"max_diff": {key: abs(change[key] - parent[key]) for key in parent}}
 
 
 def main(argv) -> int:
@@ -107,7 +125,7 @@ def main(argv) -> int:
         for b in SIZES:
             tu = np.random.default_rng([u, b]).dirichlet(np.ones(u), size=(b, 2))
             result["rates_us"][u][b] = race({s: scorer(s, tu) for s in sides},
-                                            max(1, 100 // b), rounds)
+                                            max(1, 100 // b), rounds, rate_diff())
     d = json.loads(Path("configs", "discrete_degraded.json").read_text())
 
     def builder(pkg):
@@ -126,11 +144,25 @@ def main(argv) -> int:
     def corner_rates(corners):
         return np.array([[*c.as_tuple(), c.extras["rs_unclamped"]] for c in corners])
 
-    row = race({s: one_aux_pass(s) for s in sides}, 1, rounds, corner_rates)
+    row = race({s: one_aux_pass(s) for s in sides}, 1, rounds, rate_diff(corner_rates))
     corners = len(matrices)
     result["eval_one_aux_fresh_us"] = {
         **row, "corners": corners, "parent_us": round(row["parent_us"] / corners, 2),
         "change_us": round(row["change_us"] / corners, 2)}
+
+    def leakage(side, n):
+        pkg = sides[side]
+        cfg = pkg.SimConfig(n=n, test_channel=pkg.Channel.identity(2), gamma=0.05, seed=0,
+                            trials=1, exact_leakage_limit=n)
+
+        def build():
+            model = pkg.AuthModel.binary_hsm(0.02, 0.2, 0.3)
+            return pkg.generate_codebook(model, cfg), model
+
+        return build, lambda built: pkg.exact_leakage(*built, cfg)
+
+    result["exact_leakage_ms"] = {n: race({s: leakage(s, n) for s in sides}, 1 << (12 - n),
+                                          rounds, figure_diff, "ms") for n in LEAKAGE_NS}
     print(json.dumps(result, indent=1))
     return 0
 
